@@ -35,7 +35,6 @@ from .bialgebra import (
     base_subalgebra,
     check_antipode,
     check_bialgebra_axioms,
-    projection,
     projection_identity_suite,
 )
 from .groupoid import (
@@ -74,7 +73,6 @@ from .cleft import (
     FactorizationFailed,
     Reconstruction,
     cleaving_check,
-    cleft_to_crossed_iso,
     comodule_algebra_report,
     crossed_to_cleft,
     decomposition,

@@ -287,22 +287,23 @@ def conv_inverse(
     """
     if convolve(g, u, coalg, alg) != g:
         raise RegularityPreconditionFailed("g * u != g")
+    return _conv_solve(g, u, u, coalg, alg)
+
+
+def _conv_solve(
+    g: LinMap, left_unit: LinMap, right_unit: LinMap, coalg: ConvCoalgebra, alg: AlgebraData
+) -> Optional[LinMap]:
+    """Solve g*x = left_unit, x*g = right_unit, x*left_unit = x; None when
+    the system has no solution."""
     field = alg.field
     cword = _conv_word(coalg)
-    da = alg.dim
-    nc = wdim(cword)
-    nunk = da * nc
-    u_flat = [v for r in u.rows for v in r]
+    nunk = alg.dim * wdim(cword)
     aug = []
-    left_rows = _conv_operator_rows(g, coalg, alg, "left")
-    for i, row in enumerate(left_rows):
-        aug.append(row + [u_flat[i]])
-    right_rows = _conv_operator_rows(g, coalg, alg, "right")
-    for i, row in enumerate(right_rows):
-        aug.append(row + [u_flat[i]])
-    norm_rows = _conv_operator_rows(u, coalg, alg, "right")
-    for i, row in enumerate(norm_rows):
-        row = list(row)
+    for side, unit in (("left", left_unit), ("right", right_unit)):
+        flat = [v for r in unit.rows for v in r]
+        for i, row in enumerate(_conv_operator_rows(g, coalg, alg, side)):
+            aug.append(row + [flat[i]])
+    for i, row in enumerate(_conv_operator_rows(left_unit, coalg, alg, "right")):
         row[i] = field.normalize(row[i] - field.one)
         aug.append(row + [field.zero])
     outcome = _solve_rows(field, cword, (alg.obj,), aug, nunk)

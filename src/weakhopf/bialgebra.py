@@ -21,13 +21,16 @@ class InvalidStructure(StructureError):
 def build_env(field: Field, objects: dict, bindings: dict) -> Env:
     """Assemble a signature and environment from name -> LinMap bindings.
 
-    Generator types are read off the bound matrices, which must use objects
-    named consistently with ``objects``.
+    Generator types and objects are read off the bound matrices; ``objects``
+    (name -> dim) declares any further objects, such as one no binding uses.
     """
+    objects = dict(objects)
     gens = {}
     for name, m in bindings.items():
         gens[name] = (tuple(ob.name for ob in m.dom), tuple(ob.name for ob in m.cod))
-    sig = Signature(objects=dict(objects), generators=gens)
+        for ob in (*m.dom, *m.cod):
+            objects.setdefault(ob.name, ob.dim)
+    sig = Signature(objects=objects, generators=gens)
     return Env(sig, field, bindings)
 
 
@@ -44,7 +47,6 @@ class WeakBialgebra:
         self.algebra = algebra
         self.coalgebra = coalgebra
         self._projections: dict[str, LinMap] = {}
-        self._env: Optional[Env] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -111,11 +113,7 @@ class WeakBialgebra:
             bindings["S"] = s
         if extra:
             bindings.update(extra)
-        objects = {self.obj.name: self.obj.dim}
-        for m in bindings.values():
-            for ob in (*m.dom, *m.cod):
-                objects.setdefault(ob.name, ob.dim)
-        return build_env(self.field, objects, bindings)
+        return build_env(self.field, {}, bindings)
 
     def projection(self, kind: str) -> LinMap:
         """One of the four projections; kind in {L, R, Lbar, Rbar}."""
@@ -123,7 +121,7 @@ class WeakBialgebra:
         if key not in self._projections:
             env = build_env(
                 self.field,
-                {self.obj.name: self.obj.dim},
+                {},
                 {"mu": self.mu, "eta": self.eta, "Delta": self.delta, "eps": self.eps},
             )
             for name, src in ids.PROJECTION_FORMULAS.items():
@@ -168,18 +166,12 @@ class WeakHopfAlgebra(WeakBialgebra):
 # Validation suites
 # --------------------------------------------------------------------------
 
-def projection(H: WeakBialgebra, kind: str) -> LinMap:
-    """Matrix of the chosen source/target projection; kind in
-    {L, R, Lbar, Rbar}.  Cached on the carrier."""
-    return H.projection(kind)
-
-
 def check_bialgebra_axioms(H: WeakBialgebra) -> VerdictReport:
     """Associativity, unit, coassociativity, counit and the three weak
     compatibility axioms, one verdict per equality."""
     env = build_env(
         H.field,
-        {H.obj.name: H.obj.dim},
+        {},
         {"mu": H.mu, "eta": H.eta, "Delta": H.delta, "eps": H.eps},
     )
     report = VerdictReport("bialgebra axioms")
@@ -187,19 +179,17 @@ def check_bialgebra_axioms(H: WeakBialgebra) -> VerdictReport:
     return report
 
 
-def projection_identity_suite(H: WeakBialgebra, antipode: Optional[LinMap] = None) -> VerdictReport:
+def projection_identity_suite(H: WeakBialgebra) -> VerdictReport:
     """All recorded identities among the four projections; the antipode
-    block is skipped when no antipode is available."""
+    block is skipped when H has no antipode."""
     report = VerdictReport("projection identities")
     env = H.base_env()
     run_identity_table(ids.PROJECTION_BASICS, env, report)
     run_identity_table(ids.PROJECTION_IDENTITIES, env, report)
-    s = antipode if antipode is not None else H.antipode
-    if s is None:
+    if H.antipode is None:
         for check_id, _, _ in ids.ANTIPODE_PROJECTION_IDENTITIES:
             report.add_skipped(check_id, note="no antipode")
         return report
-    env = H.base_env(extra={"S": s})
     run_identity_table(ids.ANTIPODE_PROJECTION_IDENTITIES, env, report)
     return report
 

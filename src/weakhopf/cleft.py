@@ -20,8 +20,8 @@ from .crossed import (
     WeakMeasure,
     build_crossed_product,
     check_weak_module_algebra,
+    cocycle_inverse,
     eval_text,
-    invert_cocycle,
 )
 from .ir import Env, run_identity_table
 from .linalg import (
@@ -35,6 +35,7 @@ from .linalg import (
     nullspace_basis,
     rename_factor,
     same_subspace,
+    swap,
     tensor_product,
 )
 from .report import VerdictReport
@@ -158,10 +159,9 @@ class Decomposition:
     omega: LinMap
 
 
-def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, VerdictReport]:
+def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
     """Split B against A (x) H: the coinvariant projection p obtained by
-    factoring q through j, the mutually inverse maps w and w-tilde, and the
-    induced idempotent on A (x) H.
+    factoring q through j, and the mutually inverse maps w and w-tilde.
 
     Raises FactorizationFailed when q does not land in the image of j, which
     witnesses a non-cleft input.
@@ -172,7 +172,7 @@ def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, Verdict
     upsilon = compose(
         tensor_product(identity(field, B.obj), X.H.mu),
         compose(
-            tensor_product(_swap_hb(X), idH),
+            tensor_product(swap((X.H.obj,), (B.obj,), field), idH),
             tensor_product(idH, X.comodule.delta),
         ),
     )
@@ -182,33 +182,41 @@ def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, Verdict
         raise FactorizationFailed("q does not factor through j (input is not cleft)")
     w = compose(B.mu, tensor_product(X.j, c.gamma))
     w_tilde = compose(tensor_product(p, idH), X.comodule.delta)
-    omega = compose(w_tilde, w)
-    decomp = Decomposition(upsilon, q, p, w, w_tilde, omega)
+    return Decomposition(upsilon, q, p, w, w_tilde, compose(w_tilde, w))
+
+
+def _decomposition_bindings(c: CleavingData, decomp: Decomposition) -> dict:
+    return {
+        "gamB": c.gamma,
+        "gamBinv": c.gamma_inv,
+        "q": decomp.q,
+        "p": decomp.p,
+        "w": decomp.w,
+        "wt": decomp.w_tilde,
+        "Ups": decomp.upsilon,
+    }
+
+
+def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, VerdictReport]:
+    """The decomposition of a cleft extension with the verdicts on its maps
+    and on the induced idempotent omega on A (x) H."""
+    decomp = build_decomposition(X, c)
     report = VerdictReport("decomposition")
-    env = X.env(
-        extra={
-            "gamB": c.gamma,
-            "gamBinv": c.gamma_inv,
-            "q": q,
-            "p": p,
-            "w": w,
-            "wt": w_tilde,
-            "Ups": upsilon,
-        }
-    )
+    env = X.env(extra=_decomposition_bindings(c, decomp))
     run_identity_table(ids.DECOMPOSITION_IDENTITIES, env, report)
-    report.add_bool("omega_rank_is_dim_B", _rank(omega) == B.dim, note=f"rank {_rank(omega)}")
+    rank = column_rank(decomp.omega)
+    report.add_bool("omega_rank_is_dim_B", rank == X.comodule.B.dim, note=f"rank {rank}")
     return decomp, report
 
 
-def _swap_hb(X: Extension) -> LinMap:
-    from .linalg import swap
-
-    return swap((X.H.obj,), (X.comodule.B.obj,), X.field)
-
-
-def _rank(m: LinMap) -> int:
-    return column_rank(m)
+def sigma_env(X: Extension, c: CleavingData, decomp: Decomposition) -> Env:
+    """The decomposition maps together with sigma and its inverse: the
+    context of the recovered-inverse identities."""
+    bindings = _decomposition_bindings(c, decomp)
+    env = X.env(extra=bindings)
+    bindings["sig"] = eval_text(ids.SIGMA_EXPR, env)
+    bindings["siginv"] = eval_text(ids.SIGMA_INV_EXPR, env)
+    return X.env(extra=bindings)
 
 
 @dataclass
@@ -283,40 +291,14 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
 
 def recover_inverse_cocycle(
     X: Extension, c: CleavingData
-) -> tuple[LinMap, LinMap, LinMap, VerdictReport]:
-    """Invert the recovered cocycle by factorization through j, and check the
-    result against the independent convolution solver."""
-    _, sigma, sigma_inv, f_inv, report = _recover_impl(X, c)
-    return sigma, sigma_inv, f_inv, report
-
-
-def _recover_impl(
-    X: Extension, c: CleavingData
 ) -> tuple[Reconstruction, LinMap, LinMap, LinMap, VerdictReport]:
+    """Reconstruct, then invert the recovered cocycle by factorization
+    through j and check the result against the independent convolution
+    solver: (reconstruction, sigma, sigma_inv, f_inv, report)."""
     recon, report = reconstruct(X, c)
     decomp = recon.decomp
-    env = X.env(
-        extra={
-            "gamB": c.gamma,
-            "gamBinv": c.gamma_inv,
-            "q": decomp.q,
-            "p": decomp.p,
-            "Ups": decomp.upsilon,
-        }
-    )
-    sigma = eval_text(ids.SIGMA_EXPR, env)
-    sigma_inv = eval_text(ids.SIGMA_INV_EXPR, env)
-    env = X.env(
-        extra={
-            "gamB": c.gamma,
-            "gamBinv": c.gamma_inv,
-            "q": decomp.q,
-            "p": decomp.p,
-            "Ups": decomp.upsilon,
-            "sig": sigma,
-            "siginv": sigma_inv,
-        }
-    )
+    env = sigma_env(X, c, decomp)
+    sigma, sigma_inv = env.bindings["sig"], env.bindings["siginv"]
     run_identity_table(ids.RECOVER_IDENTITIES, env, report)
     report.add_equality("sigma_factors_through_j", sigma, compose(X.j, recon.f))
     f_inv = factor_through(sigma_inv, X.j)
@@ -327,18 +309,11 @@ def _recover_impl(
     power = TensorPowerCoalgebra(X.H.coalgebra, 2)
     report.add_equality("f_conv_finv_is_u2", convolve(recon.f, f_inv, power, X.A), u2)
     report.add_equality("finv_conv_f_is_u2", convolve(f_inv, recon.f, power, X.A), u2)
-    solver_inv, solver_report = invert_cocycle(recon.measure, recon.cocycle)
+    solver_inv = cocycle_inverse(recon.cocycle)
     report.add_bool("solver_finds_inverse", solver_inv is not None)
     if solver_inv is not None:
         report.add_equality("finv_matches_solver", f_inv, solver_inv)
     return recon, sigma, sigma_inv, f_inv, report
-
-
-def cleft_to_crossed_iso(X: Extension, c: CleavingData) -> tuple[LinMap, VerdictReport]:
-    """Rebuild the crossed product from the recovered data and verify that w
-    restricted to its coordinates is an isomorphism of extensions."""
-    _, _, iso, report = full_reconstruction(X, c)
-    return iso, report
 
 
 def full_reconstruction(
@@ -346,7 +321,7 @@ def full_reconstruction(
 ) -> tuple[Reconstruction, LinMap, LinMap, VerdictReport]:
     """One pass through decomposition, reconstruction, cocycle inversion and
     the rebuilt-product isomorphism: (reconstruction, f_inv, iso, report)."""
-    recon, sigma, sigma_inv, f_inv, report = _recover_impl(X, c)
+    recon, _, _, f_inv, report = recover_inverse_cocycle(X, c)
     E_rb = build_crossed_product(recon.measure, recon.cocycle)
     iso = compose(recon.decomp.w, E_rb.i)
     B = X.comodule.B

@@ -23,18 +23,21 @@ from .bialgebra import (
 )
 from .cleft import (
     FactorizationFailed,
+    build_decomposition,
     cleaving_check,
-    cleft_to_crossed_iso,
     comodule_algebra_report,
     crossed_to_cleft,
     extension_check,
-    reconstruct,
+    full_reconstruction,
+    sigma_env,
 )
 from .crossed import (
     HypothesisFailed,
     PreconditionFailed,
     build_crossed_product,
+    build_gamma_inverse,
     check_weak_module_algebra,
+    cocycle_inverse,
     cocycle_report,
     crossed_product_law_suite,
     gamma_inverse,
@@ -42,8 +45,8 @@ from .crossed import (
     module_algebra_suite,
     twisting,
 )
-from .equivalence import NotAnEquivalence, equivalence_from_phi, phi_from_iso
-from .ir import ParseError, SideMismatchError, UnknownNameError, WordTypeError, check_identity_text, evaluate, parse_expr
+from .equivalence import NotAnEquivalence, _pair_env, equivalence_from_phi, phi_from_iso
+from .ir import Env, ParseError, SideMismatchError, UnknownNameError, WordTypeError, check_identity_text, evaluate, parse_expr
 from .linalg import ShapeError
 from .presentation import (
     PresentationError,
@@ -188,20 +191,18 @@ def cmd_reconstruct(args) -> int:
         except HypothesisFailed as exc:
             report.add_fail("build." + exc.check_id, witness=exc.witness)
             return _finish(args, args.path, report, pres, started)
-        finv, inv_report = invert_cocycle(m, data)
+        finv = cocycle_inverse(data)
         if finv is None:
-            report.extend(inv_report, prefix="inverse.")
+            report.add_fail("inverse.cocycle_invertible", note="convolution system has no solution")
             return _finish(args, args.path, report, pres, started)
-        gaminv, _ = gamma_inverse(E, finv)
-        X, c = crossed_to_cleft(E, gaminv)
+        X, c = crossed_to_cleft(E, build_gamma_inverse(E, finv))
     try:
-        iso, rec_report = cleft_to_crossed_iso(X, c)
+        recon, _, _, rec_report = full_reconstruction(X, c)
     except FactorizationFailed as exc:
         report.add_fail("factorization", note=str(exc))
         return _finish(args, args.path, report, pres, started)
     report.extend(rec_report)
     if original is not None:
-        recon, _ = reconstruct(X, c)
         report.add_equality("recovered_rho_matches", recon.rho, original[0])
         report.add_equality("recovered_f_matches", recon.f, original[1])
     return _finish(args, args.path, report, pres, started)
@@ -211,7 +212,12 @@ def cmd_equiv(args) -> int:
     started = time.monotonic()
     pres = load_presentation(args.path, args.field)
     m, data = _build_product(pres, args)
-    E = build_crossed_product(m, data)
+    try:
+        E = build_crossed_product(m, data)
+    except HypothesisFailed as exc:
+        report = VerdictReport("equiv")
+        report.add_fail("build." + exc.check_id, witness=exc.witness)
+        return _finish(args, args.path, report, pres, started)
     phi = pres.phi(args.phi)
     Phi, report = equivalence_from_phi(E, E, phi)
     if Phi is not None:
@@ -223,7 +229,6 @@ def cmd_equiv(args) -> int:
     return _finish(args, args.path, report, pres, started)
 
 
-_EVAL_LEVELS = ("raw", "bialgebra", "measure", "cocycle", "crossed", "crossed_inverse", "cleft")
 _CONTEXT_LEVEL = {
     "bialgebra": "bialgebra",
     "hopf": "bialgebra",
@@ -236,69 +241,78 @@ _CONTEXT_LEVEL = {
 }
 
 
-def _eval_env(pres: PresentationFile, level: str = "raw"):
-    """Environment for evaluation, enriched with derived generators.
+def _ladder(pres: PresentationFile):
+    """The eval context ladder: yield (level, derive) from "raw" up to
+    "cleft", where derive() builds the level's derived environment.
 
-    Levels build on each other: the bialgebra level adds the projections,
-    the measure level the twisting data, the cocycle level the unit powers,
-    the crossed level the built product (plus primed/phi data when present),
-    the inverse level the cocycle and integral inverses, and the cleft level
-    the reconstruction maps.
+    The bialgebra level adds the projections, the measure level the twisting
+    data, the cocycle level the unit powers, the crossed level the built
+    product (plus primed/phi data when present), the inverse level the
+    cocycle and integral inverses, and the cleft level the reconstruction
+    maps.  H, the measure, the cocycle data, E and X are each built once, by
+    the library's own builders, when the walk first reaches them.
     """
-    if level == "raw":
-        objects = {name: ob.dim for name, ob in pres.objects.items()}
-        return build_env(pres.field, objects, dict(pres.generators))
+    yield "raw", lambda: None
     H = pres.bialgebra()
-    extra = dict(pres.generators)
-    if level == "bialgebra":
-        return H.base_env(extra=extra)
+    yield "bialgebra", H.base_env
     m = pres.measure()
-    if level == "measure":
-        return m.derived_env(extra=extra)
+    yield "measure", m.derived_env
     data = pres.cocycle(m)
-    if level == "cocycle":
-        return data.env(extra=extra)
+    yield "cocycle", data.env
     E = build_crossed_product(m, data)
-    if level == "crossed":
-        if pres.has_role("phi"):
-            extra.update(
-                {
-                    "rhop": m.rho,
-                    "chip": m.chi,
-                    "nup": data.nu,
-                    "fp": data.f,
-                    "u1p": m.u(1),
-                }
-            )
-        return E.env(extra=extra)
-    finv, _ = invert_cocycle(m, data)
+    if pres.has_role("phi"):
+        yield "crossed", lambda: _pair_env(E, E, pres.phi())
+    else:
+        yield "crossed", E.env
+    finv = cocycle_inverse(data)
     if finv is None:
         raise PresentationError("the cocycle is not invertible; no inverse context")
-    gaminv, _ = gamma_inverse(E, finv)
-    if level == "crossed_inverse":
-        extra.update({"finv": finv, "gaminv": gaminv})
-        return E.env(extra=extra)
-    from .cleft import decomposition
-    from .crossed import eval_text
-    from . import identities as ids
+    gaminv = build_gamma_inverse(E, finv)
+    yield "crossed_inverse", lambda: E.env(extra={"finv": finv, "gaminv": gaminv})
+    X, c = crossed_to_cleft(E, gaminv)
+    yield "cleft", lambda: sigma_env(X, c, build_decomposition(X, c))
 
-    X, cl = crossed_to_cleft(E, gaminv)
-    decomp, _ = decomposition(X, cl)
-    bindings = {
-        "gamB": cl.gamma,
-        "gamBinv": cl.gamma_inv,
-        "q": decomp.q,
-        "p": decomp.p,
-        "w": decomp.w,
-        "wt": decomp.w_tilde,
-        "Ups": decomp.upsilon,
-    }
-    env0 = X.env(extra=bindings)
-    sigma = eval_text(ids.SIGMA_EXPR, env0)
-    sigma_inv = eval_text(ids.SIGMA_INV_EXPR, env0)
-    bindings.update({"sig": sigma, "siginv": sigma_inv})
-    bindings.update(extra)
-    return X.env(extra=bindings)
+
+def _context(pres: PresentationFile, derived: Optional[Env]) -> Env:
+    """The ladder's one merge point: the presentation's generators join the
+    derived bindings.  A generator may reuse a derived name only when it
+    binds the same matrix."""
+    if derived is None:
+        objects = {name: ob.dim for name, ob in pres.objects.items()}
+        return build_env(pres.field, objects, pres.generators)
+    bindings = dict(derived.bindings)
+    for name, m in pres.generators.items():
+        if bindings.setdefault(name, m) != m:
+            raise PresentationError(f"generator {name!r} differs from the derived map of that name")
+    return build_env(pres.field, derived.sig.objects, bindings)
+
+
+def _eval_env(pres: PresentationFile, level: Optional[str], texts: list) -> Env:
+    """The context at the given ladder level; with no level, the lowest
+    context in which every name of ``texts`` resolves."""
+    ladder = _ladder(pres)
+    if level is not None:
+        for lv, derive in ladder:
+            if lv == level:
+                return _context(pres, derive())
+    err = None
+    while True:
+        try:
+            step = next(ladder, None)
+            if step is None:
+                break
+            derived = step[1]()
+        except PresentationError:
+            break  # the presentation supports no higher level
+        env = _context(pres, derived)
+        try:
+            for text in texts:
+                parse_expr(text, env.sig)
+        except UnknownNameError as exc:
+            err = exc
+            continue
+        return env
+    raise err if err is not None else PresentationError("no usable context")
 
 
 def cmd_eval(args) -> int:
@@ -318,23 +332,7 @@ def cmd_eval(args) -> int:
         lhs, rhs = found["lhs"], found["rhs"]
     else:
         lhs, rhs = args.lhs, args.rhs
-    if level is None:
-        env, err = None, None
-        for lv in _EVAL_LEVELS:
-            try:
-                candidate = _eval_env(pres, lv)
-                for text in filter(None, (lhs, rhs, args.expr)):
-                    parse_expr(text, candidate.sig)
-                env = candidate
-                break
-            except UnknownNameError as exc:
-                err = exc
-            except PresentationError:
-                break
-        if env is None:
-            raise err if err is not None else PresentationError("no usable context")
-    else:
-        env = _eval_env(pres, level)
+    env = _eval_env(pres, level, [text for text in (lhs, rhs, args.expr) if text])
     if lhs and rhs:
         verdict = check_identity_text(lhs, rhs, env)
         if verdict.passed:
@@ -409,7 +407,7 @@ def main(argv: Optional[list] = None) -> int:
         return args.func(args)
     except (PresentationError, ParseError, UnknownNameError, WordTypeError,
             SideMismatchError, ShapeError, StructureError, NotAnEquivalence,
-            FactorizationFailed, PreconditionFailed) as exc:
+            FactorizationFailed, PreconditionFailed, HypothesisFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -367,13 +367,20 @@ def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
     return report
 
 
+def cocycle_inverse(data: CocycleData) -> Optional[LinMap]:
+    """The convolution inverse of f with unit u2, found by the solver alone;
+    None when no inverse exists."""
+    m = data.measure
+    power = TensorPowerCoalgebra(m.H.coalgebra, 2)
+    return conv_inverse(data.f, m.u(2), power, m.A)
+
+
 def invert_cocycle(m: WeakMeasure, f) -> tuple[Optional[LinMap], VerdictReport]:
     """Invert f in the convolution monoid with unit u2 and verify the derived
     laws of the inverse; returns (None, report) when no inverse exists."""
     data = f if isinstance(f, CocycleData) else CocycleData(m, f)
     report = VerdictReport("cocycle inverse")
-    power = TensorPowerCoalgebra(m.H.coalgebra, 2)
-    finv = conv_inverse(data.f, m.u(2), power, m.A)
+    finv = cocycle_inverse(data)
     if finv is None:
         report.add_fail("cocycle_invertible", note="convolution system has no solution")
         return None, report
@@ -383,23 +390,29 @@ def invert_cocycle(m: WeakMeasure, f) -> tuple[Optional[LinMap], VerdictReport]:
     return finv, report
 
 
+def build_gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> LinMap:
+    """The convolution inverse of the canonical integral of a built product.
+
+    Raises PreconditionFailed unless H has an antipode and the measure makes
+    A a weak module algebra.
+    """
+    if E.measure.H.antipode is None:
+        raise PreconditionFailed("gamma inverse needs an antipode")
+    if not check_weak_module_algebra(E.measure).all_pass:
+        raise PreconditionFailed("gamma inverse needs a weak module algebra")
+    return eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", E.env(extra={"finv": f_inv}))
+
+
 def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictReport]:
     """The convolution inverse of the canonical integral of a built product,
     with the full cleftness verdict list."""
-    H = E.measure.H
-    if H.antipode is None:
-        raise PreconditionFailed("gamma inverse needs an antipode")
-    wma = check_weak_module_algebra(E.measure)
-    if not wma.all_pass:
-        raise PreconditionFailed("gamma inverse needs a weak module algebra")
-    env0 = E.env(extra={"finv": f_inv})
-    gaminv = eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", env0)
+    gaminv = build_gamma_inverse(E, f_inv)
     report = VerdictReport("integral inverse")
     env = E.env(extra={"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)
     ok, dim = equalizer_matches_base(E)
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")
-    target = compose(E.gamma, H.projection("L"))
+    target = compose(E.gamma, E.measure.H.projection("L"))
     factor = factor_through(target, E.j_nu)
     report.add_bool("cleft_factorization", factor is not None)
     needed = (

@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import Optional
 
 from . import identities as ids
-from .algebra import _conv_operator_rows, convolve
+from .algebra import _conv_solve, convolve
 from .crossed import CrossedProduct, eval_text
 from .ir import run_identity_table
-from .linalg import LinMap, _solve_rows, compose, identity, invert, tensor_product
+from .linalg import LinMap, compose, identity, invert, tensor_product
 from .report import VerdictReport
 
 
@@ -23,41 +23,20 @@ class NotAnEquivalence(ValueError):
         self.check_id = check_id
 
 
-def _pair_env(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap, phi_inv: Optional[LinMap] = None):
+def _pair_env(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap):
+    """The context of the exchange conditions: E's bindings, phi, and the
+    measure and cocycle data of Ep primed."""
     mp = Ep.measure
-    extra = {
-        "phi": phi,
-        "rhop": mp.rho,
-        "chip": mp.chi,
-        "nup": Ep.cocycle.nu,
-        "fp": Ep.cocycle.f,
-        "u1p": mp.u(1),
-    }
-    if phi_inv is not None:
-        extra["phiinv"] = phi_inv
-    return E.env(extra=extra)
-
-
-def conv_inverse_two_sided(
-    phi: LinMap, left_unit: LinMap, right_unit: LinMap, coalg, alg
-) -> Optional[LinMap]:
-    """Solve phi*x = left_unit, x*phi = right_unit, x*left_unit = x."""
-    field = alg.field
-    nc = phi.ncols
-    nunk = alg.dim * nc
-    aug = []
-    lu_flat = [v for r in left_unit.rows for v in r]
-    ru_flat = [v for r in right_unit.rows for v in r]
-    for i, row in enumerate(_conv_operator_rows(phi, coalg, alg, "left")):
-        aug.append(row + [lu_flat[i]])
-    for i, row in enumerate(_conv_operator_rows(phi, coalg, alg, "right")):
-        aug.append(row + [ru_flat[i]])
-    for i, row in enumerate(_conv_operator_rows(left_unit, coalg, alg, "right")):
-        row = list(row)
-        row[i] = field.normalize(row[i] - field.one)
-        aug.append(row + [field.zero])
-    outcome = _solve_rows(field, phi.dom, phi.cod, aug, nunk)
-    return outcome.particular if outcome.is_solvable else None
+    return E.env(
+        extra={
+            "phi": phi,
+            "rhop": mp.rho,
+            "chip": mp.chi,
+            "nup": Ep.cocycle.nu,
+            "fp": Ep.cocycle.f,
+            "u1p": mp.u(1),
+        }
+    )
 
 
 def _transport(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap) -> LinMap:
@@ -107,7 +86,7 @@ def equivalence_from_phi(
         raise NotAnEquivalence("products_share_H")
     env = _pair_env(E, Ep, phi)
     run_identity_table(ids.EQUIVALENCE_CONDITIONS, env, report)
-    phi_inv = conv_inverse_two_sided(phi, m.u(1), mp.u(1), m.H.coalgebra, m.A)
+    phi_inv = _conv_solve(phi, m.u(1), mp.u(1), m.H.coalgebra, m.A)
     report.add_bool("phi_inverse_exists", phi_inv is not None)
     if phi_inv is not None:
         report.add_equality(

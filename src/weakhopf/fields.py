@@ -2,7 +2,8 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 ``int`` residues in ``[0, p)`` over a prime field.  Both are canonical, so
-equality of scalars is plain ``==``.
+equality of scalars is plain ``==``.  ``normalize`` accepts ints and
+Fractions only; a float is rejected rather than read as its binary expansion.
 """
 from __future__ import annotations
 
@@ -59,7 +60,9 @@ class RationalField(Field):
     def normalize(self, x):
         if isinstance(x, Fraction):
             return x
-        return Fraction(x)
+        if isinstance(x, int):
+            return Fraction(x)
+        raise FieldError(f"not a rational scalar: {x!r}")
 
     def parse(self, text: str):
         text = text.strip()
@@ -101,7 +104,15 @@ class PrimeField(Field):
         self.p = p
 
     def normalize(self, x):
-        return int(x) % self.p
+        if type(x) is int:
+            return x % self.p
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise FieldError(f"{x} has no residue mod {self.p}")
+            return x.numerator * self.inv(x.denominator) % self.p
+        if isinstance(x, int):
+            return int(x) % self.p
+        raise FieldError(f"not a scalar mod {self.p}: {x!r}")
 
     def parse(self, text: str):
         text = text.strip()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .algebra import AlgebraData
@@ -34,6 +34,7 @@ class PresentationFile:
     generators: dict  # name -> LinMap
     roles: dict
     raw: dict
+    _bialgebra: Optional[WeakBialgebra] = dc_field(default=None, repr=False, compare=False)
 
     def word(self, names) -> tuple:
         try:
@@ -59,6 +60,13 @@ class PresentationFile:
     # -- typed views --------------------------------------------------------
 
     def bialgebra(self) -> WeakBialgebra:
+        """H with its antipode when one is declared; built once per file, so
+        every typed view shares it."""
+        if self._bialgebra is None:
+            self._bialgebra = self._build_bialgebra()
+        return self._bialgebra
+
+    def _build_bialgebra(self) -> WeakBialgebra:
         spec = self.role("bialgebra")
         obj = self.objects[spec["object"]]
         args = (

@@ -1,0 +1,42 @@
+"""The benchmark's tracer wraps library functions by name, and a traced run
+aborts when one of them is gone.  These tests make the tracer's own lookups,
+reading only ``bench/tracer.py``, so a refactor that drops or renames a
+traced function fails here first."""
+import importlib
+import importlib.util
+import os
+import sys
+
+import pytest
+
+import weakhopf.cli  # noqa: F401  (loads every weakhopf submodule)
+
+TRACER = os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("weakhopf_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_tracer = _load_tracer()
+TARGETS = [(mod, attr) for mod, attr, _ in _tracer.SPAN_TARGETS + _tracer.COUNT_TARGETS]
+
+
+@pytest.mark.parametrize("mod,attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
+def test_traced_name_is_bound(mod, attr):
+    owner = importlib.import_module("weakhopf." + mod)
+    for part in attr.split("."):
+        assert hasattr(owner, part), f"weakhopf.{mod} has no {attr}"
+        owner = getattr(owner, part)
+    if "." in attr:
+        return  # methods are patched on their class
+    namespaces = [
+        name
+        for name, module in list(sys.modules.items())
+        if (name == "weakhopf" or name.startswith("weakhopf."))
+        and any(value is owner for value in vars(module).values())
+    ]
+    assert namespaces, f"weakhopf.{mod}.{attr} is bound in no weakhopf namespace"

@@ -8,11 +8,11 @@ from weakhopf.cleft import (
     Extension,
     FactorizationFailed,
     cleaving_check,
-    cleft_to_crossed_iso,
     comodule_algebra_report,
     crossed_to_cleft,
     decomposition,
     extension_check,
+    full_reconstruction,
     reconstruct,
     recover_inverse_cocycle,
 )
@@ -182,7 +182,7 @@ def test_reconstruct_hopf_trivial():
 
 def test_recover_inverse_matches_solver():
     H, m, c, E, finv, X, cl = pair_cleft()
-    sigma, sigma_inv, f_inv, report = recover_inverse_cocycle(X, cl)
+    recon, sigma, sigma_inv, f_inv, report = recover_inverse_cocycle(X, cl)
     assert report.all_pass, [v.check_id for v in report.failures()]
     assert f_inv == finv == m.u(2)
 
@@ -205,7 +205,7 @@ def test_u2_closed_form_value():
 
 def test_cleft_to_crossed_iso_verified():
     H, m, c, E, finv, X, cl = pair_cleft()
-    iso, report = cleft_to_crossed_iso(X, cl)
+    recon, f_inv, iso, report = full_reconstruction(X, cl)
     assert report.all_pass, [v.check_id for v in report.failures()]
     assert invert(iso) is not None
     assert iso.nrows == iso.ncols == 4

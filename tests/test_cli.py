@@ -194,3 +194,43 @@ def test_shape_mismatch_exit_2(tmp_path):
     target = tmp_path / "badshape.json"
     target.write_text(json.dumps(data))
     assert main(["validate", str(target)]) == 2
+
+
+def _bumped_cocycle(tmp_path):
+    data = json.load(open(PAIR))
+    f = data["generators"]["f"]["matrix"]
+    f[0][0] = str(int(f[0][0]) + 2)
+    target = tmp_path / "badf.json"
+    target.write_text(json.dumps(data))
+    return str(target)
+
+
+def test_equiv_reports_failed_build_hypothesis(tmp_path, capsys):
+    path = _bumped_cocycle(tmp_path)
+    assert main(["equiv", path, "--report", str(tmp_path / "r.json")]) == 1
+    report = json.loads((tmp_path / "r.json").read_text())
+    failed = [e for e in report["entries"] if e["status"] == "fail"]
+    assert [e["id"] for e in failed] == ["build.cocycle"]
+    assert "witness" in failed[0]
+
+
+def test_eval_on_failed_build_hypothesis_exits_2(tmp_path, capsys):
+    path = _bumped_cocycle(tmp_path)
+    assert main(["eval", "--sig", path, "--key", "mu_E_associative"]) == 2
+    assert main(["eval", "--sig", path, "--lhs", "mu;Delta", "--rhs", "muE"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: crossed product hypothesis failed: cocycle") == 2
+
+
+def test_generator_clashing_with_derived_name_exits_2(tmp_path, capsys):
+    data = json.load(open(PAIR))
+    data["generators"]["chi"] = {
+        "dom": ["H", "A"], "cod": ["A", "H"], "matrix": [["0"] * 8 for _ in range(8)],
+    }
+    target = tmp_path / "chi.json"
+    target.write_text(json.dumps(data))
+    for key in ("cocycle_f", "twisted_module_f", "twisting_counit", "mu_E_definition"):
+        assert main(["eval", "--sig", str(target), "--key", key]) == 2, key
+        assert "generator 'chi' differs" in capsys.readouterr().err
+    # Levels that derive no chi are unaffected.
+    assert main(["eval", "--sig", str(target), "--key", "comult_multiplicative"]) == 0
