@@ -8,6 +8,7 @@ the integral inverse that exhibits the product as a cleft extension.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -77,7 +78,8 @@ class WeakMeasure:
     def checked(cls, H: WeakBialgebra, A: AlgebraData, rho: LinMap) -> "WeakMeasure":
         m = cls(H, A, rho)
         check_id, lhs, rhs = ids.MEASURE_AXIOM
-        diff = eval_text(lhs, m.env()).first_difference(eval_text(rhs, m.env()))
+        env = m.env()
+        diff = eval_text(lhs, env).first_difference(eval_text(rhs, env))
         if diff is not None:
             raise MeasureAxiomError(
                 f"measure axiom fails at (row {diff[0]}, col {diff[1]})"
@@ -140,10 +142,12 @@ class WeakMeasure:
 
 def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
     """The unital/action laws making A a left weak module algebra, plus the
-    cross-check that the six equivalent reformulations agree."""
+    cross-check that the six equivalent reformulations agree.  The table runs
+    once per measure; every call returns its own copy of the report."""
+    if "wma" in m._cache:
+        return copy.deepcopy(m._cache["wma"])
     report = VerdictReport("weak module algebra")
-    env = m.env()
-    run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, env, report)
+    run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, m.env(), report)
     gating = [report.get("wma_unital"), report.get("measure_axiom"), report.get("wma_unit_power")]
     equivalents = [report.get(cid) for cid in ids.MODULE_ALGEBRA_EQUIVALENT_IDS]
     if all(v.passed for v in gating):
@@ -155,6 +159,7 @@ def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
         )
     else:
         report.add_skipped("equivalent_forms_agree", note="basic action laws fail")
+    m._cache["wma"] = copy.deepcopy(report)
     return report
 
 

@@ -265,27 +265,47 @@ def pretty(e: MorExpr) -> str:
 # Typing
 # --------------------------------------------------------------------------
 
-def infer_type(e: MorExpr, sig: Signature, path: str = "") -> tuple[tuple, tuple]:
+def infer_type(e: MorExpr, sig: Signature) -> tuple[tuple, tuple]:
     """Infer (dom, cod) as tuples of object names, or raise WordTypeError."""
+    return _typed(e, sig, {}, {})[1:3]
+
+
+def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") -> tuple:
+    """Type e once per ``types`` (keyed by node id, holding the node): (key,
+    dom, cod, dom dim, cod dim, dims of the right factor of dom and cod for
+    Par and SwapE).  ``keys`` interns each distinct structure as a small int."""
+    hit = types.get(id(e))
+    if hit is not None:
+        return hit[1]
+    struct, right = e, None
     if isinstance(e, Gen):
         if e.name not in sig.generators:
             raise UnknownNameError(f"unknown generator {e.name!r}")
-        return sig.generators[e.name]
-    if isinstance(e, Id):
-        return e.word, e.word
-    if isinstance(e, SwapE):
-        return e.left + e.right, e.right + e.left
-    if isinstance(e, Seq):
-        d1, c1 = infer_type(e.first, sig, path + ".first")
-        d2, c2 = infer_type(e.then, sig, path + ".then")
-        if c1 != d2:
-            raise WordTypeError(expected=c1, found=d2, path=path or ".")
-        return d1, c2
-    if isinstance(e, Par):
-        d1, c1 = infer_type(e.left, sig, path + ".left")
-        d2, c2 = infer_type(e.right, sig, path + ".right")
-        return d1 + d2, c1 + c2
-    raise TypeError(f"not a MorExpr: {e!r}")
+        dom, cod = sig.generators[e.name]
+    elif isinstance(e, Id):
+        dom = cod = e.word
+    elif isinstance(e, SwapE):
+        dom, cod = e.left + e.right, e.right + e.left
+        right = (wdim(sig.word_of(e.right)), wdim(sig.word_of(e.left)))
+    elif isinstance(e, Seq):
+        t1 = _typed(e.first, sig, types, keys, path + ".first")
+        t2 = _typed(e.then, sig, types, keys, path + ".then")
+        if t1[2] != t2[1]:
+            raise WordTypeError(expected=t1[2], found=t2[1], path=path or ".")
+        dom, cod = t1[1], t2[2]
+        struct = (Seq, t1[0], t2[0])
+    elif isinstance(e, Par):
+        t1 = _typed(e.left, sig, types, keys, path + ".left")
+        t2 = _typed(e.right, sig, types, keys, path + ".right")
+        dom, cod = t1[1] + t2[1], t1[2] + t2[2]
+        struct = (Par, t1[0], t2[0])
+        right = t2[3:5]
+    else:
+        raise TypeError(f"not a MorExpr: {e!r}")
+    typed = (keys.setdefault(struct, len(keys)), dom, cod,
+             wdim(sig.word_of(dom)), wdim(sig.word_of(cod)), right)
+    types[id(e)] = (e, typed)
+    return typed
 
 
 # --------------------------------------------------------------------------
@@ -295,9 +315,9 @@ def infer_type(e: MorExpr, sig: Signature, path: str = "") -> tuple[tuple, tuple
 class Env:
     """A signature together with a matrix for every generator.
 
-    Evaluation caches sparse basis images per environment, keyed by the
-    printed form of each subtree, so structurally equal subexpressions are
-    propagated only once across a whole identity table.
+    Each node is typed once per environment, and sparse basis images are
+    cached keyed by the interned structure of each subtree, so structurally
+    equal subexpressions are propagated only once across a whole table.
     """
 
     def __init__(self, sig: Signature, field: Field, bindings: dict):
@@ -305,7 +325,8 @@ class Env:
         self.field = field
         self.bindings = dict(bindings)
         self._basis_memo: dict = {}
-        self._node_text: dict = {}
+        self._types: dict = {}
+        self._keys: dict = {}
         missing = set(sig.generators) - set(self.bindings)
         if missing:
             raise UnknownNameError(f"unbound generators: {sorted(missing)}")
@@ -330,77 +351,56 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     column by column, propagating sparse basis images, so large intermediate
     Kronecker products are never materialized.
     """
-    sig = env.sig
-    dom_names, cod_names = infer_type(e, sig)
-    dom = sig.word_of(dom_names)
-    cod = sig.word_of(cod_names)
+    types = env._types
+    _, dom_names, cod_names, ncols, nrows, _ = _typed(e, env.sig, types, env._keys)
     field = env.field
     norm = field.normalize
     memo = env._basis_memo
-    node_text = env._node_text
-
-    def text_key(node: MorExpr) -> str:
-        # Keyed by id while holding the node, so ids cannot be recycled.
-        hit = node_text.get(id(node))
-        if hit is not None:
-            return hit[1]
-        text = pretty(node)
-        node_text[id(node)] = (node, text)
-        return text
 
     def basis_image(node: MorExpr, j: int) -> dict:
-        key = (text_key(node), j)
-        hit = memo.get(key)
+        key, _, _, _, _, right = types[id(node)][1]
+        mkey = (key, j)
+        hit = memo.get(mkey)
         if hit is not None:
             return hit
         if isinstance(node, Gen):
-            cols = env.bindings[node.name].col_nonzeros()
-            out = dict(cols[j])
+            out = dict(env.bindings[node.name].col_nonzeros()[j])
         elif isinstance(node, Id):
             out = {j: field.one}
         elif isinstance(node, SwapE):
-            lw = sig.word_of(node.left)
-            rw = sig.word_of(node.right)
-            dl, dr = wdim(lw), wdim(rw)
+            dr, dl = right
             i1, i2 = divmod(j, dr)
             out = {i2 * dl + i1: field.one}
         elif isinstance(node, Seq):
-            mid = basis_image(node.first, j)
             out = {}
-            for k, v in mid.items():
+            for k, v in basis_image(node.first, j).items():
                 for i, w in basis_image(node.then, k).items():
                     acc = out.get(i)
                     out[i] = norm(v * w) if acc is None else norm(acc + v * w)
             out = {i: v for i, v in out.items() if v}
-        elif isinstance(node, Par):
-            ldom, _ = infer_type(node.left, sig)
-            rdom, rcod = infer_type(node.right, sig)
-            dr = wdim(sig.word_of(rdom))
-            cr = wdim(sig.word_of(rcod))
+        else:
+            dr, cr = right
             j1, j2 = divmod(j, dr)
             out = {}
             for i1, v1 in basis_image(node.left, j1).items():
                 for i2, v2 in basis_image(node.right, j2).items():
                     out[i1 * cr + i2] = norm(v1 * v2)
-        else:
-            raise TypeError(f"not a MorExpr: {node!r}")
-        memo[key] = out
+        memo[mkey] = out
         return out
 
-    nrows = wdim(cod)
     z = field.zero
-    rows = [[z] * wdim(dom) for _ in range(nrows)]
-    for j in range(wdim(dom)):
+    rows = [[z] * ncols for _ in range(nrows)]
+    for j in range(ncols):
         for i, v in basis_image(e, j).items():
             rows[i][j] = v
-    return LinMap(field, dom, cod, rows)
+    return LinMap(field, env.sig.word_of(dom_names), env.sig.word_of(cod_names), rows)
 
 
 def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identity") -> Verdict:
     """Evaluate both sides and compare entrywise; the witness is the first
     differing (row, col) with both scalars."""
-    tl = infer_type(lhs, env.sig)
-    tr = infer_type(rhs, env.sig)
+    tl = _typed(lhs, env.sig, env._types, env._keys)[1:3]
+    tr = _typed(rhs, env.sig, env._types, env._keys)[1:3]
     if tl != tr:
         raise SideMismatchError(f"sides have different types: {tl} vs {tr}")
     lm = evaluate(lhs, env)

@@ -126,6 +126,8 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
         objects[name] = Obj(name, dim)
     generators = {}
     for name, spec in data.get("generators", {}).items():
+        if name in objects:
+            raise PresentationError(f"generator {name!r} is named like a declared object")
         try:
             dom = tuple(objects[n] for n in spec["dom"])
             cod = tuple(objects[n] for n in spec["cod"])

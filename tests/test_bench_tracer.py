@@ -40,3 +40,16 @@ def test_traced_name_is_bound(mod, attr):
         and any(value is owner for value in vars(module).values())
     ]
     assert namespaces, f"weakhopf.{mod}.{attr} is bound in no weakhopf namespace"
+
+
+def test_typed_width_reads_the_ast():
+    # A traced run calls this after every evaluate; it reads infer_type and
+    # the Seq/Par fields, which no wrapper covers.
+    from weakhopf import ir
+
+    sig = ir.Signature(
+        objects={"H": 2, "A": 3},
+        generators={"Delta": (("H",), ("H", "H")), "rho": (("H", "A"), ("A",))},
+    )
+    e = ir.parse_expr("Delta * id(A) ; id(H) * swap(H,A) ; rho * id(H)", sig)
+    assert _tracer._typed_width(e, sig, ir) == (("H", "A"), ("A", "H"), 3)

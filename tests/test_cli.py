@@ -234,3 +234,14 @@ def test_generator_clashing_with_derived_name_exits_2(tmp_path, capsys):
         assert "generator 'chi' differs" in capsys.readouterr().err
     # Levels that derive no chi are unaffected.
     assert main(["eval", "--sig", str(target), "--key", "comult_multiplicative"]) == 0
+
+
+def test_generator_named_like_an_object_exits_2(tmp_path, capsys):
+    data = json.load(open(PAIR))
+    data["generators"]["A"] = data["generators"]["muA"]
+    target = tmp_path / "clash.json"
+    target.write_text(json.dumps(data))
+    assert main(["eval", "--sig", str(target), "--expr", "mu"]) == 2
+    assert main(["validate", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: generator 'A' is named like a declared object") == 2

@@ -63,6 +63,21 @@ def test_weak_module_algebra_reports():
     assert check_weak_module_algebra(mz).all_pass
 
 
+def test_weak_module_algebra_table_runs_once_per_measure(monkeypatch):
+    import weakhopf.crossed as crossed
+
+    _, m, _ = pair_smash()
+    first = check_weak_module_algebra(m)
+    tables = []
+    monkeypatch.setattr(crossed, "run_identity_table", lambda *a, **k: tables.append(a))
+    first.add_fail("extra")  # a caller's edit must not reach the next call
+    second = check_weak_module_algebra(m)
+    assert tables == []
+    assert second.title == first.title
+    assert second.to_json_entries(QQ) == first.to_json_entries(QQ)[:-1]
+    assert [v.check_id for v in second][-1] == "equivalent_forms_agree"
+
+
 def test_measure_axiom_perturbation_fails_with_witness():
     H, m, _ = pair_smash()
     rho = LinMap(QQ, m.rho.dom, m.rho.cod, [list(r) for r in m.rho.rows])

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weakhopf.fields import QQ
 from weakhopf.ir import (
@@ -20,6 +22,7 @@ from weakhopf.ir import (
     infer_type,
     parse_expr,
     pretty,
+    run_identity_table,
 )
 from weakhopf.linalg import Obj, from_rows, identity, swap, tensor_product, compose
 
@@ -182,3 +185,63 @@ def test_seq_evaluation_order():
     m = evaluate(e, env)
     direct = compose(env.bindings["Delta"], env.bindings["eta"])
     assert m == direct
+
+
+# -- one memo shared across expressions ------------------------------------
+
+def _sig_env():
+    # Arbitrary integer matrices, so a memo entry served to the wrong
+    # subtree changes some entry.
+    bindings = {}
+    for name, (dom, cod) in SIG.generators.items():
+        dw, cw = SIG.word_of(dom), SIG.word_of(cod)
+        ncols, nrows = math.prod(ob.dim for ob in dw), math.prod(ob.dim for ob in cw)
+        rows = [[(3 * i + 5 * j + len(name)) % 7 - 3 for j in range(ncols)] for i in range(nrows)]
+        bindings[name] = from_rows(QQ, dw, cw, rows)
+    return Env(SIG, QQ, bindings)
+
+
+def _small_and_typed(e, limit=36) -> bool:
+    """Well typed, with no node's dom or cod wider than limit."""
+    try:
+        words = infer_type(e, SIG)
+    except WordTypeError:
+        return False
+    if any(math.prod(SIG.objects[n] for n in w) > limit for w in words):
+        return False
+    children = (e.first, e.then) if isinstance(e, Seq) else (e.left, e.right) if isinstance(e, Par) else ()
+    return all(_small_and_typed(c, limit) for c in children)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ast(2), min_size=2, max_size=4))
+def test_shared_memo_matches_fresh_envs(parts):
+    # Every Seq and Par of two drawn parts, so subtrees that agree on one
+    # side and differ on the other meet in the one memo.
+    pairs = [(a, b) for a in parts for b in parts]
+    candidates = parts + [Par(a, b) for a, b in pairs] + [Seq(a, b) for a, b in pairs]
+    exprs = [e for e in candidates if _small_and_typed(e)]
+    assume(len(exprs) > len(parts))
+    shared = _sig_env()
+    results = [evaluate(e, shared) for e in exprs]
+    for e, got in zip(exprs, results):
+        assert got == evaluate(e, _sig_env())
+        dom, cod = infer_type(e, SIG)
+        assert (got.dom, got.cod) == (SIG.word_of(dom), SIG.word_of(cod))
+
+
+def test_type_error_in_table_keeps_path_and_env_usable():
+    env = _sig_env()
+    table = [
+        ("before", "mu ; Delta", "mu ; Delta"),
+        ("bad", "id(H) * (mu ; mu)", "id(H) * mu"),
+    ]
+    for _ in range(2):  # a failed typing is not cached
+        with pytest.raises(WordTypeError) as exc:
+            run_identity_table(table, env)
+        assert exc.value.path == ".right"
+        assert (exc.value.expected, exc.value.found) == (("H",), ("H", "H"))
+    report = run_identity_table([("after", "id(H) * mu ; mu", "id(H) * mu ; mu")], env)
+    assert report.all_pass
+    expr = parse_expr("id(H) * mu ; mu", SIG)
+    assert evaluate(expr, env) == evaluate(expr, _sig_env())
