@@ -4,10 +4,15 @@ Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
 ``int`` residues in ``[0, p)`` over a prime field.  Both are canonical, so
 equality of scalars is plain ``==``.  ``normalize`` accepts ints and
 Fractions only; a float is rejected rather than read as its binary expansion.
+
+Each field also has an integer view for exact kernels that work on ints:
+``modulus`` (0 over the rationals, p over F_p), ``to_ints`` (scalars as
+integers over one common denominator) and ``from_int`` (back to a scalar).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -29,8 +34,17 @@ class Field:
     """Common interface of the two scalar fields."""
 
     kind: str
+    modulus: int  # integers are reduced mod this when it is nonzero
 
     def normalize(self, x):
+        raise NotImplementedError
+
+    def to_ints(self, values) -> tuple[list, int]:
+        """(ns, d) with each value equal to ns[k] / d; d is 1 over F_p."""
+        raise NotImplementedError
+
+    def from_int(self, n: int, d: int):
+        """The scalar n / d."""
         raise NotImplementedError
 
     def parse(self, text: str):
@@ -56,6 +70,7 @@ class Field:
 
 class RationalField(Field):
     kind = "rational"
+    modulus = 0
 
     def normalize(self, x):
         if isinstance(x, Fraction):
@@ -63,6 +78,14 @@ class RationalField(Field):
         if isinstance(x, int):
             return Fraction(x)
         raise FieldError(f"not a rational scalar: {x!r}")
+
+    def to_ints(self, values):
+        values = list(values)
+        d = lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
+
+    def from_int(self, n, d):
+        return Fraction(n, d)
 
     def parse(self, text: str):
         text = text.strip()
@@ -101,7 +124,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
+        self.p = self.modulus = p
 
     def normalize(self, x):
         if type(x) is int:
@@ -113,6 +136,12 @@ class PrimeField(Field):
         if isinstance(x, int):
             return int(x) % self.p
         raise FieldError(f"not a scalar mod {self.p}: {x!r}")
+
+    def to_ints(self, values):
+        return [v % self.p for v in values], 1
+
+    def from_int(self, n, d):
+        return n % self.p if d == 1 else n * self.inv(d) % self.p
 
     def parse(self, text: str):
         text = text.strip()

@@ -273,37 +273,45 @@ def infer_type(e: MorExpr, sig: Signature) -> tuple[tuple, tuple]:
 def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") -> tuple:
     """Type e once per ``types`` (keyed by node id, holding the node): (key,
     dom, cod, dom dim, cod dim, dims of the right factor of dom and cod for
-    Par and SwapE).  ``keys`` interns each distinct structure as a small int."""
+    Par and SwapE).  ``keys`` maps each distinct structure to that tuple,
+    whose key is a small int, so a repeated structure is typed only once."""
     hit = types.get(id(e))
     if hit is not None:
         return hit[1]
-    struct, right = e, None
-    if isinstance(e, Gen):
-        if e.name not in sig.generators:
-            raise UnknownNameError(f"unknown generator {e.name!r}")
-        dom, cod = sig.generators[e.name]
-    elif isinstance(e, Id):
-        dom = cod = e.word
-    elif isinstance(e, SwapE):
-        dom, cod = e.left + e.right, e.right + e.left
-        right = (wdim(sig.word_of(e.right)), wdim(sig.word_of(e.left)))
-    elif isinstance(e, Seq):
+    if isinstance(e, Seq):
         t1 = _typed(e.first, sig, types, keys, path + ".first")
         t2 = _typed(e.then, sig, types, keys, path + ".then")
-        if t1[2] != t2[1]:
-            raise WordTypeError(expected=t1[2], found=t2[1], path=path or ".")
-        dom, cod = t1[1], t2[2]
         struct = (Seq, t1[0], t2[0])
     elif isinstance(e, Par):
         t1 = _typed(e.left, sig, types, keys, path + ".left")
         t2 = _typed(e.right, sig, types, keys, path + ".right")
-        dom, cod = t1[1] + t2[1], t1[2] + t2[2]
         struct = (Par, t1[0], t2[0])
-        right = t2[3:5]
+    elif isinstance(e, (Gen, Id, SwapE)):
+        struct = e
     else:
         raise TypeError(f"not a MorExpr: {e!r}")
-    typed = (keys.setdefault(struct, len(keys)), dom, cod,
-             wdim(sig.word_of(dom)), wdim(sig.word_of(cod)), right)
+    typed = keys.get(struct)
+    if typed is None:
+        right = None
+        if isinstance(e, Seq):
+            if t1[2] != t2[1]:
+                raise WordTypeError(expected=t1[2], found=t2[1], path=path or ".")
+            dom, cod, ddim, cdim = t1[1], t2[2], t1[3], t2[4]
+        elif isinstance(e, Par):
+            dom, cod = t1[1] + t2[1], t1[2] + t2[2]
+            ddim, cdim, right = t1[3] * t2[3], t1[4] * t2[4], t2[3:5]
+        else:
+            if isinstance(e, Gen):
+                if e.name not in sig.generators:
+                    raise UnknownNameError(f"unknown generator {e.name!r}")
+                dom, cod = sig.generators[e.name]
+            elif isinstance(e, Id):
+                dom = cod = e.word
+            else:
+                dom, cod = e.left + e.right, e.right + e.left
+                right = (wdim(sig.word_of(e.right)), wdim(sig.word_of(e.left)))
+            ddim, cdim = wdim(sig.word_of(dom)), wdim(sig.word_of(cod))
+        typed = keys[struct] = (len(keys), dom, cod, ddim, cdim, right)
     types[id(e)] = (e, typed)
     return typed
 
@@ -315,16 +323,18 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
 class Env:
     """A signature together with a matrix for every generator.
 
-    Each node is typed once per environment, and sparse basis images are
-    cached keyed by the interned structure of each subtree, so structurally
-    equal subexpressions are propagated only once across a whole table.
+    Each node is typed once per environment, and each distinct structure
+    (interned by ``_typed``) is compiled once per environment into a plan
+    (see ``_plan``): its columns as sparse integer dicts over one
+    denominator, filled on first use.  Structurally equal subexpressions
+    are therefore propagated only once across a whole table.
     """
 
     def __init__(self, sig: Signature, field: Field, bindings: dict):
         self.sig = sig
         self.field = field
         self.bindings = dict(bindings)
-        self._basis_memo: dict = {}
+        self._plans: dict = {}
         self._types: dict = {}
         self._keys: dict = {}
         missing = set(sig.generators) - set(self.bindings)
@@ -343,73 +353,151 @@ class Env:
                 raise ValueError(f"generator {name!r} bound over the wrong field")
 
 
+def _plan(e: MorExpr, env: Env) -> tuple:
+    """The plan of e's structure, compiled once per Env: (columns, column
+    function, scale).  Column j is a dict {row: n} without zeros, and the
+    matrix entry is n / scale; over F_p the scale is 1 and n is a residue.
+    A column is computed by the column function on first use and then read
+    from the list, so a memo hit is one list index.  The functions refer to
+    their children's lists and functions, never to the Env."""
+    key, _, _, ncols, _, right = env._types[id(e)][1]
+    plan = env._plans.get(key)
+    if plan is not None:
+        return plan
+    p = env.field.modulus
+    cols = [None] * ncols
+    if isinstance(e, Gen):
+        nz = env.bindings[e.name].col_nonzeros()
+        ns, scale = env.field.to_ints([v for col in nz for _, v in col])
+        flat = iter(ns)  # zip reads col first, so flat is never over-read
+        cols[:] = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
+        fn = cols.__getitem__  # every column is already filled
+    elif isinstance(e, Id):
+        scale = 1
+
+        def fn(j):
+            c = cols[j] = {j: 1}
+            return c
+    elif isinstance(e, SwapE):
+        scale = 1
+        dr, dl = right
+
+        def fn(j):
+            i1, i2 = divmod(j, dr)
+            c = cols[j] = {i2 * dl + i1: 1}
+            return c
+    elif isinstance(e, Seq):
+        fcols, ffn, fscale = _plan(e.first, env)
+        tcols, tfn, tscale = _plan(e.then, env)
+        scale = fscale * tscale
+
+        def fn(j):
+            a = fcols[j]
+            if a is None:
+                a = ffn(j)
+            if len(a) == 1:  # one term, nothing to accumulate
+                [(k, v)] = a.items()
+                b = tcols[k]
+                if b is None:
+                    b = tfn(k)
+                if v != 1:
+                    b = {i: v * w % p if p else v * w for i, w in b.items()}
+                cols[j] = b
+                return b
+            acc = {}
+            get = acc.get
+            for k, v in a.items():
+                b = tcols[k]
+                if b is None:
+                    b = tfn(k)
+                for i, w in b.items():
+                    acc[i] = get(i, 0) + v * w
+            if p:
+                for i in acc:
+                    acc[i] %= p
+            c = cols[j] = {i: x for i, x in acc.items() if x}
+            return c
+    else:
+        lcols, lfn, lscale = _plan(e.left, env)
+        rcols, rfn, rscale = _plan(e.right, env)
+        scale = lscale * rscale
+        dr, cr = right
+
+        def fn(j):
+            j1, j2 = divmod(j, dr)
+            a = lcols[j1]
+            if a is None:
+                a = lfn(j1)
+            b = rcols[j2]
+            if b is None:
+                b = rfn(j2)
+            c = cols[j] = {}
+            for i1, v1 in a.items():
+                base = i1 * cr
+                if p:
+                    for i2, v2 in b.items():
+                        c[base + i2] = v1 * v2 % p
+                else:
+                    for i2, v2 in b.items():
+                        c[base + i2] = v1 * v2
+            return c
+    plan = env._plans[key] = (cols, fn, scale)
+    return plan
+
+
 def evaluate(e: MorExpr, env: Env) -> LinMap:
     """Compile an expression to its matrix.
 
     Structural recursion: Seq composes (first operand applied first), Par is
-    the Kronecker product, Swap the block permutation.  The matrix is built
-    column by column, propagating sparse basis images, so large intermediate
-    Kronecker products are never materialized.
+    the Kronecker product, Swap the block permutation.  The columns are
+    propagated as sparse integer dicts: over Q with one denominator per
+    structure (the product of its generators' denominators), over F_p as
+    residues reduced mod p.  Large intermediate Kronecker products are never
+    materialized, and scalars of the field are built only here, at the end.
     """
-    types = env._types
-    _, dom_names, cod_names, ncols, nrows, _ = _typed(e, env.sig, types, env._keys)
+    _, dom_names, cod_names, ncols, nrows, _ = _typed(e, env.sig, env._types, env._keys)
+    cols, fn, scale = _plan(e, env)
     field = env.field
-    norm = field.normalize
-    memo = env._basis_memo
-
-    def basis_image(node: MorExpr, j: int) -> dict:
-        key, _, _, _, _, right = types[id(node)][1]
-        mkey = (key, j)
-        hit = memo.get(mkey)
-        if hit is not None:
-            return hit
-        if isinstance(node, Gen):
-            out = dict(env.bindings[node.name].col_nonzeros()[j])
-        elif isinstance(node, Id):
-            out = {j: field.one}
-        elif isinstance(node, SwapE):
-            dr, dl = right
-            i1, i2 = divmod(j, dr)
-            out = {i2 * dl + i1: field.one}
-        elif isinstance(node, Seq):
-            out = {}
-            for k, v in basis_image(node.first, j).items():
-                for i, w in basis_image(node.then, k).items():
-                    acc = out.get(i)
-                    out[i] = norm(v * w) if acc is None else norm(acc + v * w)
-            out = {i: v for i, v in out.items() if v}
-        else:
-            dr, cr = right
-            j1, j2 = divmod(j, dr)
-            out = {}
-            for i1, v1 in basis_image(node.left, j1).items():
-                for i2, v2 in basis_image(node.right, j2).items():
-                    out[i1 * cr + i2] = norm(v1 * v2)
-        memo[mkey] = out
-        return out
-
+    conv = field.from_int
     z = field.zero
     rows = [[z] * ncols for _ in range(nrows)]
     for j in range(ncols):
-        for i, v in basis_image(e, j).items():
-            rows[i][j] = v
+        c = cols[j]
+        if c is None:
+            c = fn(j)
+        for i, n in c.items():
+            rows[i][j] = conv(n, scale)
     return LinMap(field, env.sig.word_of(dom_names), env.sig.word_of(cod_names), rows)
 
 
 def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identity") -> Verdict:
-    """Evaluate both sides and compare entrywise; the witness is the first
-    differing (row, col) with both scalars."""
-    tl = _typed(lhs, env.sig, env._types, env._keys)[1:3]
-    tr = _typed(rhs, env.sig, env._types, env._keys)[1:3]
-    if tl != tr:
-        raise SideMismatchError(f"sides have different types: {tl} vs {tr}")
-    lm = evaluate(lhs, env)
-    rm = evaluate(rhs, env)
-    diff = lm.first_difference(rm)
-    if diff is None:
+    """Compare both sides column by column on their integer plans: dict
+    equality when their scales agree, cross-multiplied entries when they
+    differ.  Only on a mismatch are both sides evaluated; the witness is the
+    first differing (row, col) of the two matrices, with both scalars."""
+    tl = _typed(lhs, env.sig, env._types, env._keys)
+    tr = _typed(rhs, env.sig, env._types, env._keys)
+    if tl[1:3] != tr[1:3]:
+        raise SideMismatchError(f"sides have different types: {tl[1:3]} vs {tr[1:3]}")
+    lcols, lfn, lscale = _plan(lhs, env)
+    rcols, rfn, rscale = _plan(rhs, env)
+    same_scale = lscale == rscale
+    for j in range(tl[3]):
+        a = lcols[j]
+        if a is None:
+            a = lfn(j)
+        b = rcols[j]
+        if b is None:
+            b = rfn(j)
+        if same_scale:
+            if a != b:
+                break
+        elif a.keys() != b.keys() or any(n * rscale != b[i] * lscale for i, n in a.items()):
+            break
+    else:
         return Verdict(check_id, "pass")
-    r, c, a, b = diff
-    return Verdict(check_id, "fail", witness=Witness(r, c, a, b))
+    r, c, x, y = evaluate(lhs, env).first_difference(evaluate(rhs, env))
+    return Verdict(check_id, "fail", witness=Witness(r, c, x, y))
 
 
 def check_identity_text(lhs: str, rhs: str, env: Env, check_id: str = "identity") -> Verdict:

@@ -8,7 +8,7 @@ Matrices are stored densely, rows indexed by the codomain basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import Field
 
@@ -91,9 +91,6 @@ class LinMap:
     def ncols(self) -> int:
         return wdim(self.dom)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def then(self, other: "LinMap") -> "LinMap":
         """Diagram-order composition: self first, then other."""
         return compose(other, self)
@@ -126,14 +123,6 @@ class LinMap:
         ]
         return LinMap(self.field, self.dom, self.cod, rows)
 
-    def scale(self, scalar) -> "LinMap":
-        norm = self.field.normalize
-        s = norm(scalar)
-        return LinMap(self.field, self.dom, self.cod, [[norm(s * v) for v in r] for r in self.rows])
-
-    def is_zero(self) -> bool:
-        return all(not v for r in self.rows for v in r)
-
     def col_nonzeros(self) -> list:
         """Per-column sparse view [(row, value), ...]; cached."""
         if self._col_nz is None:
@@ -147,9 +136,6 @@ class LinMap:
 
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
-
-    def transpose_entries(self) -> list:
-        return [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
 
     def first_difference(self, other: "LinMap"):
         """First (row, col, self value, other value) where entries differ, or None."""
@@ -187,24 +173,9 @@ def identity(field: Field, w) -> LinMap:
     return LinMap(field, w, w, rows)
 
 
-def from_function(field: Field, dom, cod, fn: Callable[[int, int], object]) -> LinMap:
-    dom, cod = _as_word(dom), _as_word(cod)
-    norm = field.normalize
-    rows = [[norm(fn(i, j)) for j in range(wdim(dom))] for i in range(wdim(cod))]
-    return LinMap(field, dom, cod, rows)
-
-
 def from_rows(field: Field, dom, cod, rows: Sequence[Sequence]) -> LinMap:
     norm = field.normalize
     return LinMap(field, _as_word(dom), _as_word(cod), [[norm(v) for v in r] for r in rows])
-
-
-def basis_column(field: Field, w, j: int) -> LinMap:
-    """The j-th basis vector of the word, as a map K -> w."""
-    w = _as_word(w)
-    m = zero_map(field, UNIT_WORD, w)
-    m.rows[j][0] = field.one
-    return m
 
 
 def compose(g: LinMap, f: LinMap) -> LinMap:

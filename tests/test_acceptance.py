@@ -14,6 +14,7 @@ import pytest
 
 from weakhopf.algebra import TensorPowerCoalgebra, conv_inverse, convolve
 from weakhopf.bialgebra import (
+    WeakHopfAlgebra,
     check_antipode,
     check_bialgebra_axioms,
     projection_identity_suite,
@@ -252,3 +253,66 @@ def test_criterion_10_build_determinism(tmp_path):
     assert pairs[0][0] == pairs[1][0]
     assert pairs[0][1] == pairs[1][1]
     _pass(10, "repeated builds are byte-identical (matrices and report)")
+
+
+def _statuses(report):
+    return [(v.check_id, v.status) for v in report]
+
+
+def _axiom_reports(H):
+    return [check_bialgebra_axioms(H), check_antipode(H), projection_identity_suite(H)]
+
+
+def _pipeline_reports(H, make_measure):
+    m = make_measure(H)
+    c = smash_cocycle(m)
+    E = build_crossed_product(m, c)
+    finv, inv_report = invert_cocycle(m, c)
+    gaminv, gam_report = gamma_inverse(E, finv)
+    X, cl = crossed_to_cleft(E, gaminv)
+    *_, recon_report = full_reconstruction(X, cl)
+    return _axiom_reports(H) + [
+        cocycle_report(m, c), crossed_product_law_suite(E), module_algebra_suite(E),
+        inv_report, gam_report, recon_report,
+    ]
+
+
+def test_q_and_f7_reports_agree_on_p_integral_instances():
+    """ROADMAP 4(c): every p-integral acceptance instance gets the same
+    status, entry by entry, over Q and over F_7."""
+    Q, F7 = FIELDS
+    for name, G in enumerate_groupoids(3, 9):
+        q = [_statuses(r) for r in _axiom_reports(groupoid_algebra(G, Q))]
+        f7 = [_statuses(r) for r in _axiom_reports(groupoid_algebra(G, F7))]
+        assert q == f7, name
+    for make_h, make_measure in ((pair_groupoid_hopf, base_action_measure), (z2_hopf, trivial_measure)):
+        q = [_statuses(r) for r in _pipeline_reports(make_h(field=Q), make_measure)]
+        f7 = [_statuses(r) for r in _pipeline_reports(make_h(field=F7), make_measure)]
+        assert q == f7, make_h.__name__
+        assert all(status == "pass" for report in q for _, status in report)
+
+
+def test_q_and_f7_counterexample_fails_at_one_witness():
+    """Add one to mu[k][(e, h)] for an identity morphism e: only column h
+    of eta * id(H) ; mu changes, in row k.  Both fields fail unit_left
+    there, and the Q witness reduced mod 7 is the F_7 witness."""
+    rng = random.Random(4)
+    universe = enumerate_groupoids(3, 9)
+    name, G = universe[rng.randrange(len(universe))]
+    units = sorted(G.morphisms.index(G.identity[x]) for x in G.objects)
+    n = len(G.morphisms)
+    e, h, k = rng.choice(units), rng.randrange(n), rng.randrange(n)
+    witnesses = {}
+    for field in FIELDS:
+        H = groupoid_algebra(G, field)
+        rows = [list(r) for r in H.mu.rows]
+        rows[k][e * n + h] = field.normalize(rows[k][e * n + h] + 1)
+        mu = LinMap(field, H.mu.dom, H.mu.cod, rows)
+        bad = WeakHopfAlgebra.unchecked(field, H.obj, mu, H.eta, H.delta, H.eps, H.antipode)
+        v = check_bialgebra_axioms(bad).get("unit_left")
+        assert v.status == "fail", (name, field)
+        witnesses[field] = v.witness
+    q, f7 = witnesses[QQ], witnesses[GF(7)]
+    assert (q.row, q.col) == (f7.row, f7.col) == (k, h), name
+    assert (GF(7).normalize(q.lhs), GF(7).normalize(q.rhs)) == (f7.lhs, f7.rhs)
+    assert q.lhs == (1 if k == h else 0) + 1

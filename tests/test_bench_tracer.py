@@ -53,3 +53,26 @@ def test_typed_width_reads_the_ast():
     )
     e = ir.parse_expr("Delta * id(A) ; id(H) * swap(H,A) ; rho * id(H)", sig)
     assert _tracer._typed_width(e, sig, ir) == (("H", "A"), ("A", "H"), 3)
+
+
+def test_post_evaluate_reads_a_real_evaluate_result():
+    # A traced run calls this hook after every evaluate, with evaluate's
+    # arguments and its result; it reads the result's ncols and nrows.
+    from weakhopf import ir
+    from weakhopf.fields import QQ
+    from weakhopf.linalg import LinMap, from_rows
+
+    modules = {name: importlib.import_module("weakhopf." + name) for name in ("ir", "identities")}
+    tracer = _tracer.Tracer(modules)
+    sig = ir.Signature(objects={"H": 2}, generators={"mu": (("H", "H"), ("H",))})
+    mu = from_rows(QQ, sig.word_of(("H", "H")), sig.word_of(("H",)), [[1, 0, 0, 1], [0, 1, 1, 0]])
+    env = ir.Env(sig, QQ, {"mu": mu})
+    e = ir.parse_expr("id(H) * mu ; mu", sig)
+    out = ir.evaluate(e, env)
+    assert isinstance(out, LinMap)
+    tracer._post_evaluate((e, env), {}, out, "ir.evaluate", 0)
+    tracer._post_evaluate((), {"e": e, "env": env}, out, "ir.evaluate", 0)
+    assert (out.ncols, out.nrows) == (8, 2)
+    assert tracer.extra["ir.evaluate.columns"] == 16
+    assert tracer.extra["ir.evaluate.cells"] == 32
+    assert tracer.max_word == 3

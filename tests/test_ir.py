@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from weakhopf.fields import QQ
+from weakhopf.fields import GF, QQ
 from weakhopf.ir import (
     Env,
     Gen,
@@ -23,8 +24,9 @@ from weakhopf.ir import (
     parse_expr,
     pretty,
     run_identity_table,
+    _plan,
 )
-from weakhopf.linalg import Obj, from_rows, identity, swap, tensor_product, compose
+from weakhopf.linalg import LinMap, Obj, from_rows, identity, swap, tensor_product, compose
 
 
 SIG = Signature(
@@ -245,3 +247,117 @@ def test_type_error_in_table_keeps_path_and_env_usable():
     assert report.all_pass
     expr = parse_expr("id(H) * mu ; mu", SIG)
     assert evaluate(expr, env) == evaluate(expr, _sig_env())
+
+
+# -- the integer column kernel against a dense route -----------------------
+
+# Non-unit denominators, so over Q every generator has its own scale.
+_ENTRIES = (Fraction(1, 2), 0, Fraction(-2, 3), 1, Fraction(3, 5), -1, 2, 0, Fraction(5, 4))
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+
+
+def _frac_env(field, sig=SIG, extra=None):
+    bindings = {}
+    for name, (dom, cod) in SIG.generators.items():
+        dw, cw = SIG.word_of(dom), SIG.word_of(cod)
+        ncols, nrows = math.prod(ob.dim for ob in dw), math.prod(ob.dim for ob in cw)
+        rows = [[_ENTRIES[(3 * i + 5 * j + len(name)) % len(_ENTRIES)] for j in range(ncols)]
+                for i in range(nrows)]
+        bindings[name] = from_rows(field, dw, cw, rows)
+    return Env(sig, field, {**bindings, **(extra or {})})
+
+
+def _dense(e, env) -> LinMap:
+    """The matrix of e from dense linalg operations alone."""
+    sig, field = env.sig, env.field
+    if isinstance(e, Gen):
+        return env.bindings[e.name]
+    if isinstance(e, Id):
+        return identity(field, sig.word_of(e.word))
+    if isinstance(e, SwapE):
+        return swap(sig.word_of(e.left), sig.word_of(e.right), field)
+    if isinstance(e, Seq):
+        return compose(_dense(e.then, env), _dense(e.first, env))
+    return tensor_product(_dense(e.left, env), _dense(e.right, env))
+
+
+def _perturbed(m: LinMap, r: int, c: int) -> LinMap:
+    rows = [list(row) for row in m.rows]
+    rows[r][c] = m.field.normalize(rows[r][c] + Fraction(1, 2))
+    return LinMap(m.field, m.dom, m.cod, rows)
+
+
+def _assert_verdict_matches_dense(lhs, rhs, env):
+    verdict = check_identity(lhs, rhs, env)
+    diff = _dense(lhs, env).first_difference(_dense(rhs, env))
+    if diff is None:
+        assert verdict.status == "pass"
+    else:
+        assert verdict.status == "fail"
+        w = verdict.witness
+        assert (w.row, w.col, w.lhs, w.rhs) == diff
+
+
+@FIELDS
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(_ast(2), min_size=1, max_size=3), data=st.data())
+def test_kernel_matches_dense_route(field, parts, data):
+    pairs = [(a, b) for a in parts for b in parts]
+    candidates = parts + [Par(a, b) for a, b in pairs] + [Seq(a, b) for a, b in pairs]
+    exprs = [e for e in candidates if _small_and_typed(e)]
+    assume(exprs)
+    env = _frac_env(field)
+    for e in exprs:
+        assert evaluate(e, env) == _dense(e, env)
+    # Every pair of drawn sides of one type, in one env.
+    for a in exprs:
+        for b in exprs:
+            if infer_type(a, SIG) == infer_type(b, SIG):
+                _assert_verdict_matches_dense(a, b, env)
+    # Each side against a generator bound to its matrix (another scale over
+    # Q), and against one bound to that matrix with one entry changed.
+    for e in exprs:
+        dom, cod = infer_type(e, SIG)
+        dense = _dense(e, env)
+        r = data.draw(st.integers(0, dense.nrows - 1))
+        c = data.draw(st.integers(0, dense.ncols - 1))
+        sig = Signature(SIG.objects, {**SIG.generators, "P": (dom, cod), "R": (dom, cod)})
+        env2 = _frac_env(field, sig, {"P": dense, "R": _perturbed(dense, r, c)})
+        assert check_identity(e, Gen("P"), env2).status == "pass"
+        _assert_verdict_matches_dense(e, Gen("R"), env2)
+        _assert_verdict_matches_dense(Gen("R"), e, env2)
+
+
+@FIELDS
+def test_kernel_compares_sides_of_different_scales(field):
+    base = _frac_env(field)
+    product = _dense(parse_expr("Delta ; mu", SIG), base)
+    sig = Signature(SIG.objects, {**SIG.generators, "P": (("H",), ("H",)), "R": (("H",), ("H",))})
+    env = _frac_env(field, sig, {"P": product, "R": _perturbed(product, 1, 0)})
+    lhs, good, bad = parse_expr("Delta ; mu", sig), Gen("P"), Gen("R")
+    assert check_identity(lhs, good, env).status == "pass"
+    assert check_identity(good, lhs, env).status == "pass"
+    _assert_verdict_matches_dense(lhs, bad, env)
+    verdict = check_identity(lhs, bad, env)
+    assert (verdict.status, verdict.witness.row, verdict.witness.col) == ("fail", 1, 0)
+    if field == QQ:  # the pair really exercises the cross-multiplied path
+        assert _plan(lhs, env)[2] != _plan(good, env)[2]
+
+
+def test_env_is_freed_by_reference_counting():
+    # Compiled plans must not refer back to their Env: a cycle would keep
+    # every Env of a long run alive until the next full collection.
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        env = _frac_env(QQ)
+        text = "Delta * id(A) ; id(H) * rho ; swap(H,A)"
+        assert run_identity_table([("a", text, text)], env).all_pass
+        evaluate(parse_expr("eta ; Delta ; mu", SIG), env)
+        ref = weakref.ref(env)
+        del env
+        assert ref() is None
+    finally:
+        gc.enable()
