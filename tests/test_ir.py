@@ -191,16 +191,17 @@ def test_seq_evaluation_order():
 
 # -- one memo shared across expressions ------------------------------------
 
-def _sig_env():
-    # Arbitrary integer matrices, so a memo entry served to the wrong
-    # subtree changes some entry.
+def _sig_env(entry=lambda name, i, j: (3 * i + 5 * j + len(name)) % 7 - 3,
+             field=QQ, sig=SIG, extra=None):
+    # Arbitrary matrices (integer ones by default), so a memo entry served
+    # to the wrong subtree changes some entry.
     bindings = {}
     for name, (dom, cod) in SIG.generators.items():
         dw, cw = SIG.word_of(dom), SIG.word_of(cod)
         ncols, nrows = math.prod(ob.dim for ob in dw), math.prod(ob.dim for ob in cw)
-        rows = [[(3 * i + 5 * j + len(name)) % 7 - 3 for j in range(ncols)] for i in range(nrows)]
-        bindings[name] = from_rows(QQ, dw, cw, rows)
-    return Env(SIG, QQ, bindings)
+        rows = [[entry(name, i, j) for j in range(ncols)] for i in range(nrows)]
+        bindings[name] = from_rows(field, dw, cw, rows)
+    return Env(sig, field, {**bindings, **(extra or {})})
 
 
 def _small_and_typed(e, limit=36) -> bool:
@@ -257,14 +258,10 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
 
 
 def _frac_env(field, sig=SIG, extra=None):
-    bindings = {}
-    for name, (dom, cod) in SIG.generators.items():
-        dw, cw = SIG.word_of(dom), SIG.word_of(cod)
-        ncols, nrows = math.prod(ob.dim for ob in dw), math.prod(ob.dim for ob in cw)
-        rows = [[_ENTRIES[(3 * i + 5 * j + len(name)) % len(_ENTRIES)] for j in range(ncols)]
-                for i in range(nrows)]
-        bindings[name] = from_rows(field, dw, cw, rows)
-    return Env(sig, field, {**bindings, **(extra or {})})
+    def entry(name, i, j):
+        return _ENTRIES[(3 * i + 5 * j + len(name)) % len(_ENTRIES)]
+
+    return _sig_env(entry, field, sig, extra)
 
 
 def _dense(e, env) -> LinMap:
