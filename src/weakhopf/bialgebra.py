@@ -24,20 +24,18 @@ def build_env(field: Field, objects: dict, bindings: dict) -> Env:
     Generator types and objects are read off the bound matrices; ``objects``
     (name -> dim) declares any further objects, such as one no binding uses.
     """
-    objects = dict(objects)
-    gens = {}
-    for name, m in bindings.items():
-        gens[name] = (tuple(ob.name for ob in m.dom), tuple(ob.name for ob in m.cod))
-        for ob in (*m.dom, *m.cod):
-            objects.setdefault(ob.name, ob.dim)
-    sig = Signature(objects=objects, generators=gens)
-    return Env(sig, field, bindings)
+    return Env(Signature.of_bindings(objects, bindings), field, bindings)
 
 
 class WeakBialgebra:
     """Carrier H with multiplication, unit, comultiplication and counit
     subject to the weak compatibility axioms; the four source/target
-    projections are computed once and cached."""
+    projections are computed once and cached.
+
+    Two evaluation contexts are built once and kept: the core (mu, eta,
+    Delta, eps) and the base, a child of the core adding the projections and
+    the antipode.  Both assume the maps are not edited in place.
+    """
 
     def __init__(self, algebra: AlgebraData, coalgebra: CoalgebraData):
         if algebra.obj != coalgebra.obj:
@@ -47,6 +45,8 @@ class WeakBialgebra:
         self.algebra = algebra
         self.coalgebra = coalgebra
         self._projections: dict[str, LinMap] = {}
+        self._core: Optional[Env] = None
+        self._base: Optional[Env] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -96,34 +96,35 @@ class WeakBialgebra:
     def antipode(self) -> Optional[LinMap]:
         return None
 
+    def core_env(self) -> Env:
+        """The context binding mu, eta, Delta and eps."""
+        if self._core is None:
+            self._core = build_env(
+                self.field, {}, {"mu": self.mu, "eta": self.eta, "Delta": self.delta, "eps": self.eps}
+            )
+        return self._core
+
     def base_env(self, extra: Optional[dict] = None) -> Env:
-        """Environment binding mu, eta, Delta, eps and the projections."""
-        bindings = {
-            "mu": self.mu,
-            "eta": self.eta,
-            "Delta": self.delta,
-            "eps": self.eps,
-            "piL": self.projection("L"),
-            "piR": self.projection("R"),
-            "piLb": self.projection("Lbar"),
-            "piRb": self.projection("Rbar"),
-        }
-        s = self.antipode
-        if s is not None:
-            bindings["S"] = s
-        if extra:
-            bindings.update(extra)
-        return build_env(self.field, {}, bindings)
+        """The core context plus the projections and the antipode; with
+        ``extra``, a child of it binding those names too."""
+        if self._base is None:
+            bindings = {
+                "piL": self.projection("L"),
+                "piR": self.projection("R"),
+                "piLb": self.projection("Lbar"),
+                "piRb": self.projection("Rbar"),
+            }
+            s = self.antipode
+            if s is not None:
+                bindings["S"] = s
+            self._base = self.core_env().extend(bindings)
+        return self._base.extend(extra) if extra else self._base
 
     def projection(self, kind: str) -> LinMap:
         """One of the four projections; kind in {L, R, Lbar, Rbar}."""
         key = {"L": "piL", "R": "piR", "Lbar": "piLb", "Rbar": "piRb"}[kind]
         if key not in self._projections:
-            env = build_env(
-                self.field,
-                {},
-                {"mu": self.mu, "eta": self.eta, "Delta": self.delta, "eps": self.eps},
-            )
+            env = self.core_env()
             for name, src in ids.PROJECTION_FORMULAS.items():
                 self._projections[name] = evaluate(parse_expr(src, env.sig), env)
         return self._projections[key]
@@ -169,13 +170,8 @@ class WeakHopfAlgebra(WeakBialgebra):
 def check_bialgebra_axioms(H: WeakBialgebra) -> VerdictReport:
     """Associativity, unit, coassociativity, counit and the three weak
     compatibility axioms, one verdict per equality."""
-    env = build_env(
-        H.field,
-        {},
-        {"mu": H.mu, "eta": H.eta, "Delta": H.delta, "eps": H.eps},
-    )
     report = VerdictReport("bialgebra axioms")
-    run_identity_table(ids.BIALGEBRA_AXIOMS, env, report)
+    run_identity_table(ids.BIALGEBRA_AXIOMS, H.core_env(), report)
     return report
 
 

@@ -8,6 +8,7 @@ as 0 unless --timing is given, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,7 +47,17 @@ from .crossed import (
     twisting,
 )
 from .equivalence import NotAnEquivalence, _pair_env, equivalence_from_phi, phi_from_iso
-from .ir import Env, ParseError, SideMismatchError, UnknownNameError, WordTypeError, check_identity_text, evaluate, parse_expr
+from .ir import (
+    Env,
+    ParseError,
+    RebindingError,
+    SideMismatchError,
+    UnknownNameError,
+    WordTypeError,
+    check_identity_text,
+    evaluate,
+    parse_expr,
+)
 from .linalg import ShapeError
 from .presentation import (
     PresentationError,
@@ -73,7 +84,15 @@ def corpus_dir() -> str:
 
 
 def load_corpus_identities() -> dict:
+    """The corpus identity contexts; the file is read again only when its
+    path, mtime or size changes.  Callers must not edit the result."""
     path = os.path.join(corpus_dir(), "identities.json")
+    st = os.stat(path)
+    return _read_identities(path, st.st_mtime_ns, st.st_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _read_identities(path: str, mtime_ns: int, size: int) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)["contexts"]
 
@@ -275,16 +294,17 @@ def _ladder(pres: PresentationFile):
 
 def _context(pres: PresentationFile, derived: Optional[Env]) -> Env:
     """The ladder's one merge point: the presentation's generators join the
-    derived bindings.  A generator may reuse a derived name only when it
-    binds the same matrix."""
+    derived context as its child.  A generator may reuse a derived name only
+    when it binds the same matrix."""
     if derived is None:
         objects = {name: ob.dim for name, ob in pres.objects.items()}
         return build_env(pres.field, objects, pres.generators)
-    bindings = dict(derived.bindings)
-    for name, m in pres.generators.items():
-        if bindings.setdefault(name, m) != m:
-            raise PresentationError(f"generator {name!r} differs from the derived map of that name")
-    return build_env(pres.field, derived.sig.objects, bindings)
+    try:
+        return derived.extend(pres.generators)
+    except RebindingError as exc:
+        raise PresentationError(
+            f"generator {exc.name!r} differs from the derived map of that name"
+        ) from None
 
 
 def _eval_env(pres: PresentationFile, level: Optional[str], texts: list) -> Env:
@@ -349,7 +369,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="weakhopf",
         description="exact verification of weak bialgebra, crossed product and cleft extension laws",
@@ -365,33 +387,28 @@ def main(argv: Optional[list] = None) -> int:
 
     p = sub.add_parser("validate", help="check bialgebra/antipode/projection laws")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("build", help="build the crossed product and run its law suites")
     common(p)
     p.add_argument("--measure", help="generator name of the measure (default from roles)")
     p.add_argument("--cocycle", help="generator name of the cocycle (default from roles)")
     p.add_argument("--out", help="output path for the built product")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("cleft", help="verify cleftness (of a file or of a built product)")
     common(p)
     p.add_argument("--measure", help="generator name of the measure")
     p.add_argument("--cocycle", help="generator name of the cocycle")
-    p.set_defaults(func=cmd_cleft)
 
     p = sub.add_parser("reconstruct", help="recover measure and cocycle from cleft data")
     common(p)
     p.add_argument("--measure", help="generator name of the measure")
     p.add_argument("--cocycle", help="generator name of the cocycle")
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("equiv", help="check an equivalence datum phi")
     common(p)
     p.add_argument("--measure", help="generator name of the measure")
     p.add_argument("--cocycle", help="generator name of the cocycle")
     p.add_argument("--phi", help="generator name of phi (default from roles)")
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("eval", help="evaluate an expression or check an identity")
     p.add_argument("--sig", required=True, help="presentation file supplying the generators")
@@ -400,11 +417,16 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument("--rhs", help="right side of an identity")
     p.add_argument("--key", help="corpus identity id to check")
     p.add_argument("--field", help="override the field: rational | prime:P")
-    p.set_defaults(func=cmd_eval)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[list] = None) -> int:
+    args = _parser().parse_args(argv)
+    # Looked up per call, not bound into the cached parser, so that a
+    # wrapper installed on a command later (say, by a tracer) still runs.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (PresentationError, ParseError, UnknownNameError, WordTypeError,
             SideMismatchError, ShapeError, StructureError, NotAnEquivalence,
             FactorizationFailed, PreconditionFailed, HypothesisFailed) as exc:

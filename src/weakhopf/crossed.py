@@ -20,7 +20,7 @@ from .algebra import (
     conv_inverse,
 )
 from .bialgebra import WeakBialgebra
-from .ir import Env, evaluate, parse_expr, run_identity_table
+from .ir import Env, check_identity_text, evaluate, parse_expr, run_identity_table
 from .linalg import (
     LinMap,
     Obj,
@@ -78,12 +78,10 @@ class WeakMeasure:
     def checked(cls, H: WeakBialgebra, A: AlgebraData, rho: LinMap) -> "WeakMeasure":
         m = cls(H, A, rho)
         check_id, lhs, rhs = ids.MEASURE_AXIOM
-        env = m.env()
-        diff = eval_text(lhs, env).first_difference(eval_text(rhs, env))
-        if diff is not None:
-            raise MeasureAxiomError(
-                f"measure axiom fails at (row {diff[0]}, col {diff[1]})"
-            )
+        verdict = check_identity_text(lhs, rhs, m.env(), check_id)
+        if not verdict.passed:
+            w = verdict.witness
+            raise MeasureAxiomError(f"measure axiom fails at (row {w.row}, col {w.col})")
         return m
 
     def env(self, extra: Optional[dict] = None) -> Env:
@@ -302,9 +300,9 @@ def build_crossed_product(m: WeakMeasure, f, name: str = "E") -> CrossedProduct:
     data = f if isinstance(f, CocycleData) else CocycleData(m, f)
     env = data.env()
     for check_id, lhs, rhs in ids.BUILD_HYPOTHESES:
-        diff = eval_text(lhs, env).first_difference(eval_text(rhs, env))
-        if diff is not None:
-            raise HypothesisFailed(check_id, Witness(*diff))
+        verdict = check_identity_text(lhs, rhs, env, check_id)
+        if not verdict.passed:
+            raise HypothesisFailed(check_id, verdict.witness)
     rank, i, p = split_idempotent(m.nabla, name=name)
     mu_big = eval_text(ids.MU_EE, env)
     mu_E = compose(p, compose(mu_big, tensor_product(i, i)))

@@ -14,6 +14,7 @@ first comma; larger left blocks are written as composites of such swaps.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -48,6 +49,12 @@ class SideMismatchError(TypeError):
     pass
 
 
+class RebindingError(ValueError):
+    def __init__(self, name: str):
+        super().__init__(f"generator {name!r} is already bound to a different matrix")
+        self.name = name
+
+
 # --------------------------------------------------------------------------
 # Signature and AST
 # --------------------------------------------------------------------------
@@ -70,6 +77,19 @@ class Signature:
 
     def word_of(self, names) -> Word:
         return tuple(Obj(n, self.objects[n]) for n in names)
+
+    @classmethod
+    def of_bindings(cls, objects: dict, bindings: dict, generators: Optional[dict] = None) -> "Signature":
+        """``objects`` (name -> dim) and ``generators`` (name -> (dom, cod))
+        plus the generator types and objects read off name -> LinMap
+        bindings."""
+        objects = dict(objects)
+        gens = dict(generators or {})
+        for name, m in bindings.items():
+            gens[name] = (tuple(ob.name for ob in m.dom), tuple(ob.name for ob in m.cod))
+            for ob in (*m.dom, *m.cod):
+                objects.setdefault(ob.name, ob.dim)
+        return cls(objects=objects, generators=gens)
 
 
 @dataclass(frozen=True)
@@ -165,14 +185,49 @@ class _Tokenizer:
         return self.next()
 
 
+# text -> (AST, generator names, object names) of every text parsed so far.
+# A full memo is emptied, not grown.
+_PARSED: dict = {}
+_PARSED_MAX = 4096
+
+
 def parse_expr(text: str, sig: Signature) -> MorExpr:
-    """Parse the grammar above, checking all names against the signature."""
+    """Parse the grammar above, checking all names against the signature.
+
+    Each text is parsed once: a later call returns the same AST once the
+    names it uses are checked against ``sig``.  A text that fails to parse,
+    or names one that ``sig`` lacks, goes through the parser again, so the
+    error and its position are always the parser's own.
+    """
+    hit = _PARSED.get(text)
+    if hit is not None and sig.generators.keys() >= hit[1] and sig.objects.keys() >= hit[2]:
+        return hit[0]
     tz = _Tokenizer(text)
     expr = _parse_seq(tz, sig)
     tok = tz.peek()
     if tok[0] != "eof":
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+    gens, objs = set(), set()
+    _collect_names(expr, gens, objs)
+    if len(_PARSED) >= _PARSED_MAX:
+        _PARSED.clear()
+    _PARSED[text] = (expr, frozenset(gens), frozenset(objs))
     return expr
+
+
+def _collect_names(e: MorExpr, gens: set, objs: set) -> None:
+    if isinstance(e, Seq):
+        _collect_names(e.first, gens, objs)
+        _collect_names(e.then, gens, objs)
+    elif isinstance(e, Par):
+        _collect_names(e.left, gens, objs)
+        _collect_names(e.right, gens, objs)
+    elif isinstance(e, Gen):
+        gens.add(e.name)
+    elif isinstance(e, Id):
+        objs.update(e.word)
+    else:
+        objs.update(e.left + e.right)
 
 
 def _parse_seq(tz: _Tokenizer, sig: Signature) -> MorExpr:
@@ -265,6 +320,9 @@ def pretty(e: MorExpr) -> str:
 # Typing
 # --------------------------------------------------------------------------
 
+_KEYS = itertools.count()
+
+
 def infer_type(e: MorExpr, sig: Signature) -> tuple[tuple, tuple]:
     """Infer (dom, cod) as tuples of object names, or raise WordTypeError."""
     return _typed(e, sig, {}, {})[1:3]
@@ -274,7 +332,9 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
     """Type e once per ``types`` (keyed by node id, holding the node): (key,
     dom, cod, dom dim, cod dim, dims of the right factor of dom and cod for
     Par and SwapE).  ``keys`` maps each distinct structure to that tuple,
-    whose key is a small int, so a repeated structure is typed only once."""
+    whose key is an int drawn once from ``_KEYS``, so a repeated structure is
+    typed only once and no two structures share a key, across Envs and
+    threads alike."""
     hit = types.get(id(e))
     if hit is not None:
         return hit[1]
@@ -311,7 +371,7 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
                 dom, cod = e.left + e.right, e.right + e.left
                 right = (wdim(sig.word_of(e.right)), wdim(sig.word_of(e.left)))
             ddim, cdim = wdim(sig.word_of(dom)), wdim(sig.word_of(cod))
-        typed = keys[struct] = (len(keys), dom, cod, ddim, cdim, right)
+        typed = keys[struct] = (next(_KEYS), dom, cod, ddim, cdim, right)
     types[id(e)] = (e, typed)
     return typed
 
@@ -327,20 +387,34 @@ class Env:
     (interned by ``_typed``) is compiled once per environment into a plan
     (see ``_plan``): its columns as sparse integer dicts over one
     denominator, filled on first use.  Structurally equal subexpressions
-    are therefore propagated only once across a whole table.
+    are therefore propagated only once across a whole table.  ``extend``
+    makes a child context that keeps what its parent has typed and compiled.
+
+    Threads may share an Env without a lock: two threads that type or
+    compile the same structure at once each get a correct entry, and the
+    later one is kept; a key is never reused, and a column is published only
+    when it is complete.
     """
 
-    def __init__(self, sig: Signature, field: Field, bindings: dict):
+    def __init__(self, sig: Signature, field: Field, bindings: dict, parent: Optional["Env"] = None):
+        """``parent`` is set by ``extend``: its bindings, checked when it was
+        built, come first, and its caches are the snapshot."""
         self.sig = sig
         self.field = field
-        self.bindings = dict(bindings)
-        self._plans: dict = {}
-        self._types: dict = {}
-        self._keys: dict = {}
+        if parent is None:
+            self.bindings = dict(bindings)
+            self._plans: dict = {}
+            self._types: dict = {}
+            self._keys: dict = {}
+        else:
+            self.bindings = {**parent.bindings, **bindings}
+            self._plans = parent._plans.copy()
+            self._types = parent._types.copy()
+            self._keys = parent._keys.copy()
         missing = set(sig.generators) - set(self.bindings)
         if missing:
             raise UnknownNameError(f"unbound generators: {sorted(missing)}")
-        for name, m in self.bindings.items():
+        for name, m in bindings.items():
             if name not in sig.generators:
                 raise UnknownNameError(f"binding for undeclared generator {name!r}")
             dom, cod = sig.generators[name]
@@ -351,6 +425,28 @@ class Env:
                                     path=name)
             if m.field != field:
                 raise ValueError(f"generator {name!r} bound over the wrong field")
+
+    def extend(self, bindings: dict) -> "Env":
+        """A child context: this signature and these bindings plus the new
+        names, whose types and objects are read off their matrices.
+
+        The child starts from a snapshot of the nodes typed, structures
+        interned and plans compiled here; what it adds later stays its own,
+        so this Env never sees the child's names or plans.  A name already
+        bound to the same matrix is skipped, and to a different one raises
+        RebindingError; with no new name the result is this Env itself.
+        """
+        new = {}
+        for name, m in bindings.items():
+            old = self.bindings.get(name)
+            if old is None:
+                new[name] = m
+            elif old is not m and old != m:
+                raise RebindingError(name)
+        if not new:
+            return self
+        sig = Signature.of_bindings(self.sig.objects, new, self.sig.generators)
+        return Env(sig, self.field, new, parent=self)
 
 
 def _plan(e: MorExpr, env: Env) -> tuple:
@@ -431,7 +527,7 @@ def _plan(e: MorExpr, env: Env) -> tuple:
             b = rcols[j2]
             if b is None:
                 b = rfn(j2)
-            c = cols[j] = {}
+            c = {}  # published only when complete: Envs are shared by threads
             for i1, v1 in a.items():
                 base = i1 * cr
                 if p:
@@ -440,6 +536,7 @@ def _plan(e: MorExpr, env: Env) -> tuple:
                 else:
                     for i2, v2 in b.items():
                         c[base + i2] = v1 * v2
+            cols[j] = c
             return c
     plan = env._plans[key] = (cols, fn, scale)
     return plan

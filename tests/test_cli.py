@@ -135,6 +135,26 @@ def test_corpus_env_override(tmp_path, pair_file, monkeypatch, capsys):
     monkeypatch.setenv("WEAKHOPF_CORPUS", str(alt))
     assert main(["eval", "--sig", pair_file, "--key", "only_one"]) == 0
     assert main(["eval", "--sig", pair_file, "--key", "comult_multiplicative"]) == 2
+    # The file read is reused only while it is unchanged.
+    (alt / "identities.json").write_text(json.dumps({
+        "version": "0.1.0",
+        "contexts": {"bialgebra": {"another": {"lhs": "mu", "rhs": "mu"}}},
+    }))
+    assert main(["eval", "--sig", pair_file, "--key", "another"]) == 0
+    assert main(["eval", "--sig", pair_file, "--key", "only_one"]) == 2
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, pair_file, capsys):
+    from weakhopf import cli
+
+    assert main(["eval", "--sig", pair_file, "--expr", "eta"]) == 0
+    parser = cli._parser()
+    calls = []
+    command = cli.cmd_eval
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: calls.append(args) or command(args))
+    assert main(["eval", "--sig", pair_file, "--expr", "eta"]) == 0
+    assert cli._parser() is parser
+    assert len(calls) == 1
 
 
 def test_bundled_identities_match_tables():

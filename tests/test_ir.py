@@ -1,16 +1,27 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from weakhopf import ir
+from weakhopf.bialgebra import (
+    WeakHopfAlgebra,
+    build_env,
+    check_bialgebra_axioms,
+    projection_identity_suite,
+)
 from weakhopf.fields import GF, QQ
+from weakhopf.groupoid import groupoid_algebra, pair_groupoid
 from weakhopf.ir import (
     Env,
     Gen,
     Id,
     Par,
     ParseError,
+    RebindingError,
     Seq,
     SwapE,
     Signature,
@@ -353,8 +364,141 @@ def test_env_is_freed_by_reference_counting():
         text = "Delta * id(A) ; id(H) * rho ; swap(H,A)"
         assert run_identity_table([("a", text, text)], env).all_pass
         evaluate(parse_expr("eta ; Delta ; mu", SIG), env)
-        ref = weakref.ref(env)
+        child = env.extend({"P": evaluate(parse_expr(text, SIG), env)})
+        assert run_identity_table([("b", text, "P")], child).all_pass
+        refs = [weakref.ref(env), weakref.ref(child)]
         del env
-        assert ref() is None
+        assert refs[1]() is child  # a child keeps no Env alive but itself
+        del child
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# -- layered contexts ---------------------------------------------------------
+
+def _map(dom, cod, field=QQ, shift=0):
+    dw, cw = SIG.word_of(dom), SIG.word_of(cod)
+    ncols, nrows = math.prod(ob.dim for ob in dw), math.prod(ob.dim for ob in cw)
+    rows = [[(2 * i + 3 * j + shift) % 5 - 2 for j in range(ncols)] for i in range(nrows)]
+    return from_rows(field, dw, cw, rows)
+
+
+def test_child_names_stay_out_of_the_parent():
+    parent = _frac_env(QQ)
+    child = parent.extend({"P": _map(("H",), ("A",))})
+    node = Gen("P")  # built by hand, so no parse checks its name
+    assert evaluate(node, child) == child.bindings["P"]
+    assert check_identity(Seq(node, Id(("A",))), node, child).passed
+    for expr in (node, Seq(node, Id(("A",)))):
+        with pytest.raises(UnknownNameError):
+            evaluate(expr, parent)
+    assert "P" not in parent.bindings and "P" not in parent.sig.generators
+    assert len(child._plans) > len(parent._plans)
+
+
+def test_rebinding_a_name():
+    parent = _frac_env(QQ)
+    assert parent.extend({"mu": parent.bindings["mu"]}) is parent
+    same = LinMap(QQ, parent.bindings["mu"].dom, parent.bindings["mu"].cod,
+                  [list(r) for r in parent.bindings["mu"].rows])
+    assert parent.extend({"mu": same}) is parent  # an equal matrix is the same binding
+    with pytest.raises(RebindingError) as exc:
+        parent.extend({"P": _map(("H",), ("A",)), "mu": _map(("H", "H"), ("H",), shift=1)})
+    assert exc.value.name == "mu"
+    child = parent.extend({"P": _map(("H",), ("A",))})
+    with pytest.raises(RebindingError):
+        child.extend({"P": _map(("H",), ("A",), shift=1)})
+
+
+def test_second_axiom_table_compiles_no_plan(monkeypatch):
+    G = groupoid_algebra(pair_groupoid(2), QQ)
+    H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+    compiled = []
+    plan = ir._plan
+
+    def counting_plan(e, env):
+        if env._types[id(e)][1][0] not in env._plans:
+            compiled.append(e)
+        return plan(e, env)
+
+    monkeypatch.setattr(ir, "_plan", counting_plan)
+    first = check_bialgebra_axioms(H)
+    assert compiled
+    compiled.clear()
+    second = check_bialgebra_axioms(H)
+    assert compiled == []
+    assert [(v.check_id, v.status) for v in second] == [(v.check_id, v.status) for v in first]
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(parts=st.lists(_ast(2), min_size=1, max_size=3))
+def test_child_matches_fresh_env_over_merged_bindings(field, parts):
+    pairs = [(a, b) for a in parts for b in parts]
+    candidates = parts + [Par(a, b) for a, b in pairs] + [Seq(a, b) for a, b in pairs]
+    exprs = [e for e in candidates if _small_and_typed(e)]
+    assume(exprs)
+    parent = _frac_env(field)
+    for e in exprs[::2]:  # the child starts from these plans
+        evaluate(e, parent)
+    extra = {"P": _map(("H", "A"), ("A",), field), "Q": _map(("A",), ("H", "H"), field, 1)}
+    child = parent.extend(extra)
+    fresh = build_env(field, {}, {**parent.bindings, **extra})
+    p_then_q = Seq(Seq(Gen("P"), Gen("Q")), Gen("mu"))
+    for e in exprs + [p_then_q, Par(Gen("P"), p_then_q)]:
+        assert evaluate(e, child) == evaluate(e, fresh)
+
+
+# -- the parse memo ------------------------------------------------------------
+
+def test_memoized_text_under_a_smaller_signature_raises_as_cold():
+    small = Signature(objects={"H": 2}, generators={"mu": (("H", "H"), ("H",))})
+    for text in ("mu ; Delta", "id(H) * id(A) ; swap(H,A)"):
+        ir._PARSED.clear()
+        with pytest.raises(UnknownNameError) as cold:
+            parse_expr(text, small)
+        first = parse_expr(text, SIG)
+        assert parse_expr(text, SIG) is first  # parsed once
+        with pytest.raises(UnknownNameError) as warm:
+            parse_expr(text, small)
+        assert str(warm.value) == str(cold.value)
+        assert "(line 1, col" in str(warm.value)
+
+
+def test_parse_error_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ParseError) as exc:
+            parse_expr("mu ;\n ; Delta", SIG)
+        assert (exc.value.line, exc.value.col) == (2, 2)
+
+
+def test_threads_sharing_one_algebra_match_a_serial_run():
+    def run(H):
+        return [[(v.check_id, v.status, v.witness) for v in r]
+                for r in (check_bialgebra_axioms(H), projection_identity_suite(H))]
+
+    G = groupoid_algebra(pair_groupoid(3), GF(7))
+    serial = run(G)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads finely
+    try:
+        for _ in range(30):  # a race shows in some rounds, not in every one
+            # A new H over the same maps: every thread starts from cold contexts.
+            H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+            start = threading.Barrier(4, timeout=60)
+            results = [None] * 4
+
+            def worker(k):
+                start.wait()
+                results[k] = run(H)
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [serial] * 4
+    finally:
+        sys.setswitchinterval(interval)
