@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .fields import Field
 from .linalg import LinMap, Obj, Word, wdim
@@ -331,10 +331,9 @@ def infer_type(e: MorExpr, sig: Signature) -> tuple[tuple, tuple]:
 def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") -> tuple:
     """Type e once per ``types`` (keyed by node id, holding the node): (key,
     dom, cod, dom dim, cod dim, dims of the right factor of dom and cod for
-    Par and SwapE).  ``keys`` maps each distinct structure to that tuple,
-    whose key is an int drawn once from ``_KEYS``, so a repeated structure is
-    typed only once and no two structures share a key, across Envs and
-    threads alike."""
+    Par).  ``keys`` maps each distinct structure to that tuple, whose key is
+    an int drawn once from ``_KEYS``, so a repeated structure is typed only
+    once and no two structures share a key, across Envs and threads alike."""
     hit = types.get(id(e))
     if hit is not None:
         return hit[1]
@@ -369,7 +368,6 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
                 dom = cod = e.word
             else:
                 dom, cod = e.left + e.right, e.right + e.left
-                right = (wdim(sig.word_of(e.right)), wdim(sig.word_of(e.left)))
             ddim, cdim = wdim(sig.word_of(dom)), wdim(sig.word_of(cod))
         typed = keys[struct] = (next(_KEYS), dom, cod, ddim, cdim, right)
     types[id(e)] = (e, typed)
@@ -449,97 +447,344 @@ class Env:
         return Env(sig, self.field, new, parent=self)
 
 
-def _plan(e: MorExpr, env: Env) -> tuple:
-    """The plan of e's structure, compiled once per Env: (columns, column
-    function, scale).  Column j is a dict {row: n} without zeros, and the
-    matrix entry is n / scale; over F_p the scale is 1 and n is a residue.
-    A column is computed by the column function on first use and then read
-    from the list, so a memo hit is one list index.  The functions refer to
-    their children's lists and functions, never to the Env."""
+class _Sparse(dict):
+    """Kept columns keyed by column: ``cols[j]`` is None until j is kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, j):
+        return None
+
+
+class _Plan(NamedTuple):
+    """A structure compiled for one Env.
+
+    Column j of a structure is a dict {row: n} without zeros, and the matrix
+    entry is n / scale; over F_p the scale is 1 and n is a residue.  A
+    structure keeps each column it computes in ``cols``: ``fn(j)`` computes
+    column j and keeps it, so a read is ``cols[j]``, or ``fn(j)`` when that
+    is None.  ``cols`` is a list over the domain when that domain is no
+    wider than the domain of the expression the structure is first compiled
+    for, and a ``_Sparse`` dict otherwise: a wider structure is read only at
+    the rows that narrower ones reach.  So no list is longer than the domain
+    of a checked or evaluated expression.
+
+    A permutation of tensor factors (``Id``, ``SwapE`` and any Seq or Par of
+    them) keeps no columns: ``cols`` and ``fn`` are None, ``index`` maps a
+    column to the row of its one entry 1 (None for the identity), and
+    ``perm`` is the factor permutation.  ``kron`` marks a Kronecker product
+    of two structures that are not permutations: (a function computing a
+    column without keeping it, then cols and fn of the left and the right
+    factor, right dom dim, right cod dim).  A Seq whose second operand it is
+    reads it from its factors' columns, so those columns are never formed.
+    ``base`` marks a Seq that only permutes the rows of ``base`` by
+    ``perm``, so that a further permutation composes with it.
+    """
+
+    cols: Optional[dict]
+    fn: Optional[Callable]
+    scale: int
+    index: Optional[Callable] = None
+    perm: Optional[tuple] = None  # (factor dims, order): output factor q is input factor order[q]
+    kron: Optional[tuple] = None
+    base: Optional["_Plan"] = None
+
+
+_NOTHING = _Sparse()  # the kept columns of what keeps none; never written
+
+
+def _permutation(perm: tuple) -> _Plan:
+    """The plan of a factor permutation.  Its index map drops factors of
+    dimension 1 and moves each run of factors that stay adjacent as one
+    block; the identity is one block and has no index map."""
+    dims, order = perm
+    if 1 in dims:
+        where = {}
+        for i, d in enumerate(dims):
+            if d > 1:
+                where[i] = len(where)
+        dims = [d for d in dims if d > 1]
+        order = [where[i] for i in order if i in where]
+    strides = [1] * len(dims)
+    for k in range(len(dims) - 1, 0, -1):
+        strides[k - 1] = strides[k] * dims[k]
+    blocks = []  # (input stride, block dim, output stride), from the last output block
+    out, q = 1, len(order) - 1
+    while q >= 0:
+        last = first = order[q]
+        while q > 0 and order[q - 1] == first - 1:
+            q -= 1
+            first -= 1
+        d = strides[first] * dims[first] // strides[last]
+        blocks.append((strides[last], d, out))
+        out *= d
+        q -= 1
+    if len(blocks) < 2:
+        return _Plan(None, None, 1, None, perm)
+
+    def index(j):
+        i = 0
+        for s, d, t in blocks:
+            i += j // s % d * t
+        return i
+    return _Plan(None, None, 1, index, perm)
+
+
+def _store(size: int):
+    """Kept columns: a list of ``size`` slots, or a ``_Sparse`` dict for 0."""
+    return [None] * size if size else _Sparse()
+
+
+def _columns(plan: _Plan) -> tuple:
+    """(cols, fn) reading a plan's columns as the plan keeps them."""
+    if plan.cols is not None:
+        return plan.cols, plan.fn
+    index = plan.index
+    return _NOTHING, (lambda j: {j: 1}) if index is None else (lambda j: {index(j): 1})
+
+
+def _once(plan: _Plan) -> tuple:
+    """(cols, fn) for a consumer that keeps what it reads, read column by
+    column: a Kronecker product's columns not kept yet are computed from its
+    factors' and not kept."""
+    return (plan.cols, plan.kron[0]) if plan.kron else _columns(plan)
+
+
+def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
+    """The plan of e's structure, compiled once per Env for an expression
+    whose domain has ``width`` columns (0: e itself).  The column functions
+    refer to their children's columns and index maps, never to the Env."""
     key, _, _, ncols, _, right = env._types[id(e)][1]
     plan = env._plans.get(key)
     if plan is not None:
         return plan
     p = env.field.modulus
-    cols = [None] * ncols
     if isinstance(e, Gen):
         nz = env.bindings[e.name].col_nonzeros()
         ns, scale = env.field.to_ints([v for col in nz for _, v in col])
         flat = iter(ns)  # zip reads col first, so flat is never over-read
-        cols[:] = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
-        fn = cols.__getitem__  # every column is already filled
+        cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
+        plan = _Plan(cols, cols.__getitem__, scale)  # every column is already kept
     elif isinstance(e, Id):
-        scale = 1
-
-        def fn(j):
-            c = cols[j] = {j: 1}
-            return c
+        plan = _Plan(None, None, 1, None, (_dims(e.word, env.sig), tuple(range(len(e.word)))))
     elif isinstance(e, SwapE):
-        scale = 1
-        dr, dl = right
-
-        def fn(j):
-            i1, i2 = divmod(j, dr)
-            c = cols[j] = {i2 * dl + i1: 1}
-            return c
-    elif isinstance(e, Seq):
-        fcols, ffn, fscale = _plan(e.first, env)
-        tcols, tfn, tscale = _plan(e.then, env)
-        scale = fscale * tscale
-
-        def fn(j):
-            a = fcols[j]
-            if a is None:
-                a = ffn(j)
-            if len(a) == 1:  # one term, nothing to accumulate
-                [(k, v)] = a.items()
-                b = tcols[k]
-                if b is None:
-                    b = tfn(k)
-                if v != 1:
-                    b = {i: v * w % p if p else v * w for i, w in b.items()}
-                cols[j] = b
-                return b
-            acc = {}
-            get = acc.get
-            for k, v in a.items():
-                b = tcols[k]
-                if b is None:
-                    b = tfn(k)
-                for i, w in b.items():
-                    acc[i] = get(i, 0) + v * w
-            if p:
-                for i in acc:
-                    acc[i] %= p
-            c = cols[j] = {i: x for i, x in acc.items() if x}
-            return c
+        nl, nr = len(e.left), len(e.right)
+        order = tuple(range(nl, nl + nr)) + tuple(range(nl))
+        plan = _permutation((_dims(e.left + e.right, env.sig), order))
     else:
-        lcols, lfn, lscale = _plan(e.left, env)
-        rcols, rfn, rscale = _plan(e.right, env)
-        scale = lscale * rscale
-        dr, cr = right
+        width = width or ncols
+        size = ncols if ncols <= width else 0
+        if isinstance(e, Seq):
+            plan = _seq(_plan(e.first, env, width), _plan(e.then, env, width), p, size)
+        else:
+            plan = _par(_plan(e.left, env, width), _plan(e.right, env, width), right, p, size)
+    env._plans[key] = plan
+    return plan
+
+
+def _dims(word: tuple, sig: Signature) -> tuple:
+    return tuple(sig.objects[n] for n in word)
+
+
+def _seq(first: _Plan, then: _Plan, p: int, size: int) -> _Plan:
+    """first, then then, keeping columns in ``_store(size)``."""
+    if first.cols is None:
+        if first.index is None:
+            return then
+        if then.cols is None:  # a permutation of a permutation
+            dims, order = first.perm
+            return _permutation((dims, tuple(order[i] for i in then.perm[1])))
+        index, cols = first.index, _store(size)
+        tcols, tfn = _once(then)
+
+        def fn(j):  # a column of then, picked by the permutation
+            k = index(j)
+            b = tcols[k]
+            if b is None:
+                b = tfn(k)
+            cols[j] = b
+            return b
+        return _Plan(cols, fn, then.scale)
+    if then.cols is None:  # re-key the rows of first
+        if then.index is None:
+            return first
+        base, perm = first, then.perm
+        if first.base is not None:  # compose with the rows first permutes
+            base, (dims, order) = first.base, first.perm
+            perm = (dims, tuple(order[i] for i in then.perm[1]))
+        index = _permutation(perm).index
+        if index is None:
+            return base
+        bcols, bfn = _once(base)
+        cols = _store(size)
 
         def fn(j):
-            j1, j2 = divmod(j, dr)
-            a = lcols[j1]
+            a = bcols[j]
             if a is None:
-                a = lfn(j1)
+                a = bfn(j)
+            c = {}
+            for k, v in a.items():
+                c[index(k)] = v
+            cols[j] = c
+            return c
+        return _Plan(cols, fn, base.scale, None, perm, base=base)
+    fcols, ffn = _columns(first)
+    scale = first.scale * then.scale
+    cols = _store(size)  # published one whole column at a time: Envs are shared by threads
+    if then.kron:
+        return _Plan(cols, _fused(cols, fcols, ffn, *then.kron[1:], p), scale)
+    tcols, tfn = then.cols, then.fn
+
+    def fn(j):
+        a = fcols[j]
+        if a is None:
+            a = ffn(j)
+        if len(a) == 1:  # one term, nothing to accumulate
+            [(k, v)] = a.items()
+            b = tcols[k]
+            if b is None:
+                b = tfn(k)
+            if v != 1:
+                b = {i: v * w % p if p else v * w for i, w in b.items()}
+            cols[j] = b
+            return b
+        acc = {}
+        get = acc.get
+        for k, v in a.items():
+            b = tcols[k]
+            if b is None:
+                b = tfn(k)
+            for i, w in b.items():
+                acc[i] = get(i, 0) + v * w
+        if p:
+            for i in acc:
+                acc[i] %= p
+        c = cols[j] = {i: x for i, x in acc.items() if x}
+        return c
+    return _Plan(cols, fn, scale)
+
+
+def _fused(cols, fcols, ffn: Callable, lcols, lfn: Callable, rcols, rfn: Callable,
+           dr: int, cr: int, p: int) -> Callable:
+    """The column function of first ; (left * right): it accumulates the
+    outer products of the factors' columns, never forming a column of the
+    Kronecker product."""
+
+    def fn(j):
+        a = fcols[j]
+        if a is None:
+            a = ffn(j)
+        if len(a) == 1:  # one term: a scaled outer product, with no zero
+            [(k, v)] = a.items()
+            k1, k2 = divmod(k, dr)
+            x1 = lcols[k1]
+            if x1 is None:
+                x1 = lfn(k1)
+            b = rcols[k2]
+            if b is None:
+                b = rfn(k2)
+            c = {}
+            for i1, v1 in x1.items():
+                base, x = i1 * cr, v * v1
+                if p:
+                    for i2, v2 in b.items():
+                        c[base + i2] = x * v2 % p
+                else:
+                    for i2, v2 in b.items():
+                        c[base + i2] = x * v2
+            cols[j] = c
+            return c
+        acc = {}
+        get = acc.get
+        for k, v in a.items():
+            k1, k2 = divmod(k, dr)
+            x1 = lcols[k1]
+            if x1 is None:
+                x1 = lfn(k1)
+            b = rcols[k2]
+            if b is None:
+                b = rfn(k2)
+            for i1, v1 in x1.items():
+                base, x = i1 * cr, v * v1
+                for i2, v2 in b.items():
+                    i = base + i2
+                    acc[i] = get(i, 0) + x * v2
+        if p:
+            for i in acc:
+                acc[i] %= p
+        c = cols[j] = {i: x for i, x in acc.items() if x}
+        return c
+    return fn
+
+
+def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
+    """left * right, keeping columns in ``_store(size)``; ``dims`` are the
+    dom and cod dims of the right factor."""
+    dr, cr = dims
+    lcols, lfn = left.cols, left.fn
+    rcols, rfn = right.cols, right.fn
+    scale = left.scale * right.scale
+    if lcols is None and rcols is None:  # a permutation beside a permutation
+        (d1, o1), (d2, o2) = left.perm, right.perm
+        perm = (d1 + d2, o1 + tuple(len(d1) + i for i in o2))
+        if left.index is None and right.index is None:
+            return _Plan(None, None, 1, None, perm)
+        return _permutation(perm)
+    cols = _store(size)
+    if lcols is None:
+        index = left.index
+
+        def fn(j):  # a unit column beside a column
+            j1, j2 = divmod(j, dr)
+            base = (j1 if index is None else index(j1)) * cr
             b = rcols[j2]
             if b is None:
                 b = rfn(j2)
-            c = {}  # published only when complete: Envs are shared by threads
-            for i1, v1 in a.items():
-                base = i1 * cr
-                if p:
-                    for i2, v2 in b.items():
-                        c[base + i2] = v1 * v2 % p
-                else:
-                    for i2, v2 in b.items():
-                        c[base + i2] = v1 * v2
+            c = {}
+            for i, v in b.items():
+                c[base + i] = v
             cols[j] = c
             return c
-    plan = env._plans[key] = (cols, fn, scale)
-    return plan
+        return _Plan(cols, fn, scale)
+    if rcols is None:
+        index = right.index
+
+        def fn(j):  # a column beside a unit column
+            j1, j2 = divmod(j, dr)
+            i2 = j2 if index is None else index(j2)
+            a = lcols[j1]
+            if a is None:
+                a = lfn(j1)
+            c = {}
+            for i, v in a.items():
+                c[i * cr + i2] = v
+            cols[j] = c
+            return c
+        return _Plan(cols, fn, scale)
+
+    def outer(j):
+        j1, j2 = divmod(j, dr)
+        a = lcols[j1]
+        if a is None:
+            a = lfn(j1)
+        b = rcols[j2]
+        if b is None:
+            b = rfn(j2)
+        c = {}
+        for i1, v1 in a.items():
+            base = i1 * cr
+            if p:
+                for i2, v2 in b.items():
+                    c[base + i2] = v1 * v2 % p
+            else:
+                for i2, v2 in b.items():
+                    c[base + i2] = v1 * v2
+        return c
+
+    def fn(j):
+        c = cols[j] = outer(j)
+        return c
+    return _Plan(cols, fn, scale, kron=(outer, lcols, lfn, rcols, rfn, dr, cr))
 
 
 def evaluate(e: MorExpr, env: Env) -> LinMap:
@@ -553,7 +798,9 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     materialized, and scalars of the field are built only here, at the end.
     """
     _, dom_names, cod_names, ncols, nrows, _ = _typed(e, env.sig, env._types, env._keys)
-    cols, fn, scale = _plan(e, env)
+    plan = _plan(e, env)
+    cols, fn = _columns(plan)
+    scale = plan.scale
     field = env.field
     conv = field.from_int
     z = field.zero
@@ -576,8 +823,9 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
     tr = _typed(rhs, env.sig, env._types, env._keys)
     if tl[1:3] != tr[1:3]:
         raise SideMismatchError(f"sides have different types: {tl[1:3]} vs {tr[1:3]}")
-    lcols, lfn, lscale = _plan(lhs, env)
-    rcols, rfn, rscale = _plan(rhs, env)
+    lplan, rplan = _plan(lhs, env), _plan(rhs, env)
+    (lcols, lfn), (rcols, rfn) = _columns(lplan), _columns(rplan)
+    lscale, rscale = lplan.scale, rplan.scale
     same_scale = lscale == rscale
     for j in range(tl[3]):
         a = lcols[j]

@@ -52,13 +52,6 @@ def word_name(w: Word) -> str:
     return "K" if not w else "*".join(ob.name for ob in w)
 
 
-def strides(w: Word) -> list[int]:
-    out = [1] * len(w)
-    for k in range(len(w) - 2, -1, -1):
-        out[k] = out[k + 1] * w[k + 1].dim
-    return out
-
-
 def _as_word(x) -> Word:
     if isinstance(x, Obj):
         return (x,)

@@ -12,6 +12,11 @@ PAIR = os.path.join(CORPUS, "pair_groupoid_smash.json")
 Z2 = os.path.join(CORPUS, "z2_trivial_smash.json")
 
 
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture
 def pair_file(tmp_path):
     target = tmp_path / "pair.json"
@@ -21,7 +26,7 @@ def pair_file(tmp_path):
 
 def test_validate_bundled_instances(tmp_path, pair_file, capsys):
     assert main(["validate", pair_file]) == 0
-    report = json.load(open(pair_file + ".report.json"))
+    report = _load(pair_file + ".report.json")
     assert report["version"] == "0.1.0"
     assert report["millis"] == 0
     assert all(e["status"] != "fail" for e in report["entries"])
@@ -29,19 +34,19 @@ def test_validate_bundled_instances(tmp_path, pair_file, capsys):
 
 
 def test_validate_broken_epsilon(tmp_path, capsys):
-    data = json.load(open(PAIR))
+    data = _load(PAIR)
     data["generators"]["eps"]["matrix"][0][1] = "0"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code = main(["validate", str(bad)])
     assert code == 1
-    report = json.load(open(str(bad) + ".report.json"))
+    report = _load(str(bad) + ".report.json")
     failed = {e["id"] for e in report["entries"] if e["status"] == "fail"}
     assert any("counit_weak_mult" in f for f in failed)
 
 
 def test_malformed_scalar_exits_2(tmp_path, capsys):
-    data = json.load(open(PAIR))
+    data = _load(PAIR)
     data["generators"]["mu"]["matrix"][0][0] = "1/0"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -74,7 +79,7 @@ def test_build_z2(tmp_path):
 
 
 def test_build_broken_cocycle_exit_1(tmp_path):
-    data = json.load(open(PAIR))
+    data = _load(PAIR)
     data["generators"]["f"]["matrix"][0][0] = "0"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -158,7 +163,7 @@ def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, p
 
 
 def test_bundled_identities_match_tables():
-    data = json.load(open(os.path.join(CORPUS, "identities.json")))
+    data = _load(os.path.join(CORPUS, "identities.json"))
     assert data["contexts"] == identity_corpus()
 
 
@@ -196,7 +201,7 @@ def test_eval_expr_escalates_to_derived_generators(capsys, pair_file):
 
 
 def test_missing_roles_exit_2(tmp_path):
-    data = json.load(open(Z2))
+    data = _load(Z2)
     del data["roles"]["phi"]
     target = tmp_path / "nophi.json"
     target.write_text(json.dumps(data))
@@ -209,7 +214,7 @@ def test_missing_roles_exit_2(tmp_path):
 
 
 def test_shape_mismatch_exit_2(tmp_path):
-    data = json.load(open(Z2))
+    data = _load(Z2)
     data["generators"]["mu"]["matrix"] = [["1", "0"], ["0", "1"]]  # wrong shape
     target = tmp_path / "badshape.json"
     target.write_text(json.dumps(data))
@@ -217,7 +222,7 @@ def test_shape_mismatch_exit_2(tmp_path):
 
 
 def _bumped_cocycle(tmp_path):
-    data = json.load(open(PAIR))
+    data = _load(PAIR)
     f = data["generators"]["f"]["matrix"]
     f[0][0] = str(int(f[0][0]) + 2)
     target = tmp_path / "badf.json"
@@ -243,7 +248,7 @@ def test_eval_on_failed_build_hypothesis_exits_2(tmp_path, capsys):
 
 
 def test_generator_clashing_with_derived_name_exits_2(tmp_path, capsys):
-    data = json.load(open(PAIR))
+    data = _load(PAIR)
     data["generators"]["chi"] = {
         "dom": ["H", "A"], "cod": ["A", "H"], "matrix": [["0"] * 8 for _ in range(8)],
     }
@@ -257,7 +262,7 @@ def test_generator_clashing_with_derived_name_exits_2(tmp_path, capsys):
 
 
 def test_generator_named_like_an_object_exits_2(tmp_path, capsys):
-    data = json.load(open(PAIR))
+    data = _load(PAIR)
     data["generators"]["A"] = data["generators"]["muA"]
     target = tmp_path / "clash.json"
     target.write_text(json.dumps(data))

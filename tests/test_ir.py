@@ -1,20 +1,30 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from weakhopf import ir
+from weakhopf.algebra import AlgebraData, TensorPowerCoalgebra, convolve
 from weakhopf.bialgebra import (
     WeakHopfAlgebra,
     build_env,
     check_bialgebra_axioms,
     projection_identity_suite,
 )
+from weakhopf.crossed import (
+    CocycleData,
+    base_action_measure,
+    cocycle_inverse,
+    smash_cocycle,
+    trivial_measure,
+)
 from weakhopf.fields import GF, QQ
-from weakhopf.groupoid import groupoid_algebra, pair_groupoid
+from weakhopf.groupoid import dihedral, groupoid_algebra, pair_groupoid
+from weakhopf.identities import COCYCLE_IDENTITIES, COCYCLE_INVERSE_IDENTITIES, DELTA_H2, conv_h
 from weakhopf.ir import (
     Env,
     Gen,
@@ -37,7 +47,9 @@ from weakhopf.ir import (
     run_identity_table,
     _plan,
 )
-from weakhopf.linalg import LinMap, Obj, from_rows, identity, swap, tensor_product, compose
+from weakhopf.linalg import LinMap, Obj, from_rows, identity, swap, tensor_product, compose, zero_map
+
+from instances import dual_group_hopf
 
 
 SIG = Signature(
@@ -204,15 +216,19 @@ def test_seq_evaluation_order():
 
 def _sig_env(entry=lambda name, i, j: (3 * i + 5 * j + len(name)) % 7 - 3,
              field=QQ, sig=SIG, extra=None):
-    # Arbitrary matrices (integer ones by default), so a memo entry served
-    # to the wrong subtree changes some entry.
+    # Arbitrary matrices (integer ones by default) for every generator of
+    # sig not bound in extra, so a memo entry served to the wrong subtree
+    # changes some entry.
+    extra = extra or {}
     bindings = {}
-    for name, (dom, cod) in SIG.generators.items():
-        dw, cw = SIG.word_of(dom), SIG.word_of(cod)
+    for name, (dom, cod) in sig.generators.items():
+        if name in extra:
+            continue
+        dw, cw = sig.word_of(dom), sig.word_of(cod)
         ncols, nrows = math.prod(ob.dim for ob in dw), math.prod(ob.dim for ob in cw)
         rows = [[entry(name, i, j) for j in range(ncols)] for i in range(nrows)]
         bindings[name] = from_rows(field, dw, cw, rows)
-    return Env(sig, field, {**bindings, **(extra or {})})
+    return Env(sig, field, {**bindings, **extra})
 
 
 def _small_and_typed(e, limit=36) -> bool:
@@ -352,6 +368,77 @@ def test_kernel_compares_sides_of_different_scales(field):
         assert _plan(lhs, env)[2] != _plan(good, env)[2]
 
 
+# -- convolutions: permutation index maps and fused Kronecker steps ------------
+
+def _dual_s3_env(field):
+    """Dual S3, whose comultiplication is not cocommutative, so a swap
+    layer keyed wrongly changes a convolution.  Delta is its own; the maps
+    a_n, b_n: H^n -> A and muA are drawn from _ENTRIES, and s: H,H -> H,H
+    is a permutation scaled by factors that are not 1 in either field, so
+    every column of s has one term."""
+    H = dual_group_hopf(dihedral(3), field)
+    sig = Signature(
+        objects={"H": 6, "A": 2},
+        generators={
+            "Delta": (("H",), ("H", "H")),
+            "muA": (("A", "A"), ("A",)),
+            "s": (("H", "H"), ("H", "H")),
+            **{f"{x}{n}": (("H",) * n, ("A",)) for x in "ab" for n in (1, 2, 3)},
+        },
+    )
+    factors = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), 2, Fraction(5, 4), -1)
+    rows = [[0] * 36 for _ in range(36)]
+    for j in range(36):
+        rows[(5 * j + 1) % 36][j] = factors[j % len(factors)]
+    hh = sig.word_of(("H", "H"))
+    return H, _frac_env(field, sig, {"Delta": H.delta, "s": from_rows(field, hh, hh, rows)})
+
+
+@FIELDS
+def test_convolutions_match_independent_routes(field):
+    H, env = _dual_s3_env(field)
+    A = env.sig.word_of(("A",))
+    alg = AlgebraData(field, A[0], env.bindings["muA"], zero_map(field, (), A))
+    cases = []
+    for n in (1, 2, 3):
+        text = conv_h(f"a{n}", f"b{n}", n)
+        ref = convolve(env.bindings[f"a{n}"], env.bindings[f"b{n}"],
+                       TensorPowerCoalgebra(H.coalgebra, n), alg)
+        if n < 3:  # the dense swap layers on H^6 would have 6^12 entries
+            assert _dense(parse_expr(text, env.sig), env) == ref
+        cases.append((text, ref))
+    # Kronecker steps fed one-term (s) and many-term columns, also as the
+    # checked side itself, where no later step reduces their entries.
+    for text in ("s ; a1 * b1 ; muA", "s ; a1 * b1", "Delta ; a1 * b1", f"{DELTA_H2} ; a2 * b2"):
+        cases.append((text, _dense(parse_expr(text, env.sig), env)))
+    for text, ref in cases:
+        e = parse_expr(text, env.sig)
+        assert evaluate(e, env) == ref, text
+        bad = _perturbed(ref, 1, ref.ncols - 2)
+        child = env.extend({"P": ref, "R": bad})
+        assert check_identity(e, Gen("P"), child).status == "pass", text
+        for lhs, rhs, diff in ((e, Gen("R"), ref.first_difference(bad)),
+                               (Gen("R"), e, bad.first_difference(ref))):
+            verdict = check_identity(lhs, rhs, child)
+            w = verdict.witness
+            assert verdict.status == "fail" and (w.row, w.col, w.lhs, w.rhs) == diff, text
+
+
+def test_a_wide_convolution_check_keeps_little_memory():
+    # u3 * u3 = u3 passes through H^6 (46656 columns on dual S3).
+    m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
+    env = CocycleData(m, m.u(2)).env()
+    table = [t for t in COCYCLE_IDENTITIES if t[0] == "u3_idempotent"]
+    tracemalloc.start()
+    try:
+        report = run_identity_table(table, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass
+    assert peak < 25_000_000
+
+
 def test_env_is_freed_by_reference_counting():
     # Compiled plans must not refer back to their Env: a cycle would keep
     # every Env of a long run alive until the next full collection.
@@ -417,10 +504,10 @@ def test_second_axiom_table_compiles_no_plan(monkeypatch):
     compiled = []
     plan = ir._plan
 
-    def counting_plan(e, env):
+    def counting_plan(e, env, *rest):
         if env._types[id(e)][1][0] not in env._plans:
             compiled.append(e)
-        return plan(e, env)
+        return plan(e, env, *rest)
 
     monkeypatch.setattr(ir, "_plan", counting_plan)
     first = check_bialgebra_axioms(H)
@@ -473,25 +560,21 @@ def test_parse_error_raises_on_every_call():
         assert (exc.value.line, exc.value.col) == (2, 2)
 
 
-def test_threads_sharing_one_algebra_match_a_serial_run():
-    def run(H):
-        return [[(v.check_id, v.status, v.witness) for v in r]
-                for r in (check_bialgebra_axioms(H), projection_identity_suite(H))]
-
-    G = groupoid_algebra(pair_groupoid(3), GF(7))
-    serial = run(G)
+def _race(context, run, rounds):
+    """Each round, run ``run`` on four threads sharing one new ``context()``;
+    return every round's four results."""
+    rounds_results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the threads finely
     try:
-        for _ in range(30):  # a race shows in some rounds, not in every one
-            # A new H over the same maps: every thread starts from cold contexts.
-            H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+        for _ in range(rounds):  # a race shows in some rounds, not in every one
+            shared = context()
             start = threading.Barrier(4, timeout=60)
             results = [None] * 4
 
             def worker(k):
                 start.wait()
-                results[k] = run(H)
+                results[k] = run(shared)
 
             threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
             for t in threads:
@@ -499,6 +582,39 @@ def test_threads_sharing_one_algebra_match_a_serial_run():
             for t in threads:
                 t.join(timeout=60)
                 assert not t.is_alive()
-            assert results == [serial] * 4
+            rounds_results.append(results)
     finally:
         sys.setswitchinterval(interval)
+    return rounds_results
+
+
+def test_threads_sharing_one_algebra_match_a_serial_run():
+    def run(H):
+        return [[(v.check_id, v.status, v.witness) for v in r]
+                for r in (check_bialgebra_axioms(H), projection_identity_suite(H))]
+
+    G = groupoid_algebra(pair_groupoid(3), GF(7))
+    serial = run(G)
+
+    def context():  # a new H over the same maps: every thread starts from cold contexts
+        return WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+
+    for results in _race(context, run, 30):
+        assert results == [serial] * 4
+
+
+def test_threads_sharing_one_cocycle_context_match_a_serial_run():
+    # The H^3 convolutions of this table go through permutation index maps
+    # and fused Kronecker steps, whose plans the threads compile together.
+    def context():
+        c = smash_cocycle(base_action_measure(groupoid_algebra(pair_groupoid(2), QQ)))
+        return c.env(extra={"finv": cocycle_inverse(c)})
+
+    def run(env):
+        return [(v.check_id, v.status, v.witness)
+                for v in run_identity_table(COCYCLE_INVERSE_IDENTITIES, env)]
+
+    serial = run(context())
+    assert serial and all(status == "pass" for _, status, _ in serial)
+    for results in _race(context, run, 10):
+        assert results == [serial] * 4
