@@ -246,35 +246,45 @@ def conv_unit(coalg: ConvCoalgebra, alg: AlgebraData) -> LinMap:
     return LinMap(field, cword, (alg.obj,), rows)
 
 
-def _conv_operator_rows(known: LinMap, coalg: ConvCoalgebra, alg: AlgebraData, side: str) -> list:
-    """Dense rows of the linear operator x -> known*x (side='left') or
-    x -> x*known (side='right') acting on flattened maps C -> A."""
+def _int_terms(cols: list, field: Field) -> tuple[list, int]:
+    """Columns of terms ``(index, ..., scalar)`` with the scalars as integers
+    over one common denominator: (columns, denominator)."""
+    ns, d = field.to_ints([t[-1] for col in cols for t in col])
+    it = iter(ns)
+    return [[(*t[:-1], next(it)) for t in col] for col in cols], d
+
+
+def _conv_operator_rows(
+    known: LinMap, coalg: ConvCoalgebra, alg: AlgebraData, side: str
+) -> tuple[list, int]:
+    """The linear operator x -> known*x (side='left') or x -> x*known
+    (side='right') on flattened maps C -> A, as sparse integer rows over
+    one denominator: (rows, d), row i holding {unknown: n} for the entries
+    n / d.  Over F_p, d is 1 and the entries are residues."""
     field = alg.field
-    norm = field.normalize
+    p = field.modulus
     da = alg.dim
     nc = wdim(_conv_word(coalg))
-    nunk = da * nc
-    k_cols = known.col_nonzeros()
-    mu_rows = alg.mu.rows
-    rows = [[field.zero] * nunk for _ in range(da * nc)]
+    delta, dw = _int_terms([coalg.delta_column(j) for j in range(nc)], field)
+    k_cols, dk = _int_terms(known.col_nonzeros(), field)
+    mu_cols, dm = _int_terms(alg.mu.col_nonzeros(), field)
+    left = side == "left"
+    rows = [{} for _ in range(da * nc)]
     for j in range(nc):
-        for j1, j2, w in coalg.delta_column(j):
-            if side == "left":
-                kcol, xcol = j1, j2
-            else:
-                kcol, xcol = j2, j1
+        for j1, j2, w in delta[j]:
+            kcol, xcol = (j1, j2) if left else (j2, j1)
             for s, kv in k_cols[kcol]:
-                coeff = norm(w * kv)
-                if not coeff:
-                    continue
-                for r in range(da):
-                    for t in range(da):
-                        mv = mu_rows[r][(s * da + t) if side == "left" else (t * da + s)]
-                        if mv:
-                            rr = rows[r * nc + j]
-                            idx = t * nc + xcol
-                            rr[idx] = norm(rr[idx] + coeff * mv)
-    return rows
+                c = w * kv
+                for t in range(da):
+                    idx = t * nc + xcol
+                    for r, mv in mu_cols[s * da + t if left else t * da + s]:
+                        row = rows[r * nc + j]
+                        row[idx] = row.get(idx, 0) + c * mv
+    if p:
+        rows = [{k: v % p for k, v in row.items() if v % p} for row in rows]
+    else:
+        rows = [{k: v for k, v in row.items() if v} for row in rows]
+    return rows, dw * dk * dm
 
 
 def conv_inverse(
@@ -283,7 +293,7 @@ def conv_inverse(
     """Solve g*x = u, x*g = u, x*u = x by exact elimination.
 
     Requires g*u = g (raising RegularityPreconditionFailed otherwise); returns
-    the deterministic solution under first-nonzero-column pivoting, or None.
+    the deterministic solution, every free unknown zero, or None.
     """
     if convolve(g, u, coalg, alg) != g:
         raise RegularityPreconditionFailed("g * u != g")
@@ -294,20 +304,30 @@ def _conv_solve(
     g: LinMap, left_unit: LinMap, right_unit: LinMap, coalg: ConvCoalgebra, alg: AlgebraData
 ) -> Optional[LinMap]:
     """Solve g*x = left_unit, x*g = right_unit, x*left_unit = x; None when
-    the system has no solution."""
+    the system has no solution.  The system is built as sparse integer rows
+    and solved by ``rref`` with every free unknown zero."""
     field = alg.field
     cword = _conv_word(coalg)
     nunk = alg.dim * wdim(cword)
     aug = []
     for side, unit in (("left", left_unit), ("right", right_unit)):
-        flat = [v for r in unit.rows for v in r]
-        for i, row in enumerate(_conv_operator_rows(g, coalg, alg, side)):
-            aug.append(row + [flat[i]])
-    for i, row in enumerate(_conv_operator_rows(left_unit, coalg, alg, "right")):
-        row[i] = field.normalize(row[i] - field.one)
-        aug.append(row + [field.zero])
-    outcome = _solve_rows(field, cword, (alg.obj,), aug, nunk)
-    return outcome.particular if outcome.is_solvable else None
+        rows, d = _conv_operator_rows(g, coalg, alg, side)
+        us, du = field.to_ints([v for r in unit.rows for v in r])
+        for row, u in zip(rows, us):
+            if du != 1:
+                row = {k: n * du for k, n in row.items()}
+            if u:
+                row[nunk] = u * d
+            aug.append(row)
+    rows, d = _conv_operator_rows(left_unit, coalg, alg, "right")
+    for i, row in enumerate(rows):
+        n = row.get(i, 0) - d
+        if n:
+            row[i] = n
+        else:
+            del row[i]
+        aug.append(row)
+    return _solve_rows(field, cword, (alg.obj,), aug, nunk)
 
 
 def conjugated_algebra(alg: AlgebraData, t: LinMap, t_inv: LinMap) -> AlgebraData:

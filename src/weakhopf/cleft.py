@@ -35,7 +35,6 @@ from .linalg import (
     nullspace_basis,
     rename_factor,
     same_subspace,
-    swap,
     tensor_product,
 )
 from .report import VerdictReport
@@ -162,27 +161,26 @@ class Decomposition:
 def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
     """Split B against A (x) H: the coinvariant projection p obtained by
     factoring q through j, and the mutually inverse maps w and w-tilde.
+    Each map is its formula in :mod:`weakhopf.identities`, evaluated in the
+    extension's context.
 
     Raises FactorizationFailed when q does not land in the image of j, which
     witnesses a non-cleft input.
     """
-    field = X.field
-    idH = identity(field, X.H.obj)
-    B = X.comodule.B
-    upsilon = compose(
-        tensor_product(identity(field, B.obj), X.H.mu),
-        compose(
-            tensor_product(swap((X.H.obj,), (B.obj,), field), idH),
-            tensor_product(idH, X.comodule.delta),
-        ),
-    )
-    q = compose(B.mu, compose(tensor_product(identity(field, B.obj), c.gamma_inv), X.comodule.delta))
+    env = X.env(extra={"gamB": c.gamma, "gamBinv": c.gamma_inv})
+    q = eval_text(ids.Q_CLEFT_EXPR, env)
     p = factor_through(q, X.j)
     if p is None:
         raise FactorizationFailed("q does not factor through j (input is not cleft)")
-    w = compose(B.mu, tensor_product(X.j, c.gamma))
-    w_tilde = compose(tensor_product(p, idH), X.comodule.delta)
-    return Decomposition(upsilon, q, p, w, w_tilde, compose(w_tilde, w))
+    env = env.extend({"p": p})
+    return Decomposition(
+        upsilon=eval_text(ids.UPSILON_EXPR, env),
+        q=q,
+        p=p,
+        w=eval_text(ids.W_EXPR, env),
+        w_tilde=eval_text(ids.W_TILDE_EXPR, env),
+        omega=eval_text(ids.OMEGA_EXPR, env),
+    )
 
 
 def _decomposition_bindings(c: CleavingData, decomp: Decomposition) -> dict:
@@ -235,20 +233,13 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
     and cocycle, computing each by its transported formula and by its closed
     form and asserting the two routes agree."""
     decomp, report = decomposition(X, c)
-    field = X.field
-    idH = identity(field, X.H.obj)
-    idA = identity(field, X.A.obj)
-    B = X.comodule.B
-    mu_tilde = compose(decomp.w_tilde, compose(B.mu, tensor_product(decomp.w, decomp.w)))
-    nu_tilde = compose(decomp.w_tilde, B.eta)
-    j_nu_prime = compose(tensor_product(X.A.mu, idH), tensor_product(idA, nu_tilde))
-    eps_off = tensor_product(idA, X.H.eps)
-    rho = compose(eps_off, compose(mu_tilde, tensor_product(X.A.eta, idH, j_nu_prime)))
-    f = compose(eps_off, compose(mu_tilde, tensor_product(X.A.eta, idH, X.A.eta, idH)))
-    rho_closed = compose(decomp.p, compose(B.mu, tensor_product(c.gamma, X.j)))
-    f_closed = compose(decomp.p, compose(B.mu, tensor_product(c.gamma, c.gamma)))
-    report.add_equality("rho_routes_agree", rho, rho_closed)
-    report.add_equality("f_routes_agree", f, f_closed)
+    env = X.env(extra=_decomposition_bindings(c, decomp))
+    mu_tilde = eval_text(ids.MU_TILDE_EXPR, env)
+    nu_tilde = eval_text(ids.NU_TILDE_EXPR, env)
+    rho = eval_text(ids.RHO_TILDE_EXPR, env)
+    f = eval_text(ids.F_TILDE_EXPR, env)
+    report.add_equality("rho_routes_agree", rho, eval_text(ids.RHO_CLOSED_EXPR, env))
+    report.add_equality("f_routes_agree", f, eval_text(ids.F_CLOSED_EXPR, env))
     measure = WeakMeasure(X.H, X.A, rho)
     cocycle = CocycleData(measure, f)
     env = measure.derived_env(

@@ -112,29 +112,16 @@ class WeakMeasure:
         """rho-image of the unit after multiplying n tensor factors."""
         key = ("u", n)
         if key not in self._cache:
-            if n == 1:
-                self._cache[key] = compose(
-                    self.rho, tensor_product(identity(self.field, self.H.obj), self.A.eta)
-                )
-            else:
-                idh = identity(self.field, self.H.obj)
-                mul = self.H.mu
-                for _ in range(n - 2):
-                    mul = compose(self.H.mu, tensor_product(mul, idh))
-                self._cache[key] = compose(self.u(1), mul)
+            self._cache[key] = eval_text(ids.u_formula(n), self.env())
         return self._cache[key]
 
     def v(self, n: int) -> LinMap:
         """Iterated action on the unit: v_{n+1} = rho . (H (x) v_n)."""
+        if n == 1:
+            return self.u(1)
         key = ("v", n)
         if key not in self._cache:
-            if n == 1:
-                self._cache[key] = self.u(1)
-            else:
-                self._cache[key] = compose(
-                    self.rho,
-                    tensor_product(identity(self.field, self.H.obj), self.v(n - 1)),
-                )
+            self._cache[key] = eval_text(ids.v_formula(n), self.env())
         return self._cache[key]
 
 
@@ -303,18 +290,21 @@ def build_crossed_product(m: WeakMeasure, f, name: str = "E") -> CrossedProduct:
         verdict = check_identity_text(lhs, rhs, env, check_id)
         if not verdict.passed:
             raise HypothesisFailed(check_id, verdict.witness)
-    rank, i, p = split_idempotent(m.nabla, name=name)
-    mu_big = eval_text(ids.MU_EE, env)
-    mu_E = compose(p, compose(mu_big, tensor_product(i, i)))
-    nu = data.nu
-    eta_E = compose(p, nu)
-    j_nu = compose(p, eval_text(ids.J_NU_PRIME, env))
-    gamma = compose(p, tensor_product(m.A.eta, identity(m.field, m.H.obj)))
-    delta_E = compose(
-        tensor_product(p, identity(m.field, m.H.obj)),
-        compose(tensor_product(identity(m.field, m.A.obj), m.H.delta), i),
+    _, i, p = split_idempotent(m.nabla, name=name)
+    env = env.extend({"iE": i, "pE": p})
+    return CrossedProduct(
+        m,
+        data,
+        i.dom[0],
+        i,
+        p,
+        mu_E=eval_text(ids.MU_E_EXPR, env),
+        eta_E=eval_text(ids.ETA_E_EXPR, env),
+        nu=data.nu,
+        j_nu=eval_text(ids.J_NU_EXPR, env),
+        gamma=eval_text(ids.GAMMA_EXPR, env),
+        delta_E=eval_text(ids.DELTA_E_EXPR, env),
     )
-    return CrossedProduct(m, data, i.dom[0], i, p, mu_E, eta_E, nu, j_nu, gamma, delta_E)
 
 
 def crossed_product_law_suite(E: CrossedProduct) -> VerdictReport:

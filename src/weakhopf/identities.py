@@ -42,6 +42,22 @@ def conv_h(a: str, b: str, n: int, mu: str = "muA") -> str:
 
 U1 = "id(H) * etaA ; rho"  # unit image of the measure
 
+
+def u_formula(n: int) -> str:
+    """The unit power u_n: H^(x)n -> A, the unit image of the product of the
+    n factors (multiplied from the left)."""
+    if n == 1:
+        return U1
+    mult = "mu"
+    for _ in range(n - 2):
+        mult = f"({mult}) * id(H) ; mu"
+    return f"{mult} ; {U1}"
+
+
+def v_formula(n: int) -> str:
+    """The iterated action on the unit: v_1 = u_1, v_(n+1) = (H (x) v_n) ; rho."""
+    return U1 if n == 1 else f"id(H) * ({v_formula(n - 1)}) ; rho"
+
 # --------------------------------------------------------------------------
 # Weak bialgebra axioms
 # --------------------------------------------------------------------------
@@ -338,6 +354,14 @@ NU_PROJECTED = ("nu_projected", "nu ; id(A) * piL", "nu")
 MU_EE = "id(A) * chi * id(H) ; muA * Ff ; muA * id(H)"  # product on A (x) H
 J_NU_PRIME = "id(A) * nu ; muA * id(H)"
 
+# The built product in split-image coordinates: iE: E -> A (x) H and
+# pE: A (x) H -> E split nab.
+MU_E_EXPR = f"iE * iE ; {MU_EE} ; pE"
+ETA_E_EXPR = "nu ; pE"
+J_NU_EXPR = f"{J_NU_PRIME} ; pE"
+GAMMA_EXPR = "etaA * id(H) ; pE"
+DELTA_E_EXPR = "iE ; id(A) * Delta ; pE * id(H)"
+
 CROSSED_LAW_IDENTITIES = [
     ("mu_E_associative", "muE * id(E) ; muE", "id(E) * muE ; muE"),
     ("mu_E_unit_left", "etaE * id(E) ; muE", "id(E)"),
@@ -598,16 +622,23 @@ CLEAVING_IDENTITIES = [
     ),
 ]
 
+# The decomposition of a cleft extension: the entwining Upsilon, the
+# coinvariant part q = p ; j (p is found by factoring q through j), the maps
+# w: A (x) H -> B and w-tilde: B -> A (x) H, and the idempotent omega.
 UPSILON_EXPR = "id(H) * dB ; swap(H,B) * id(H) ; id(B) * mu"
+Q_CLEFT_EXPR = "dB ; id(B) * gamBinv ; muB"
+W_EXPR = "j * gamB ; muB"
+W_TILDE_EXPR = "dB ; p * id(H)"
+OMEGA_EXPR = f"{W_EXPR} ; {W_TILDE_EXPR}"
 
 DECOMPOSITION_IDENTITIES = [
     ("entwining_definition", UPSILON_EXPR, "Ups"),
-    ("q_definition", "dB ; id(B) * gamBinv ; muB", "q"),
+    ("q_definition", Q_CLEFT_EXPR, "q"),
     ("q_factors_through_j", "q", "p ; j"),
     ("section_identity", "wt ; w", "id(B)"),
     ("omega_idempotent", "w ; wt ; w ; wt", "w ; wt"),
-    ("w_definition", "j * gamB ; muB", "w"),
-    ("wt_definition", "dB ; p * id(H)", "wt"),
+    ("w_definition", W_EXPR, "w"),
+    ("wt_definition", W_TILDE_EXPR, "wt"),
     ("w_left_linear", "muA * id(H) ; w", "id(A) * w ; j * id(B) ; muB"),
     ("w_colinear", "w ; dB", "id(A) * Delta ; w * id(H)"),
     ("wt_left_linear", "j * id(B) ; muB ; wt", "id(A) * wt ; muA * id(H)"),
@@ -622,6 +653,18 @@ DECOMPOSITION_IDENTITIES = [
         "id(A) * dB ; j * id(B,H) ; muB * id(H)",
     ),
 ]
+
+# The product of B transported to A (x) H along (w, w-tilde), its preunit,
+# and the measure and cocycle read off it; each of the last two also has a
+# closed form through p.
+MU_TILDE_EXPR = "w * w ; muB ; wt"
+NU_TILDE_EXPR = "etaB ; wt"
+RHO_TILDE_EXPR = (
+    f"etaA * id(H) * (id(A) * ({NU_TILDE_EXPR}) ; muA * id(H)) ; {MU_TILDE_EXPR} ; id(A) * eps"
+)
+F_TILDE_EXPR = f"etaA * id(H) * etaA * id(H) ; {MU_TILDE_EXPR} ; id(A) * eps"
+RHO_CLOSED_EXPR = "gamB * j ; muB ; p"
+F_CLOSED_EXPR = "gamB * gamB ; muB ; p"
 
 SIGMA_EXPR = "Delta * gamB ; gamB * Ups ; muB * gamBinv ; muB"
 SIGMA_INV_EXPR = conv(

@@ -3,11 +3,14 @@
 A word is a tuple of named factors; the basis of ``X1 (x) ... (x) Xn`` is
 ordered lexicographically with the leftmost factor most significant, so the
 flat index of ``(i1, ..., in)`` is ``sum(i_k * prod(dim X_l for l > k))``.
-Matrices are stored densely, rows indexed by the codomain basis.
+Matrices are stored densely, rows indexed by the codomain basis; Gaussian
+elimination (``rref``) works on sparse integer rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .fields import Field
@@ -249,41 +252,104 @@ def swap(x, y, field: Field) -> LinMap:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination
+# Gaussian elimination on sparse integer rows
 # ---------------------------------------------------------------------------
 
+def _int_rows(rows: Sequence, field: Field) -> list:
+    """Dense rows of field scalars as the sparse integer rows ``rref`` reads.
+
+    Over Q each row is scaled by its own common denominator; scaling a row
+    leaves its row space, and so the reduced form, unchanged."""
+    out = []
+    for row in rows:
+        cols = [j for j, v in enumerate(row) if v]
+        ns, _ = field.to_ints([row[j] for j in cols])
+        out.append(dict(zip(cols, ns)))
+    return out
+
+
+def _primitive(row: dict) -> dict:
+    g = gcd(*row.values())
+    return row if g < 2 else {k: v // g for k, v in row.items()}
+
+
+def _eliminate(row: dict, col: int, prow: dict, p: int) -> dict:
+    """``row`` with its entry at ``col`` cleared by the pivot row ``prow``,
+    whose leading entry is at ``col``.  Over F_p (``p`` nonzero) ``prow``
+    leads with 1 and entries stay residues; over Q the result is primitive."""
+    a = row[col]
+    if p:
+        out = dict(row)
+        for k, v in prow.items():
+            x = (out.get(k, 0) - a * v) % p
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        return out
+    b = prow[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {k: b * v for k, v in row.items()} if b != 1 else dict(row)
+    for k, v in prow.items():
+        x = out.get(k, 0) - a * v
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    return _primitive(out)
+
+
 def rref(rows: list, ncols: int, field: Field) -> tuple[list, list[int]]:
-    """In-place reduced row echelon form; deterministic first-nonzero-column
-    pivoting with the topmost available row.  Returns (rows, pivot columns)."""
-    inv = field.inv
-    norm = field.normalize
-    piv_r = 0
-    pivots: list[int] = []
-    nrows = len(rows)
-    for col in range(ncols):
-        sel = -1
-        for r in range(piv_r, nrows):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel < 0:
+    """Reduced row echelon form of sparse integer rows.
+
+    Each row is a dict column -> int with columns below ``ncols``: residues
+    (or any integers, reduced here) over F_p, and over Q integers that may
+    carry any nonzero row factor (see ``_int_rows``).  ``rows`` is read, not
+    changed.  Returns the nonzero rows of the reduced form, top to bottom,
+    as dicts column -> field scalar, and their pivot columns, ascending.
+
+    Elimination is fraction-free and Gauss-Jordan: each row is reduced
+    against the pivot rows found so far, and a new pivot is cleared from
+    the earlier ones.  Over Q rows stay primitive (integers divided by
+    their gcd), over F_p a pivot row leads with 1.  Field scalars are built
+    only for the result.  The reduced row echelon form of a matrix is
+    unique, so the result does not depend on the order of elimination.
+    """
+    p = field.modulus
+    piv: dict = {}  # pivot column -> its row, zero in every other pivot column
+    for row in rows:
+        row = {k: v for k, v in row.items() if (v % p if p else v)}
+        for k in [k for k in row if k in piv]:
+            row = _eliminate(row, k, piv[k], p)
+        if not row:
             continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        prow = rows[piv_r]
-        pv = prow[col]
-        if pv != field.one:
-            s = inv(pv)
-            rows[piv_r] = prow = [norm(s * v) for v in prow]
-        for r in range(nrows):
-            if r != piv_r and rows[r][col]:
-                fac = rows[r][col]
-                rr = rows[r]
-                rows[r] = [norm(a - fac * b) for a, b in zip(rr, prow)]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == nrows:
-            break
-    return rows, pivots
+        col = min(row)
+        if p:
+            s = pow(row[col], -1, p)
+            row = {k: v * s % p for k, v in row.items()}
+        else:
+            row = _primitive(row)
+        for k, prow in piv.items():
+            if col in prow:
+                piv[k] = _eliminate(prow, col, row, p)
+        piv[col] = row
+    pivots = sorted(piv)
+    if p:
+        return [piv[c] for c in pivots], pivots
+    red = []
+    for c in pivots:
+        row = piv[c]
+        lead = row[c]
+        red.append({k: Fraction(v, lead) for k, v in row.items()})
+    return red, pivots
+
+
+def _densify(row: dict, n: int, zero) -> list:
+    out = [zero] * n
+    for k, v in row.items():
+        out[k] = v
+    return out
 
 
 def split_idempotent(e: LinMap, name: str = "im") -> tuple[int, LinMap, LinMap]:
@@ -300,12 +366,11 @@ def split_idempotent(e: LinMap, name: str = "im") -> tuple[int, LinMap, LinMap]:
         raise NotIdempotentError(
             f"map is not idempotent: e*e differs from e at {diff[:2]}", witness_col=diff[1]
         )
-    work = [list(r) for r in e.rows]
-    red, pivots = rref(work, e.ncols, e.field)
+    red, pivots = rref(_int_rows(e.rows, e.field), e.ncols, e.field)
     rank = len(pivots)
     img = (Obj(name, rank),)
     inj = LinMap(e.field, img, e.cod, [[e.rows[i][j] for j in pivots] for i in range(e.nrows)])
-    proj = LinMap(e.field, e.dom, img, [red[r] for r in range(rank)])
+    proj = LinMap(e.field, e.dom, img, [_densify(r, e.ncols, e.field.zero) for r in red])
     return rank, inj, proj
 
 
@@ -322,6 +387,41 @@ class SolveOutcome:
         return self.kind != "none"
 
 
+def _particular(red: list, pivots: list, nunk: int, field: Field) -> Optional[list]:
+    """The flat solution, free unknowns zero, of a reduced augmented system
+    (unknowns 0..nunk-1, right-hand side at column nunk); None if there is
+    none."""
+    if pivots and pivots[-1] == nunk:
+        return None
+    z = field.zero
+    flat = [z] * nunk
+    for row, col in zip(red, pivots):
+        flat[col] = row.get(nunk, z)
+    return flat
+
+
+def _kernel(red: list, pivots: list, n: int, field: Field) -> list:
+    """One flat kernel vector per free column below n, in column order: 1 at
+    that column, minus the column of the reduced form at the pivots."""
+    pivset = set(pivots)
+    z, one, norm = field.zero, field.one, field.normalize
+    vecs = {}
+    for fc in range(n):
+        if fc not in pivset:
+            vecs[fc] = [z] * n
+            vecs[fc][fc] = one
+    for row, col in zip(red, pivots):
+        for k, v in row.items():
+            if k != col and k < n:
+                vecs[k][col] = norm(-v)
+    return list(vecs.values())
+
+
+def _as_map(field: Field, dom: Word, cod: Word, flat: list) -> LinMap:
+    nc = wdim(dom)
+    return LinMap(field, dom, cod, [flat[i * nc:(i + 1) * nc] for i in range(wdim(cod))])
+
+
 def solve_affine(
     field: Field,
     dom: Word,
@@ -333,7 +433,7 @@ def solve_affine(
     Each constraint is a pair (functional, rhs): the functional is a map of
     the same shape as the unknown, read as sum(F[i][j] * X[i][j]) = rhs.
     """
-    nr, nc = wdim(cod), wdim(dom)
+    nunk = wdim(cod) * wdim(dom)
     rows = []
     for functional, rhs in constraints:
         if functional.dom != dom or functional.cod != cod or functional.field != field:
@@ -341,34 +441,21 @@ def solve_affine(
         flat = [v for r in functional.rows for v in r]
         flat.append(field.normalize(rhs))
         rows.append(flat)
-    return _solve_rows(field, dom, cod, rows, nr * nc)
-
-
-def _solve_rows(field: Field, dom: Word, cod: Word, aug_rows: list, nunk: int) -> SolveOutcome:
-    """Solve an augmented system (each row: nunk coefficients then the rhs)."""
-    nc = wdim(dom)
-    red, pivots = rref(aug_rows, nunk + 1, field)
-    if nunk in pivots:
+    red, pivots = rref(_int_rows(rows, field), nunk + 1, field)
+    flat = _particular(red, pivots, nunk, field)
+    if flat is None:
         return SolveOutcome("none", None, [])
-    z = field.zero
-    part_flat = [z] * nunk
-    for r, col in enumerate(pivots):
-        part_flat[col] = red[r][nunk]
-    particular = LinMap(
-        field, dom, cod, [part_flat[i * nc:(i + 1) * nc] for i in range(wdim(cod))]
-    )
-    pivset = set(pivots)
-    free_cols = [j for j in range(nunk) if j not in pivset]
-    basis = []
-    for fc in free_cols:
-        vec = [z] * nunk
-        vec[fc] = field.one
-        for r, col in enumerate(pivots):
-            vec[col] = field.normalize(-red[r][fc])
-        basis.append(LinMap(field, dom, cod, [vec[i * nc:(i + 1) * nc] for i in range(wdim(cod))]))
-    if basis:
-        return SolveOutcome("affine", particular, basis)
-    return SolveOutcome("unique", particular, [])
+    basis = [_as_map(field, dom, cod, v) for v in _kernel(red, pivots, nunk, field)]
+    return SolveOutcome("affine" if basis else "unique", _as_map(field, dom, cod, flat), basis)
+
+
+def _solve_rows(field: Field, dom: Word, cod: Word, aug_rows: list, nunk: int) -> Optional[LinMap]:
+    """The solution dom -> cod, free unknowns zero, of an augmented system
+    of sparse integer rows (unknowns 0..nunk-1, then the rhs); None if the
+    system has no solution."""
+    red, pivots = rref(aug_rows, nunk + 1, field)
+    flat = _particular(red, pivots, nunk, field)
+    return None if flat is None else _as_map(field, dom, cod, flat)
 
 
 def factor_through(target: LinMap, through: LinMap) -> Optional[LinMap]:
@@ -377,54 +464,40 @@ def factor_through(target: LinMap, through: LinMap) -> Optional[LinMap]:
         raise ShapeError("factor_through: codomains must agree")
     field = target.field
     n = through.ncols
-    aug = []
-    for i in range(through.nrows):
-        aug.append(list(through.rows[i]) + list(target.rows[i]))
+    aug = _int_rows([tr + tg for tr, tg in zip(through.rows, target.rows)], field)
     red, pivots = rref(aug, n + target.ncols, field)
-    sol_rows = [[field.zero] * target.ncols for _ in range(n)]
-    for r, col in enumerate(pivots):
-        if col >= n:
-            return None  # inconsistent: a rhs column is a pivot
-        for j in range(target.ncols):
-            sol_rows[col][j] = red[r][n + j]
-    # Rows of `red` beyond the pivots must have zero rhs.
-    for r in range(len(pivots), len(red)):
-        if any(red[r][n + j] for j in range(target.ncols)):
-            return None
+    if pivots and pivots[-1] >= n:
+        return None  # inconsistent: a rhs column is a pivot
+    z = field.zero
+    sol_rows = [[z] * target.ncols for _ in range(n)]
+    for row, col in zip(red, pivots):
+        srow = sol_rows[col]
+        for k, v in row.items():
+            if k >= n:
+                srow[k - n] = v
     return LinMap(field, target.dom, through.dom, sol_rows)
 
 
 def nullspace_basis(m: LinMap) -> list:
     """Deterministic basis of ker(m), each vector a LinMap K -> dom."""
-    work = [list(r) for r in m.rows]
-    red, pivots = rref(work, m.ncols, m.field)
-    pivset = set(pivots)
-    z = m.field.zero
-    out = []
-    for fc in range(m.ncols):
-        if fc in pivset:
-            continue
-        vec = [z] * m.ncols
-        vec[fc] = m.field.one
-        for r, col in enumerate(pivots):
-            vec[col] = m.field.normalize(-red[r][fc])
-        out.append(LinMap(m.field, UNIT_WORD, m.dom, [[v] for v in vec]))
-    return out
+    red, pivots = rref(_int_rows(m.rows, m.field), m.ncols, m.field)
+    return [
+        LinMap(m.field, UNIT_WORD, m.dom, [[v] for v in vec])
+        for vec in _kernel(red, pivots, m.ncols, m.field)
+    ]
 
 
 def column_rank(m: LinMap) -> int:
-    work = [list(r) for r in m.rows]
-    _, pivots = rref(work, m.ncols, m.field)
+    _, pivots = rref(_int_rows(m.rows, m.field), m.ncols, m.field)
     return len(pivots)
 
 
 def subspace_canonical(vectors: list, dim: int, field: Field) -> tuple:
     """Canonical form (RREF rows) of the span of flat vectors of length dim."""
-    rows = [list(v) for v in vectors]
-    if not rows:
+    if not vectors:
         return ()
-    red, pivots = rref(rows, dim, field)
-    return tuple(tuple(red[r]) for r in range(len(pivots)))
+    red, _ = rref(_int_rows(vectors, field), dim, field)
+    return tuple(tuple(_densify(r, dim, field.zero)) for r in red)
 
 
 def same_subspace(vs1: list, vs2: list, dim: int, field: Field) -> bool:
@@ -437,9 +510,10 @@ def invert(m: LinMap) -> Optional[LinMap]:
         return None
     field = m.field
     n = m.nrows
-    aug = [list(m.rows[i]) + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug, 2 * n, field)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    z, one = field.zero, field.one
+    aug = [list(m.rows[i]) + [one if j == i else z for j in range(n)] for i in range(n)]
+    red, pivots = rref(_int_rows(aug, field), 2 * n, field)
+    if pivots[:n] != list(range(n)):
         return None
-    inv_rows = [red[i][n:] for i in range(n)]
+    inv_rows = [[r.get(n + j, z) for j in range(n)] for r in red[:n]]
     return LinMap(field, m.cod, m.dom, inv_rows)

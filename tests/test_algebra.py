@@ -1,5 +1,6 @@
 """Convolution monoid laws on genuinely non-grouplike data."""
 import itertools
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from weakhopf.algebra import (
     conjugated_coalgebra,
 )
 from weakhopf.fields import GF, QQ
-from weakhopf.linalg import LinMap, compose, identity, invert, zero_map
+from weakhopf.linalg import LinMap, compose, from_rows, identity, invert, zero_map
 
 from instances import pair_groupoid_hopf, z2_hopf
 
@@ -149,24 +150,31 @@ def test_exhaustive_solver_agreement_small_field():
 
 
 def test_conv_operator_rows_match_convolve():
-    # The solver builds the linear operators x -> g*x and x -> x*g directly;
-    # they must agree with the independent convolve path on arbitrary maps.
+    # The solver builds the linear operators x -> g*x and x -> x*g directly,
+    # as sparse integer rows over one denominator; applied to an arbitrary
+    # map they must agree with the independent convolve path, over Q and F_7.
     from weakhopf.algebra import _conv_operator_rows
 
-    H = pair_groupoid_hopf()
-    field, coalg, alg = H.field, H.coalgebra, H.algebra
-    g = LinMap(field, (H.obj,), (H.obj,),
-               [[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 0], [0, 4, 0, 1]])
-    x = LinMap(field, (H.obj,), (H.obj,),
-               [[0, 1, 1, 2], [1, 0, 0, 1], [2, 0, 1, 0], [0, 1, 0, 3]])
-    g = LinMap(field, g.dom, g.cod, [[field.normalize(v) for v in r] for r in g.rows])
-    x = LinMap(field, x.dom, x.cod, [[field.normalize(v) for v in r] for r in x.rows])
-    x_flat = [v for r in x.rows for v in r]
-    for side, expected in (("left", convolve(g, x, coalg, alg)),
-                           ("right", convolve(x, g, coalg, alg))):
-        rows = _conv_operator_rows(g, coalg, alg, side)
-        got_flat = [
-            sum((c * v for c, v in zip(row, x_flat)), field.zero) for row in rows
-        ]
-        exp_flat = [v for r in expected.rows for v in r]
-        assert [field.normalize(v) for v in got_flat] == exp_flat, side
+    for field in (QQ, GF(7)):
+        H = pair_groupoid_hopf(field=field)
+        coalg, alg = H.coalgebra, H.algebra
+        g = from_rows(field, (H.obj,), (H.obj,),
+                      [[1, 2, 0, 1], [0, Fraction(1, 2), 3, 0], [1, 0, 1, 0], [0, 4, 0, -1]])
+        x = from_rows(field, (H.obj,), (H.obj,),
+                      [[0, 1, 1, 2], [1, 0, 0, Fraction(-2, 3)], [2, 0, 1, 0], [0, 1, 0, 3]])
+        x_flat = [v for r in x.rows for v in r]
+        for side, expected in (("left", convolve(g, x, coalg, alg)),
+                               ("right", convolve(x, g, coalg, alg))):
+            rows, d = _conv_operator_rows(g, coalg, alg, side)
+            assert len(rows) == len(x_flat)
+            assert all(type(n) is int and n for row in rows for n in row.values())
+            if field.modulus:
+                assert d == 1
+                assert all(0 < n < field.modulus for row in rows for n in row.values())
+            scale = field.inv(field.normalize(d))
+            got_flat = [
+                field.normalize(scale * sum((n * x_flat[k] for k, n in row.items()), field.zero))
+                for row in rows
+            ]
+            exp_flat = [v for r in expected.rows for v in r]
+            assert got_flat == exp_flat, (field, side)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from weakhopf.algebra import AlgebraData
@@ -7,6 +9,7 @@ from weakhopf.cleft import (
     ComoduleAlgebra,
     Extension,
     FactorizationFailed,
+    build_decomposition,
     cleaving_check,
     comodule_algebra_report,
     crossed_to_cleft,
@@ -24,14 +27,24 @@ from weakhopf.crossed import (
     smash_cocycle,
     trivial_measure,
 )
-from weakhopf.fields import QQ
-from weakhopf.linalg import Obj, compose, identity, invert, rename_factor, zero_map
+from weakhopf.fields import GF, QQ
+from weakhopf.linalg import (
+    Obj,
+    compose,
+    factor_through,
+    identity,
+    invert,
+    rename_factor,
+    swap,
+    tensor_product,
+    zero_map,
+)
 
 from instances import pair_groupoid_hopf, z2_hopf
 
 
-def pair_cleft():
-    H = pair_groupoid_hopf()
+def pair_cleft(n=2, field=QQ):
+    H = pair_groupoid_hopf(n, field)
     m = base_action_measure(H)
     c = smash_cocycle(m)
     E = build_crossed_product(m, c)
@@ -160,6 +173,51 @@ def test_corrupt_inverse_fails_factorization():
     bad_inv = compose(X.comodule.B.eta, X.H.eps)
     with pytest.raises(FactorizationFailed):
         decomposition(X, CleavingData(cl.gamma, bad_inv))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_decomposition_and_reconstruction_match_the_dense_route(field):
+    # The maps are formulas evaluated on the integer kernel; the dense
+    # compose/tensor_product chains are the independent oracle.
+    *_, X, cl = pair_cleft(3, field)
+    H, A, B = X.H, X.A, X.comodule.B
+    idA, idB, idH = (identity(field, ob) for ob in (A.obj, B.obj, H.obj))
+    d = build_decomposition(X, cl)
+    assert d.upsilon == compose(
+        tensor_product(idB, H.mu),
+        compose(tensor_product(swap(H.obj, B.obj, field), idH), tensor_product(idH, X.comodule.delta)),
+    )
+    assert d.q == compose(B.mu, compose(tensor_product(idB, cl.gamma_inv), X.comodule.delta))
+    assert d.p == factor_through(d.q, X.j)
+    assert d.w == compose(B.mu, tensor_product(X.j, cl.gamma))
+    assert d.w_tilde == compose(tensor_product(d.p, idH), X.comodule.delta)
+    assert d.omega == compose(d.w_tilde, d.w)
+
+    recon, report = reconstruct(X, cl)
+    assert report.all_pass, [v.check_id for v in report.failures()]
+    mu_tilde = compose(d.w_tilde, compose(B.mu, tensor_product(d.w, d.w)))
+    nu_tilde = compose(d.w_tilde, B.eta)
+    j_nu_prime = compose(tensor_product(A.mu, idH), tensor_product(idA, nu_tilde))
+    eps_off = tensor_product(idA, H.eps)
+    assert recon.mu_tilde == mu_tilde
+    assert recon.nu_tilde == nu_tilde
+    assert recon.rho == compose(eps_off, compose(mu_tilde, tensor_product(A.eta, idH, j_nu_prime)))
+    assert recon.f == compose(eps_off, compose(mu_tilde, tensor_product(A.eta, idH, A.eta, idH)))
+    assert recon.rho == compose(d.p, compose(B.mu, tensor_product(cl.gamma, X.j)))
+    assert recon.f == compose(d.p, compose(B.mu, tensor_product(cl.gamma, cl.gamma)))
+
+
+def test_decomposition_keeps_little_memory():
+    # Pair groupoid n=3 over Q: the dense chains the formulas replaced peaked
+    # at about 6 MB here.
+    *_, X, cl = pair_cleft(3)
+    tracemalloc.start()
+    try:
+        build_decomposition(X, cl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- reconstruction ----------------------------------------------------------------

@@ -15,6 +15,7 @@ from weakhopf.crossed import (
     cocycle_report,
     crossed_product_law_suite,
     equalizer_matches_base,
+    eval_text,
     gamma_inverse,
     invert_cocycle,
     module_algebra_suite,
@@ -23,6 +24,7 @@ from weakhopf.crossed import (
     twisting,
 )
 from weakhopf.fields import GF, QQ
+from weakhopf.identities import J_NU_PRIME, MU_EE
 from weakhopf.linalg import LinMap, compose, identity, swap, tensor_product, zero_map
 
 from instances import pair_groupoid_hopf, z2_hopf
@@ -382,3 +384,31 @@ def test_full_pipeline_characteristic_two():
     recon, finv2, iso, report = full_reconstruction(X, cl)
     assert report.all_pass
     assert recon.rho == m.rho and recon.f == c.f and finv2 == finv
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_product_maps_and_unit_powers_match_the_dense_route(field):
+    # The product's maps and the measure's unit powers are formulas on the
+    # integer kernel; the dense compose/tensor_product chains are the oracle.
+    H = pair_groupoid_hopf(3, field)
+    m = base_action_measure(H)
+    data = smash_cocycle(m)
+    E = build_crossed_product(m, data)
+    idA, idH = identity(field, m.A.obj), identity(field, H.obj)
+    i, p = E.i, E.p
+    assert E.mu_E == compose(p, compose(eval_text(MU_EE, data.env()), tensor_product(i, i)))
+    assert E.eta_E == compose(p, data.nu)
+    assert E.j_nu == compose(p, eval_text(J_NU_PRIME, data.env()))
+    assert E.gamma == compose(p, tensor_product(m.A.eta, idH))
+    assert E.delta_E == compose(tensor_product(p, idH), compose(tensor_product(idA, H.delta), i))
+
+    u1 = compose(m.rho, tensor_product(idH, m.A.eta))
+    assert m.u(1) == u1 == m.v(1)
+    assert m.u(2) == compose(u1, H.mu)
+    assert m.u(3) == compose(u1, compose(H.mu, tensor_product(H.mu, idH)))
+    assert m.v(2) == compose(m.rho, tensor_product(idH, u1))
+    assert m.v(3) == compose(m.rho, tensor_product(idH, m.v(2)))
+    small = base_action_measure(pair_groupoid_hopf(2, field))
+    hid, hmu = identity(field, small.H.obj), small.H.mu
+    mu3 = compose(hmu, tensor_product(hmu, hid))
+    assert small.u(4) == compose(small.u(1), compose(hmu, tensor_product(mu3, hid)))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakhopf.fields import GF, QQ
 from weakhopf.linalg import (
@@ -11,12 +11,14 @@ from weakhopf.linalg import (
     ShapeError,
     FieldMismatchError,
     UNIT_WORD,
+    _int_rows,
     compose,
     factor_through,
     from_rows,
     identity,
     invert,
     nullspace_basis,
+    rref,
     same_subspace,
     solve_affine,
     split_idempotent,
@@ -264,3 +266,100 @@ def test_solve_affine_solutions_satisfy_constraints(data):
                 for j in range(cols):
                     acc = field.normalize(acc + func.rows[i][j] * sol.rows[i][j])
             assert acc == rhs
+
+
+# -- elimination against a dense reference ------------------------------------
+
+def dense_rref(rows: list, ncols: int, field) -> tuple[list, list]:
+    """Dense Gauss-Jordan on rows of field scalars, in place: the reference
+    for ``rref``.  First-nonzero-column pivoting with the topmost available
+    row; each pivot row is divided by its pivot, then cleared from every
+    other row.  Returns (rows, pivot columns)."""
+    inv = field.inv
+    norm = field.normalize
+    piv_r = 0
+    pivots = []
+    nrows = len(rows)
+    for col in range(ncols):
+        sel = -1
+        for r in range(piv_r, nrows):
+            if rows[r][col]:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        prow = rows[piv_r]
+        pv = prow[col]
+        if pv != field.one:
+            s = inv(pv)
+            rows[piv_r] = prow = [norm(s * v) for v in prow]
+        for r in range(nrows):
+            if r != piv_r and rows[r][col]:
+                fac = rows[r][col]
+                rr = rows[r]
+                rows[r] = [norm(a - fac * b) for a, b in zip(rr, prow)]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    return rows, pivots
+
+
+@st.composite
+def _matrices(draw):
+    """A matrix over Q, GF(2) or GF(7), wide or tall, with zero rows,
+    repeated rows and rows combined from others (so often rank-deficient),
+    and entries that include negative and non-unit values and fractions."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(7)]))
+    nrows = draw(st.integers(min_value=0, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    scalars = st.one_of(
+        st.just(0),
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    )
+
+    def scalar(x):
+        return field.normalize(x) if field is QQ or Fraction(x).denominator % field.p else field.zero
+
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat", "combine"]))
+        if kind == "zero" or (kind != "random" and not rows):
+            row = [field.zero] * ncols
+        elif kind == "repeat":
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "combine":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = scalar(draw(scalars)), scalar(draw(scalars))
+            row = [field.normalize(s * x + t * y) for x, y in zip(a, b)]
+        else:
+            row = [scalar(draw(scalars)) for _ in range(ncols)]
+        rows.append(row)
+    return field, rows, ncols
+
+
+# Pivots -2 and 3 (the second row minus 3/2 times the first is (0, 3, 3, 0)),
+# so the elimination must divide exactly; one zero row and one repeated row.
+_NON_UNIT_PIVOTS = [[-2, 4, 0, 6], [-3, 9, 3, 9], [0, 0, 0, 0], [-2, 4, 0, 6]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+@example((QQ, [[QQ.normalize(v) for v in r] for r in _NON_UNIT_PIVOTS], 4))
+@example((GF(7), [[GF(7).normalize(v) for v in r] for r in _NON_UNIT_PIVOTS], 4))
+def test_rref_matches_dense_reference(case):
+    field, rows, ncols = case
+    sparse = _int_rows(rows, field)
+    assert all(type(n) is int and n for row in sparse for n in row.values())
+    red, pivots = rref(sparse, ncols, field)
+    ref, ref_pivots = dense_rref([list(r) for r in rows], ncols, field)
+    assert pivots == ref_pivots
+    assert len(red) == len(pivots)
+    for row, ref_row in zip(red, ref):
+        dense = [row.get(j, field.zero) for j in range(ncols)]
+        assert dense == ref_row
+        assert all(type(v) is type(field.one) for v in row.values())
+    assert sparse == _int_rows(rows, field)  # the input rows are not changed
+
