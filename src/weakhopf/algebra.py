@@ -4,20 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
+from . import identities as ids
 from .fields import Field
-from .linalg import (
-    LinMap,
-    Obj,
-    ShapeError,
-    UNIT_WORD,
-    _solve_rows,
-    compose,
-    identity,
-    tensor_product,
-    swap,
-    wdim,
-    zero_map,
-)
+from .ir import build_env, run_identity_table
+from .linalg import LinMap, Obj, ShapeError, UNIT_WORD, _solve_rows, rename_factor, wdim
 
 
 class StructureError(ValueError):
@@ -26,6 +16,26 @@ class StructureError(ValueError):
 
 class RegularityPreconditionFailed(ValueError):
     pass
+
+
+_AXIOM_ERRORS = {
+    "mult_associative": "multiplication on {} is not associative",
+    "unit_left": "unit of {} fails on the left",
+    "unit_right": "unit of {} fails on the right",
+    "comult_coassociative": "comultiplication on {} is not coassociative",
+    "counit_left": "counit of {} fails on the left",
+    "counit_right": "counit of {} fails on the right",
+}
+
+
+def _require_axioms(table, field: Field, obj: Obj, bindings: dict) -> None:
+    """Run the axiom rows with the carrier bound as H; raise StructureError
+    naming the first that fails."""
+    ren = {obj.name: "H"}
+    env = build_env(field, {}, {k: rename_factor(m, ren) for k, m in bindings.items()})
+    fail = run_identity_table(table, env).first_failure()
+    if fail is not None:
+        raise StructureError(_AXIOM_ERRORS[fail.check_id].format(obj.name))
 
 
 @dataclass
@@ -51,15 +61,7 @@ class AlgebraData:
         return self.obj.dim
 
     def validate(self):
-        idm = identity(self.field, self.obj)
-        assoc_l = compose(self.mu, tensor_product(self.mu, idm))
-        assoc_r = compose(self.mu, tensor_product(idm, self.mu))
-        if assoc_l != assoc_r:
-            raise StructureError(f"multiplication on {self.obj.name} is not associative")
-        if compose(self.mu, tensor_product(self.eta, idm)) != idm:
-            raise StructureError(f"unit of {self.obj.name} fails on the left")
-        if compose(self.mu, tensor_product(idm, self.eta)) != idm:
-            raise StructureError(f"unit of {self.obj.name} fails on the right")
+        _require_axioms(ids.ALGEBRA_AXIOMS, self.field, self.obj, {"mu": self.mu, "eta": self.eta})
         return self
 
     @classmethod
@@ -89,20 +91,9 @@ class CoalgebraData:
         return self.obj.dim
 
     def validate(self):
-        idm = identity(self.field, self.obj)
-        co_l = compose(tensor_product(self.delta, idm), self.delta)
-        co_r = compose(tensor_product(idm, self.delta), self.delta)
-        if co_l != co_r:
-            raise StructureError(f"comultiplication on {self.obj.name} is not coassociative")
-        if compose(tensor_product(self.eps, idm), self.delta) != idm:
-            raise StructureError(f"counit of {self.obj.name} fails on the left")
-        if compose(tensor_product(idm, self.eps), self.delta) != idm:
-            raise StructureError(f"counit of {self.obj.name} fails on the right")
+        bindings = {"Delta": self.delta, "eps": self.eps}
+        _require_axioms(ids.COALGEBRA_AXIOMS, self.field, self.obj, bindings)
         return self
-
-    @classmethod
-    def checked(cls, field, obj, delta, eps) -> "CoalgebraData":
-        return cls(field, obj, delta, eps).validate()
 
     def delta_column(self, j: int) -> list:
         """Sparse comultiplication of the j-th basis vector: [(j1, j2, coeff)]."""
@@ -116,12 +107,6 @@ class CoalgebraData:
                         cols[c].append((i1, i2, v))
             self._delta_cols = cols
         return self._delta_cols[j]
-
-    def square_delta(self) -> LinMap:
-        """The derived comultiplication on obj (x) obj (mid-factor swap form)."""
-        idm = identity(self.field, self.obj)
-        mid = tensor_product(idm, swap(self.obj, self.obj, self.field), idm)
-        return compose(mid, tensor_product(self.delta, self.delta))
 
 
 class TensorPowerCoalgebra:
@@ -175,20 +160,6 @@ class TensorPowerCoalgebra:
             jj //= d
             if not out:
                 break
-        return out
-
-    def delta_map(self) -> LinMap:
-        """Materialize the derived comultiplication (use only for small dims)."""
-        out = zero_map(self.field, self.word, self.word + self.word)
-        for j in range(self.dim):
-            for i1, i2, v in self.delta_column(j):
-                out.rows[i1 * self.dim + i2][j] = v
-        return out
-
-    def eps_map(self) -> LinMap:
-        out = zero_map(self.field, self.word, UNIT_WORD)
-        for j in range(self.dim):
-            out.rows[0][j] = self.eps_value(j)
         return out
 
 
@@ -329,15 +300,3 @@ def _conv_solve(
         aug.append(row)
     return _solve_rows(field, cword, (alg.obj,), aug, nunk)
 
-
-def conjugated_algebra(alg: AlgebraData, t: LinMap, t_inv: LinMap) -> AlgebraData:
-    """Transport the algebra structure along an isomorphism t of the carrier."""
-    mu = compose(t, compose(alg.mu, tensor_product(t_inv, t_inv)))
-    eta = compose(t, alg.eta)
-    return AlgebraData(alg.field, alg.obj, mu, eta)
-
-
-def conjugated_coalgebra(coalg: CoalgebraData, t: LinMap, t_inv: LinMap) -> CoalgebraData:
-    delta = compose(tensor_product(t, t), compose(coalg.delta, t_inv))
-    eps = compose(coalg.eps, t_inv)
-    return CoalgebraData(coalg.field, coalg.obj, delta, eps)

@@ -6,8 +6,8 @@ from typing import Optional
 from . import identities as ids
 from .algebra import AlgebraData, CoalgebraData, StructureError
 from .fields import Field
-from .ir import Env, Signature, parse_expr, evaluate, run_identity_table
-from .linalg import LinMap, Obj, compose, identity, tensor_product
+from .ir import Env, build_env, eval_text, run_identity_table
+from .linalg import LinMap, Obj, split_idempotent
 from .report import VerdictReport
 
 
@@ -16,15 +16,6 @@ class InvalidStructure(StructureError):
         fail = report.first_failure()
         super().__init__(f"structure axioms fail: {fail.check_id if fail else '?'}")
         self.report = report
-
-
-def build_env(field: Field, objects: dict, bindings: dict) -> Env:
-    """Assemble a signature and environment from name -> LinMap bindings.
-
-    Generator types and objects are read off the bound matrices; ``objects``
-    (name -> dim) declares any further objects, such as one no binding uses.
-    """
-    return Env(Signature.of_bindings(objects, bindings), field, bindings)
 
 
 class WeakBialgebra:
@@ -126,7 +117,7 @@ class WeakBialgebra:
         if key not in self._projections:
             env = self.core_env()
             for name, src in ids.PROJECTION_FORMULAS.items():
-                self._projections[name] = evaluate(parse_expr(src, env.sig), env)
+                self._projections[name] = eval_text(src, env)
         return self._projections[key]
 
 
@@ -202,17 +193,16 @@ def check_antipode(H: WeakHopfAlgebra) -> VerdictReport:
 def base_subalgebra(H: WeakBialgebra, side: str) -> tuple[AlgebraData, LinMap, LinMap]:
     """Split the chosen projection and install the induced unital algebra on
     its image; the inclusion is verified to be an algebra morphism."""
-    from .linalg import split_idempotent
-
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
-    proj_map = H.projection(side)
-    rank, inj, proj = split_idempotent(proj_map, name=f"H{side}")
-    mu_sub = compose(proj, compose(H.mu, tensor_product(inj, inj)))
-    eta_sub = compose(proj, H.eta)
+    _, inj, proj = split_idempotent(H.projection(side), name=f"H{side}")
+    env = H.core_env().extend({"inj": inj, "proj": proj})
+    mu_sub = eval_text(ids.BASE_MU_FORMULA, env)
+    eta_sub = eval_text(ids.BASE_ETA_FORMULA, env)
     sub = AlgebraData.checked(H.field, inj.dom[0], mu_sub, eta_sub)
-    if compose(inj, mu_sub) != compose(H.mu, tensor_product(inj, inj)):
-        raise StructureError("inclusion of the base subalgebra is not multiplicative")
-    if compose(inj, eta_sub) != H.eta:
-        raise StructureError("inclusion of the base subalgebra is not unitary")
+    env = env.extend({"muSub": mu_sub, "etaSub": eta_sub})
+    fail = run_identity_table(ids.BASE_INCLUSION_IDENTITIES, env).first_failure()
+    if fail is not None:
+        kind = fail.check_id.removeprefix("inclusion_")
+        raise StructureError(f"inclusion of the base subalgebra is not {kind}")
     return sub, inj, proj

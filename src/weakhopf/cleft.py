@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import identities as ids
-from .algebra import AlgebraData, StructureError, convolve, TensorPowerCoalgebra
+from .algebra import AlgebraData, StructureError
 from .bialgebra import WeakBialgebra
 from .crossed import (
     CocycleData,
@@ -21,22 +21,10 @@ from .crossed import (
     build_crossed_product,
     check_weak_module_algebra,
     cocycle_inverse,
-    eval_text,
+    equalizer_matches,
 )
-from .ir import Env, run_identity_table
-from .linalg import (
-    LinMap,
-    Obj,
-    column_rank,
-    compose,
-    factor_through,
-    identity,
-    invert,
-    nullspace_basis,
-    rename_factor,
-    same_subspace,
-    tensor_product,
-)
+from .ir import Env, eval_text, run_identity_table
+from .linalg import LinMap, Obj, column_rank, factor_through, invert, rename_factor
 from .report import VerdictReport
 
 
@@ -107,27 +95,13 @@ class Extension:
         return self.comodule.env(extra=bindings)
 
 
-def coinvariant_subspace(C: ComoduleAlgebra) -> list:
-    """Basis vectors (as flat lists) of ker(delta - (B (x) piL) . delta)."""
-    piL = C.H.projection("L")
-    cut = C.delta - compose(tensor_product(identity(C.field, C.B.obj), piL), C.delta)
-    return [[r[0] for r in vec.rows] for vec in nullspace_basis(cut)]
-
-
 def extension_check(X: Extension) -> VerdictReport:
     """j is an algebra monomorphism landing exactly on the coinvariants."""
     report = VerdictReport("extension")
-    report.add_equality(
-        "j_multiplicative",
-        compose(X.j, X.A.mu),
-        compose(X.comodule.B.mu, tensor_product(X.j, X.j)),
-    )
-    report.add_equality("j_unitary", compose(X.j, X.A.eta), X.comodule.B.eta)
+    run_identity_table(ids.EXTENSION_IDENTITIES, X.env(), report)
     report.add_bool("j_injective", column_rank(X.j) == X.A.dim)
-    kernel = coinvariant_subspace(X.comodule)
-    image = [X.j.column(c) for c in range(X.j.ncols)]
-    ok = same_subspace(kernel, image, X.comodule.B.dim, X.field)
-    report.add_bool("j_is_equalizer", ok, note=f"coinvariants have dim {len(kernel)}")
+    ok, dim = equalizer_matches(X.H, X.comodule.delta, X.j)
+    report.add_bool("j_is_equalizer", ok, note=f"coinvariants have dim {dim}")
     return report
 
 
@@ -143,7 +117,7 @@ def cleaving_check(X: Extension, c: CleavingData) -> VerdictReport:
     report = VerdictReport("cleaving")
     env = X.env(extra={"gamB": c.gamma, "gamBinv": c.gamma_inv})
     run_identity_table(ids.CLEAVING_IDENTITIES, env, report)
-    target = compose(c.gamma, X.H.projection("L"))
+    target = eval_text(ids.GAMMA_B_PIL_EXPR, env)
     report.add_bool("cleft_factorization", factor_through(target, X.j) is not None)
     return report
 
@@ -238,8 +212,7 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
     nu_tilde = eval_text(ids.NU_TILDE_EXPR, env)
     rho = eval_text(ids.RHO_TILDE_EXPR, env)
     f = eval_text(ids.F_TILDE_EXPR, env)
-    report.add_equality("rho_routes_agree", rho, eval_text(ids.RHO_CLOSED_EXPR, env))
-    report.add_equality("f_routes_agree", f, eval_text(ids.F_CLOSED_EXPR, env))
+    run_identity_table(ids.RECONSTRUCTION_ROUTES, env, report)
     measure = WeakMeasure(X.H, X.A, rho)
     cocycle = CocycleData(measure, f)
     env = measure.derived_env(
@@ -255,26 +228,7 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
             "gamB": c.gamma,
         }
     )
-    run_identity_table(
-        [
-            ("measure_axiom", *ids.MEASURE_AXIOM[1:]),
-            ("mu_tilde_associative", "mut * id(A,H) ; mut", "id(A,H) * mut ; mut"),
-            ("mu_tilde_normalized_left", "mut ; w ; wt", "mut"),
-            ("mu_tilde_normalized_right", "(w ; wt) * (w ; wt) ; mut", "mut"),
-            ("nu_tilde_preunit_commutes", "id(A,H) * nut ; mut", "nut * id(A,H) ; mut"),
-            ("nu_tilde_preunit_idempotent", "nut * nut ; mut", "nut"),
-            ("omega_is_induced_idempotent", "id(A,H) * nut ; mut", "w ; wt"),
-            ("nu_tilde_projected", "nut ; id(A) * piL", "nut"),
-            ("gamma_via_w", "etaA * id(H) ; w", "gamB"),
-            ("j_prime_via_wt", "id(A) * nut ; muA * id(H)", "j ; wt"),
-            ("j_round_trip", "j ; wt ; w", "j"),
-        ]
-        + ids.BUILD_HYPOTHESES,
-        env,
-        report,
-    )
-    report.add_equality("nu_tilde_matches_canonical", nu_tilde, cocycle.nu)
-    report.add_equality("mu_tilde_is_twisted_product", mu_tilde, eval_text(ids.MU_EE, cocycle.env()))
+    run_identity_table(ids.RECONSTRUCTION_IDENTITIES, env, report)
     wma = check_weak_module_algebra(measure)
     report.extend(wma, prefix="wma.")
     return Reconstruction(mu_tilde, nu_tilde, rho, f, measure, cocycle, decomp), report
@@ -287,19 +241,14 @@ def recover_inverse_cocycle(
     through j and check the result against the independent convolution
     solver: (reconstruction, sigma, sigma_inv, f_inv, report)."""
     recon, report = reconstruct(X, c)
-    decomp = recon.decomp
-    env = sigma_env(X, c, decomp)
+    env = sigma_env(X, c, recon.decomp)
     sigma, sigma_inv = env.bindings["sig"], env.bindings["siginv"]
     run_identity_table(ids.RECOVER_IDENTITIES, env, report)
-    report.add_equality("sigma_factors_through_j", sigma, compose(X.j, recon.f))
     f_inv = factor_through(sigma_inv, X.j)
     if f_inv is None:
         raise FactorizationFailed("sigma inverse does not factor through j")
-    u2 = recon.measure.u(2)
-    report.add_equality("u2_closed_form", compose(decomp.p, compose(c.gamma, X.H.mu)), u2)
-    power = TensorPowerCoalgebra(X.H.coalgebra, 2)
-    report.add_equality("f_conv_finv_is_u2", convolve(recon.f, f_inv, power, X.A), u2)
-    report.add_equality("finv_conv_f_is_u2", convolve(f_inv, recon.f, power, X.A), u2)
+    env = env.extend({"f": recon.f, "finv": f_inv, "u2": recon.measure.u(2)})
+    run_identity_table(ids.INVERSE_RECOVERY_IDENTITIES, env, report)
     solver_inv = cocycle_inverse(recon.cocycle)
     report.add_bool("solver_finds_inverse", solver_inv is not None)
     if solver_inv is not None:
@@ -313,22 +262,12 @@ def full_reconstruction(
     """One pass through decomposition, reconstruction, cocycle inversion and
     the rebuilt-product isomorphism: (reconstruction, f_inv, iso, report)."""
     recon, _, _, f_inv, report = recover_inverse_cocycle(X, c)
-    E_rb = build_crossed_product(recon.measure, recon.cocycle)
-    iso = compose(recon.decomp.w, E_rb.i)
     B = X.comodule.B
-    idH = identity(X.field, X.H.obj)
-    report.add_equality("iso_unitary", compose(iso, E_rb.eta_E), B.eta)
-    report.add_equality(
-        "iso_multiplicative",
-        compose(iso, E_rb.mu_E),
-        compose(B.mu, tensor_product(iso, iso)),
-    )
-    report.add_equality(
-        "iso_colinear",
-        compose(X.comodule.delta, iso),
-        compose(tensor_product(iso, idH), E_rb.delta_E),
-    )
-    report.add_equality("iso_respects_embeddings", compose(iso, E_rb.j_nu), X.j)
+    E_rb = build_crossed_product(recon.measure, recon.cocycle)
+    bindings = {"w": recon.decomp.w, "j": X.j, "muB": B.mu, "etaB": B.eta, "dB": X.comodule.delta}
+    env = E_rb.env(extra=bindings)
+    iso = eval_text(ids.REBUILT_ISO_EXPR, env)
+    run_identity_table(ids.REBUILT_ISO_IDENTITIES, env.extend({"iso": iso}), report)
     report.add_bool("iso_invertible", invert(iso) is not None)
     return recon, f_inv, iso, report
 

@@ -19,18 +19,17 @@ from .algebra import (
     TensorPowerCoalgebra,
     conv_inverse,
 )
-from .bialgebra import WeakBialgebra
-from .ir import Env, check_identity_text, evaluate, parse_expr, run_identity_table
+from .bialgebra import WeakBialgebra, base_subalgebra
+from .ir import Env, check_identity_text, eval_text, run_identity_table
 from .linalg import (
     LinMap,
     Obj,
-    compose,
+    column_rank,
     factor_through,
-    identity,
     nullspace_basis,
+    rename_factor,
     same_subspace,
     split_idempotent,
-    tensor_product,
 )
 from .report import VerdictReport, Witness
 
@@ -48,10 +47,6 @@ class HypothesisFailed(ValueError):
 
 class PreconditionFailed(ValueError):
     pass
-
-
-def eval_text(src: str, env: Env) -> LinMap:
-    return evaluate(parse_expr(src, env.sig), env)
 
 
 @dataclass
@@ -311,12 +306,11 @@ def crossed_product_law_suite(E: CrossedProduct) -> VerdictReport:
     """Unit/associativity of the product, behaviour of the embeddings, the
     twisting/cocycle factorizations, and the comodule-algebra laws."""
     report = VerdictReport("crossed product laws")
-    run_identity_table(ids.CROSSED_LAW_IDENTITIES, E.env(), report)
-    run_identity_table([ids.NU_PROJECTED], E.env(), report)
+    env = E.env()
+    run_identity_table(ids.CROSSED_LAW_IDENTITIES, env, report)
+    run_identity_table([ids.NU_PROJECTED], env, report)
     # Monicity of the base embedding is reported, not required: it can fail
     # for degenerate measures where the unit does not act as the identity.
-    from .linalg import column_rank
-
     report.add_bool(
         "base_embedding_monic",
         column_rank(E.j_nu) == E.measure.A.dim,
@@ -325,15 +319,15 @@ def crossed_product_law_suite(E: CrossedProduct) -> VerdictReport:
     return report
 
 
-def equalizer_matches_base(E: CrossedProduct, j: Optional[LinMap] = None) -> tuple[bool, int]:
-    """Does ker(delta_E - (E (x) piL) . delta_E) equal the image of j?"""
-    field = E.field
-    jmap = j if j is not None else E.j_nu
-    piL = E.measure.H.projection("L")
-    cut = E.delta_E - compose(tensor_product(identity(field, E.obj), piL), E.delta_E)
+def equalizer_matches(H: WeakBialgebra, delta: LinMap, j: LinMap) -> tuple[bool, int]:
+    """Are the coinvariants of a coaction delta: X -> X (x) H exactly the
+    image of j?  Returns the verdict and the dimension of the coinvariants."""
+    carrier = delta.dom[0]
+    env = H.base_env(extra={"d": delta})
+    cut = delta - eval_text(ids.COINVARIANT_CUT.format(carrier.name), env)
     kernel = [[r[0] for r in vec.rows] for vec in nullspace_basis(cut)]
-    image = [E.j_nu.column(c) if j is None else jmap.column(c) for c in range(jmap.ncols)]
-    return same_subspace(kernel, image, E.E_dim, field), len(kernel)
+    image = [j.column(c) for c in range(j.ncols)]
+    return same_subspace(kernel, image, carrier.dim, H.field), len(kernel)
 
 
 def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
@@ -355,7 +349,7 @@ def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
             report.add_skipped(check_id, note="no antipode")
     else:
         run_identity_table(ids.MODULE_SUITE_ANTIPODE_IDENTITIES, env, report)
-    ok, dim = equalizer_matches_base(E)
+    ok, dim = equalizer_matches(E.measure.H, E.delta_E, E.j_nu)
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")
     return report
 
@@ -403,11 +397,10 @@ def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictRepo
     report = VerdictReport("integral inverse")
     env = E.env(extra={"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)
-    ok, dim = equalizer_matches_base(E)
+    ok, dim = equalizer_matches(E.measure.H, E.delta_E, E.j_nu)
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")
-    target = compose(E.gamma, E.measure.H.projection("L"))
-    factor = factor_through(target, E.j_nu)
-    report.add_bool("cleft_factorization", factor is not None)
+    target = eval_text(ids.GAMMA_PIL_EXPR, env)
+    report.add_bool("cleft_factorization", factor_through(target, E.j_nu) is not None)
     needed = (
         "integral_total",
         "integral_colinear",
@@ -428,9 +421,6 @@ def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictRepo
 def base_action_measure(H: WeakBialgebra, carrier: str = "A") -> WeakMeasure:
     """The action of H on its own target base subalgebra by multiply-and-
     project; the universal smash-product ingredient."""
-    from .bialgebra import base_subalgebra
-    from .linalg import rename_factor
-
     sub, inj, proj = base_subalgebra(H, "L")
     ren = {sub.obj.name: carrier}
     A = AlgebraData(
@@ -439,22 +429,19 @@ def base_action_measure(H: WeakBialgebra, carrier: str = "A") -> WeakMeasure:
         rename_factor(sub.mu, ren),
         rename_factor(sub.eta, ren),
     )
-    rho = compose(
-        rename_factor(proj, ren),
-        compose(H.mu, tensor_product(identity(H.field, H.obj), rename_factor(inj, ren))),
-    )
-    return WeakMeasure.checked(H, A, rho)
+    env = H.core_env().extend({"inj": rename_factor(inj, ren), "proj": rename_factor(proj, ren)})
+    return WeakMeasure.checked(H, A, eval_text(ids.BASE_ACTION_FORMULA, env))
 
 
 def trivial_measure(H: WeakBialgebra, carrier: str = "A") -> WeakMeasure:
     """The counit acting on the one-dimensional algebra."""
     field = H.field
     A_obj = Obj(carrier, 1)
-    one = identity(field, A_obj)
     mu_A = LinMap(field, (A_obj, A_obj), (A_obj,), [[field.one]])
     eta_A = LinMap(field, (), (A_obj,), [[field.one]])
     A = AlgebraData(field, A_obj, mu_A, eta_A)
-    rho = tensor_product(H.eps, one)
+    # H (x) A has the basis of H when A is one-dimensional: rho is eps.
+    rho = LinMap(field, (H.obj, A_obj), (A_obj,), [list(H.eps.rows[0])])
     return WeakMeasure.checked(H, A, rho)
 
 

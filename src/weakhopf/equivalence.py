@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import Optional
 
 from . import identities as ids
-from .algebra import _conv_solve, convolve
-from .crossed import CrossedProduct, eval_text
-from .ir import run_identity_table
-from .linalg import LinMap, compose, identity, invert, tensor_product
+from .algebra import _conv_solve
+from .crossed import CrossedProduct, WeakMeasure
+from .ir import Env, eval_text, run_identity_table
+from .linalg import LinMap, Obj, invert, rename_factor
 from .report import VerdictReport
 
 
@@ -21,6 +21,12 @@ class NotAnEquivalence(ValueError):
     def __init__(self, check_id: str):
         super().__init__(f"not an equivalence of crossed products: {check_id}")
         self.check_id = check_id
+
+
+def _require_shared_H(m: WeakMeasure, mp: WeakMeasure) -> None:
+    H, Hp = m.H, mp.H
+    if H is not Hp and (H.mu, H.eta, H.delta, H.eps) != (Hp.mu, Hp.eta, Hp.delta, Hp.eps):
+        raise NotAnEquivalence("products_share_H")
 
 
 def _pair_env(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap):
@@ -39,40 +45,27 @@ def _pair_env(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap):
     )
 
 
+def _primed(Ep: CrossedProduct) -> dict:
+    """Ep's product, unit, split maps and coaction on a carrier named Ep, so
+    that they share a context with E's even when both carriers are named E."""
+    ren = {Ep.obj.name: "Ep"}
+    maps = {"muE": Ep.mu_E, "etaE": Ep.eta_E, "iE": Ep.i, "pE": Ep.p, "dE": Ep.delta_E}
+    return {name + "p": rename_factor(m, ren) for name, m in maps.items()}
+
+
 def _transport(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap) -> LinMap:
-    """The induced map between split images: project, insert phi, include."""
-    env = _pair_env(E, Ep, phi)
-    lphi = eval_text(ids.L_PHI, env)
-    return compose(Ep.p, compose(lphi, E.i))
+    """The induced map between split images: include, insert phi, project."""
+    m = eval_text(ids.TRANSPORT_EXPR, _pair_env(E, Ep, phi).extend(_primed(Ep)))
+    return LinMap(m.field, m.dom, (Ep.obj,), m.rows)
 
 
-def _verify_iso(
-    E: CrossedProduct, Ep: CrossedProduct, Phi: LinMap, report: VerdictReport, prefix: str = ""
-) -> None:
-    field = E.field
-    idA = identity(field, E.measure.A.obj)
-    idH = identity(field, E.measure.H.obj)
-    report.add_equality(prefix + "iso_unitary", compose(Phi, E.eta_E), Ep.eta_E)
-    report.add_equality(
-        prefix + "iso_multiplicative",
-        compose(Phi, E.mu_E),
-        compose(Ep.mu_E, tensor_product(Phi, Phi)),
-    )
-    left_action = compose(E.p, compose(tensor_product(E.measure.A.mu, idH), tensor_product(idA, E.i)))
-    left_action_p = compose(
-        Ep.p, compose(tensor_product(Ep.measure.A.mu, idH), tensor_product(idA, Ep.i))
-    )
-    report.add_equality(
-        prefix + "iso_left_linear",
-        compose(Phi, left_action),
-        compose(left_action_p, tensor_product(idA, Phi)),
-    )
-    report.add_equality(
-        prefix + "iso_colinear",
-        compose(Ep.delta_E, Phi),
-        compose(tensor_product(Phi, idH), E.delta_E),
-    )
-    report.add_bool(prefix + "iso_invertible", invert(Phi) is not None)
+def _verify_iso(E: CrossedProduct, Ep: CrossedProduct, Phi: LinMap, report: VerdictReport) -> Env:
+    """The iso laws of Phi: E -> Ep; returns their context, Phi bound into Ep."""
+    P = (Obj("Ep", Ep.E_dim),)
+    env = E.env(extra={**_primed(Ep), "Phi": LinMap(Phi.field, Phi.dom, P, Phi.rows)})
+    run_identity_table(ids.ISO_IDENTITIES, env, report)
+    report.add_bool("iso_invertible", invert(Phi) is not None)
+    return env
 
 
 def equivalence_from_phi(
@@ -82,27 +75,21 @@ def equivalence_from_phi(
     isomorphism (verified unital, multiplicative, linear, colinear)."""
     report = VerdictReport("equivalence from phi")
     m, mp = E.measure, Ep.measure
-    if m.H is not mp.H and m.H.algebra.mu != mp.H.algebra.mu:
-        raise NotAnEquivalence("products_share_H")
+    _require_shared_H(m, mp)
     env = _pair_env(E, Ep, phi)
     run_identity_table(ids.EQUIVALENCE_CONDITIONS, env, report)
     phi_inv = _conv_solve(phi, m.u(1), mp.u(1), m.H.coalgebra, m.A)
     report.add_bool("phi_inverse_exists", phi_inv is not None)
     if phi_inv is not None:
-        report.add_equality(
-            "phi_inverse_right", convolve(phi, phi_inv, m.H.coalgebra, m.A), m.u(1)
-        )
-        report.add_equality(
-            "phi_inverse_left", convolve(phi_inv, phi, m.H.coalgebra, m.A), mp.u(1)
-        )
+        run_identity_table(ids.PHI_INVERSE_IDENTITIES, env.extend({"phiinv": phi_inv}), report)
     if not report.all_pass:
         return None, report
     Phi = _transport(E, Ep, phi)
-    _verify_iso(E, Ep, Phi, report)
-    assert phi_inv is not None
+    env = _verify_iso(E, Ep, Phi, report)
     Phi_inv = _transport(Ep, E, phi_inv)
-    report.add_equality("iso_left_inverse", compose(Phi_inv, Phi), identity(E.field, E.obj))
-    report.add_equality("iso_right_inverse", compose(Phi, Phi_inv), identity(E.field, Ep.obj))
+    P = env.bindings["Phi"].cod
+    env = env.extend({"Phiinv": LinMap(Phi_inv.field, P, Phi_inv.cod, Phi_inv.rows)})
+    run_identity_table(ids.ISO_INVERSE_IDENTITIES, env, report)
     if not report.all_pass:
         return None, report
     return Phi, report
@@ -111,19 +98,15 @@ def equivalence_from_phi(
 def phi_from_iso(E: CrossedProduct, Ep: CrossedProduct, Phi: LinMap) -> LinMap:
     """Recover the exchange map from a verified isomorphism; raises
     NotAnEquivalence naming the first failing property."""
+    _require_shared_H(E.measure, Ep.measure)
     report = VerdictReport("iso properties")
-    _verify_iso(E, Ep, Phi, report)
+    env = _verify_iso(E, Ep, Phi, report)
     fail = report.first_failure()
     if fail is not None:
         raise NotAnEquivalence(fail.check_id)
-    idH = identity(E.field, E.measure.H.obj)
-    phi = compose(
-        tensor_product(identity(E.field, E.measure.A.obj), E.measure.H.eps),
-        compose(Ep.i, compose(Phi, compose(E.p, tensor_product(E.measure.A.eta, idH)))),
-    )
+    phi = eval_text(ids.PHI_FROM_ISO_EXPR, env)
     cond_report = VerdictReport("recovered phi conditions")
-    env = _pair_env(E, Ep, phi)
-    run_identity_table(ids.EQUIVALENCE_CONDITIONS, env, cond_report)
+    run_identity_table(ids.EQUIVALENCE_CONDITIONS, _pair_env(E, Ep, phi), cond_report)
     fail = cond_report.first_failure()
     if fail is not None:
         raise NotAnEquivalence(fail.check_id)

@@ -13,6 +13,10 @@ crossed product adds ``E`` with ``muE``, ``etaE``, ``iE``, ``pE``, ``jnu``,
 ``gam``, ``gaminv``, ``dE`` and the cocycle inverse ``finv``; cleft data uses
 ``B``, ``muB``, ``etaB``, ``dB``, ``j``, ``gamB``, ``gamBinv``, ``q``, ``p``,
 ``w``, ``wt``, ``Ups``.
+
+Tables outside :func:`identity_corpus` hold the laws checked along the way
+by the constructions: the inherited base subalgebra, the extension, the
+reconstruction and the isomorphisms of products.
 """
 from __future__ import annotations
 
@@ -62,13 +66,21 @@ def v_formula(n: int) -> str:
 # Weak bialgebra axioms
 # --------------------------------------------------------------------------
 
-BIALGEBRA_AXIOMS = [
+# The algebra and coalgebra rows also validate an AlgebraData or
+# CoalgebraData on its own, with its carrier bound as H.
+ALGEBRA_AXIOMS = [
     ("mult_associative", "mu * id(H) ; mu", "id(H) * mu ; mu"),
     ("unit_left", "eta * id(H) ; mu", "id(H)"),
     ("unit_right", "id(H) * eta ; mu", "id(H)"),
+]
+
+COALGEBRA_AXIOMS = [
     ("comult_coassociative", "Delta ; Delta * id(H)", "Delta ; id(H) * Delta"),
     ("counit_left", "Delta ; eps * id(H)", "id(H)"),
     ("counit_right", "Delta ; id(H) * eps", "id(H)"),
+]
+
+BIALGEBRA_AXIOMS = ALGEBRA_AXIOMS + COALGEBRA_AXIOMS + [
     ("comult_multiplicative", "mu ; Delta", f"{DELTA_H2} ; mu * mu"),
     (
         "counit_weak_mult_1",
@@ -184,6 +196,16 @@ PROJECTION_IDENTITIES = [
     ("comult_mult_piL_left", "piL * id(H) ; mu ; Delta", "piL * Delta ; mu * id(H)"),
 ]
 
+# The base subalgebra: the split image of a projection (inclusion inj,
+# projection proj) with the product and unit it inherits (muSub, etaSub).
+BASE_MU_FORMULA = "inj * inj ; mu ; proj"
+BASE_ETA_FORMULA = "eta ; proj"
+
+BASE_INCLUSION_IDENTITIES = [
+    ("inclusion_multiplicative", "muSub ; inj", "inj * inj ; mu"),
+    ("inclusion_unitary", "etaSub ; inj", "eta"),
+]
+
 ANTIPODE_PROJECTION_IDENTITIES = [
     ("antipode_piL_via_Rb", "S ; piRb", "piL"),
     ("antipode_piL_via_Lb", "piLb ; S", "piL"),
@@ -263,6 +285,10 @@ MODULE_ALGEBRA_EQUIVALENT_IDS = (
     "wma_iterated_unit_1",
     "wma_iterated_unit_2",
 )
+
+# H acting on its base subalgebra A (inclusion inj, projection proj) by
+# multiply-and-project.
+BASE_ACTION_FORMULA = "id(H) * inj ; mu ; proj"
 
 CHI_FORMULA = "Delta * id(A) ; id(H) * swap(H,A) ; rho * id(H)"
 NABLA_FORMULA = (
@@ -411,6 +437,10 @@ CROSSED_LAW_IDENTITIES = [
     ),
 ]
 
+# The coinvariants of a coaction d of H on X are the kernel of d minus this
+# map, with X's name put in for {}.
+COINVARIANT_CUT = "d ; id({}) * piL"
+
 # --------------------------------------------------------------------------
 # Weak module algebra consequences on a built product (needs S for some)
 # --------------------------------------------------------------------------
@@ -526,6 +556,9 @@ L_EXPR = "Delta ; S * id(H) ; finv"
 Q_EXPR = "Delta ; S * id(H) ; Delta * id(H) ; id(H) * swap(H,H) ; finv * id(H)"
 Q_ALT_EXPR = f"Delta ; swap(H,H) ; ({L_EXPR}) * S"
 
+# A product is cleft only if this map factors through the base embedding.
+GAMMA_PIL_EXPR = "piL ; gam"
+
 GAMMA_INVERSE_IDENTITIES = [
     ("gamma_inverse_definition", f"{Q_EXPR} ; jnu * gam ; muE", "gaminv"),
     ("q_expressions_agree", Q_EXPR, Q_ALT_EXPR),
@@ -569,6 +602,32 @@ EQUIVALENCE_CONDITIONS = [
 
 L_PHI = "id(A) * Delta ; id(A) * phi * id(H) ; muA * id(H)"
 
+PHI_INVERSE_IDENTITIES = [
+    ("phi_inverse_right", conv_h("phi", "phiinv", 1), "u1"),
+    ("phi_inverse_left", conv_h("phiinv", "phi", 1), "u1p"),
+]
+
+# An isomorphism Phi: E -> Ep of two products over one measured pair, and its
+# inverse Phiinv.  Ep's maps are E's names with a trailing p, on carrier Ep.
+TRANSPORT_EXPR = f"iE ; {L_PHI} ; pEp"
+PHI_FROM_ISO_EXPR = "etaA * id(H) ; pE ; Phi ; iEp ; id(A) * eps"
+
+ISO_IDENTITIES = [
+    ("iso_unitary", "etaE ; Phi", "etaEp"),
+    ("iso_multiplicative", "muE ; Phi", "Phi * Phi ; muEp"),
+    (
+        "iso_left_linear",
+        "id(A) * iE ; muA * id(H) ; pE ; Phi",
+        "id(A) * Phi ; id(A) * iEp ; muA * id(H) ; pEp",
+    ),
+    ("iso_colinear", "Phi ; dEp", "dE ; Phi * id(H)"),
+]
+
+ISO_INVERSE_IDENTITIES = [
+    ("iso_left_inverse", "Phi ; Phiinv", "id(E)"),
+    ("iso_right_inverse", "Phiinv ; Phi", "id(Ep)"),
+]
+
 # --------------------------------------------------------------------------
 # Comodule algebras, extensions, cleaving maps (B side)
 # --------------------------------------------------------------------------
@@ -601,6 +660,11 @@ COMODULE_IDENTITIES = [
     ("weak_unit_6", "etaB ; dB ; id(B) * piL", "etaB ; dB"),
 ]
 
+EXTENSION_IDENTITIES = [
+    ("j_multiplicative", "muA ; j", "j * j ; muB"),
+    ("j_unitary", "etaA ; j", "etaB"),
+]
+
 COMODULE_EQUIVALENT_IDS = (
     "weak_unit_1",
     "weak_unit_2",
@@ -621,6 +685,9 @@ CLEAVING_IDENTITIES = [
         "gamBinv",
     ),
 ]
+
+# B is cleft only if this map factors through j.
+GAMMA_B_PIL_EXPR = "piL ; gamB"
 
 # The decomposition of a cleft extension: the entwining Upsilon, the
 # coinvariant part q = p ; j (p is found by factoring q through j), the maps
@@ -666,6 +733,31 @@ F_TILDE_EXPR = f"etaA * id(H) * etaA * id(H) ; {MU_TILDE_EXPR} ; id(A) * eps"
 RHO_CLOSED_EXPR = "gamB * j ; muB ; p"
 F_CLOSED_EXPR = "gamB * gamB ; muB ; p"
 
+RECONSTRUCTION_ROUTES = [
+    ("rho_routes_agree", RHO_TILDE_EXPR, RHO_CLOSED_EXPR),
+    ("f_routes_agree", F_TILDE_EXPR, F_CLOSED_EXPR),
+]
+
+# The transported product (mut, nut) over the recovered measure and cocycle:
+# its laws, the construction hypotheses, and its agreement with the
+# canonical preunit and the twisted product.
+RECONSTRUCTION_IDENTITIES = [
+    MEASURE_AXIOM,
+    ("mu_tilde_associative", "mut * id(A,H) ; mut", "id(A,H) * mut ; mut"),
+    ("mu_tilde_normalized_left", "mut ; w ; wt", "mut"),
+    ("mu_tilde_normalized_right", "(w ; wt) * (w ; wt) ; mut", "mut"),
+    ("nu_tilde_preunit_commutes", "id(A,H) * nut ; mut", "nut * id(A,H) ; mut"),
+    ("nu_tilde_preunit_idempotent", "nut * nut ; mut", "nut"),
+    ("omega_is_induced_idempotent", "id(A,H) * nut ; mut", "w ; wt"),
+    ("nu_tilde_projected", "nut ; id(A) * piL", "nut"),
+    ("gamma_via_w", "etaA * id(H) ; w", "gamB"),
+    ("j_prime_via_wt", "id(A) * nut ; muA * id(H)", "j ; wt"),
+    ("j_round_trip", "j ; wt ; w", "j"),
+    *BUILD_HYPOTHESES,
+    ("nu_tilde_matches_canonical", "nut", NU_FORMULA),
+    ("mu_tilde_is_twisted_product", "mut", MU_EE),
+]
+
 SIGMA_EXPR = "Delta * gamB ; gamB * Ups ; muB * gamBinv ; muB"
 SIGMA_INV_EXPR = conv(
     "mu ; gamB", "gamBinv * gamBinv ; swap(B,B) ; muB", DELTA_H2, "muB"
@@ -691,6 +783,26 @@ RECOVER_IDENTITIES = [
         conv_h("mu ; gamB ; q", "siginv", 2, "muB"),
         "siginv",
     ),
+]
+
+
+# The recovered cocycle f and its inverse finv, found by factoring siginv
+# through j.
+INVERSE_RECOVERY_IDENTITIES = [
+    ("sigma_factors_through_j", "sig", "f ; j"),
+    ("u2_closed_form", "mu ; gamB ; p", "u2"),
+    ("f_conv_finv_is_u2", conv_h("f", "finv", 2), "u2"),
+    ("finv_conv_f_is_u2", conv_h("finv", "f", 2), "u2"),
+]
+
+# The product E rebuilt from the recovered data is isomorphic to B by iso.
+REBUILT_ISO_EXPR = "iE ; w"
+
+REBUILT_ISO_IDENTITIES = [
+    ("iso_unitary", "etaE ; iso", "etaB"),
+    ("iso_multiplicative", "muE ; iso", "iso * iso ; muB"),
+    ("iso_colinear", "iso ; dB", "dE ; iso * id(H)"),
+    ("iso_respects_embeddings", "jnu ; iso", "j"),
 ]
 
 

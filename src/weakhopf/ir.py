@@ -849,6 +849,19 @@ def check_identity_text(lhs: str, rhs: str, env: Env, check_id: str = "identity"
     return check_identity(parse_expr(lhs, env.sig), parse_expr(rhs, env.sig), env, check_id)
 
 
+def eval_text(src: str, env: Env) -> LinMap:
+    return evaluate(parse_expr(src, env.sig), env)
+
+
+def build_env(field: Field, objects: dict, bindings: dict) -> Env:
+    """Assemble a signature and environment from name -> LinMap bindings.
+
+    Generator types and objects are read off the bound matrices; ``objects``
+    (name -> dim) declares any further objects, such as one no binding uses.
+    """
+    return Env(Signature.of_bindings(objects, bindings), field, bindings)
+
+
 def run_identity_table(
     table, env: Env, report: Optional[VerdictReport] = None, skip_missing: bool = False
 ) -> VerdictReport:

@@ -2,22 +2,47 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakhopf.algebra import (
     AlgebraData,
     CoalgebraData,
+    StructureError,
     TensorPowerCoalgebra,
     conv_inverse,
     conv_unit,
     convolve,
-    conjugated_algebra,
-    conjugated_coalgebra,
 )
 from weakhopf.fields import GF, QQ
-from weakhopf.linalg import LinMap, compose, from_rows, identity, invert, zero_map
+from weakhopf.identities import DELTA_H2, DELTA_H3
+from weakhopf.ir import eval_text
+from weakhopf.linalg import (
+    LinMap,
+    UNIT_WORD,
+    compose,
+    from_rows,
+    identity,
+    invert,
+    rename_factor,
+    tensor_product,
+    zero_map,
+)
 
 from instances import pair_groupoid_hopf, z2_hopf
+
+
+def conjugated_algebra(alg: AlgebraData, t: LinMap, t_inv: LinMap) -> AlgebraData:
+    """Transport the algebra structure along an isomorphism t of the carrier."""
+    mu = compose(t, compose(alg.mu, tensor_product(t_inv, t_inv)))
+    eta = compose(t, alg.eta)
+    return AlgebraData(alg.field, alg.obj, mu, eta)
+
+
+def conjugated_coalgebra(coalg: CoalgebraData, t: LinMap, t_inv: LinMap) -> CoalgebraData:
+    delta = compose(tensor_product(t, t), compose(coalg.delta, t_inv))
+    eps = compose(coalg.eps, t_inv)
+    return CoalgebraData(coalg.field, coalg.obj, delta, eps)
 
 
 def _unitriangular(field, ob, data):
@@ -64,16 +89,19 @@ def test_convolution_monoid_laws_on_conjugated_structures(data):
 
 
 def test_tensor_power_delta_matches_materialized():
+    # The sparse columns of the power's comultiplication and counit against
+    # the interleaved ladders the kernel materializes for the identity tables.
     H = pair_groupoid_hopf()
-    power = TensorPowerCoalgebra(H.coalgebra, 2)
-    dmap = power.delta_map()
-    # Compare against the derived square comultiplication built densely.
-    assert dmap == CoalgebraData(
-        H.field, H.obj, H.delta, H.eps
-    ).square_delta()
-    emap = power.eps_map()
-    for j in range(power.dim):
-        assert emap.rows[0][j] == power.eps_value(j)
+    env = H.core_env()
+    for n, ladder in ((2, DELTA_H2), (3, DELTA_H3)):
+        power = TensorPowerCoalgebra(H.coalgebra, n)
+        dmap = eval_text(ladder, env)
+        emap = eval_text(" * ".join(["eps"] * n), env)
+        assert dmap.dom == power.word and emap.cod == UNIT_WORD
+        for j in range(power.dim):
+            col = {i1 * power.dim + i2: v for i1, i2, v in power.delta_column(j)}
+            assert {i: r[j] for i, r in enumerate(dmap.rows) if r[j]} == col
+            assert emap.rows[0][j] == power.eps_value(j)
 
 
 def test_convolution_on_tensor_power_matches_dense_route():
@@ -87,9 +115,7 @@ def test_convolution_on_tensor_power_matches_dense_route():
         a.rows[j % 4][j] = field.normalize(j + 1)
         b.rows[(j + 1) % 4][j] = field.one
     got = convolve(a, b, power, A)
-    from weakhopf.linalg import tensor_product
-
-    dense = compose(A.mu, compose(tensor_product(a, b), power.delta_map()))
+    dense = compose(A.mu, compose(tensor_product(a, b), eval_text(DELTA_H2, H.core_env())))
     assert got == dense
 
 
@@ -178,3 +204,30 @@ def test_conv_operator_rows_match_convolve():
             ]
             exp_flat = [v for r in expected.rows for v in r]
             assert got_flat == exp_flat, (field, side)
+
+
+def test_validate_names_the_failing_axiom():
+    # validate runs the algebra and coalgebra rows of the bialgebra axioms
+    # with the carrier bound as H; a corrupted structure map raises naming
+    # the carrier and the first failing axiom.
+    H = pair_groupoid_hopf()
+    ren = {"H": "X"}
+    mu, eta, delta, eps = (rename_factor(m, ren) for m in (H.mu, H.eta, H.delta, H.eps))
+    X = mu.cod[0]
+
+    def bumped(m, i, j):
+        rows = [list(r) for r in m.rows]
+        rows[i][j] = QQ.normalize(rows[i][j] + 1)
+        return LinMap(QQ, m.dom, m.cod, rows)
+
+    AlgebraData(QQ, X, mu, eta).validate()
+    CoalgebraData(QQ, X, delta, eps).validate()
+    cases = [
+        (lambda: AlgebraData(QQ, X, bumped(mu, 0, 1), eta), "multiplication on X is not associative"),
+        (lambda: AlgebraData(QQ, X, mu, bumped(eta, 1, 0)), "unit of X fails on the left"),
+        (lambda: CoalgebraData(QQ, X, bumped(delta, 1, 0), eps), "comultiplication on X is not coassociative"),
+        (lambda: CoalgebraData(QQ, X, delta, bumped(eps, 0, 1)), "counit of X fails on the left"),
+    ]
+    for build, message in cases:
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            build().validate()

@@ -29,6 +29,7 @@ from weakhopf.crossed import (
 )
 from weakhopf.fields import GF, QQ
 from weakhopf.linalg import (
+    LinMap,
     Obj,
     compose,
     factor_through,
@@ -132,6 +133,26 @@ def test_noninjective_j_fails():
     bad = Extension(X.comodule, X.A, j)
     report = extension_check(bad)
     assert report.get("j_injective").status == "fail"
+
+
+def test_extension_witnesses_match_the_dense_route():
+    # j_multiplicative and j_unitary are identity-table rows on the integer
+    # kernel; a corrupted j must fail them at the same entries as the dense
+    # compose/tensor_product chains.
+    *_, X, _ = pair_cleft()
+    j = LinMap(QQ, X.j.dom, X.j.cod, [list(r) for r in X.j.rows])
+    j.rows[1][0] = QQ.normalize(3)
+    bad = Extension(X.comodule, X.A, j)
+    report = extension_check(bad)
+    B = X.comodule.B
+    dense = {
+        "j_multiplicative": compose(j, X.A.mu).first_difference(compose(B.mu, tensor_product(j, j))),
+        "j_unitary": compose(j, X.A.eta).first_difference(B.eta),
+    }
+    assert dense == {"j_multiplicative": (1, 1, 0, 3), "j_unitary": (1, 0, 3, 0)}
+    for check_id, diff in dense.items():
+        w = report.get(check_id).witness
+        assert (w.row, w.col, w.lhs, w.rhs) == diff
 
 
 # -- cleaving -------------------------------------------------------------------

@@ -14,7 +14,7 @@ from weakhopf.crossed import (
     check_weak_module_algebra,
     cocycle_report,
     crossed_product_law_suite,
-    equalizer_matches_base,
+    equalizer_matches,
     eval_text,
     gamma_inverse,
     invert_cocycle,
@@ -335,11 +335,11 @@ def test_gamma_inverse_needs_antipode():
 def test_equalizer_dimension():
     H, m, c = pair_smash()
     E = build_crossed_product(m, c)
-    ok, dim = equalizer_matches_base(E)
+    ok, dim = equalizer_matches(H, E.delta_E, E.j_nu)
     assert ok and dim == 2
     Hz, mz, cz = z2_smash()
     Ez = build_crossed_product(mz, cz)
-    okz, dimz = equalizer_matches_base(Ez)
+    okz, dimz = equalizer_matches(Hz, Ez.delta_E, Ez.j_nu)
     assert okz and dimz == 1
 
 

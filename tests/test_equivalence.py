@@ -3,11 +3,13 @@
 import pytest
 
 from weakhopf.crossed import base_action_measure, build_crossed_product, smash_cocycle, trivial_measure
-from weakhopf.equivalence import NotAnEquivalence, equivalence_from_phi, phi_from_iso
+from weakhopf.equivalence import NotAnEquivalence, _verify_iso, equivalence_from_phi, phi_from_iso
 from weakhopf.fields import QQ
-from weakhopf.linalg import identity, zero_map
+from weakhopf.groupoid import cyclic, direct_product
+from weakhopf.linalg import compose, identity, tensor_product, zero_map
+from weakhopf.report import VerdictReport
 
-from instances import pair_groupoid_hopf, z2_hopf
+from instances import dual_group_hopf, pair_groupoid_hopf, z2_hopf
 
 
 def pair_product():
@@ -126,3 +128,49 @@ def test_distinct_products_wrong_scaling_fails():
     Phi, report = equivalence_from_phi(E4, E1, phi)
     assert Phi is None
     assert report.get("phi_cocycle_exchange").status == "fail"
+
+
+def test_iso_witnesses_match_the_dense_route():
+    # The iso laws are identity-table rows on the integer kernel; a map that
+    # swaps two basis vectors must fail them at the same entries as the dense
+    # compose/tensor_product chains.
+    H, m, E = pair_product()
+    bad = identity(QQ, E.obj)
+    bad.rows[0][0] = bad.rows[1][1] = QQ.zero
+    bad.rows[0][1] = bad.rows[1][0] = QQ.one
+    report = VerdictReport()
+    _verify_iso(E, E, bad, report)
+    idA, idH = identity(QQ, m.A.obj), identity(QQ, H.obj)
+    left = compose(E.p, compose(tensor_product(m.A.mu, idH), tensor_product(idA, E.i)))
+    dense = {
+        "iso_unitary": (compose(bad, E.eta_E), E.eta_E),
+        "iso_multiplicative": (compose(bad, E.mu_E), compose(E.mu_E, tensor_product(bad, bad))),
+        "iso_left_linear": (compose(bad, left), compose(left, tensor_product(idA, bad))),
+        "iso_colinear": (compose(E.delta_E, bad), compose(tensor_product(bad, idH), E.delta_E)),
+    }
+    for check_id, (lhs, rhs) in dense.items():
+        diff = lhs.first_difference(rhs)
+        v = report.get(check_id)
+        if diff is None:
+            assert v.passed, check_id
+        else:
+            assert (v.witness.row, v.witness.col, v.witness.lhs, v.witness.rhs) == diff, check_id
+    assert report.get("iso_colinear").status == "fail"
+
+
+def test_products_over_different_comultiplications_are_rejected():
+    # The duals of Z4 and of Z2 x Z2 have the same algebra (functions on a
+    # four-point set) but different comultiplications.
+    products = []
+    for group in (cyclic(4), direct_product(cyclic(2), cyclic(2))):
+        m = trivial_measure(dual_group_hopf(group))
+        products.append(build_crossed_product(m, smash_cocycle(m)))
+    E, Ep = products
+    assert E.measure.H.mu == Ep.measure.H.mu and E.measure.H.eta == Ep.measure.H.eta
+    assert E.measure.H.delta != Ep.measure.H.delta
+    with pytest.raises(NotAnEquivalence) as exc:
+        equivalence_from_phi(E, Ep, E.measure.u(1))
+    assert exc.value.check_id == "products_share_H"
+    with pytest.raises(NotAnEquivalence) as exc:
+        phi_from_iso(E, Ep, identity(QQ, E.obj))
+    assert exc.value.check_id == "products_share_H"
