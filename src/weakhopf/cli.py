@@ -62,10 +62,12 @@ from .linalg import ShapeError
 from .presentation import (
     PresentationError,
     PresentationFile,
+    decode_presentation,
     dump_json,
     linmap_to_json,
     load_presentation,
     presentation_to_json,
+    read_presentation,
     report_to_json,
     sha256_file,
 )
@@ -260,71 +262,109 @@ _CONTEXT_LEVEL = {
 }
 
 
-def _ladder(pres: PresentationFile):
-    """The eval context ladder: yield (level, derive) from "raw" up to
-    "cleft", where derive() builds the level's derived environment.
+_LEVELS = ("raw", "bialgebra", "measure", "cocycle", "crossed", "crossed_inverse", "cleft")
+
+
+def _build_rung(pres: PresentationFile, level: str, below):
+    """The structures ``level`` adds, built on those of the level below by the
+    library's own builders, and a function returning the level's derived
+    context (None at "raw").
 
     The bialgebra level adds the projections, the measure level the twisting
     data, the cocycle level the unit powers, the crossed level the built
     product (plus primed/phi data when present), the inverse level the
     cocycle and integral inverses, and the cleft level the reconstruction
-    maps.  H, the measure, the cocycle data, E and X are each built once, by
-    the library's own builders, when the walk first reaches them.
+    maps.
     """
-    yield "raw", lambda: None
-    H = pres.bialgebra()
-    yield "bialgebra", H.base_env
-    m = pres.measure()
-    yield "measure", m.derived_env
-    data = pres.cocycle(m)
-    yield "cocycle", data.env
-    E = build_crossed_product(m, data)
-    if pres.has_role("phi"):
-        yield "crossed", lambda: _pair_env(E, E, pres.phi())
-    else:
-        yield "crossed", E.env
-    finv = cocycle_inverse(data)
-    if finv is None:
-        raise PresentationError("the cocycle is not invertible; no inverse context")
-    gaminv = build_gamma_inverse(E, finv)
-    yield "crossed_inverse", lambda: E.env(extra={"finv": finv, "gaminv": gaminv})
-    X, c = crossed_to_cleft(E, gaminv)
-    yield "cleft", lambda: sigma_env(X, c, build_decomposition(X, c))
+    if level == "raw":
+        return None, lambda: None
+    if level == "bialgebra":
+        H = pres.bialgebra()
+        return H, H.base_env
+    if level == "measure":
+        m = pres.measure()
+        return m, m.derived_env
+    if level == "cocycle":
+        data = pres.cocycle(below)
+        return data, data.env
+    if level == "crossed":
+        E = build_crossed_product(below.measure, below)
+        if pres.has_role("phi"):
+            return E, lambda: _pair_env(E, E, pres.phi())
+        return E, E.env
+    if level == "crossed_inverse":
+        finv = cocycle_inverse(below.cocycle)
+        if finv is None:
+            raise PresentationError("the cocycle is not invertible; no inverse context")
+        gaminv = build_gamma_inverse(below, finv)
+        return (below, gaminv), lambda: below.env(extra={"finv": finv, "gaminv": gaminv})
+    X, c = crossed_to_cleft(*below)
+    return (X, c), lambda: sigma_env(X, c, build_decomposition(X, c))
 
 
-def _context(pres: PresentationFile, derived: Optional[Env]) -> Env:
-    """The ladder's one merge point: the presentation's generators join the
-    derived context as its child.  A generator may reuse a derived name only
-    when it binds the same matrix."""
-    if derived is None:
-        objects = {name: ob.dim for name, ob in pres.objects.items()}
-        return build_env(pres.field, objects, pres.generators)
-    try:
+class _Ladder:
+    """The eval context ladder of one presentation, from "raw" up to "cleft".
+
+    Each level is built from the level below the first time a call needs
+    it, and kept: its structures (H, the measure, the cocycle data, E, the
+    inverses, X) and its merged context, with the plans compiled in building
+    them.  A level whose build raises is not kept: asking again raises again.
+    Threads may share a ladder without a lock: two threads may build the
+    same level, and each is published in one assignment.
+    """
+
+    def __init__(self, pres: PresentationFile):
+        self.pres = pres
+        self._rungs: dict = {}     # level -> (its structures, derived context builder)
+        self._contexts: dict = {}  # level -> derived context plus the generators
+
+    def _rung(self, level: str):
+        rung = self._rungs.get(level)
+        if rung is None:
+            i = _LEVELS.index(level)
+            below = self._rung(_LEVELS[i - 1])[0] if i else None
+            rung = self._rungs[level] = _build_rung(self.pres, level, below)
+        return rung
+
+    def context(self, level: str) -> Env:
+        """A new child of the level's merged context.  Checks compile in the
+        child, so that their plans do not live as long as the ladder.
+        Raises RebindingError when a generator clashes with a derived name."""
+        env = self._contexts.get(level)
+        if env is None:
+            env = self._contexts[level] = self._merge(level)
+        return Env(env.sig, env.field, {}, parent=env)
+
+    def _merge(self, level: str) -> Env:
+        """The ladder's one merge point: the presentation's generators join
+        the level's derived context as its child.  A generator may reuse a
+        derived name only when it binds the same matrix."""
+        pres, derived = self.pres, self._rung(level)[1]()
+        if derived is None:
+            objects = {name: ob.dim for name, ob in pres.objects.items()}
+            return build_env(pres.field, objects, pres.generators)
         return derived.extend(pres.generators)
-    except RebindingError as exc:
-        raise PresentationError(
-            f"generator {exc.name!r} differs from the derived map of that name"
-        ) from None
 
 
-def _eval_env(pres: PresentationFile, level: Optional[str], texts: list) -> Env:
+@functools.lru_cache(maxsize=1)
+def _ladder_of(raw: bytes, path: str, field: Optional[str]) -> _Ladder:
+    """The ladder of the presentation read from ``path`` as ``raw``, kept
+    while eval reads the same bytes with the same field override: a run
+    checks many identities against one file, then moves on."""
+    return _Ladder(decode_presentation(raw, path, field))
+
+
+def _eval_env(ladder: _Ladder, level: Optional[str], texts: list) -> Env:
     """The context at the given ladder level; with no level, the lowest
     context in which every name of ``texts`` resolves."""
-    ladder = _ladder(pres)
     if level is not None:
-        for lv, derive in ladder:
-            if lv == level:
-                return _context(pres, derive())
+        return ladder.context(level)
     err = None
-    while True:
+    for lv in _LEVELS:
         try:
-            step = next(ladder, None)
-            if step is None:
-                break
-            derived = step[1]()
+            env = ladder.context(lv)
         except PresentationError:
             break  # the presentation supports no higher level
-        env = _context(pres, derived)
         try:
             for text in texts:
                 parse_expr(text, env.sig)
@@ -336,7 +376,7 @@ def _eval_env(pres: PresentationFile, level: Optional[str], texts: list) -> Env:
 
 
 def cmd_eval(args) -> int:
-    pres = load_presentation(args.sig, args.field)
+    ladder = _ladder_of(read_presentation(args.sig), args.sig, args.field)
     level = None
     if args.key:
         contexts = load_corpus_identities()
@@ -352,16 +392,21 @@ def cmd_eval(args) -> int:
         lhs, rhs = found["lhs"], found["rhs"]
     else:
         lhs, rhs = args.lhs, args.rhs
-    env = _eval_env(pres, level, [text for text in (lhs, rhs, args.expr) if text])
+    try:
+        env = _eval_env(ladder, level, [text for text in (lhs, rhs, args.expr) if text])
+    except RebindingError as exc:
+        raise PresentationError(
+            f"generator {exc.name!r} differs from the derived map of that name"
+        ) from None
     if lhs and rhs:
         verdict = check_identity_text(lhs, rhs, env)
         if verdict.passed:
             print("IDENTITY: pass")
             return EXIT_OK
-        w = verdict.witness
+        w, field = verdict.witness, ladder.pres.field
         print(
             f"IDENTITY: fail at (row {w.row}, col {w.col}):"
-            f" {pres.field.format(w.lhs)} != {pres.field.format(w.rhs)}"
+            f" {field.format(w.lhs)} != {field.format(w.rhs)}"
         )
         return EXIT_CHECK_FAILED
     m = evaluate(parse_expr(args.expr, env.sig), env)

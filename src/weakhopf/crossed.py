@@ -91,33 +91,35 @@ class WeakMeasure:
             bindings.update(extra)
         return self.env(extra=bindings)
 
+    def _formula(self, key, src: str) -> LinMap:
+        """The map of a derived formula, evaluated once in the one context
+        kept for all of this measure's formulas.  Identity tables run in
+        children of their own (``env``), so that their plans do not live as
+        long as the measure."""
+        if key not in self._cache:
+            env = self._cache.get("env")
+            if env is None:
+                env = self._cache["env"] = self.env()
+            self._cache[key] = eval_text(src, env)
+        return self._cache[key]
+
     @property
     def chi(self) -> LinMap:
-        if "chi" not in self._cache:
-            self._cache["chi"] = eval_text(ids.CHI_FORMULA, self.env())
-        return self._cache["chi"]
+        return self._formula("chi", ids.CHI_FORMULA)
 
     @property
     def nabla(self) -> LinMap:
-        if "nab" not in self._cache:
-            self._cache["nab"] = eval_text(ids.NABLA_FORMULA, self.env())
-        return self._cache["nab"]
+        return self._formula("nab", ids.NABLA_FORMULA)
 
     def u(self, n: int) -> LinMap:
         """rho-image of the unit after multiplying n tensor factors."""
-        key = ("u", n)
-        if key not in self._cache:
-            self._cache[key] = eval_text(ids.u_formula(n), self.env())
-        return self._cache[key]
+        return self._formula(("u", n), ids.u_formula(n))
 
     def v(self, n: int) -> LinMap:
         """Iterated action on the unit: v_{n+1} = rho . (H (x) v_n)."""
         if n == 1:
             return self.u(1)
-        key = ("v", n)
-        if key not in self._cache:
-            self._cache[key] = eval_text(ids.v_formula(n), self.env())
-        return self._cache[key]
+        return self._formula(("v", n), ids.v_formula(n))
 
 
 def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
@@ -311,10 +313,11 @@ def crossed_product_law_suite(E: CrossedProduct) -> VerdictReport:
     run_identity_table([ids.NU_PROJECTED], env, report)
     # Monicity of the base embedding is reported, not required: it can fail
     # for degenerate measures where the unit does not act as the identity.
+    rank = column_rank(E.j_nu)
     report.add_bool(
         "base_embedding_monic",
-        column_rank(E.j_nu) == E.measure.A.dim,
-        note=f"rank {column_rank(E.j_nu)} of {E.measure.A.dim}",
+        rank == E.measure.A.dim,
+        note=f"rank {rank} of {E.measure.A.dim}",
     )
     return report
 

@@ -8,6 +8,7 @@ the input digest, one entry per verdict and a timing field.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -155,13 +156,29 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
     return PresentationFile(field, objects, generators, roles, data)
 
 
-def load_presentation(path: str, field_override: Optional[str] = None) -> PresentationFile:
+def read_presentation(path: str) -> bytes:
+    """The bytes of a presentation file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise PresentationError(f"cannot read presentation {path}: {exc}") from None
+
+
+def decode_presentation(
+    raw: bytes, path: str, field_override: Optional[str] = None
+) -> PresentationFile:
+    """Parse the bytes read from ``path`` as a text file would read them:
+    UTF-8 with universal newlines."""
+    try:
+        data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except json.JSONDecodeError as exc:
         raise PresentationError(f"cannot read presentation {path}: {exc}") from None
     return parse_presentation(data, field_override)
+
+
+def load_presentation(path: str, field_override: Optional[str] = None) -> PresentationFile:
+    return decode_presentation(read_presentation(path), path, field_override)
 
 
 # --------------------------------------------------------------------------

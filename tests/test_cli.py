@@ -1,13 +1,24 @@
+import contextlib
+import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+from weakhopf import cli, crossed
+from weakhopf import identities as ids
 from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
+from weakhopf.ir import check_identity_text
+from weakhopf.presentation import load_presentation
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "weakhopf", "corpus")
+from concurrency import race
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+CORPUS = os.path.join(SRC, "weakhopf", "corpus")
 PAIR = os.path.join(CORPUS, "pair_groupoid_smash.json")
 Z2 = os.path.join(CORPUS, "z2_trivial_smash.json")
 
@@ -270,3 +281,133 @@ def test_generator_named_like_an_object_exits_2(tmp_path, capsys):
     assert main(["validate", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.count("error: generator 'A' is named like a declared object") == 2
+
+
+# -- the kept eval ladder -------------------------------------------------------
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+PASS = "IDENTITY: pass\n"
+
+
+def test_eval_sees_a_same_size_rewrite_with_the_old_mtime(tmp_path):
+    data = _load(PAIR)
+    target = tmp_path / "pair.json"
+    target.write_text(json.dumps(data))
+    st = os.stat(target)
+    code, out, _ = _call(["eval", "--sig", str(target), "--expr", "eps"])
+    assert code == 0 and json.loads(out)["matrix"] == [["1", "1", "1", "1"]]
+    data["generators"]["eps"]["matrix"][0][1] = "0"
+    target.write_text(json.dumps(data))
+    os.utime(target, ns=(st.st_atime_ns, st.st_mtime_ns))
+    after = os.stat(target)
+    assert (after.st_size, after.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    code, out, _ = _call(["eval", "--sig", str(target), "--expr", "eps"])
+    assert code == 0 and json.loads(out)["matrix"] == [["1", "0", "1", "1"]]
+
+
+def test_declared_and_overridden_fields_never_share_a_ladder(tmp_path):
+    data = _load(PAIR)
+    data["generators"]["half"] = {"dom": [], "cod": [], "matrix": [["1/2"]]}
+    target = tmp_path / "half.json"
+    target.write_text(json.dumps(data))
+    declared = ["eval", "--sig", str(target), "--expr", "half"]
+    for _ in range(2):
+        code, out, _ = _call(declared)
+        assert code == 0 and json.loads(out)["matrix"] == [["1/2"]]
+        code, out, _ = _call(declared + ["--field", "prime:7"])
+        assert code == 0 and json.loads(out)["matrix"] == [["4"]]
+
+
+def test_failed_levels_fail_alike_on_every_call(tmp_path):
+    data = _load(Z2)
+    data["generators"]["f"]["matrix"][0][3] = "0"  # a cocycle with no inverse
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps(data))
+    cases = [
+        (_bumped_cocycle(tmp_path), "mu_E_associative",
+         "error: crossed product hypothesis failed: cocycle\n"),
+        (str(singular), "gammainv_conv_right",
+         "error: the cocycle is not invertible; no inverse context\n"),
+    ]
+    for path, key, err in cases:
+        for _ in range(3):
+            assert _call(["eval", "--sig", path, "--key", key]) == (2, "", err)
+        # The levels below the failing one are still good.
+        assert _call(["eval", "--sig", path, "--key", "wma_unital"])[:2] == (0, PASS)
+    assert _call(["eval", "--sig", PAIR, "--key", "gammainv_conv_right"])[:2] == (0, PASS)
+
+
+def test_warm_cleft_eval_builds_nothing_again(monkeypatch):
+    calls = {"build": 0, "wma": 0}
+    build, run_table = cli.build_crossed_product, crossed.run_identity_table
+
+    def counted_build(*a, **k):
+        calls["build"] += 1
+        return build(*a, **k)
+
+    def counted_table(table, *a, **k):
+        calls["wma"] += table is ids.MODULE_ALGEBRA_IDENTITIES
+        return run_table(table, *a, **k)
+
+    monkeypatch.setattr(cli, "build_crossed_product", counted_build)
+    monkeypatch.setattr(crossed, "run_identity_table", counted_table)
+    argv = ["eval", "--sig", PAIR, "--key", "coaction_coassociative"]
+    cli._ladder_of.cache_clear()
+    assert _call(argv)[0] == 0
+    assert calls == {"build": 1, "wma": 1}
+    for key in ("coaction_coassociative", "mu_B_colinear", "gammainv_conv_right"):
+        assert _call(["eval", "--sig", PAIR, "--key", key])[0] == 0
+    assert calls == {"build": 1, "wma": 1}
+
+
+def test_threads_sharing_one_kept_ladder_match_a_serial_run():
+    jobs = [(cli._CONTEXT_LEVEL[context], row["lhs"], row["rhs"])
+            for context, block in identity_corpus().items() for row in block.values()]
+
+    def run(ladder):
+        out = []
+        for level, lhs, rhs in jobs:
+            v = check_identity_text(lhs, rhs, cli._eval_env(ladder, level, [lhs, rhs]))
+            out.append((v.status, v.witness))
+        return out
+
+    def context():
+        return cli._Ladder(load_presentation(PAIR))
+
+    serial = run(context())
+    assert len(serial) == len(jobs) and all(status == "pass" for status, _ in serial)
+    for results in race(context, run, 5):
+        assert results == [serial] * 4
+
+
+def test_warm_eval_output_is_byte_identical_to_cold():
+    # Every corpus key on both bundled files, declared and over F_7: each
+    # answer from a ladder kept across every key must be what a cold call
+    # prints after the memo is cleared.
+    keys = [key for block in identity_corpus().values() for key in block]
+    for path in (PAIR, Z2):
+        for extra in ([], ["--field", "prime:7"]):
+            warm = {}
+            for key in keys:
+                _call(["eval", "--sig", path, "--key", key, *extra])
+            for key in keys:
+                warm[key] = _call(["eval", "--sig", path, "--key", key, *extra])
+            for key in keys:
+                cli._ladder_of.cache_clear()
+                assert _call(["eval", "--sig", path, "--key", key, *extra]) == warm[key], key
+    # A fresh process prints what a warm in-process call does.
+    argv = ["eval", "--sig", PAIR, "--key", "coaction_coassociative"]
+    _call(argv)
+    warm = _call(argv)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("WEAKHOPF_CORPUS", None)
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == warm

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -49,6 +47,7 @@ from weakhopf.ir import (
 )
 from weakhopf.linalg import LinMap, Obj, from_rows, identity, swap, tensor_product, compose, zero_map
 
+from concurrency import race
 from instances import dual_group_hopf
 
 
@@ -560,34 +559,6 @@ def test_parse_error_raises_on_every_call():
         assert (exc.value.line, exc.value.col) == (2, 2)
 
 
-def _race(context, run, rounds):
-    """Each round, run ``run`` on four threads sharing one new ``context()``;
-    return every round's four results."""
-    rounds_results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads finely
-    try:
-        for _ in range(rounds):  # a race shows in some rounds, not in every one
-            shared = context()
-            start = threading.Barrier(4, timeout=60)
-            results = [None] * 4
-
-            def worker(k):
-                start.wait()
-                results[k] = run(shared)
-
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-            rounds_results.append(results)
-    finally:
-        sys.setswitchinterval(interval)
-    return rounds_results
-
-
 def test_threads_sharing_one_algebra_match_a_serial_run():
     def run(H):
         return [[(v.check_id, v.status, v.witness) for v in r]
@@ -599,7 +570,7 @@ def test_threads_sharing_one_algebra_match_a_serial_run():
     def context():  # a new H over the same maps: every thread starts from cold contexts
         return WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
 
-    for results in _race(context, run, 30):
+    for results in race(context, run, 30):
         assert results == [serial] * 4
 
 
@@ -616,5 +587,5 @@ def test_threads_sharing_one_cocycle_context_match_a_serial_run():
 
     serial = run(context())
     assert serial and all(status == "pass" for _, status, _ in serial)
-    for results in _race(context, run, 10):
+    for results in race(context, run, 10):
         assert results == [serial] * 4
