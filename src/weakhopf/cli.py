@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -47,6 +47,7 @@ from .crossed import (
     twisting,
 )
 from .equivalence import NotAnEquivalence, _pair_env, equivalence_from_phi, phi_from_iso
+from .identities import identity_corpus
 from .ir import (
     Env,
     ParseError,
@@ -65,189 +66,15 @@ from .presentation import (
     decode_presentation,
     dump_json,
     linmap_to_json,
-    load_presentation,
     presentation_to_json,
     read_presentation,
     report_to_json,
-    sha256_file,
 )
 from .report import VerdictReport
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-
-def corpus_dir() -> str:
-    override = os.environ.get("WEAKHOPF_CORPUS")
-    if override:
-        return override
-    return os.path.join(os.path.dirname(__file__), "corpus")
-
-
-def load_corpus_identities() -> dict:
-    """The corpus identity contexts; the file is read again only when its
-    path, mtime or size changes.  Callers must not edit the result."""
-    path = os.path.join(corpus_dir(), "identities.json")
-    st = os.stat(path)
-    return _read_identities(path, st.st_mtime_ns, st.st_size)
-
-
-@functools.lru_cache(maxsize=1)
-def _read_identities(path: str, mtime_ns: int, size: int) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)["contexts"]
-
-
-def _write_report(args, path: str, report: VerdictReport, pres: PresentationFile, started: float):
-    millis = int((time.monotonic() - started) * 1000) if args.timing else 0
-    out = report_to_json(report, pres.field, sha256_file(path), millis)
-    target = args.report or (path + ".report.json")
-    dump_json(out, target)
-    return target
-
-
-def _finish(args, path, report, pres, started) -> int:
-    target = _write_report(args, path, report, pres, started)
-    print(report.summary())
-    for v in report.failures():
-        print(f"  FAIL {v.check_id}" + (f" at (row {v.witness.row}, col {v.witness.col})" if v.witness else ""))
-    print(f"report: {target}")
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
-
-
-def cmd_validate(args) -> int:
-    started = time.monotonic()
-    pres = load_presentation(args.path, args.field)
-    H = pres.bialgebra()
-    report = VerdictReport("validate")
-    report.extend(check_bialgebra_axioms(H), prefix="axiom.")
-    if H.antipode is not None:
-        report.extend(check_antipode(H), prefix="antipode.")
-    report.extend(projection_identity_suite(H), prefix="projection.")
-    return _finish(args, args.path, report, pres, started)
-
-
-def _build_product(pres: PresentationFile, args):
-    m = pres.measure(getattr(args, "measure", None))
-    data = pres.cocycle(m, getattr(args, "cocycle", None))
-    return m, data
-
-
-def cmd_build(args) -> int:
-    started = time.monotonic()
-    pres = load_presentation(args.path, args.field)
-    m, data = _build_product(pres, args)
-    report = VerdictReport("build")
-    report.extend(check_weak_module_algebra(m), prefix="wma.")
-    _, tw = twisting(m)
-    report.extend(tw, prefix="twisting.")
-    report.extend(cocycle_report(m, data), prefix="cocycle.")
-    try:
-        E = build_crossed_product(m, data)
-    except HypothesisFailed as exc:
-        report.add_fail("build." + exc.check_id, witness=exc.witness)
-        _finish(args, args.path, report, pres, started)
-        print(f"hypothesis failed: {exc.check_id}")
-        return EXIT_CHECK_FAILED
-    report.add_pass("build.completed", note=f"E_dim {E.E_dim}")
-    report.extend(crossed_product_law_suite(E), prefix="law.")
-    report.extend(module_algebra_suite(E), prefix="module.")
-    out_path = args.out or (args.path + ".built.json")
-    gens = {
-        "iE": E.i,
-        "pE": E.p,
-        "muE": E.mu_E,
-        "etaE": E.eta_E,
-        "nu": E.nu,
-        "jnu": E.j_nu,
-        "gam": E.gamma,
-        "dE": E.delta_E,
-    }
-    dump_json(presentation_to_json(pres.field, gens, roles={"built": {"E_dim": E.E_dim}}), out_path)
-    code = _finish(args, args.path, report, pres, started)
-    print(f"product: {out_path}")
-    return code
-
-
-def cmd_cleft(args) -> int:
-    started = time.monotonic()
-    pres = load_presentation(args.path, args.field)
-    report = VerdictReport("cleft")
-    if pres.has_role("extension") and pres.has_role("cleaving"):
-        X = pres.extension()
-        c = pres.cleaving()
-        report.extend(comodule_algebra_report(X.comodule), prefix="comodule.")
-        report.extend(extension_check(X), prefix="extension.")
-        report.extend(cleaving_check(X, c), prefix="cleaving.")
-    else:
-        m, data = _build_product(pres, args)
-        try:
-            E = build_crossed_product(m, data)
-        except HypothesisFailed as exc:
-            report.add_fail("build." + exc.check_id, witness=exc.witness)
-            return _finish(args, args.path, report, pres, started)
-        finv, inv_report = invert_cocycle(m, data)
-        report.extend(inv_report, prefix="inverse.")
-        if finv is None:
-            return _finish(args, args.path, report, pres, started)
-        _, gi_report = gamma_inverse(E, finv)
-        report.extend(gi_report, prefix="integral.")
-    return _finish(args, args.path, report, pres, started)
-
-
-def cmd_reconstruct(args) -> int:
-    started = time.monotonic()
-    pres = load_presentation(args.path, args.field)
-    report = VerdictReport("reconstruct")
-    original = None
-    if pres.has_role("extension") and pres.has_role("cleaving"):
-        X = pres.extension()
-        c = pres.cleaving()
-    else:
-        m, data = _build_product(pres, args)
-        original = (m.rho, data.f)
-        try:
-            E = build_crossed_product(m, data)
-        except HypothesisFailed as exc:
-            report.add_fail("build." + exc.check_id, witness=exc.witness)
-            return _finish(args, args.path, report, pres, started)
-        finv = cocycle_inverse(data)
-        if finv is None:
-            report.add_fail("inverse.cocycle_invertible", note="convolution system has no solution")
-            return _finish(args, args.path, report, pres, started)
-        X, c = crossed_to_cleft(E, build_gamma_inverse(E, finv))
-    try:
-        recon, _, _, rec_report = full_reconstruction(X, c)
-    except FactorizationFailed as exc:
-        report.add_fail("factorization", note=str(exc))
-        return _finish(args, args.path, report, pres, started)
-    report.extend(rec_report)
-    if original is not None:
-        report.add_equality("recovered_rho_matches", recon.rho, original[0])
-        report.add_equality("recovered_f_matches", recon.f, original[1])
-    return _finish(args, args.path, report, pres, started)
-
-
-def cmd_equiv(args) -> int:
-    started = time.monotonic()
-    pres = load_presentation(args.path, args.field)
-    m, data = _build_product(pres, args)
-    try:
-        E = build_crossed_product(m, data)
-    except HypothesisFailed as exc:
-        report = VerdictReport("equiv")
-        report.add_fail("build." + exc.check_id, witness=exc.witness)
-        return _finish(args, args.path, report, pres, started)
-    phi = pres.phi(args.phi)
-    Phi, report = equivalence_from_phi(E, E, phi)
-    if Phi is not None:
-        try:
-            back = phi_from_iso(E, E, Phi)
-            report.add_equality("phi_round_trip", back, phi)
-        except NotAnEquivalence as exc:
-            report.add_fail("phi_round_trip", note=exc.check_id)
-    return _finish(args, args.path, report, pres, started)
 
 
 _CONTEXT_LEVEL = {
@@ -265,66 +92,84 @@ _CONTEXT_LEVEL = {
 _LEVELS = ("raw", "bialgebra", "measure", "cocycle", "crossed", "crossed_inverse", "cleft")
 
 
-def _build_rung(pres: PresentationFile, level: str, below):
-    """The structures ``level`` adds, built on those of the level below by the
-    library's own builders, and a function returning the level's derived
-    context (None at "raw").
-
-    The bialgebra level adds the projections, the measure level the twisting
-    data, the cocycle level the unit powers, the crossed level the built
-    product (plus primed/phi data when present), the inverse level the
-    cocycle and integral inverses, and the cleft level the reconstruction
-    maps.
-    """
-    if level == "raw":
-        return None, lambda: None
-    if level == "bialgebra":
-        H = pres.bialgebra()
-        return H, H.base_env
-    if level == "measure":
-        m = pres.measure()
-        return m, m.derived_env
-    if level == "cocycle":
-        data = pres.cocycle(below)
-        return data, data.env
-    if level == "crossed":
-        E = build_crossed_product(below.measure, below)
-        if pres.has_role("phi"):
-            return E, lambda: _pair_env(E, E, pres.phi())
-        return E, E.env
-    if level == "crossed_inverse":
-        finv = cocycle_inverse(below.cocycle)
-        if finv is None:
-            raise PresentationError("the cocycle is not invertible; no inverse context")
-        gaminv = build_gamma_inverse(below, finv)
-        return (below, gaminv), lambda: below.env(extra={"finv": finv, "gaminv": gaminv})
-    X, c = crossed_to_cleft(*below)
-    return (X, c), lambda: sigma_env(X, c, build_decomposition(X, c))
+class _NoInverse(PresentationError):
+    """The cocycle has no convolution inverse, so no level above "crossed"."""
 
 
 class _Ladder:
-    """The eval context ladder of one presentation, from "raw" up to "cleft".
+    """The structures and eval contexts of one presentation, from "raw" up to
+    "cleft": the one place the command line builds anything.
 
-    Each level is built from the level below the first time a call needs
-    it, and kept: its structures (H, the measure, the cocycle data, E, the
-    inverses, X) and its merged context, with the plans compiled in building
-    them.  A level whose build raises is not kept: asking again raises again.
-    Threads may share a ladder without a lock: two threads may build the
-    same level, and each is published in one assignment.
+    Each level is built from the level below the first time a command needs
+    it, and kept: its structures and its merged eval context, with the plans
+    compiled in building them.  A level whose build raises is not kept:
+    asking again raises again.  Threads may share a ladder without a lock:
+    two threads may build the same level, and each is published in one
+    assignment.
     """
 
-    def __init__(self, pres: PresentationFile):
+    def __init__(self, pres: PresentationFile, measure: Optional[str] = None,
+                 cocycle: Optional[str] = None):
         self.pres = pres
+        self.measure_name, self.cocycle_name = measure, cocycle  # from --measure, --cocycle
         self._rungs: dict = {}     # level -> (its structures, derived context builder)
         self._contexts: dict = {}  # level -> derived context plus the generators
+
+    def structures(self, level: str):
+        return self._rung(level)[0]
+
+    def declared_cleft(self):
+        """The cleft extension and cleaving the file declares, over the
+        ladder's H; None when it declares none."""
+        pres = self.pres
+        if not (pres.has_role("extension") and pres.has_role("cleaving")):
+            return None
+        return pres.extension(self.structures("bialgebra")), pres.cleaving()
 
     def _rung(self, level: str):
         rung = self._rungs.get(level)
         if rung is None:
             i = _LEVELS.index(level)
             below = self._rung(_LEVELS[i - 1])[0] if i else None
-            rung = self._rungs[level] = _build_rung(self.pres, level, below)
+            rung = self._rungs[level] = self._build(level, below)
         return rung
+
+    def _build(self, level: str, below):
+        """The structures ``level`` adds, built on those of the level below by
+        the library's own builders, and a function returning the level's
+        derived context (None at "raw").
+
+        The bialgebra level adds the projections, the measure level the
+        twisting data, the cocycle level the unit powers, the crossed level
+        the built product (plus primed/phi data when present), the inverse
+        level the cocycle and integral inverses, and the cleft level the
+        reconstruction maps.
+        """
+        pres = self.pres
+        if level == "raw":
+            return None, lambda: None
+        if level == "bialgebra":
+            H = pres.bialgebra()
+            return H, H.base_env
+        if level == "measure":
+            m = pres.measure(below, self.measure_name)
+            return m, m.derived_env
+        if level == "cocycle":
+            data = pres.cocycle(below, self.cocycle_name)
+            return data, data.env
+        if level == "crossed":
+            E = build_crossed_product(below.measure, below)
+            if pres.has_role("phi"):
+                return E, lambda: _pair_env(E, E, pres.phi())
+            return E, E.env
+        if level == "crossed_inverse":
+            finv = cocycle_inverse(below.cocycle)
+            if finv is None:
+                raise _NoInverse("the cocycle is not invertible; no inverse context")
+            gaminv = build_gamma_inverse(below, finv)
+            return (below, gaminv), lambda: below.env(extra={"finv": finv, "gaminv": gaminv})
+        X, c = crossed_to_cleft(*below)
+        return (X, c), lambda: sigma_env(X, c, build_decomposition(X, c))
 
     def context(self, level: str) -> Env:
         """A new child of the level's merged context.  Checks compile in the
@@ -347,11 +192,153 @@ class _Ladder:
 
 
 @functools.lru_cache(maxsize=1)
-def _ladder_of(raw: bytes, path: str, field: Optional[str]) -> _Ladder:
+def _ladder_of(raw: bytes, path: str, field: Optional[str], measure: Optional[str],
+               cocycle: Optional[str]) -> _Ladder:
     """The ladder of the presentation read from ``path`` as ``raw``, kept
-    while eval reads the same bytes with the same field override: a run
-    checks many identities against one file, then moves on."""
-    return _Ladder(decode_presentation(raw, path, field))
+    while commands read the same bytes with the same --field, --measure and
+    --cocycle: a run checks many things against one file, then moves on."""
+    return _Ladder(decode_presentation(raw, path, field), measure, cocycle)
+
+
+def _read(args, path: str) -> tuple:
+    """The bytes of ``path`` and the ladder of what they hold."""
+    raw = read_presentation(path)
+    ladder = _ladder_of(raw, path, args.field, getattr(args, "measure", None),
+                        getattr(args, "cocycle", None))
+    return raw, ladder
+
+
+class _Run:
+    """One report command: its file read once, the ladder of what it read,
+    and the report written at the end."""
+
+    def __init__(self, args, title: str):
+        self.args, self.started = args, time.monotonic()
+        self.raw, self.ladder = _read(args, args.path)
+        self.report = VerdictReport(title)
+
+    def level(self, level: str):
+        """The structures of a ladder level, or None when a build hypothesis
+        fails or the cocycle has no inverse; the report records which."""
+        try:
+            return self.ladder.structures(level)
+        except HypothesisFailed as exc:
+            self.report.add_fail("build." + exc.check_id, witness=exc.witness)
+        except _NoInverse:
+            self.report.add_fail("inverse.cocycle_invertible",
+                                 note="convolution system has no solution")
+        return None
+
+    def finish(self) -> int:
+        """Write the report, print its summary and return the exit code."""
+        args, report = self.args, self.report
+        millis = int((time.monotonic() - self.started) * 1000) if args.timing else 0
+        digest = hashlib.sha256(self.raw).hexdigest()
+        target = args.report or (args.path + ".report.json")
+        dump_json(report_to_json(report, self.ladder.pres.field, digest, millis), target)
+        print(report.summary())
+        for v in report.failures():
+            print(f"  FAIL {v.check_id}" + (f" at (row {v.witness.row}, col {v.witness.col})" if v.witness else ""))
+        print(f"report: {target}")
+        return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+
+
+def cmd_validate(args) -> int:
+    run = _Run(args, "validate")
+    report, H = run.report, run.ladder.structures("bialgebra")
+    report.extend(check_bialgebra_axioms(H), prefix="axiom.")
+    if H.antipode is not None:
+        report.extend(check_antipode(H), prefix="antipode.")
+    report.extend(projection_identity_suite(H), prefix="projection.")
+    return run.finish()
+
+
+def cmd_build(args) -> int:
+    run = _Run(args, "build")
+    report, data = run.report, run.ladder.structures("cocycle")
+    m = data.measure
+    report.extend(check_weak_module_algebra(m), prefix="wma.")
+    report.extend(twisting(m)[1], prefix="twisting.")
+    report.extend(cocycle_report(m, data), prefix="cocycle.")
+    E = run.level("crossed")
+    if E is None:
+        code = run.finish()
+        print(f"hypothesis failed: {report.entries[-1].check_id.removeprefix('build.')}")
+        return code
+    report.add_pass("build.completed", note=f"E_dim {E.E_dim}")
+    report.extend(crossed_product_law_suite(E), prefix="law.")
+    report.extend(module_algebra_suite(E), prefix="module.")
+    out_path = args.out or (args.path + ".built.json")
+    gens = dict(iE=E.i, pE=E.p, muE=E.mu_E, etaE=E.eta_E, nu=E.nu, jnu=E.j_nu, gam=E.gamma,
+                dE=E.delta_E)
+    field = run.ladder.pres.field
+    dump_json(presentation_to_json(field, gens, roles={"built": {"E_dim": E.E_dim}}), out_path)
+    code = run.finish()
+    print(f"product: {out_path}")
+    return code
+
+
+def cmd_cleft(args) -> int:
+    run = _Run(args, "cleft")
+    report, declared = run.report, run.ladder.declared_cleft()
+    if declared is not None:
+        X, c = declared
+        report.extend(comodule_algebra_report(X.comodule), prefix="comodule.")
+        report.extend(extension_check(X), prefix="extension.")
+        report.extend(cleaving_check(X, c), prefix="cleaving.")
+        return run.finish()
+    E = run.level("crossed")
+    if E is not None:
+        finv, inv_report = invert_cocycle(E.measure, E.cocycle)
+        report.extend(inv_report, prefix="inverse.")
+        if finv is not None:
+            report.extend(gamma_inverse(E, finv)[1], prefix="integral.")
+    return run.finish()
+
+
+def cmd_reconstruct(args) -> int:
+    run = _Run(args, "reconstruct")
+    report, declared = run.report, run.ladder.declared_cleft()
+    cleft = declared or run.level("cleft")
+    if cleft is None:
+        return run.finish()
+    try:
+        recon, _, _, rec_report = full_reconstruction(*cleft)
+    except FactorizationFailed as exc:
+        report.add_fail("factorization", note=str(exc))
+        return run.finish()
+    report.extend(rec_report)
+    if declared is None:
+        E = run.ladder.structures("crossed")
+        report.add_equality("recovered_rho_matches", recon.rho, E.measure.rho)
+        report.add_equality("recovered_f_matches", recon.f, E.cocycle.f)
+    return run.finish()
+
+
+def cmd_equiv(args) -> int:
+    run = _Run(args, "equiv")
+    E = run.level("crossed")
+    if E is not None:
+        phi = run.ladder.pres.phi(args.phi)
+        Phi, run.report = equivalence_from_phi(E, E, phi)
+        if Phi is not None:
+            try:
+                back = phi_from_iso(E, E, Phi)
+                run.report.add_equality("phi_round_trip", back, phi)
+            except NotAnEquivalence as exc:
+                run.report.add_fail("phi_round_trip", note=exc.check_id)
+    return run.finish()
+
+
+@functools.cache
+def _corpus_keys() -> dict:
+    """Each corpus identity id -> (its ladder level, lhs, rhs).  An id that
+    sits in two contexts takes the first."""
+    keys: dict = {}
+    for context, block in identity_corpus().items():
+        for key, row in block.items():
+            keys.setdefault(key, (_CONTEXT_LEVEL[context], row["lhs"], row["rhs"]))
+    return keys
 
 
 def _eval_env(ladder: _Ladder, level: Optional[str], texts: list) -> Env:
@@ -376,20 +363,13 @@ def _eval_env(ladder: _Ladder, level: Optional[str], texts: list) -> Env:
 
 
 def cmd_eval(args) -> int:
-    ladder = _ladder_of(read_presentation(args.sig), args.sig, args.field)
+    ladder = _read(args, args.sig)[1]
     level = None
     if args.key:
-        contexts = load_corpus_identities()
-        found = None
-        for context, block in contexts.items():
-            if args.key in block:
-                found = block[args.key]
-                level = _CONTEXT_LEVEL.get(context, "raw")
-                break
-        if found is None:
+        if args.key not in _corpus_keys():
             print(f"unknown corpus identity {args.key!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        lhs, rhs = found["lhs"], found["rhs"]
+        level, lhs, rhs = _corpus_keys()[args.key]
     else:
         lhs, rhs = args.lhs, args.rhs
     try:

@@ -195,6 +195,8 @@ def GF(p: int) -> PrimeField:
 
 def field_from_spec(spec: str) -> Field:
     """Parse a field spec string: ``rational`` or ``prime:P``."""
+    if not isinstance(spec, str):
+        raise FieldError(f"bad field spec {spec!r}")
     spec = spec.strip()
     if spec == "rational":
         return QQ

@@ -7,10 +7,9 @@ the input digest, one entry per verdict and a timing field.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraData
@@ -33,15 +32,7 @@ class PresentationFile:
     field: Field
     objects: dict  # name -> Obj
     generators: dict  # name -> LinMap
-    roles: dict
-    raw: dict
-    _bialgebra: Optional[WeakBialgebra] = dc_field(default=None, repr=False, compare=False)
-
-    def word(self, names) -> tuple:
-        try:
-            return tuple(self.objects[n] for n in names)
-        except KeyError as exc:
-            raise PresentationError(f"undeclared object {exc.args[0]!r}") from None
+    roles: dict  # tag -> {key: name}
 
     def gen(self, name: str) -> LinMap:
         try:
@@ -58,81 +49,100 @@ class PresentationFile:
     def has_role(self, tag: str) -> bool:
         return tag in self.roles
 
-    # -- typed views --------------------------------------------------------
+    def name(self, tag: str, key: str, default: Optional[str] = None) -> str:
+        """The name the role ``tag`` gives under ``key``."""
+        value = self.role(tag).get(key, default)
+        if not isinstance(value, str):
+            raise PresentationError(f"the {tag!r} role names no {key!r}")
+        return value
+
+    def obj(self, tag: str) -> Obj:
+        """The declared object the role ``tag`` names."""
+        name = self.name(tag, "object")
+        try:
+            return self.objects[name]
+        except KeyError:
+            raise PresentationError(f"undeclared object {name!r}") from None
+
+    # -- typed views; the structures below H take it as an argument ----------
 
     def bialgebra(self) -> WeakBialgebra:
-        """H with its antipode when one is declared; built once per file, so
-        every typed view shares it."""
-        if self._bialgebra is None:
-            self._bialgebra = self._build_bialgebra()
-        return self._bialgebra
-
-    def _build_bialgebra(self) -> WeakBialgebra:
-        spec = self.role("bialgebra")
-        obj = self.objects[spec["object"]]
+        """H, with its antipode when one is declared."""
         args = (
             self.field,
-            obj,
-            self.gen(spec.get("mu", "mu")),
-            self.gen(spec.get("eta", "eta")),
-            self.gen(spec.get("delta", "Delta")),
-            self.gen(spec.get("eps", "eps")),
+            self.obj("bialgebra"),
+            self.gen(self.name("bialgebra", "mu", "mu")),
+            self.gen(self.name("bialgebra", "eta", "eta")),
+            self.gen(self.name("bialgebra", "delta", "Delta")),
+            self.gen(self.name("bialgebra", "eps", "eps")),
         )
         if self.has_role("antipode"):
-            s = self.gen(self.role("antipode")["map"])
+            s = self.gen(self.name("antipode", "map"))
             return WeakHopfAlgebra.unchecked(*args, s)
         return WeakBialgebra.unchecked(*args)
 
-    def algebra(self, spec: dict) -> AlgebraData:
-        obj = self.objects[spec["object"]]
-        return AlgebraData(self.field, obj, self.gen(spec["mu"]), self.gen(spec["eta"]))
+    def algebra(self, tag: str) -> AlgebraData:
+        mu, eta = self.name(tag, "mu"), self.name(tag, "eta")
+        return AlgebraData(self.field, self.obj(tag), self.gen(mu), self.gen(eta))
 
-    def measure(self, rho_name: Optional[str] = None) -> WeakMeasure:
-        spec = self.role("measure")
-        A = self.algebra(spec)
-        rho = self.gen(rho_name or spec["rho"])
-        return WeakMeasure(self.bialgebra(), A, rho)
+    def measure(self, H: WeakBialgebra, rho_name: Optional[str] = None) -> WeakMeasure:
+        A = self.algebra("measure")
+        return WeakMeasure(H, A, self.gen(rho_name or self.name("measure", "rho")))
 
     def cocycle(self, m: WeakMeasure, f_name: Optional[str] = None) -> CocycleData:
-        name = f_name or self.role("cocycle")["map"]
-        return CocycleData(m, self.gen(name))
+        return CocycleData(m, self.gen(f_name or self.name("cocycle", "map")))
 
-    def comodule(self) -> ComoduleAlgebra:
-        spec = self.role("comodule")
-        B = self.algebra(spec)
-        return ComoduleAlgebra(B, self.gen(spec["delta"]), self.bialgebra())
+    def comodule(self, H: WeakBialgebra) -> ComoduleAlgebra:
+        B = self.algebra("comodule")
+        return ComoduleAlgebra(B, self.gen(self.name("comodule", "delta")), H)
 
-    def extension(self) -> Extension:
-        spec = self.role("extension")
-        A = self.algebra(spec)
-        return Extension(self.comodule(), A, self.gen(spec["j"]))
+    def extension(self, H: WeakBialgebra) -> Extension:
+        A = self.algebra("extension")
+        return Extension(self.comodule(H), A, self.gen(self.name("extension", "j")))
 
     def cleaving(self) -> CleavingData:
-        spec = self.role("cleaving")
-        return CleavingData(self.gen(spec["gamma"]), self.gen(spec["gamma_inv"]))
+        gamma, gamma_inv = self.name("cleaving", "gamma"), self.name("cleaving", "gamma_inv")
+        return CleavingData(self.gen(gamma), self.gen(gamma_inv))
 
     def phi(self, name: Optional[str] = None) -> LinMap:
-        return self.gen(name or self.role("phi")["map"])
+        return self.gen(name or self.name("phi", "map"))
+
+
+def _lists(*values, of=object) -> bool:
+    """Whether every value is a list whose items are all of type ``of``."""
+    return all(isinstance(v, list) and all(isinstance(x, of) for x in v) for v in values)
 
 
 def parse_presentation(data: dict, field_override: Optional[str] = None) -> PresentationFile:
+    if not isinstance(data, dict):
+        raise PresentationError("a presentation must be a JSON object")
     try:
         field = field_from_spec(field_override or data["field"])
     except (KeyError, FieldError) as exc:
         raise PresentationError(f"bad field spec: {exc}") from None
+    sections = {key: data.get(key, {}) for key in ("objects", "generators", "roles")}
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise PresentationError(f"{key} must be an object")
     objects = {}
-    for name, dim in data.get("objects", {}).items():
+    for name, dim in sections["objects"].items():
         if not isinstance(dim, int) or dim < 0:
             raise PresentationError(f"object {name!r} has bad dimension {dim!r}")
         objects[name] = Obj(name, dim)
     generators = {}
-    for name, spec in data.get("generators", {}).items():
+    for name, spec in sections["generators"].items():
         if name in objects:
             raise PresentationError(f"generator {name!r} is named like a declared object")
+        if not isinstance(spec, dict):
+            raise PresentationError(f"generator {name!r} must be an object")
         try:
-            dom = tuple(objects[n] for n in spec["dom"])
-            cod = tuple(objects[n] for n in spec["cod"])
-            matrix = spec["matrix"]
+            dom, cod, matrix = spec["dom"], spec["cod"], spec["matrix"]
+            if not (_lists(dom, cod, of=str) and _lists(matrix, of=list)):
+                raise PresentationError(
+                    f"generator {name!r}: dom and cod must list object names, matrix its rows"
+                )
+            dom = tuple(objects[n] for n in dom)
+            cod = tuple(objects[n] for n in cod)
         except KeyError as exc:
             raise PresentationError(f"generator {name!r} is missing {exc.args[0]!r}") from None
         nrows = 1
@@ -150,10 +160,10 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
         except FieldError as exc:
             raise PresentationError(f"generator {name!r}: {exc}") from None
         generators[name] = LinMap(field, dom, cod, rows)
-    roles = data.get("roles", {})
-    if not isinstance(roles, dict):
-        raise PresentationError("roles must be an object")
-    return PresentationFile(field, objects, generators, roles, data)
+    for tag, spec in sections["roles"].items():
+        if not isinstance(spec, dict):
+            raise PresentationError(f"role {tag!r} must be an object")
+    return PresentationFile(field, objects, generators, sections["roles"])
 
 
 def read_presentation(path: str) -> bytes:
@@ -172,7 +182,7 @@ def decode_presentation(
     UTF-8 with universal newlines."""
     try:
         data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PresentationError(f"cannot read presentation {path}: {exc}") from None
     return parse_presentation(data, field_override)
 
@@ -214,13 +224,6 @@ def dump_json(data: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def report_to_json(

@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from weakhopf import cli, crossed
@@ -13,7 +15,8 @@ from weakhopf import identities as ids
 from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
 from weakhopf.ir import check_identity_text
-from weakhopf.presentation import load_presentation
+from weakhopf.cleft import crossed_to_cleft
+from weakhopf.presentation import dump_json, load_presentation, presentation_to_json
 
 from concurrency import race
 
@@ -141,25 +144,6 @@ def test_field_override(tmp_path, pair_file):
                  "--report", str(tmp_path / "r7.json")]) == 0
 
 
-def test_corpus_env_override(tmp_path, pair_file, monkeypatch, capsys):
-    alt = tmp_path / "corpus"
-    alt.mkdir()
-    (alt / "identities.json").write_text(json.dumps({
-        "version": "0.1.0",
-        "contexts": {"bialgebra": {"only_one": {"lhs": "id(H)", "rhs": "id(H)"}}},
-    }))
-    monkeypatch.setenv("WEAKHOPF_CORPUS", str(alt))
-    assert main(["eval", "--sig", pair_file, "--key", "only_one"]) == 0
-    assert main(["eval", "--sig", pair_file, "--key", "comult_multiplicative"]) == 2
-    # The file read is reused only while it is unchanged.
-    (alt / "identities.json").write_text(json.dumps({
-        "version": "0.1.0",
-        "contexts": {"bialgebra": {"another": {"lhs": "mu", "rhs": "mu"}}},
-    }))
-    assert main(["eval", "--sig", pair_file, "--key", "another"]) == 0
-    assert main(["eval", "--sig", pair_file, "--key", "only_one"]) == 2
-
-
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch, pair_file, capsys):
     from weakhopf import cli
 
@@ -237,6 +221,14 @@ def _bumped_cocycle(tmp_path):
     f = data["generators"]["f"]["matrix"]
     f[0][0] = str(int(f[0][0]) + 2)
     target = tmp_path / "badf.json"
+    target.write_text(json.dumps(data))
+    return str(target)
+
+
+def _singular_cocycle(tmp_path):
+    data = _load(Z2)
+    data["generators"]["f"]["matrix"][0][3] = "0"  # a cocycle with no inverse
+    target = tmp_path / "singular.json"
     target.write_text(json.dumps(data))
     return str(target)
 
@@ -326,14 +318,10 @@ def test_declared_and_overridden_fields_never_share_a_ladder(tmp_path):
 
 
 def test_failed_levels_fail_alike_on_every_call(tmp_path):
-    data = _load(Z2)
-    data["generators"]["f"]["matrix"][0][3] = "0"  # a cocycle with no inverse
-    singular = tmp_path / "singular.json"
-    singular.write_text(json.dumps(data))
     cases = [
         (_bumped_cocycle(tmp_path), "mu_E_associative",
          "error: crossed product hypothesis failed: cocycle\n"),
-        (str(singular), "gammainv_conv_right",
+        (_singular_cocycle(tmp_path), "gammainv_conv_right",
          "error: the cocycle is not invertible; no inverse context\n"),
     ]
     for path, key, err in cases:
@@ -387,27 +375,141 @@ def test_threads_sharing_one_kept_ladder_match_a_serial_run():
         assert results == [serial] * 4
 
 
-def test_warm_eval_output_is_byte_identical_to_cold():
-    # Every corpus key on both bundled files, declared and over F_7: each
-    # answer from a ladder kept across every key must be what a cold call
-    # prints after the memo is cleared.
+REPORT_COMMANDS = ("validate", "build", "cleft", "reconstruct", "equiv")
+
+
+def test_warm_eval_output_is_byte_identical_to_cold(tmp_path):
+    # Every report command and every corpus key, on both bundled files, a
+    # file whose cocycle fails a build hypothesis and one whose cocycle has
+    # no inverse, declared and over F_7: each answer from a ladder kept
+    # across the whole walk must be what a cold call prints after the memo
+    # is cleared, with the same report and product bytes.
     keys = [key for block in identity_corpus().values() for key in block]
-    for path in (PAIR, Z2):
+    report, product = tmp_path / "out.report.json", tmp_path / "out.built.json"
+
+    def run(argv):
+        for target in (report, product):
+            target.unlink(missing_ok=True)
+        return _call(argv) + tuple(t.read_bytes() if t.exists() else None for t in (report, product))
+
+    for path in (PAIR, Z2, _bumped_cocycle(tmp_path), _singular_cocycle(tmp_path)):
         for extra in ([], ["--field", "prime:7"]):
-            warm = {}
-            for key in keys:
-                _call(["eval", "--sig", path, "--key", key, *extra])
-            for key in keys:
-                warm[key] = _call(["eval", "--sig", path, "--key", key, *extra])
-            for key in keys:
+            argvs = [["eval", "--sig", path, "--key", key, *extra] for key in keys]
+            for cmd in REPORT_COMMANDS:
+                argvs.append([cmd, path, "--report", str(report), *extra])
+            argvs[-4] += ["--out", str(product)]  # build
+            for argv in argvs:
+                run(argv)
+            warm = [run(argv) for argv in argvs]
+            for argv, answer in zip(argvs, warm):
                 cli._ladder_of.cache_clear()
-                assert _call(["eval", "--sig", path, "--key", key, *extra]) == warm[key], key
+                assert run(argv) == answer, argv
     # A fresh process prints what a warm in-process call does.
     argv = ["eval", "--sig", PAIR, "--key", "coaction_coassociative"]
     _call(argv)
     warm = _call(argv)
     env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("WEAKHOPF_CORPUS", None)
     proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == warm
+
+
+# -- malformed presentations and declared cleft extensions ---------------------
+
+ALL_COMMANDS = REPORT_COMMANDS + ("eval",)
+
+
+def _set(path, value):
+    """A mutation that sets the entry at ``path`` (keys into the JSON) to ``value``."""
+    def mutate(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        if value is KeyError:
+            del data[last]
+        else:
+            data[last] = value
+    return mutate
+
+
+MALFORMED = [
+    ("top_level_list", None, ALL_COMMANDS),
+    ("objects_list", _set(["objects"], ["H", "A"]), ALL_COMMANDS),
+    ("generators_list", _set(["generators"], ["mu"]), ALL_COMMANDS),
+    ("generator_string", _set(["generators", "eps"], "eps"), ALL_COMMANDS),
+    ("dom_string", _set(["generators", "eps", "dom"], "H"), ALL_COMMANDS),
+    ("matrix_number", _set(["generators", "eps", "matrix"], 5), ALL_COMMANDS),
+    ("row_number", _set(["generators", "eps", "matrix"], [5]), ALL_COMMANDS),
+    ("field_number", _set(["field"], 7), ALL_COMMANDS),
+    ("role_string", _set(["roles", "bialgebra"], "H"), ALL_COMMANDS),
+    ("bialgebra_no_object", _set(["roles", "bialgebra", "object"], KeyError), ALL_COMMANDS),
+    ("bialgebra_object_list", _set(["roles", "bialgebra", "object"], ["H"]), ALL_COMMANDS),
+    # validate reads no measure, cocycle or phi
+    ("measure_no_rho", _set(["roles", "measure", "rho"], KeyError), ALL_COMMANDS[1:]),
+    ("measure_undeclared_object", _set(["roles", "measure", "object"], "Q"), ALL_COMMANDS[1:]),
+    ("cocycle_no_map", _set(["roles", "cocycle", "map"], KeyError), ALL_COMMANDS[1:]),
+    ("phi_no_map", _set(["roles", "phi", "map"], KeyError), ("equiv",)),
+    ("not_utf8", None, ALL_COMMANDS),
+]
+
+
+@pytest.mark.parametrize("case,mutate,commands", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_presentation_exits_2_on_every_command(tmp_path, case, mutate, commands):
+    data = _load(PAIR)
+    if mutate is not None:
+        mutate(data)
+    target = tmp_path / "bad.json"
+    text = json.dumps([data] if case == "top_level_list" else data)
+    target.write_bytes(b"\xff" + text.encode() if case == "not_utf8" else text.encode())
+    for command in commands:
+        if command == "eval":
+            argv = ["eval", "--sig", str(target), "--key", "cocycle_f"]
+        else:
+            argv = [command, str(target), "--report", str(tmp_path / "r.json")]
+        code, out, err = _call(argv)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+def _declared_cleft(tmp_path, bump=False):
+    """The pair instance's crossed product written as a declared cleft
+    extension; with ``bump``, one entry of its gamma inverse is off by one."""
+    pres = load_presentation(PAIR)
+    H = pres.bialgebra()
+    m = pres.measure(H)
+    data = pres.cocycle(m)
+    E = crossed.build_crossed_product(m, data)
+    finv, _ = crossed.invert_cocycle(m, data)
+    X, c = crossed_to_cleft(E, crossed.gamma_inverse(E, finv)[0])
+    gens = {name: pres.gen(name) for name in ("mu", "eta", "Delta", "eps", "S", "muA", "etaA")}
+    gens.update(muB=X.comodule.B.mu, etaB=X.comodule.B.eta, dB=X.comodule.delta, j=X.j,
+                gamB=c.gamma, gamBinv=c.gamma_inv)
+    roles = {
+        "bialgebra": pres.roles["bialgebra"],
+        "antipode": pres.roles["antipode"],
+        "comodule": {"object": "B", "mu": "muB", "eta": "etaB", "delta": "dB"},
+        "extension": {"object": "A", "mu": "muA", "eta": "etaA", "j": "j"},
+        "cleaving": {"gamma": "gamB", "gamma_inv": "gamBinv"},
+    }
+    out = presentation_to_json(pres.field, gens, roles)
+    if bump:
+        row = out["generators"]["gamBinv"]["matrix"][0]
+        row[0] = str(Fraction(row[0]) + 1)
+    target = tmp_path / ("bumped_cleft.json" if bump else "cleft.json")
+    dump_json(out, str(target))
+    return str(target)
+
+
+def test_declared_cleft_extension(tmp_path):
+    path = _declared_cleft(tmp_path)
+    report = tmp_path / "r.json"
+    for command in ("cleft", "reconstruct"):
+        assert _call([command, path, "--report", str(report)])[0] == 0, command
+        entries = _load(report)["entries"]
+        assert entries and all(e["status"] != "fail" for e in entries)
+    bumped = _declared_cleft(tmp_path, bump=True)
+    code, out, _ = _call(["cleft", bumped, "--report", str(report)])
+    failed = [e["id"] for e in _load(report)["entries"] if e["status"] == "fail"]
+    assert code == 1 and failed
+    assert all(cid.startswith("cleaving.") for cid in failed), failed
+    assert all(f"  FAIL {cid}" in out for cid in failed)
