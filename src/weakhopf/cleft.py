@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import identities as ids
-from .algebra import AlgebraData, StructureError
+from .algebra import AlgebraData, RegularityPreconditionFailed, StructureError
 from .bialgebra import WeakBialgebra
 from .crossed import (
     CocycleData,
     CrossedProduct,
+    HypothesisFailed,
     WeakMeasure,
     build_crossed_product,
     check_weak_module_algebra,
@@ -249,10 +250,14 @@ def recover_inverse_cocycle(
         raise FactorizationFailed("sigma inverse does not factor through j")
     env = env.extend({"f": recon.f, "finv": f_inv, "u2": recon.measure.u(2)})
     run_identity_table(ids.INVERSE_RECOVERY_IDENTITIES, env, report)
-    solver_inv = cocycle_inverse(recon.cocycle)
-    report.add_bool("solver_finds_inverse", solver_inv is not None)
-    if solver_inv is not None:
-        report.add_equality("finv_matches_solver", f_inv, solver_inv)
+    try:
+        solver_inv = cocycle_inverse(recon.cocycle)
+    except RegularityPreconditionFailed as exc:
+        report.add_fail("solver_finds_inverse", note=f"not regular: {exc}")
+    else:
+        report.add_bool("solver_finds_inverse", solver_inv is not None)
+        if solver_inv is not None:
+            report.add_equality("finv_matches_solver", f_inv, solver_inv)
     return recon, sigma, sigma_inv, f_inv, report
 
 
@@ -260,10 +265,16 @@ def full_reconstruction(
     X: Extension, c: CleavingData
 ) -> tuple[Reconstruction, LinMap, LinMap, VerdictReport]:
     """One pass through decomposition, reconstruction, cocycle inversion and
-    the rebuilt-product isomorphism: (reconstruction, f_inv, iso, report)."""
+    the rebuilt-product isomorphism: (reconstruction, f_inv, iso, report).
+    When the recovered data fail a construction hypothesis, the report says
+    which, as ``rebuild.<hypothesis>``, and iso is None."""
     recon, _, _, f_inv, report = recover_inverse_cocycle(X, c)
     B = X.comodule.B
-    E_rb = build_crossed_product(recon.measure, recon.cocycle)
+    try:
+        E_rb = build_crossed_product(recon.measure, recon.cocycle)
+    except HypothesisFailed as exc:
+        report.add_fail("rebuild." + exc.check_id, witness=exc.witness)
+        return recon, f_inv, None, report
     bindings = {"w": recon.decomp.w, "j": X.j, "muB": B.mu, "etaB": B.eta, "dB": X.comodule.delta}
     env = E_rb.env(extra=bindings)
     iso = eval_text(ids.REBUILT_ISO_EXPR, env)

@@ -167,8 +167,9 @@ class _Ladder:
             if finv is None:
                 raise _NoInverse("the cocycle is not invertible; no inverse context")
             gaminv = build_gamma_inverse(below, finv)
-            return (below, gaminv), lambda: below.env(extra={"finv": finv, "gaminv": gaminv})
-        X, c = crossed_to_cleft(*below)
+            return (below, finv, gaminv), lambda: below.env(extra={"finv": finv, "gaminv": gaminv})
+        E, _, gaminv = below
+        X, c = crossed_to_cleft(E, gaminv)
         return (X, c), lambda: sigma_env(X, c, build_decomposition(X, c))
 
     def context(self, level: str) -> Env:
@@ -287,12 +288,11 @@ def cmd_cleft(args) -> int:
         report.extend(extension_check(X), prefix="extension.")
         report.extend(cleaving_check(X, c), prefix="cleaving.")
         return run.finish()
-    E = run.level("crossed")
-    if E is not None:
-        finv, inv_report = invert_cocycle(E.measure, E.cocycle)
-        report.extend(inv_report, prefix="inverse.")
-        if finv is not None:
-            report.extend(gamma_inverse(E, finv)[1], prefix="integral.")
+    inverse = run.level("crossed_inverse")
+    if inverse is not None:
+        E, finv, gaminv = inverse
+        report.extend(invert_cocycle(E.measure, E.cocycle, finv)[1], prefix="inverse.")
+        report.extend(gamma_inverse(E, finv, gaminv)[1], prefix="integral.")
     return run.finish()
 
 

@@ -365,12 +365,16 @@ def cocycle_inverse(data: CocycleData) -> Optional[LinMap]:
     return conv_inverse(data.f, m.u(2), power, m.A)
 
 
-def invert_cocycle(m: WeakMeasure, f) -> tuple[Optional[LinMap], VerdictReport]:
+def invert_cocycle(
+    m: WeakMeasure, f, finv: Optional[LinMap] = None
+) -> tuple[Optional[LinMap], VerdictReport]:
     """Invert f in the convolution monoid with unit u2 and verify the derived
-    laws of the inverse; returns (None, report) when no inverse exists."""
+    laws of the inverse; returns (None, report) when no inverse exists.
+    ``finv``, when given, is the inverse already solved for."""
     data = f if isinstance(f, CocycleData) else CocycleData(m, f)
     report = VerdictReport("cocycle inverse")
-    finv = cocycle_inverse(data)
+    if finv is None:
+        finv = cocycle_inverse(data)
     if finv is None:
         report.add_fail("cocycle_invertible", note="convolution system has no solution")
         return None, report
@@ -393,10 +397,14 @@ def build_gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> LinMap:
     return eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", E.env(extra={"finv": f_inv}))
 
 
-def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictReport]:
+def gamma_inverse(
+    E: CrossedProduct, f_inv: LinMap, gaminv: Optional[LinMap] = None
+) -> tuple[LinMap, VerdictReport]:
     """The convolution inverse of the canonical integral of a built product,
-    with the full cleftness verdict list."""
-    gaminv = build_gamma_inverse(E, f_inv)
+    with the full cleftness verdict list.  ``gaminv``, when given, is that
+    inverse already built by ``build_gamma_inverse``."""
+    if gaminv is None:
+        gaminv = build_gamma_inverse(E, f_inv)
     report = VerdictReport("integral inverse")
     env = E.env(extra={"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)

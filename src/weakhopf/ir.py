@@ -476,7 +476,8 @@ class _Plan(NamedTuple):
     of two structures that are not permutations: (a function computing a
     column without keeping it, then cols and fn of the left and the right
     factor, right dom dim, right cod dim).  A Seq whose second operand it is
-    reads it from its factors' columns, so those columns are never formed.
+    reads it from its factors' columns, so those columns are never formed,
+    and skips the terms whose factor columns are zero (see ``_fused``).
     ``base`` marks a Seq that only permutes the rows of ``base`` by
     ``perm``, so that a further permutation composes with it.
     """
@@ -575,7 +576,7 @@ def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
         width = width or ncols
         size = ncols if ncols <= width else 0
         if isinstance(e, Seq):
-            plan = _seq(_plan(e.first, env, width), _plan(e.then, env, width), p, size)
+            plan = _seq(_plan(e.first, env, width), _plan(e.then, env, width), p, size, ncols)
         else:
             plan = _par(_plan(e.left, env, width), _plan(e.right, env, width), right, p, size)
     env._plans[key] = plan
@@ -586,8 +587,9 @@ def _dims(word: tuple, sig: Signature) -> tuple:
     return tuple(sig.objects[n] for n in word)
 
 
-def _seq(first: _Plan, then: _Plan, p: int, size: int) -> _Plan:
-    """first, then then, keeping columns in ``_store(size)``."""
+def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
+    """first, then then, keeping columns in ``_store(size)``; ``ncols`` is
+    the width of first."""
     if first.cols is None:
         if first.index is None:
             return then
@@ -632,7 +634,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int) -> _Plan:
     scale = first.scale * then.scale
     cols = _store(size)  # published one whole column at a time: Envs are shared by threads
     if then.kron:
-        return _Plan(cols, _fused(cols, fcols, ffn, *then.kron[1:], p), scale)
+        return _Plan(cols, _fused(cols, fcols, ffn, *then.kron[1:], p, ncols), scale)
     tcols, tfn = then.cols, then.fn
 
     def fn(j):
@@ -664,13 +666,48 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int) -> _Plan:
     return _Plan(cols, fn, scale)
 
 
+def _nonzero(cols: list, fn: Callable) -> list:
+    """The indices of the nonzero columns of a kept list, computing (and
+    keeping) those not kept yet."""
+    out = []
+    for k, c in enumerate(cols):
+        if c is None:
+            c = fn(k)
+        if c:
+            out.append(k)
+    return out
+
+
+def _product_support(lcols, lfn: Callable, rcols, rfn: Callable, dr: int, walk: int):
+    """The keys k1 * dr + k2 at which column k1 of left and column k2 of
+    right are both nonzero, as a set; False when a factor keeps a
+    ``_Sparse`` dict, or when the set would hold at least ``walk`` keys."""
+    if type(lcols) is not list or type(rcols) is not list:
+        return False
+    left, right = _nonzero(lcols, lfn), _nonzero(rcols, rfn)
+    if len(left) * len(right) >= walk:
+        return False
+    return {k1 * dr + k2 for k1 in left for k2 in right}
+
+
 def _fused(cols, fcols, ffn: Callable, lcols, lfn: Callable, rcols, rfn: Callable,
-           dr: int, cr: int, p: int) -> Callable:
+           dr: int, cr: int, p: int, width: int) -> Callable:
     """The column function of first ; (left * right): it accumulates the
     outer products of the factors' columns, never forming a column of the
-    Kronecker product."""
+    Kronecker product.  ``width`` is the width of first.
+
+    The term at key k = k1 * dr + k2 of first's column is zero unless
+    column k1 of left and column k2 of right are both nonzero.  The first
+    column of first with more than one term decides whether to skip the
+    others: it finds the nonzero columns of both factors, and keeps the set
+    S of keys where both are nonzero when |S| is smaller than the terms the
+    plain loop would walk (that column's length times ``width``).  With S
+    kept, each column walks only its keys in S; otherwise every key.  A
+    factor kept in a ``_Sparse`` dict is never scanned: the plain loop."""
+    support = None  # S, or False for the plain loop; published once decided
 
     def fn(j):
+        nonlocal support
         a = fcols[j]
         if a is None:
             a = ffn(j)
@@ -694,6 +731,11 @@ def _fused(cols, fcols, ffn: Callable, lcols, lfn: Callable, rcols, rfn: Callabl
                         c[base + i2] = x * v2
             cols[j] = c
             return c
+        s = support
+        if s is None:
+            s = support = _product_support(lcols, lfn, rcols, rfn, dr, len(a) * width)
+        if s is not False:
+            a = {k: a[k] for k in a.keys() & s}
         acc = {}
         get = acc.get
         for k, v in a.items():

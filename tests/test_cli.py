@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import cli, crossed
+from weakhopf import cleft, cli, crossed
 from weakhopf import identities as ids
 from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
 from weakhopf.ir import check_identity_text
 from weakhopf.cleft import crossed_to_cleft
-from weakhopf.presentation import dump_json, load_presentation, presentation_to_json
+from weakhopf.presentation import dump_json, load_presentation, presentation_to_json, read_presentation
 
 from concurrency import race
 
@@ -513,3 +513,46 @@ def test_declared_cleft_extension(tmp_path):
     assert code == 1 and failed
     assert all(cid.startswith("cleaving.") for cid in failed), failed
     assert all(f"  FAIL {cid}" in out for cid in failed)
+
+
+def _bumped_antipode(tmp_path):
+    data = _load(PAIR)
+    data["generators"]["S"]["matrix"][1][2] = "2"
+    target = tmp_path / "badS.json"
+    target.write_text(json.dumps(data))
+    return str(target)
+
+
+@pytest.mark.parametrize("bumped", [_bumped_antipode, lambda p: _declared_cleft(p, bump=True)],
+                         ids=["antipode", "gamma_inverse"])
+def test_reconstruct_reports_a_recovered_cocycle_that_is_not_regular(tmp_path, bumped):
+    # The recovered cocycle fails f * u2 = f, the precondition of the
+    # convolution solver, and the rebuilt product's hypotheses: both are
+    # failed checks in the report, not an escaping exception.
+    report = tmp_path / "r.json"
+    code, out, err = _call(["reconstruct", bumped(tmp_path), "--report", str(report)])
+    assert (code, err) == (1, "")
+    entries = {e["id"]: e for e in _load(report)["entries"]}
+    assert entries["solver_finds_inverse"]["status"] == "fail"
+    assert entries["rebuild.cocycle_normalized"]["status"] == "fail"
+    assert "witness" in entries["rebuild.cocycle_normalized"]
+    assert "  FAIL solver_finds_inverse\n" in out
+
+
+def test_cleft_and_reconstruct_solve_the_cocycle_once(tmp_path, monkeypatch):
+    # The kept ladder's inverse serves both commands.  The reconstruction's
+    # solver check on the recovered cocycle is a separate, independent route.
+    calls = []
+    solve = crossed.cocycle_inverse
+
+    def counted(data):
+        calls.append(data)
+        return solve(data)
+
+    for module in (cli, crossed, cleft):
+        monkeypatch.setattr(module, "cocycle_inverse", counted)
+    cli._ladder_of.cache_clear()
+    for command in ("cleft", "reconstruct"):
+        assert _call([command, PAIR, "--report", str(tmp_path / "r.json")])[0] == 0, command
+    presented = cli._ladder_of(read_presentation(PAIR), PAIR, None, None, None).structures("cocycle")
+    assert [data is presented for data in calls] == [True, False]

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -438,6 +439,97 @@ def test_a_wide_convolution_check_keeps_little_memory():
     assert peak < 25_000_000
 
 
+# -- the support filter of first ; (L * R) -------------------------------------
+
+_NONZERO = (Fraction(1, 2), Fraction(-2, 3), 1, Fraction(3, 5), -1, 2, Fraction(5, 4))  # and mod 7
+
+
+@contextlib.contextmanager
+def _support_decisions():
+    """Record what each convolution plan decides: a set of keys, or False
+    for the plain loop."""
+    decide, decisions = ir._product_support, []
+
+    def recorded(*args):
+        out = decide(*args)
+        decisions.append(out)
+        return out
+
+    ir._product_support = recorded
+    try:
+        yield decisions
+    finally:
+        ir._product_support = decide
+
+
+def _sparse_columns(data, field, dom, cod, nonzero):
+    """A map whose columns outside ``nonzero`` are zero and inside it are not."""
+    rows = [[0] * dom.dim for _ in range(cod.dim)]
+    for k in nonzero:
+        for i in data.draw(st.sets(st.integers(0, cod.dim - 1), min_size=1)):
+            rows[i][k] = data.draw(st.sampled_from(_NONZERO))
+    return from_rows(field, (dom,), (cod,), rows)
+
+
+@FIELDS
+@pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "plain"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_filtered_convolution_matches_dense_route(field, filtered, data):
+    # first ; (L * R) with many-term columns in first and mostly-zero columns
+    # in L and R.  Column 0 of first decides: it has two terms or more, and
+    # width >= 2, so the plain loop would walk at least 4 terms.  Filtered:
+    # at most 3 keys where both factors are nonzero.  Plain: at least 4.
+    dl, dr = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    width = data.draw(st.integers(2, 4)) if filtered else 2
+    F, X, Y = Obj("F", width), Obj("X", dl), Obj("Y", dr)
+    U, V = Obj("U", data.draw(st.integers(1, 3))), Obj("V", data.draw(st.integers(1, 3)))
+    if filtered:
+        sl = data.draw(st.integers(0, 3))
+        sr = data.draw(st.integers(0, min(dr, 3 // sl) if sl else dr))
+    else:
+        sl, sr = data.draw(st.integers(2, dl)), data.draw(st.integers(2, dr))
+    left = data.draw(st.permutations(range(dl)))[:sl]
+    right = data.draw(st.permutations(range(dr)))[:sr]
+    support = {k1 * dr + k2 for k1 in left for k2 in right}
+    rest = sorted(set(range(dl * dr)) - support)
+    # Column 0 has two terms and partly overlaps the support where it can:
+    # a key in it and one outside.
+    inside = [data.draw(st.sampled_from(sorted(support)))] if support else []
+    first_keys = inside + data.draw(st.permutations(rest))[:2 - len(inside)]
+    if len(first_keys) < 2:  # the support is every key
+        first_keys = data.draw(st.permutations(sorted(support)))[:2]
+    columns = [first_keys]
+    columns += [data.draw(st.sets(st.integers(0, dl * dr - 1))) for _ in range(width - 1)]
+    rows = [[0] * width for _ in range(dl * dr)]
+    for j, keys in enumerate(columns):
+        for k in keys:
+            rows[k][j] = data.draw(st.sampled_from(_NONZERO))
+    bindings = {
+        "first": from_rows(field, (F,), (X, Y), rows),
+        "L": _sparse_columns(data, field, X, U, left),
+        "R": _sparse_columns(data, field, Y, V, right),
+    }
+    env = Env(Signature.of_bindings({}, bindings), field, bindings)
+    e = parse_expr("first ; L * R", env.sig)
+    with _support_decisions() as decisions:
+        dense = _dense(e, env)
+        assert evaluate(e, env) == dense
+    assert decisions == ([support] if filtered else [False])
+    r = data.draw(st.integers(0, dense.nrows - 1))
+    c = data.draw(st.integers(0, dense.ncols - 1))
+    bad = _perturbed(dense, r, c)
+    child = env.extend({"P": dense, "Q": bad})
+    assert check_identity(e, Gen("P"), child).status == "pass"
+    _assert_verdict_matches_dense(e, Gen("Q"), child)
+    _assert_verdict_matches_dense(Gen("Q"), e, child)
+    # A fresh Env compiles the plan again, and checks before it evaluates.
+    fresh = Env(env.sig, field, env.bindings).extend({"Q": bad})
+    with _support_decisions() as decisions:
+        _assert_verdict_matches_dense(e, Gen("Q"), fresh)
+    assert decisions == ([support] if filtered else [False])
+
+
 def test_env_is_freed_by_reference_counting():
     # Compiled plans must not refer back to their Env: a cycle would keep
     # every Env of a long run alive until the next full collection.
@@ -589,3 +681,31 @@ def test_threads_sharing_one_cocycle_context_match_a_serial_run():
     assert serial and all(status == "pass" for _, status, _ in serial)
     for results in race(context, run, 10):
         assert results == [serial] * 4
+
+
+def test_threads_sharing_one_filtered_convolution_match_a_serial_run():
+    # On dual S3 with the trivial measure, f and finv are each nonzero on
+    # one column only, so the plan of f * finv keeps its support filter.
+    m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
+    c = CocycleData(m, m.u(2))
+    base = c.env(extra={"finv": cocycle_inverse(c)})
+    _, lhs, rhs = next(row for row in COCYCLE_INVERSE_IDENTITIES if row[0] == "f_conv_finv")
+    bad = _perturbed(base.bindings[rhs], 0, 7)
+    bindings = {**base.bindings, "R": bad}
+    sig = Signature(base.sig.objects, {**base.sig.generators, "R": base.sig.generators[rhs]})
+
+    def context():  # one fresh Env: every thread starts from no plan at all
+        return Env(sig, base.field, bindings)
+
+    def run(env):
+        return [(v.status, v.witness)
+                for v in (check_identity_text(lhs, rhs, env), check_identity_text(lhs, "R", env))]
+
+    with _support_decisions() as decisions:
+        serial = run(context())
+        assert decisions and all(d is not False for d in decisions)
+        for results in race(context, run, 10):
+            assert results == [serial] * 4
+    w = serial[1][1]
+    diff = evaluate(parse_expr(lhs, sig), context()).first_difference(bad)
+    assert serial[0] == ("pass", None) and (w.row, w.col, w.lhs, w.rhs) == diff
