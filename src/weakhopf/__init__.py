@@ -7,10 +7,8 @@ from .linalg import (
     NotIdempotentError,
     Obj,
     ShapeError,
-    SolveOutcome,
     compose,
     identity,
-    solve_affine,
     split_idempotent,
     swap,
     tensor_product,

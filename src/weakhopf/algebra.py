@@ -185,8 +185,9 @@ def convolve(alpha: LinMap, beta: LinMap, coalg: ConvCoalgebra, alg: AlgebraData
     nc = wdim(cword)
     out = [[field.zero] * nc for _ in range(da)]
     mu_rows = alg.mu.rows
-    a_cols = alpha.col_nonzeros()
-    b_cols = beta.col_nonzeros()
+    a_cols, b_cols = (
+        [[(i, v) for i, v in enumerate(col) if v] for col in zip(*m.rows)] for m in (alpha, beta)
+    )
     for j in range(nc):
         for j1, j2, w in coalg.delta_column(j):
             for s, av in a_cols[j1]:
@@ -237,18 +238,18 @@ def _conv_operator_rows(
     da = alg.dim
     nc = wdim(_conv_word(coalg))
     delta, dw = _int_terms([coalg.delta_column(j) for j in range(nc)], field)
-    k_cols, dk = _int_terms(known.col_nonzeros(), field)
-    mu_cols, dm = _int_terms(alg.mu.col_nonzeros(), field)
+    k_cols, dk = known.int_columns()
+    mu_cols, dm = alg.mu.int_columns()
     left = side == "left"
     rows = [{} for _ in range(da * nc)]
     for j in range(nc):
         for j1, j2, w in delta[j]:
             kcol, xcol = (j1, j2) if left else (j2, j1)
-            for s, kv in k_cols[kcol]:
+            for s, kv in k_cols[kcol].items():
                 c = w * kv
                 for t in range(da):
                     idx = t * nc + xcol
-                    for r, mv in mu_cols[s * da + t if left else t * da + s]:
+                    for r, mv in mu_cols[s * da + t if left else t * da + s].items():
                         row = rows[r * nc + j]
                         row[idx] = row.get(idx, 0) + c * mv
     if p:
@@ -279,14 +280,16 @@ def _conv_solve(
     and solved by ``rref`` with every free unknown zero."""
     field = alg.field
     cword = _conv_word(coalg)
-    nunk = alg.dim * wdim(cword)
+    nc = wdim(cword)
+    nunk = alg.dim * nc
     aug = []
     for side, unit in (("left", left_unit), ("right", right_unit)):
         rows, d = _conv_operator_rows(g, coalg, alg, side)
-        us, du = field.to_ints([v for r in unit.rows for v in r])
-        for row, u in zip(rows, us):
+        ucols, du = unit.int_columns()
+        for i, row in enumerate(rows):  # row i is entry (i // nc, i % nc)
             if du != 1:
                 row = {k: n * du for k, n in row.items()}
+            u = ucols[i % nc].get(i // nc)
             if u:
                 row[nunk] = u * d
             aug.append(row)

@@ -283,14 +283,12 @@ def full_reconstruction(
     return recon, f_inv, iso, report
 
 
-def crossed_to_cleft(
-    E: CrossedProduct, gamma_inv: LinMap, carrier: str = "B"
-) -> tuple[Extension, CleavingData]:
+def crossed_to_cleft(E: CrossedProduct, gamma_inv: LinMap) -> tuple[Extension, CleavingData]:
     """View a built crossed product as a cleft extension of its base."""
-    ren = {E.obj.name: carrier}
+    ren = {E.obj.name: "B"}
     B = AlgebraData(
         E.field,
-        Obj(carrier, E.E_dim),
+        Obj("B", E.E_dim),
         rename_factor(E.mu_E, ren),
         rename_factor(E.eta_E, ren),
     )

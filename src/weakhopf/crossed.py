@@ -26,9 +26,7 @@ from .linalg import (
     Obj,
     column_rank,
     factor_through,
-    nullspace_basis,
     rename_factor,
-    same_subspace,
     split_idempotent,
 )
 from .report import VerdictReport, Witness
@@ -202,10 +200,9 @@ class CocycleData:
         return m.derived_env(extra=bindings)
 
 
-def cocycle_report(m: WeakMeasure, f) -> VerdictReport:
+def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
     """All recorded cocycle laws, with the cross-checks that the two
     normalization forms and the two (plain vs lifted) condition levels agree."""
-    data = f if isinstance(f, CocycleData) else CocycleData(m, f)
     report = VerdictReport("cocycle laws")
     env = data.env()
     run_identity_table(ids.COCYCLE_IDENTITIES, env, report)
@@ -275,19 +272,18 @@ class CrossedProduct:
         return self.cocycle.env(extra=bindings)
 
 
-def build_crossed_product(m: WeakMeasure, f, name: str = "E") -> CrossedProduct:
+def build_crossed_product(m: WeakMeasure, data: CocycleData) -> CrossedProduct:
     """Verify the five construction hypotheses, split the induced idempotent
     and install the unital product on its image.
 
     Raises HypothesisFailed naming the first failing hypothesis.
     """
-    data = f if isinstance(f, CocycleData) else CocycleData(m, f)
     env = data.env()
     for check_id, lhs, rhs in ids.BUILD_HYPOTHESES:
         verdict = check_identity_text(lhs, rhs, env, check_id)
         if not verdict.passed:
             raise HypothesisFailed(check_id, verdict.witness)
-    _, i, p = split_idempotent(m.nabla, name=name)
+    _, i, p = split_idempotent(m.nabla, name="E")
     env = env.extend({"iE": i, "pE": p})
     return CrossedProduct(
         m,
@@ -324,13 +320,17 @@ def crossed_product_law_suite(E: CrossedProduct) -> VerdictReport:
 
 def equalizer_matches(H: WeakBialgebra, delta: LinMap, j: LinMap) -> tuple[bool, int]:
     """Are the coinvariants of a coaction delta: X -> X (x) H exactly the
-    image of j?  Returns the verdict and the dimension of the coinvariants."""
+    image of j?  Returns the verdict and the dimension of the coinvariants.
+
+    The coinvariants are the kernel of cut = delta - delta ; id(X) * piL.
+    The image of j lies in it when j ; cut = 0, an identity on the integer
+    kernel, and is all of it when the two have the same dimension."""
     carrier = delta.dom[0]
-    env = H.base_env(extra={"d": delta})
-    cut = delta - eval_text(ids.COINVARIANT_CUT.format(carrier.name), env)
-    kernel = [[r[0] for r in vec.rows] for vec in nullspace_basis(cut)]
-    image = [j.column(c) for c in range(j.ncols)]
-    return same_subspace(kernel, image, carrier.dim, H.field), len(kernel)
+    env = H.base_env(extra={"d": delta, "j": j})
+    coinvariant = ids.COINVARIANT_CUT.format(carrier.name)
+    dim = carrier.dim - column_rank(delta - eval_text(coinvariant, env))
+    inside = check_identity_text("j ; d", f"j ; {coinvariant}", env).passed
+    return inside and column_rank(j) == dim, dim
 
 
 def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
@@ -366,12 +366,11 @@ def cocycle_inverse(data: CocycleData) -> Optional[LinMap]:
 
 
 def invert_cocycle(
-    m: WeakMeasure, f, finv: Optional[LinMap] = None
+    m: WeakMeasure, data: CocycleData, finv: Optional[LinMap] = None
 ) -> tuple[Optional[LinMap], VerdictReport]:
-    """Invert f in the convolution monoid with unit u2 and verify the derived
-    laws of the inverse; returns (None, report) when no inverse exists.
-    ``finv``, when given, is the inverse already solved for."""
-    data = f if isinstance(f, CocycleData) else CocycleData(m, f)
+    """Invert the cocycle in the convolution monoid with unit u2 and verify
+    the derived laws of the inverse; returns (None, report) when no inverse
+    exists.  ``finv``, when given, is the inverse already solved for."""
     report = VerdictReport("cocycle inverse")
     if finv is None:
         finv = cocycle_inverse(data)
@@ -429,14 +428,14 @@ def gamma_inverse(
 # Canonical instance builders
 # --------------------------------------------------------------------------
 
-def base_action_measure(H: WeakBialgebra, carrier: str = "A") -> WeakMeasure:
+def base_action_measure(H: WeakBialgebra) -> WeakMeasure:
     """The action of H on its own target base subalgebra by multiply-and-
     project; the universal smash-product ingredient."""
     sub, inj, proj = base_subalgebra(H, "L")
-    ren = {sub.obj.name: carrier}
+    ren = {sub.obj.name: "A"}
     A = AlgebraData(
         H.field,
-        Obj(carrier, sub.dim),
+        Obj("A", sub.dim),
         rename_factor(sub.mu, ren),
         rename_factor(sub.eta, ren),
     )
@@ -444,10 +443,10 @@ def base_action_measure(H: WeakBialgebra, carrier: str = "A") -> WeakMeasure:
     return WeakMeasure.checked(H, A, eval_text(ids.BASE_ACTION_FORMULA, env))
 
 
-def trivial_measure(H: WeakBialgebra, carrier: str = "A") -> WeakMeasure:
+def trivial_measure(H: WeakBialgebra) -> WeakMeasure:
     """The counit acting on the one-dimensional algebra."""
     field = H.field
-    A_obj = Obj(carrier, 1)
+    A_obj = Obj("A", 1)
     mu_A = LinMap(field, (A_obj, A_obj), (A_obj,), [[field.one]])
     eta_A = LinMap(field, (), (A_obj,), [[field.one]])
     A = AlgebraData(field, A_obj, mu_A, eta_A)

@@ -82,12 +82,12 @@ class GroupoidPresentation:
         return self
 
 
-def groupoid_algebra(G: GroupoidPresentation, field: Field, carrier: str = "H") -> WeakHopfAlgebra:
+def groupoid_algebra(G: GroupoidPresentation, field: Field) -> WeakHopfAlgebra:
     """Weak Hopf algebra on the morphism basis of a validated groupoid."""
     G.validate()
     n = len(G.morphisms)
     index = {m: i for i, m in enumerate(G.morphisms)}
-    H = Obj(carrier, n)
+    H = Obj("H", n)
     mu = zero_map(field, (H, H), (H,))
     one = field.one
     for (g, h), gh in G.compose.items():

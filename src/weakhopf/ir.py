@@ -561,10 +561,7 @@ def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
         return plan
     p = env.field.modulus
     if isinstance(e, Gen):
-        nz = env.bindings[e.name].col_nonzeros()
-        ns, scale = env.field.to_ints([v for col in nz for _, v in col])
-        flat = iter(ns)  # zip reads col first, so flat is never over-read
-        cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
+        cols, scale = env.bindings[e.name].int_columns()
         plan = _Plan(cols, cols.__getitem__, scale)  # every column is already kept
     elif isinstance(e, Id):
         plan = _Plan(None, None, 1, None, (_dims(e.word, env.sig), tuple(range(len(e.word)))))
@@ -634,7 +631,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
     scale = first.scale * then.scale
     cols = _store(size)  # published one whole column at a time: Envs are shared by threads
     if then.kron:
-        return _Plan(cols, _fused(cols, fcols, ffn, *then.kron[1:], p, ncols), scale)
+        return _Plan(cols, _fused(cols, fcols, ffn, then.kron, p, ncols), scale)
     tcols, tfn = then.cols, then.fn
 
     def fn(j):
@@ -690,11 +687,11 @@ def _product_support(lcols, lfn: Callable, rcols, rfn: Callable, dr: int, walk: 
     return {k1 * dr + k2 for k1 in left for k2 in right}
 
 
-def _fused(cols, fcols, ffn: Callable, lcols, lfn: Callable, rcols, rfn: Callable,
-           dr: int, cr: int, p: int, width: int) -> Callable:
+def _fused(cols, fcols, ffn: Callable, kron: tuple, p: int, width: int) -> Callable:
     """The column function of first ; (left * right): it accumulates the
     outer products of the factors' columns, never forming a column of the
-    Kronecker product.  ``width`` is the width of first.
+    Kronecker product.  ``kron`` is the ``_Plan.kron`` of left * right and
+    ``width`` the width of first.
 
     The term at key k = k1 * dr + k2 of first's column is zero unless
     column k1 of left and column k2 of right are both nonzero.  The first
@@ -704,6 +701,7 @@ def _fused(cols, fcols, ffn: Callable, lcols, lfn: Callable, rcols, rfn: Callabl
     plain loop would walk (that column's length times ``width``).  With S
     kept, each column walks only its keys in S; otherwise every key.  A
     factor kept in a ``_Sparse`` dict is never scanned: the plain loop."""
+    outer, lcols, lfn, rcols, rfn, dr, cr = kron
     support = None  # S, or False for the plain loop; published once decided
 
     def fn(j):
@@ -713,22 +711,9 @@ def _fused(cols, fcols, ffn: Callable, lcols, lfn: Callable, rcols, rfn: Callabl
             a = ffn(j)
         if len(a) == 1:  # one term: a scaled outer product, with no zero
             [(k, v)] = a.items()
-            k1, k2 = divmod(k, dr)
-            x1 = lcols[k1]
-            if x1 is None:
-                x1 = lfn(k1)
-            b = rcols[k2]
-            if b is None:
-                b = rfn(k2)
-            c = {}
-            for i1, v1 in x1.items():
-                base, x = i1 * cr, v * v1
-                if p:
-                    for i2, v2 in b.items():
-                        c[base + i2] = x * v2 % p
-                else:
-                    for i2, v2 in b.items():
-                        c[base + i2] = x * v2
+            c = outer(k)
+            if v != 1:
+                c = {i: v * w % p if p else v * w for i, w in c.items()}
             cols[j] = c
             return c
         s = support
@@ -904,24 +889,10 @@ def build_env(field: Field, objects: dict, bindings: dict) -> Env:
     return Env(Signature.of_bindings(objects, bindings), field, bindings)
 
 
-def run_identity_table(
-    table, env: Env, report: Optional[VerdictReport] = None, skip_missing: bool = False
-) -> VerdictReport:
-    """Run (check_id, lhs, rhs) triples against an environment.
-
-    With skip_missing, identities mentioning unbound generator names are
-    reported as skipped instead of raising.
-    """
+def run_identity_table(table, env: Env, report: Optional[VerdictReport] = None) -> VerdictReport:
+    """Run (check_id, lhs, rhs) triples against an environment."""
     if report is None:
         report = VerdictReport()
     for check_id, lhs, rhs in table:
-        try:
-            le = parse_expr(lhs, env.sig)
-            re_ = parse_expr(rhs, env.sig)
-        except UnknownNameError as exc:
-            if skip_missing:
-                report.add_skipped(check_id, note=str(exc))
-                continue
-            raise
-        report.add(check_identity(le, re_, env, check_id))
+        report.add(check_identity_text(lhs, rhs, env, check_id))
     return report

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .fields import Field
 
@@ -69,7 +69,7 @@ class LinMap:
     dom: Word
     cod: Word
     rows: list  # list[list[scalar]]
-    _col_nz: Optional[list] = dc_field(default=None, repr=False, compare=False)
+    _int_cols: Optional[tuple] = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         nr, nc = wdim(self.cod), wdim(self.dom)
@@ -87,10 +87,6 @@ class LinMap:
     def ncols(self) -> int:
         return wdim(self.dom)
 
-    def then(self, other: "LinMap") -> "LinMap":
-        """Diagram-order composition: self first, then other."""
-        return compose(other, self)
-
     def __eq__(self, other):
         if not isinstance(other, LinMap):
             return NotImplemented
@@ -101,15 +97,6 @@ class LinMap:
             and self.rows == other.rows
         )
 
-    def __add__(self, other: "LinMap") -> "LinMap":
-        _check_same_shape(self, other)
-        norm = self.field.normalize
-        rows = [
-            [norm(a + b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return LinMap(self.field, self.dom, self.cod, rows)
-
     def __sub__(self, other: "LinMap") -> "LinMap":
         _check_same_shape(self, other)
         norm = self.field.normalize
@@ -119,16 +106,21 @@ class LinMap:
         ]
         return LinMap(self.field, self.dom, self.cod, rows)
 
-    def col_nonzeros(self) -> list:
-        """Per-column sparse view [(row, value), ...]; cached."""
-        if self._col_nz is None:
-            cols = [[] for _ in range(self.ncols)]
+    def int_columns(self) -> tuple[list, int]:
+        """(cols, scale): column j as a dict {row: n} without zeros, whose
+        entries are n / scale; over F_p the scale is 1 and n a residue.
+        Computed once and kept; the dicts are shared, and never written."""
+        if self._int_cols is None:
+            nz = [[] for _ in range(self.ncols)]
             for i, row in enumerate(self.rows):
                 for j, v in enumerate(row):
                     if v:
-                        cols[j].append((i, v))
-            self._col_nz = cols
-        return self._col_nz
+                        nz[j].append((i, v))
+            ns, scale = self.field.to_ints([v for col in nz for _, v in col])
+            flat = iter(ns)  # zip reads col first, so flat is never over-read
+            cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
+            self._int_cols = (cols, scale)  # published in one assignment
+        return self._int_cols
 
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
@@ -374,19 +366,6 @@ def split_idempotent(e: LinMap, name: str = "im") -> tuple[int, LinMap, LinMap]:
     return rank, inj, proj
 
 
-@dataclass
-class SolveOutcome:
-    """Result of solve_affine: no solution, a unique one, or an affine family."""
-
-    kind: str  # "none" | "unique" | "affine"
-    particular: Optional[LinMap]
-    nullspace: list
-
-    @property
-    def is_solvable(self) -> bool:
-        return self.kind != "none"
-
-
 def _particular(red: list, pivots: list, nunk: int, field: Field) -> Optional[list]:
     """The flat solution, free unknowns zero, of a reduced augmented system
     (unknowns 0..nunk-1, right-hand side at column nunk); None if there is
@@ -400,53 +379,9 @@ def _particular(red: list, pivots: list, nunk: int, field: Field) -> Optional[li
     return flat
 
 
-def _kernel(red: list, pivots: list, n: int, field: Field) -> list:
-    """One flat kernel vector per free column below n, in column order: 1 at
-    that column, minus the column of the reduced form at the pivots."""
-    pivset = set(pivots)
-    z, one, norm = field.zero, field.one, field.normalize
-    vecs = {}
-    for fc in range(n):
-        if fc not in pivset:
-            vecs[fc] = [z] * n
-            vecs[fc][fc] = one
-    for row, col in zip(red, pivots):
-        for k, v in row.items():
-            if k != col and k < n:
-                vecs[k][col] = norm(-v)
-    return list(vecs.values())
-
-
 def _as_map(field: Field, dom: Word, cod: Word, flat: list) -> LinMap:
     nc = wdim(dom)
     return LinMap(field, dom, cod, [flat[i * nc:(i + 1) * nc] for i in range(wdim(cod))])
-
-
-def solve_affine(
-    field: Field,
-    dom: Word,
-    cod: Word,
-    constraints: Iterable[tuple[LinMap, object]],
-) -> SolveOutcome:
-    """Solve for an unknown LinMap dom -> cod subject to affine constraints.
-
-    Each constraint is a pair (functional, rhs): the functional is a map of
-    the same shape as the unknown, read as sum(F[i][j] * X[i][j]) = rhs.
-    """
-    nunk = wdim(cod) * wdim(dom)
-    rows = []
-    for functional, rhs in constraints:
-        if functional.dom != dom or functional.cod != cod or functional.field != field:
-            raise ShapeError("constraint functional shape does not match the unknown")
-        flat = [v for r in functional.rows for v in r]
-        flat.append(field.normalize(rhs))
-        rows.append(flat)
-    red, pivots = rref(_int_rows(rows, field), nunk + 1, field)
-    flat = _particular(red, pivots, nunk, field)
-    if flat is None:
-        return SolveOutcome("none", None, [])
-    basis = [_as_map(field, dom, cod, v) for v in _kernel(red, pivots, nunk, field)]
-    return SolveOutcome("affine" if basis else "unique", _as_map(field, dom, cod, flat), basis)
 
 
 def _solve_rows(field: Field, dom: Word, cod: Word, aug_rows: list, nunk: int) -> Optional[LinMap]:
@@ -478,30 +413,9 @@ def factor_through(target: LinMap, through: LinMap) -> Optional[LinMap]:
     return LinMap(field, target.dom, through.dom, sol_rows)
 
 
-def nullspace_basis(m: LinMap) -> list:
-    """Deterministic basis of ker(m), each vector a LinMap K -> dom."""
-    red, pivots = rref(_int_rows(m.rows, m.field), m.ncols, m.field)
-    return [
-        LinMap(m.field, UNIT_WORD, m.dom, [[v] for v in vec])
-        for vec in _kernel(red, pivots, m.ncols, m.field)
-    ]
-
-
 def column_rank(m: LinMap) -> int:
     _, pivots = rref(_int_rows(m.rows, m.field), m.ncols, m.field)
     return len(pivots)
-
-
-def subspace_canonical(vectors: list, dim: int, field: Field) -> tuple:
-    """Canonical form (RREF rows) of the span of flat vectors of length dim."""
-    if not vectors:
-        return ()
-    red, _ = rref(_int_rows(vectors, field), dim, field)
-    return tuple(tuple(_densify(r, dim, field.zero)) for r in red)
-
-
-def same_subspace(vs1: list, vs2: list, dim: int, field: Field) -> bool:
-    return subspace_canonical(vs1, dim, field) == subspace_canonical(vs2, dim, field)
 
 
 def invert(m: LinMap) -> Optional[LinMap]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import cleft, cli, crossed
+from weakhopf import cleft, cli, crossed, fields
 from weakhopf import identities as ids
 from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
@@ -353,6 +353,26 @@ def test_warm_cleft_eval_builds_nothing_again(monkeypatch):
     for key in ("coaction_coassociative", "mu_B_colinear", "gammainv_conv_right"):
         assert _call(["eval", "--sig", PAIR, "--key", key])[0] == 0
     assert calls == {"build": 1, "wma": 1}
+
+
+def test_second_eval_walk_converts_no_generator(monkeypatch):
+    # A map's integer columns are computed once and kept with the map, so a
+    # second walk over every key on the kept ladder converts no scalars.
+    calls = []
+    for cls in (fields.RationalField, fields.PrimeField):
+        def counted(self, values, _to_ints=cls.to_ints):
+            calls.append(self)
+            return _to_ints(self, values)
+        monkeypatch.setattr(cls, "to_ints", counted)
+    keys = [key for block in identity_corpus().values() for key in block]
+    cli._ladder_of.cache_clear()
+    for key in keys:
+        assert _call(["eval", "--sig", PAIR, "--key", key])[:2] == (0, PASS), key
+    assert calls
+    calls.clear()
+    for key in keys:
+        assert _call(["eval", "--sig", PAIR, "--key", key])[:2] == (0, PASS), key
+    assert calls == []
 
 
 def test_threads_sharing_one_kept_ladder_match_a_serial_run():

@@ -24,8 +24,18 @@ from weakhopf.crossed import (
     twisting,
 )
 from weakhopf.fields import GF, QQ
-from weakhopf.identities import J_NU_PRIME, MU_EE
-from weakhopf.linalg import LinMap, compose, identity, swap, tensor_product, zero_map
+from weakhopf.identities import COINVARIANT_CUT, J_NU_PRIME, MU_EE
+from weakhopf.linalg import (
+    LinMap,
+    Obj,
+    _int_rows,
+    compose,
+    identity,
+    rref,
+    swap,
+    tensor_product,
+    zero_map,
+)
 
 from instances import pair_groupoid_hopf, z2_hopf
 
@@ -341,6 +351,69 @@ def test_equalizer_dimension():
     Ez = build_crossed_product(mz, cz)
     okz, dimz = equalizer_matches(Hz, Ez.delta_E, Ez.j_nu)
     assert okz and dimz == 1
+
+
+def _cut(H, delta):
+    """cut = delta - delta ; id(X) * piL, whose kernel is the coinvariants."""
+    env = H.base_env(extra={"d": delta})
+    return delta - eval_text(COINVARIANT_CUT.format(delta.dom[0].name), env)
+
+
+def kernel_route(H, delta, j):
+    """The kernel-basis route to the coinvariant verdict, kept as the
+    oracle of the rank route: a basis of ker cut read off the reduced form
+    of cut, whose span must equal the span of j's columns."""
+    field, n = delta.field, delta.ncols
+    red, pivots = rref(_int_rows(_cut(H, delta).rows, field), n, field)
+    kernel = []
+    for free in sorted(set(range(n)) - set(pivots)):
+        vec = [field.zero] * n
+        vec[free] = field.one
+        for row, col in zip(red, pivots):
+            vec[col] = field.normalize(-row.get(free, 0))
+        kernel.append(vec)
+
+    def span(vectors):
+        return rref(_int_rows(vectors, field), n, field)[0]
+    return span(kernel) == span([j.column(c) for c in range(j.ncols)]), len(kernel)
+
+
+def _with_columns(j, columns):
+    """A map into j's codomain with the given columns."""
+    dom = (Obj("U", len(columns)),)
+    return LinMap(j.field, dom, j.cod, [[col[i] for col in columns] for i in range(j.nrows)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("instance", ["pair", "z2"])
+def test_equalizer_rank_route_matches_the_kernel_route(instance, field):
+    # The rank route (j ; cut = 0 and rank j = dim ker cut) and the kernel
+    # route agree on the product's own j, on j with a column swapped for a
+    # vector that is not coinvariant, with a column dropped, and with a
+    # column duplicated (so j is not injective).  A duplicate in place of
+    # another column loses a dimension of the image; one appended keeps the
+    # image, which is still exactly the coinvariants.
+    H = pair_groupoid_hopf(field=field) if instance == "pair" else z2_hopf(field)
+    m = base_action_measure(H) if instance == "pair" else trivial_measure(H)
+    E = build_crossed_product(m, smash_cocycle(m))
+    delta, j = E.delta_E, E.j_nu
+    columns = [j.column(c) for c in range(j.ncols)]
+    dim = j.ncols  # the product's base embedding is onto the coinvariants
+    cut = _cut(H, delta)
+    k = next(k for k in range(cut.ncols) if any(cut.column(k)))
+    outside = [field.one if i == k else field.zero for i in range(cut.ncols)]
+    cases = {
+        "own": (j, True),
+        "swapped": (_with_columns(j, [outside] + columns[1:]), False),
+        "dropped": (_with_columns(j, columns[:-1]), False),
+        "appended": (_with_columns(j, columns + columns[:1]), True),
+    }
+    if len(columns) > 1:
+        cases["duplicated"] = (_with_columns(j, columns[:1] + columns[:-1]), False)
+    for name, (jj, expected) in cases.items():
+        got = equalizer_matches(H, delta, jj)
+        assert got == kernel_route(H, delta, jj), name
+        assert got == (expected, dim), name
 
 
 def test_randomized_groupoid_smash_invariants():

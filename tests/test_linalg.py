@@ -17,10 +17,7 @@ from weakhopf.linalg import (
     from_rows,
     identity,
     invert,
-    nullspace_basis,
     rref,
-    same_subspace,
-    solve_affine,
     split_idempotent,
     swap,
     tensor_product,
@@ -99,29 +96,6 @@ def test_split_rejects_non_idempotent():
         split_idempotent(m)
 
 
-def test_solve_affine_unique():
-    w = (Obj("U", 1),)
-    functional = from_rows(QQ, w, w, [[2]])
-    out = solve_affine(QQ, w, w, [(functional, 4)])
-    assert out.kind == "unique"
-    assert out.particular.rows == [[Fraction(2)]]
-
-
-def test_solve_affine_underdetermined_f2():
-    w = (Obj("U", 2),)
-    functional = from_rows(GF(2), w, UNIT_WORD, [[1, 1]])
-    out = solve_affine(GF(2), w, UNIT_WORD, [(functional, 1)])
-    assert out.kind == "affine"
-    assert len(out.nullspace) == 1
-
-
-def test_solve_affine_inconsistent():
-    w = (Obj("U", 1),)
-    f1 = from_rows(QQ, w, w, [[1]])
-    out = solve_affine(QQ, w, w, [(f1, 0), (f1, 1)])
-    assert out.kind == "none"
-
-
 def test_factor_through():
     w2, w3 = (X2,), (X3,)
     through = from_rows(QQ, w2, w3, [[1, 0], [0, 1], [0, 0]])
@@ -130,16 +104,6 @@ def test_factor_through():
     assert x is not None and compose(through, x) == target
     bad = from_rows(QQ, w2, w3, [[0, 0], [0, 0], [1, 0]])
     assert factor_through(bad, through) is None
-
-
-def test_nullspace_and_subspace_equality():
-    m = from_rows(QQ, (X3,), (X2,), [[1, 1, 0], [0, 0, 1]])
-    basis = nullspace_basis(m)
-    assert len(basis) == 1
-    v = [r[0] for r in basis[0].rows]
-    assert v == [QQ.normalize(x) for x in [-1, 1, 0]]
-    assert same_subspace([[1, -1, 0]], [[-2, 2, 0]], 3, QQ)
-    assert not same_subspace([[1, -1, 0]], [[1, 1, 0]], 3, QQ)
 
 
 def test_invert():
@@ -231,41 +195,6 @@ def test_split_contract_random_idempotents(data):
     assert compose(inj, proj) == e
     assert compose(proj, inj) == identity(field, inj.dom[0])
     assert rank == sum(diag)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_solve_affine_solutions_satisfy_constraints(data):
-    field = data.draw(st.sampled_from([QQ, GF(5)]))
-    rows = data.draw(st.integers(min_value=1, max_value=3))
-    cols = data.draw(st.integers(min_value=1, max_value=3))
-    dom, cod = (Obj("D", cols),), (Obj("C", rows),)
-    ncons = data.draw(st.integers(min_value=0, max_value=4))
-    constraints = []
-    for _ in range(ncons):
-        func = LinMap(
-            field,
-            dom,
-            cod,
-            [
-                [field.normalize(data.draw(st.integers(min_value=-2, max_value=2))) for _ in range(cols)]
-                for _ in range(rows)
-            ],
-        )
-        constraints.append((func, field.normalize(data.draw(st.integers(min_value=-2, max_value=2)))))
-    out = solve_affine(field, dom, cod, constraints)
-    if out.kind == "none":
-        return
-    candidates = [out.particular]
-    if out.nullspace:
-        candidates.append(out.particular + out.nullspace[0])
-    for sol in candidates:
-        for func, rhs in constraints:
-            acc = field.zero
-            for i in range(rows):
-                for j in range(cols):
-                    acc = field.normalize(acc + func.rows[i][j] * sol.rows[i][j])
-            assert acc == rhs
 
 
 # -- elimination against a dense reference ------------------------------------
