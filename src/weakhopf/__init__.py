@@ -14,8 +14,9 @@ from .linalg import (
     tensor_product,
     zero_map,
 )
-from .ir import Env, Signature, check_identity, evaluate, infer_type, parse_expr, pretty
+from .ir import Env, check_identity, evaluate, infer_type
 from .report import Verdict, VerdictReport, Witness
+from .syntax import Signature, parse_expr, pretty
 from .algebra import (
     AlgebraData,
     CoalgebraData,

@@ -226,24 +226,31 @@ def _int_terms(cols: list, field: Field) -> tuple[list, int]:
     return [[(*t[:-1], next(it)) for t in col] for col in cols], d
 
 
+def _delta_terms(coalg: ConvCoalgebra, field: Field) -> tuple[list, int]:
+    """The comultiplication as columns of terms ``(j1, j2, n)`` over one
+    common denominator: (columns, denominator)."""
+    return _int_terms([coalg.delta_column(j) for j in range(wdim(_conv_word(coalg)))], field)
+
+
 def _conv_operator_rows(
-    known: LinMap, coalg: ConvCoalgebra, alg: AlgebraData, side: str
+    known: LinMap, delta: tuple[list, int], alg: AlgebraData, side: str
 ) -> tuple[list, int]:
     """The linear operator x -> known*x (side='left') or x -> x*known
-    (side='right') on flattened maps C -> A, as sparse integer rows over
-    one denominator: (rows, d), row i holding {unknown: n} for the entries
-    n / d.  Over F_p, d is 1 and the entries are residues."""
+    (side='right') on flattened maps C -> A, where ``delta`` is
+    ``_delta_terms`` of C, as sparse integer rows over one denominator:
+    (rows, d), row i holding {unknown: n} for the entries n / d.  Over F_p,
+    d is 1 and the entries are residues."""
     field = alg.field
     p = field.modulus
     da = alg.dim
-    nc = wdim(_conv_word(coalg))
-    delta, dw = _int_terms([coalg.delta_column(j) for j in range(nc)], field)
+    terms, dw = delta
+    nc = len(terms)
     k_cols, dk = known.int_columns()
     mu_cols, dm = alg.mu.int_columns()
     left = side == "left"
     rows = [{} for _ in range(da * nc)]
     for j in range(nc):
-        for j1, j2, w in delta[j]:
+        for j1, j2, w in terms[j]:
             kcol, xcol = (j1, j2) if left else (j2, j1)
             for s, kv in k_cols[kcol].items():
                 c = w * kv
@@ -282,9 +289,10 @@ def _conv_solve(
     cword = _conv_word(coalg)
     nc = wdim(cword)
     nunk = alg.dim * nc
+    delta = _delta_terms(coalg, field)  # read by all three operators
     aug = []
     for side, unit in (("left", left_unit), ("right", right_unit)):
-        rows, d = _conv_operator_rows(g, coalg, alg, side)
+        rows, d = _conv_operator_rows(g, delta, alg, side)
         ucols, du = unit.int_columns()
         for i, row in enumerate(rows):  # row i is entry (i // nc, i % nc)
             if du != 1:
@@ -293,7 +301,7 @@ def _conv_solve(
             if u:
                 row[nunk] = u * d
             aug.append(row)
-    rows, d = _conv_operator_rows(left_unit, coalg, alg, "right")
+    rows, d = _conv_operator_rows(left_unit, delta, alg, "right")
     for i, row in enumerate(rows):
         n = row.get(i, 0) - d
         if n:

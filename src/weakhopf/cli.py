@@ -50,14 +50,11 @@ from .equivalence import NotAnEquivalence, _pair_env, equivalence_from_phi, phi_
 from .identities import identity_corpus
 from .ir import (
     Env,
-    ParseError,
     RebindingError,
     SideMismatchError,
-    UnknownNameError,
     WordTypeError,
     check_identity_text,
     evaluate,
-    parse_expr,
 )
 from .linalg import ShapeError
 from .presentation import (
@@ -71,6 +68,7 @@ from .presentation import (
     report_to_json,
 )
 from .report import VerdictReport
+from .syntax import ParseError, UnknownNameError, parse_expr
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

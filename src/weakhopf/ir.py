@@ -1,37 +1,17 @@
-"""A term language for morphisms in a strict symmetric monoidal category.
-
-Grammar (ASCII, whitespace insignificant)::
-
-    expr   := term (";" term)*
-    term   := factor ("*" factor)*
-    factor := IDENT | "id(" word ")" | "swap(" word "," word ")" | "(" expr ")"
-    word   := IDENT ("," IDENT)*
-    IDENT  := [A-Za-z_][A-Za-z0-9_]*
-
-``f ; g`` means f first (diagrams read top to bottom), i.e. the composite
-g . f.  In ``swap(...)`` the first word is the single identifier before the
-first comma; larger left blocks are written as composites of such swaps.
+"""A term language for morphisms in a strict symmetric monoidal category:
+typing, evaluation contexts and the integer column kernel.  The grammar, the
+parser and the AST are in ``weakhopf.syntax``.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+import math
+from typing import Callable, NamedTuple, Optional
 
 from .fields import Field
-from .linalg import LinMap, Obj, Word, wdim
+from .linalg import LinMap, wdim
 from .report import Verdict, VerdictReport, Witness
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
-
-
-class UnknownNameError(ValueError):
-    pass
+from .syntax import Gen, Id, MorExpr, Par, Seq, Signature, SwapE, UnknownNameError, parse_expr
 
 
 class WordTypeError(TypeError):
@@ -53,267 +33,6 @@ class RebindingError(ValueError):
     def __init__(self, name: str):
         super().__init__(f"generator {name!r} is already bound to a different matrix")
         self.name = name
-
-
-# --------------------------------------------------------------------------
-# Signature and AST
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Signature:
-    """Declared objects (name -> dimension) and typed generator names."""
-
-    objects: dict  # name -> dim
-    generators: dict  # name -> (dom: tuple[str], cod: tuple[str])
-
-    def __post_init__(self):
-        clash = set(self.objects) & set(self.generators)
-        if clash:
-            raise ValueError(f"names used both as object and generator: {sorted(clash)}")
-        for gname, (dom, cod) in self.generators.items():
-            for ob in (*dom, *cod):
-                if ob not in self.objects:
-                    raise UnknownNameError(f"generator {gname} uses undeclared object {ob}")
-
-    def word_of(self, names) -> Word:
-        return tuple(Obj(n, self.objects[n]) for n in names)
-
-    @classmethod
-    def of_bindings(cls, objects: dict, bindings: dict, generators: Optional[dict] = None) -> "Signature":
-        """``objects`` (name -> dim) and ``generators`` (name -> (dom, cod))
-        plus the generator types and objects read off name -> LinMap
-        bindings."""
-        objects = dict(objects)
-        gens = dict(generators or {})
-        for name, m in bindings.items():
-            gens[name] = (tuple(ob.name for ob in m.dom), tuple(ob.name for ob in m.cod))
-            for ob in (*m.dom, *m.cod):
-                objects.setdefault(ob.name, ob.dim)
-        return cls(objects=objects, generators=gens)
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-
-
-@dataclass(frozen=True)
-class Id:
-    word: tuple  # tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SwapE:
-    left: tuple
-    right: tuple
-
-
-@dataclass(frozen=True)
-class Seq:
-    first: "MorExpr"
-    then: "MorExpr"
-
-
-@dataclass(frozen=True)
-class Par:
-    left: "MorExpr"
-    right: "MorExpr"
-
-
-MorExpr = Union[Gen, Id, SwapE, Seq, Par]
-
-
-# --------------------------------------------------------------------------
-# Parser
-# --------------------------------------------------------------------------
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        line, col = 1, 1
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch.isalpha() or ch == "_":
-                start = i
-                scol = col
-                while i < n and (text[i].isalnum() or text[i] == "_"):
-                    i += 1
-                    col += 1
-                self.tokens.append(("ident", text[start:i], line, scol))
-                continue
-            if ch in ";*(),":
-                self.tokens.append((ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("eof", "", line, col))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "eof":
-            self.index += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
-        return self.next()
-
-
-# text -> (AST, generator names, object names) of every text parsed so far.
-# A full memo is emptied, not grown.
-_PARSED: dict = {}
-_PARSED_MAX = 4096
-
-
-def parse_expr(text: str, sig: Signature) -> MorExpr:
-    """Parse the grammar above, checking all names against the signature.
-
-    Each text is parsed once: a later call returns the same AST once the
-    names it uses are checked against ``sig``.  A text that fails to parse,
-    or names one that ``sig`` lacks, goes through the parser again, so the
-    error and its position are always the parser's own.
-    """
-    hit = _PARSED.get(text)
-    if hit is not None and sig.generators.keys() >= hit[1] and sig.objects.keys() >= hit[2]:
-        return hit[0]
-    tz = _Tokenizer(text)
-    expr = _parse_seq(tz, sig)
-    tok = tz.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-    gens, objs = set(), set()
-    _collect_names(expr, gens, objs)
-    if len(_PARSED) >= _PARSED_MAX:
-        _PARSED.clear()
-    _PARSED[text] = (expr, frozenset(gens), frozenset(objs))
-    return expr
-
-
-def _collect_names(e: MorExpr, gens: set, objs: set) -> None:
-    if isinstance(e, Seq):
-        _collect_names(e.first, gens, objs)
-        _collect_names(e.then, gens, objs)
-    elif isinstance(e, Par):
-        _collect_names(e.left, gens, objs)
-        _collect_names(e.right, gens, objs)
-    elif isinstance(e, Gen):
-        gens.add(e.name)
-    elif isinstance(e, Id):
-        objs.update(e.word)
-    else:
-        objs.update(e.left + e.right)
-
-
-def _parse_seq(tz: _Tokenizer, sig: Signature) -> MorExpr:
-    e = _parse_term(tz, sig)
-    while tz.peek()[0] == ";":
-        tz.next()
-        e = Seq(e, _parse_term(tz, sig))
-    return e
-
-
-def _parse_term(tz: _Tokenizer, sig: Signature) -> MorExpr:
-    e = _parse_factor(tz, sig)
-    while tz.peek()[0] == "*":
-        tz.next()
-        e = Par(e, _parse_factor(tz, sig))
-    return e
-
-
-def _parse_word(tz: _Tokenizer, sig: Signature) -> tuple:
-    names = []
-    while True:
-        tok = tz.expect("ident")
-        if tok[1] not in sig.objects:
-            raise UnknownNameError(f"unknown object {tok[1]!r} (line {tok[2]}, col {tok[3]})")
-        names.append(tok[1])
-        if tz.peek()[0] == ",":
-            tz.next()
-            continue
-        return tuple(names)
-
-
-def _parse_factor(tz: _Tokenizer, sig: Signature) -> MorExpr:
-    tok = tz.peek()
-    if tok[0] == "(":
-        tz.next()
-        inner = _parse_seq(tz, sig)
-        tz.expect(")")
-        return inner
-    if tok[0] != "ident":
-        raise ParseError(f"expected a name, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
-    name = tok[1]
-    if name == "id":
-        tz.next()
-        tz.expect("(")
-        w = _parse_word(tz, sig)
-        tz.expect(")")
-        return Id(w)
-    if name == "swap":
-        tz.next()
-        tz.expect("(")
-        first = tz.expect("ident")
-        if first[1] not in sig.objects:
-            raise UnknownNameError(f"unknown object {first[1]!r} (line {first[2]}, col {first[3]})")
-        tz.expect(",")
-        right = _parse_word(tz, sig)
-        tz.expect(")")
-        return SwapE((first[1],), right)
-    tz.next()
-    if name not in sig.generators:
-        raise UnknownNameError(f"unknown generator {name!r} (line {tok[2]}, col {tok[3]})")
-    return Gen(name)
-
-
-def pretty(e: MorExpr) -> str:
-    """Print an AST back into the grammar; parse(pretty(e)) == e."""
-    if isinstance(e, Gen):
-        return e.name
-    if isinstance(e, Id):
-        return f"id({','.join(e.word)})"
-    if isinstance(e, SwapE):
-        return f"swap({','.join(e.left)},{','.join(e.right)})"
-    if isinstance(e, Par):
-        left = pretty(e.left)
-        right = pretty(e.right)
-        if isinstance(e.left, Seq):
-            left = f"({left})"
-        if isinstance(e.right, (Seq, Par)):
-            right = f"({right})"
-        return f"{left} * {right}"
-    if isinstance(e, Seq):
-        first = pretty(e.first)
-        then = pretty(e.then)
-        if isinstance(e.then, Seq):
-            then = f"({then})"
-        return f"{first} ; {then}"
-    raise TypeError(f"not a MorExpr: {e!r}")
 
 
 # --------------------------------------------------------------------------
@@ -384,14 +103,15 @@ class Env:
     Each node is typed once per environment, and each distinct structure
     (interned by ``_typed``) is compiled once per environment into a plan
     (see ``_plan``): its columns as sparse integer dicts over one
-    denominator, filled on first use.  Structurally equal subexpressions
+    denominator, filled on first use, and for a monomial structure two flat
+    lists of rows and entries.  Structurally equal subexpressions
     are therefore propagated only once across a whole table.  ``extend``
     makes a child context that keeps what its parent has typed and compiled.
 
     Threads may share an Env without a lock: two threads that type or
     compile the same structure at once each get a correct entry, and the
-    later one is kept; a key is never reused, and a column is published only
-    when it is complete.
+    later one is kept; a key is never reused, and a column, or a pair of
+    lists, is published only when it is complete.
     """
 
     def __init__(self, sig: Signature, field: Field, bindings: dict, parent: Optional["Env"] = None):
@@ -466,18 +186,33 @@ class _Plan(NamedTuple):
     is None.  ``cols`` is a list over the domain when that domain is no
     wider than the domain of the expression the structure is first compiled
     for, and a ``_Sparse`` dict otherwise: a wider structure is read only at
-    the rows that narrower ones reach.  So no list is longer than the domain
-    of a checked or evaluated expression.
+    the rows that narrower ones reach.  So no list of columns is longer than
+    the domain of a checked or evaluated expression.
+
+    A monomial structure, one with at most one entry in each column over its
+    whole domain, also has ``mono``: a ``_Lists`` returning two flat lists
+    indexed by column, built on its first call and kept.  ``rows[j]`` is the
+    row of column j's entry and ``coefs[j]`` its n, or -1 and 0 when column
+    j is zero; both lists end with one more zero column, so that reading
+    them at row -1 reads a zero.  A generator is monomial when its integer
+    columns are; a Seq or Par of monomial operands (permutations included)
+    is monomial, and its lists are comprehensions over theirs: a product of
+    nonzero terms is never zero over Q or F_p, so nothing accumulates.
+    Whether a structure is monomial depends only on its operands, never on
+    which expression compiled it first.  Two monomial sides are compared
+    list by list; a multi-term consumer reads a monomial structure's
+    columns through ``cols`` and ``fn`` like any other's.
 
     A permutation of tensor factors (``Id``, ``SwapE`` and any Seq or Par of
     them) keeps no columns: ``cols`` and ``fn`` are None, ``index`` maps a
     column to the row of its one entry 1 (None for the identity), and
-    ``perm`` is the factor permutation.  ``kron`` marks a Kronecker product
-    of two structures that are not permutations: (a function computing a
-    column without keeping it, then cols and fn of the left and the right
-    factor, right dom dim, right cod dim).  A Seq whose second operand it is
-    reads it from its factors' columns, so those columns are never formed,
-    and skips the terms whose factor columns are zero (see ``_fused``).
+    ``perm`` is the factor permutation.  ``factors`` is (left, right, right
+    dom dim, right cod dim) of a Par that is not a permutation, and ``kron``
+    a function computing a column of it without keeping it, set when neither
+    factor is a permutation.  A Seq whose second operand such a Par is reads
+    it from its factors' columns, or from their lists when all three are
+    monomial, so its columns and lists are never formed; the column route
+    skips the terms whose factor columns are zero (see ``_fused``).
     ``base`` marks a Seq that only permutes the rows of ``base`` by
     ``perm``, so that a further permutation composes with it.
     """
@@ -487,18 +222,106 @@ class _Plan(NamedTuple):
     scale: int
     index: Optional[Callable] = None
     perm: Optional[tuple] = None  # (factor dims, order): output factor q is input factor order[q]
-    kron: Optional[tuple] = None
+    kron: Optional[Callable] = None
     base: Optional["_Plan"] = None
+    mono: Optional["_Lists"] = None
+    factors: Optional[tuple] = None
 
 
 _NOTHING = _Sparse()  # the kept columns of what keeps none; never written
 
 
+class _Lists:
+    """A monomial plan's ``mono``: calling it returns ``build(*args)``, run
+    on the first call and kept, published in one assignment as Envs are
+    shared by threads."""
+
+    __slots__ = ("build", "args", "kept")
+
+    def __init__(self, build: Callable, *args):
+        self.build, self.args, self.kept = build, args, None
+
+    def __call__(self) -> tuple:
+        kept = self.kept
+        if kept is None:
+            kept = self.kept = self.build(*self.args)
+        return kept
+
+
+def _reduced(ns: list, p: int) -> list:
+    return [n % p for n in ns] if p else ns
+
+
+def _unit_lists(n: int, index: Optional[Callable]) -> tuple:
+    """The lists of a permutation on n columns."""
+    rows = list(range(n)) if index is None else [index(j) for j in range(n)]
+    return rows + [-1], [1] * n + [0]
+
+
+def _column_lists(cols: list) -> tuple:
+    """The lists of columns kept as dicts of at most one entry."""
+    rows = [next(iter(c), -1) for c in cols]
+    coefs = [next(iter(c.values()), 0) for c in cols]
+    return rows + [-1], coefs + [0]
+
+
+def _gather(first: Callable, then: Callable, p: int) -> tuple:
+    """The lists of first ; then from theirs."""
+    frows, fcoefs = first()
+    trows, tcoefs = then()
+    return [trows[k] for k in frows], _reduced([c * tcoefs[k] for c, k in zip(fcoefs, frows)], p)
+
+
+def _through(first: Callable, factors: tuple, p: int) -> tuple:
+    """The lists of first ; (left * right) from the lists of first, left and
+    right, never forming those of left * right.  A zero column of first
+    (-1) reads the zero column that ends the lists of left."""
+    left, right, dr, cr = factors
+    frows, fcoefs = first()
+    (lrows, lcoefs), (rrows, rcoefs) = left.mono(), right.mono()
+    k1s = [k // dr for k in frows]
+    k2s = [k % dr for k in frows]
+    coefs = _reduced([c * lcoefs[a] * rcoefs[b] for c, a, b in zip(fcoefs, k1s, k2s)], p)
+    return [lrows[a] * cr + rrows[b] if c else -1 for a, b, c in zip(k1s, k2s, coefs)], coefs
+
+
+def _outer_lists(left: Callable, right: Callable, cr: int, p: int) -> tuple:
+    """The lists of left * right."""
+    (lrows, lcoefs), (rrows, rcoefs) = left(), right()
+    rrows, rcoefs = rrows[:-1], rcoefs[:-1]
+    rows = [a * cr + b if a >= 0 and b >= 0 else -1 for a in lrows[:-1] for b in rrows]
+    coefs = _reduced([x * y for x in lcoefs[:-1] for y in rcoefs], p)
+    return rows + [-1], coefs + [0]
+
+
+def _rekeyed(base: Callable, index: Callable) -> tuple:
+    """The lists of base with its rows permuted by ``index``."""
+    rows, coefs = base()
+    return [index(k) if k >= 0 else -1 for k in rows], coefs
+
+
+def _composite_lists(first: _Plan, then: _Plan, p: int) -> Optional[_Lists]:
+    """The ``mono`` of first ; then, or None unless both are monomial."""
+    if first.mono is None or then.mono is None:
+        return None
+    if then.factors is not None:
+        return _Lists(_through, first.mono, then.factors, p)
+    return _Lists(_gather, first.mono, then.mono, p)
+
+
 def _permutation(perm: tuple) -> _Plan:
-    """The plan of a factor permutation.  Its index map drops factors of
-    dimension 1 and moves each run of factors that stay adjacent as one
-    block; the identity is one block and has no index map."""
+    """The plan of a factor permutation."""
+    index = _index(perm)
+    return _Plan(None, None, 1, index, perm, mono=_Lists(_unit_lists, math.prod(perm[0]), index))
+
+
+def _index(perm: tuple) -> Optional[Callable]:
+    """The index map of a factor permutation, None for the identity.  It
+    drops factors of dimension 1 and moves each run of factors that stay
+    adjacent as one block; the identity is one block."""
     dims, order = perm
+    if all(i == q for q, i in enumerate(order)):
+        return None
     if 1 in dims:
         where = {}
         for i, d in enumerate(dims):
@@ -521,14 +344,14 @@ def _permutation(perm: tuple) -> _Plan:
         out *= d
         q -= 1
     if len(blocks) < 2:
-        return _Plan(None, None, 1, None, perm)
+        return None
 
     def index(j):
         i = 0
         for s, d, t in blocks:
             i += j // s % d * t
         return i
-    return _Plan(None, None, 1, index, perm)
+    return index
 
 
 def _store(size: int):
@@ -544,13 +367,6 @@ def _columns(plan: _Plan) -> tuple:
     return _NOTHING, (lambda j: {j: 1}) if index is None else (lambda j: {index(j): 1})
 
 
-def _once(plan: _Plan) -> tuple:
-    """(cols, fn) for a consumer that keeps what it reads, read column by
-    column: a Kronecker product's columns not kept yet are computed from its
-    factors' and not kept."""
-    return (plan.cols, plan.kron[0]) if plan.kron else _columns(plan)
-
-
 def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
     """The plan of e's structure, compiled once per Env for an expression
     whose domain has ``width`` columns (0: e itself).  The column functions
@@ -562,9 +378,10 @@ def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
     p = env.field.modulus
     if isinstance(e, Gen):
         cols, scale = env.bindings[e.name].int_columns()
-        plan = _Plan(cols, cols.__getitem__, scale)  # every column is already kept
+        mono = _Lists(_column_lists, cols) if all(len(c) < 2 for c in cols) else None
+        plan = _Plan(cols, cols.__getitem__, scale, mono=mono)  # every column is already kept
     elif isinstance(e, Id):
-        plan = _Plan(None, None, 1, None, (_dims(e.word, env.sig), tuple(range(len(e.word)))))
+        plan = _permutation((_dims(e.word, env.sig), tuple(range(len(e.word)))))
     elif isinstance(e, SwapE):
         nl, nr = len(e.left), len(e.right)
         order = tuple(range(nl, nl + nr)) + tuple(range(nl))
@@ -594,7 +411,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
             dims, order = first.perm
             return _permutation((dims, tuple(order[i] for i in then.perm[1])))
         index, cols = first.index, _store(size)
-        tcols, tfn = _once(then)
+        tcols, tfn = _columns(then)
 
         def fn(j):  # a column of then, picked by the permutation
             k = index(j)
@@ -603,7 +420,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
                 b = tfn(k)
             cols[j] = b
             return b
-        return _Plan(cols, fn, then.scale)
+        return _Plan(cols, fn, then.scale, mono=_composite_lists(first, then, p))
     if then.cols is None:  # re-key the rows of first
         if then.index is None:
             return first
@@ -611,10 +428,13 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
         if first.base is not None:  # compose with the rows first permutes
             base, (dims, order) = first.base, first.perm
             perm = (dims, tuple(order[i] for i in then.perm[1]))
-        index = _permutation(perm).index
+        index = _index(perm)
         if index is None:
             return base
-        bcols, bfn = _once(base)
+        # A Kronecker base is read without keeping its columns: for the
+        # comultiplication ladders nothing else reads it, and keeping them
+        # would hold the widest structure twice.
+        bcols, bfn = (base.cols, base.kron) if base.kron else _columns(base)
         cols = _store(size)
 
         def fn(j):
@@ -626,12 +446,14 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
                 c[index(k)] = v
             cols[j] = c
             return c
-        return _Plan(cols, fn, base.scale, None, perm, base=base)
+        mono = base.mono and _Lists(_rekeyed, base.mono, index)
+        return _Plan(cols, fn, base.scale, None, perm, base=base, mono=mono)
     fcols, ffn = _columns(first)
     scale = first.scale * then.scale
     cols = _store(size)  # published one whole column at a time: Envs are shared by threads
+    mono = _composite_lists(first, then, p)
     if then.kron:
-        return _Plan(cols, _fused(cols, fcols, ffn, then.kron, p, ncols), scale)
+        return _Plan(cols, _fused(cols, fcols, ffn, then, p, ncols), scale, mono=mono)
     tcols, tfn = then.cols, then.fn
 
     def fn(j):
@@ -660,7 +482,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
                 acc[i] %= p
         c = cols[j] = {i: x for i, x in acc.items() if x}
         return c
-    return _Plan(cols, fn, scale)
+    return _Plan(cols, fn, scale, mono=mono)
 
 
 def _nonzero(cols: list, fn: Callable) -> list:
@@ -687,11 +509,11 @@ def _product_support(lcols, lfn: Callable, rcols, rfn: Callable, dr: int, walk: 
     return {k1 * dr + k2 for k1 in left for k2 in right}
 
 
-def _fused(cols, fcols, ffn: Callable, kron: tuple, p: int, width: int) -> Callable:
+def _fused(cols, fcols, ffn: Callable, then: _Plan, p: int, width: int) -> Callable:
     """The column function of first ; (left * right): it accumulates the
     outer products of the factors' columns, never forming a column of the
-    Kronecker product.  ``kron`` is the ``_Plan.kron`` of left * right and
-    ``width`` the width of first.
+    Kronecker product.  ``then`` is the plan of left * right and ``width``
+    the width of first.
 
     The term at key k = k1 * dr + k2 of first's column is zero unless
     column k1 of left and column k2 of right are both nonzero.  The first
@@ -701,7 +523,9 @@ def _fused(cols, fcols, ffn: Callable, kron: tuple, p: int, width: int) -> Calla
     plain loop would walk (that column's length times ``width``).  With S
     kept, each column walks only its keys in S; otherwise every key.  A
     factor kept in a ``_Sparse`` dict is never scanned: the plain loop."""
-    outer, lcols, lfn, rcols, rfn, dr, cr = kron
+    outer = then.kron
+    left, right, dr, cr = then.factors
+    lcols, lfn, rcols, rfn = left.cols, left.fn, right.cols, right.fn
     support = None  # S, or False for the plain loop; published once decided
 
     def fn(j):
@@ -715,6 +539,9 @@ def _fused(cols, fcols, ffn: Callable, kron: tuple, p: int, width: int) -> Calla
             if v != 1:
                 c = {i: v * w % p if p else v * w for i, w in c.items()}
             cols[j] = c
+            return c
+        if not a:  # a zero column decides nothing
+            c = cols[j] = {}
             return c
         s = support
         if s is None:
@@ -753,11 +580,12 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
     scale = left.scale * right.scale
     if lcols is None and rcols is None:  # a permutation beside a permutation
         (d1, o1), (d2, o2) = left.perm, right.perm
-        perm = (d1 + d2, o1 + tuple(len(d1) + i for i in o2))
-        if left.index is None and right.index is None:
-            return _Plan(None, None, 1, None, perm)
-        return _permutation(perm)
+        return _permutation((d1 + d2, o1 + tuple(len(d1) + i for i in o2)))
     cols = _store(size)
+    factors = (left, right, dr, cr)
+    mono = None
+    if left.mono and right.mono:
+        mono = _Lists(_outer_lists, left.mono, right.mono, cr, p)
     if lcols is None:
         index = left.index
 
@@ -772,7 +600,7 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
                 c[base + i] = v
             cols[j] = c
             return c
-        return _Plan(cols, fn, scale)
+        return _Plan(cols, fn, scale, mono=mono, factors=factors)
     if rcols is None:
         index = right.index
 
@@ -787,7 +615,7 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
                 c[i * cr + i2] = v
             cols[j] = c
             return c
-        return _Plan(cols, fn, scale)
+        return _Plan(cols, fn, scale, mono=mono, factors=factors)
 
     def outer(j):
         j1, j2 = divmod(j, dr)
@@ -811,7 +639,7 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
     def fn(j):
         c = cols[j] = outer(j)
         return c
-    return _Plan(cols, fn, scale, kron=(outer, lcols, lfn, rcols, rfn, dr, cr))
+    return _Plan(cols, fn, scale, kron=outer, mono=mono, factors=factors)
 
 
 def evaluate(e: MorExpr, env: Env) -> LinMap:
@@ -819,42 +647,64 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
 
     Structural recursion: Seq composes (first operand applied first), Par is
     the Kronecker product, Swap the block permutation.  The columns are
-    propagated as sparse integer dicts: over Q with one denominator per
-    structure (the product of its generators' denominators), over F_p as
-    residues reduced mod p.  Large intermediate Kronecker products are never
-    materialized, and scalars of the field are built only here, at the end.
+    propagated as sparse integer dicts, or as flat lists for a monomial
+    structure: over Q with one denominator per structure (the product of
+    its generators' denominators), over F_p as residues reduced mod p.
+    Large intermediate Kronecker products are never materialized, and
+    scalars of the field are built only here, at the end.
     """
     _, dom_names, cod_names, ncols, nrows, _ = _typed(e, env.sig, env._types, env._keys)
     plan = _plan(e, env)
-    cols, fn = _columns(plan)
     scale = plan.scale
     field = env.field
     conv = field.from_int
     z = field.zero
     rows = [[z] * ncols for _ in range(nrows)]
-    for j in range(ncols):
-        c = cols[j]
-        if c is None:
-            c = fn(j)
-        for i, n in c.items():
-            rows[i][j] = conv(n, scale)
+    if plan.mono:
+        for j, (i, n) in enumerate(zip(*plan.mono())):
+            if i >= 0:
+                rows[i][j] = conv(n, scale)
+    else:
+        cols, fn = _columns(plan)
+        for j in range(ncols):
+            c = cols[j]
+            if c is None:
+                c = fn(j)
+            for i, n in c.items():
+                rows[i][j] = conv(n, scale)
     return LinMap(field, env.sig.word_of(dom_names), env.sig.word_of(cod_names), rows)
 
 
 def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identity") -> Verdict:
-    """Compare both sides column by column on their integer plans: dict
-    equality when their scales agree, cross-multiplied entries when they
-    differ.  Only on a mismatch are both sides evaluated; the witness is the
-    first differing (row, col) of the two matrices, with both scalars."""
+    """Compare both sides on their integer plans: two monomial sides list by
+    list, any others column by column; equal entries when their scales
+    agree, cross-multiplied ones when they differ.  Only on a mismatch are
+    both sides evaluated; the witness is the first differing (row, col) of
+    the two matrices, with both scalars."""
     tl = _typed(lhs, env.sig, env._types, env._keys)
     tr = _typed(rhs, env.sig, env._types, env._keys)
     if tl[1:3] != tr[1:3]:
         raise SideMismatchError(f"sides have different types: {tl[1:3]} vs {tr[1:3]}")
     lplan, rplan = _plan(lhs, env), _plan(rhs, env)
+    lscale, rscale = lplan.scale, rplan.scale
+    if lplan.mono and rplan.mono:
+        (lrows, lcoefs), (rrows, rcoefs) = lplan.mono(), rplan.mono()
+        same = lrows == rrows and (
+            lcoefs == rcoefs if lscale == rscale
+            else [n * rscale for n in lcoefs] == [n * lscale for n in rcoefs])
+    else:
+        same = _same_columns(lplan, rplan, tl[3])
+    if same:
+        return Verdict(check_id, "pass")
+    r, c, x, y = evaluate(lhs, env).first_difference(evaluate(rhs, env))
+    return Verdict(check_id, "fail", witness=Witness(r, c, x, y))
+
+
+def _same_columns(lplan: _Plan, rplan: _Plan, ncols: int) -> bool:
     (lcols, lfn), (rcols, rfn) = _columns(lplan), _columns(rplan)
     lscale, rscale = lplan.scale, rplan.scale
     same_scale = lscale == rscale
-    for j in range(tl[3]):
+    for j in range(ncols):
         a = lcols[j]
         if a is None:
             a = lfn(j)
@@ -863,13 +713,10 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
             b = rfn(j)
         if same_scale:
             if a != b:
-                break
+                return False
         elif a.keys() != b.keys() or any(n * rscale != b[i] * lscale for i, n in a.items()):
-            break
-    else:
-        return Verdict(check_id, "pass")
-    r, c, x, y = evaluate(lhs, env).first_difference(evaluate(rhs, env))
-    return Verdict(check_id, "fail", witness=Witness(r, c, x, y))
+            return False
+    return True
 
 
 def check_identity_text(lhs: str, rhs: str, env: Env, check_id: str = "identity") -> Verdict:

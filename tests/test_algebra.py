@@ -29,7 +29,7 @@ from weakhopf.linalg import (
     zero_map,
 )
 
-from instances import pair_groupoid_hopf, z2_hopf
+from instances import dual_group_hopf, pair_groupoid_hopf, z2_hopf
 
 
 def conjugated_algebra(alg: AlgebraData, t: LinMap, t_inv: LinMap) -> AlgebraData:
@@ -179,7 +179,7 @@ def test_conv_operator_rows_match_convolve():
     # The solver builds the linear operators x -> g*x and x -> x*g directly,
     # as sparse integer rows over one denominator; applied to an arbitrary
     # map they must agree with the independent convolve path, over Q and F_7.
-    from weakhopf.algebra import _conv_operator_rows
+    from weakhopf.algebra import _conv_operator_rows, _delta_terms
 
     for field in (QQ, GF(7)):
         H = pair_groupoid_hopf(field=field)
@@ -191,7 +191,7 @@ def test_conv_operator_rows_match_convolve():
         x_flat = [v for r in x.rows for v in r]
         for side, expected in (("left", convolve(g, x, coalg, alg)),
                                ("right", convolve(x, g, coalg, alg))):
-            rows, d = _conv_operator_rows(g, coalg, alg, side)
+            rows, d = _conv_operator_rows(g, _delta_terms(coalg, field), alg, side)
             assert len(rows) == len(x_flat)
             assert all(type(n) is int and n for row in rows for n in row.values())
             if field.modulus:
@@ -204,6 +204,33 @@ def test_conv_operator_rows_match_convolve():
             ]
             exp_flat = [v for r in expected.rows for v in r]
             assert got_flat == exp_flat, (field, side)
+
+
+def test_a_solve_reads_each_delta_column_once(monkeypatch):
+    # The three operators of one solve share one pass over Delta's columns.
+    from weakhopf import algebra
+    from weakhopf.crossed import CocycleData, cocycle_inverse, trivial_measure
+    from weakhopf.groupoid import dihedral
+
+    m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
+    read, solve = TensorPowerCoalgebra.delta_column, algebra._conv_solve
+    calls, in_solve = [], []
+
+    def counted(self, j):
+        calls.append(j)
+        return read(self, j)
+
+    def counted_solve(*args):
+        start = len(calls)
+        out = solve(*args)
+        in_solve.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(TensorPowerCoalgebra, "delta_column", counted)
+    monkeypatch.setattr(algebra, "_conv_solve", counted_solve)
+    assert cocycle_inverse(CocycleData(m, m.u(2))) is not None
+    assert in_solve == [list(range(36))]  # H^2 of dual D3 has 36 columns
+    assert len(calls) == 72  # and the dense precondition g * u = g reads each once more
 
 
 def test_validate_names_the_failing_axiom():

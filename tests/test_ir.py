@@ -1,12 +1,13 @@
 import contextlib
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from weakhopf import ir
+from weakhopf import ir, syntax
 from weakhopf.algebra import AlgebraData, TensorPowerCoalgebra, convolve
 from weakhopf.bialgebra import (
     WeakHopfAlgebra,
@@ -23,30 +24,40 @@ from weakhopf.crossed import (
 )
 from weakhopf.fields import GF, QQ
 from weakhopf.groupoid import dihedral, groupoid_algebra, pair_groupoid
-from weakhopf.identities import COCYCLE_IDENTITIES, COCYCLE_INVERSE_IDENTITIES, DELTA_H2, conv_h
+from weakhopf.identities import (
+    BIALGEBRA_AXIOMS,
+    COCYCLE_IDENTITIES,
+    COCYCLE_INVERSE_IDENTITIES,
+    DELTA_H2,
+    PROJECTION_BASICS,
+    PROJECTION_IDENTITIES,
+    conv_h,
+)
 from weakhopf.ir import (
     Env,
-    Gen,
-    Id,
-    Par,
-    ParseError,
     RebindingError,
-    Seq,
-    SwapE,
-    Signature,
-    UnknownNameError,
     WordTypeError,
     SideMismatchError,
     check_identity,
     check_identity_text,
     evaluate,
     infer_type,
-    parse_expr,
-    pretty,
     run_identity_table,
     _plan,
 )
 from weakhopf.linalg import LinMap, Obj, from_rows, identity, swap, tensor_product, compose, zero_map
+from weakhopf.syntax import (
+    Gen,
+    Id,
+    Par,
+    ParseError,
+    Seq,
+    SwapE,
+    Signature,
+    UnknownNameError,
+    parse_expr,
+    pretty,
+)
 
 from concurrency import race
 from instances import dual_group_hopf
@@ -231,16 +242,16 @@ def _sig_env(entry=lambda name, i, j: (3 * i + 5 * j + len(name)) % 7 - 3,
     return Env(sig, field, {**bindings, **extra})
 
 
-def _small_and_typed(e, limit=36) -> bool:
+def _small_and_typed(e, limit=36, sig=SIG) -> bool:
     """Well typed, with no node's dom or cod wider than limit."""
     try:
-        words = infer_type(e, SIG)
+        words = infer_type(e, sig)
     except WordTypeError:
         return False
-    if any(math.prod(SIG.objects[n] for n in w) > limit for w in words):
+    if any(math.prod(sig.objects[n] for n in w) > limit for w in words):
         return False
     children = (e.first, e.then) if isinstance(e, Seq) else (e.left, e.right) if isinstance(e, Par) else ()
-    return all(_small_and_typed(c, limit) for c in children)
+    return all(_small_and_typed(c, limit, sig) for c in children)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,6 +377,187 @@ def test_kernel_compares_sides_of_different_scales(field):
     assert (verdict.status, verdict.witness.row, verdict.witness.col) == ("fail", 1, 0)
     if field == QQ:  # the pair really exercises the cross-multiplied path
         assert _plan(lhs, env)[2] != _plan(good, env)[2]
+
+
+# -- monomial structures: flat row and entry lists ------------------------------
+
+# Composites over SIG that put permutations, unit and counit factors, and wide
+# Kronecker products read by a composite next to each other.  Sides of one
+# type are compared with each other too, so their scales differ over Q.
+_MONO_TEXTS = (
+    "Delta ; Delta * Delta",
+    "Delta ; Delta * id(H) ; id(H) * swap(H,H)",
+    "mu ; Delta",
+    "Delta * Delta ; id(H) * swap(H,H) * id(H) ; mu * mu",
+    "mu * id(H) ; mu ; eps",
+    "id(H) * Delta * id(H) ; (mu ; eps) * (mu ; eps)",
+    "id(H) * (Delta ; swap(H,H)) * id(H) ; (mu ; eps) * (mu ; eps)",
+    "Delta * id(A) ; id(H) * swap(H,A) ; rho * id(H)",
+    "swap(H,A) ; swap(A,H) ; rho",
+    "eta * id(H) ; mu",
+    "id(H) * eta ; swap(H,H) ; mu",
+    "eta ; Delta ; Delta * id(H)",
+    "(eta ; Delta) * (eta ; Delta) ; id(H) * mu * id(H)",
+)
+_MONO_SIG = Signature({"H": 3, "A": 2}, SIG.generators)
+
+
+def _monomial_map(data, field, dom, cod, multi):
+    """A map with at most one entry per column, some columns zero, and with
+    one column of two entries when ``multi``."""
+    ncols, nrows = math.prod(ob.dim for ob in dom), math.prod(ob.dim for ob in cod)
+    rows = [[0] * ncols for _ in range(nrows)]
+    for j in range(ncols):
+        i = data.draw(st.integers(-1, nrows - 1))
+        if i >= 0:
+            rows[i][j] = data.draw(st.sampled_from(_NONZERO))
+    if multi and nrows > 1:
+        j = data.draw(st.integers(0, ncols - 1))
+        for i in data.draw(st.permutations(range(nrows)))[:2]:
+            rows[i][j] = data.draw(st.sampled_from(_NONZERO))
+    return from_rows(field, dom, cod, rows)
+
+
+def _moved(m: LinMap, c: int) -> LinMap:
+    """m with column c's first entry moved one row down (doubled when m has
+    one row), or an entry 1 put in column c when it is zero: different from
+    m, and still monomial when m is."""
+    rows = [list(row) for row in m.rows]
+    nonzero = [i for i in range(m.nrows) if rows[i][c]]
+    if not nonzero:
+        rows[0][c] = m.field.one
+    elif m.nrows == 1:
+        rows[0][c] = m.field.normalize(2 * rows[0][c])
+    else:
+        i, k = nonzero[0], (nonzero[0] + 1) % m.nrows
+        rows[k][c], rows[i][c] = rows[i][c], rows[k][c]
+    return LinMap(m.field, m.dom, m.cod, rows)
+
+
+def _plan_of(e, env):
+    """The plan of e's structure in env, typing e first."""
+    ir._typed(e, env.sig, env._types, env._keys)
+    return _plan(e, env)
+
+
+def _is_monomial(m: LinMap) -> bool:
+    return all(sum(1 for row in m.rows if row[j]) < 2 for j in range(m.ncols))
+
+
+@FIELDS
+@settings(max_examples=30, deadline=None)
+@given(multi=st.sets(st.sampled_from(sorted(SIG.generators))),
+       parts=st.lists(_ast(2), max_size=3), data=st.data())
+def test_monomial_kernel_matches_dense_route(field, multi, parts, data):
+    # Generators with at most one entry per column (zero columns and
+    # entries other than 1 included), and the ones in ``multi`` with one
+    # column of two entries.  A structure over the first alone is monomial
+    # and is compared list by list; one over any of the others is not.
+    sig = _MONO_SIG
+    bindings = {
+        name: _monomial_map(data, field, sig.word_of(dom), sig.word_of(cod), name in multi)
+        for name, (dom, cod) in sig.generators.items()
+    }
+    multi = {name for name, m in bindings.items() if not _is_monomial(m)}  # a one-row map is monomial
+    env = Env(sig, field, bindings)
+    exprs = [parse_expr(text, sig) for text in _MONO_TEXTS]
+    exprs += [e for e in parts if _small_and_typed(e, 81, sig)]
+    for e in exprs:
+        dense = _dense(e, env)
+        assert evaluate(e, env) == dense
+        names = set()
+        syntax._collect_names(e, names, set())
+        assert (_plan_of(e, env).mono is not None) == (not names & multi)
+    for a in exprs:
+        for b in exprs:
+            if infer_type(a, sig) == infer_type(b, sig):
+                _assert_verdict_matches_dense(a, b, env)
+    # Each side against its own matrix bound as a generator (of another
+    # scale over Q), with one entry moved or changed.
+    for e in exprs:
+        dense = _dense(e, env)
+        c = data.draw(st.integers(0, dense.ncols - 1))
+        moved = _moved(dense, c)
+        bumped = _perturbed(dense, data.draw(st.integers(0, dense.nrows - 1)), c)
+        child = env.extend({"P": dense, "M": moved, "R": bumped})
+        assert check_identity(e, Gen("P"), child).status == "pass"
+        assert (_plan_of(Gen("M"), child).mono is not None) == _is_monomial(moved)
+        for other in (Gen("M"), Gen("R")):
+            _assert_verdict_matches_dense(e, other, child)
+            _assert_verdict_matches_dense(other, e, child)
+
+
+def _unread(plan) -> bool:
+    """No column of the plan was computed: it was compared by its lists."""
+    return all(c is None for c in plan.cols) if type(plan.cols) is list else not plan.cols
+
+
+def test_counit_weak_mult_takes_the_monomial_route_in_any_order():
+    # The right side of counit_weak_mult_1 holds id(H) * Delta, which
+    # comult_coassociative also reads, on a narrower domain.  Whichever
+    # compiles it first, both sides are compared by their lists.
+    G = groupoid_algebra(pair_groupoid(3), QQ)  # dim 9
+    assert G.dim >= 8
+    rows = {row[0]: row for row in BIALGEBRA_AXIOMS}
+    _, lhs, rhs = rows["counit_weak_mult_1"]
+    verdicts = []
+    for before in ([], [rows["comult_coassociative"]]):
+        env = build_env(QQ, {}, {"mu": G.mu, "eta": G.eta, "Delta": G.delta, "eps": G.eps})
+        assert run_identity_table(before, env).all_pass
+        verdict = check_identity_text(lhs, rhs, env, "counit_weak_mult_1")
+        for text in (lhs, rhs, "id(H) * Delta"):
+            plan = _plan_of(parse_expr(text, env.sig), env)
+            assert plan.mono is not None and _unread(plan), text
+        verdicts.append((verdict.status, verdict.witness))
+    assert verdicts == [("pass", None)] * 2
+
+
+def test_threads_sharing_one_fresh_groupoid_env_match_a_serial_run():
+    # Four threads run the bialgebra and projection tables on one new Env of
+    # a groupoid algebra, so they build the same structures' lists together.
+    # The last row fails: the algebra is not commutative.
+    G = groupoid_algebra(pair_groupoid(3), QQ)
+    base = G.base_env()
+    table = BIALGEBRA_AXIOMS + PROJECTION_BASICS + PROJECTION_IDENTITIES
+    table += [("commutative", "swap(H,H) ; mu", "mu")]
+
+    def context():
+        return Env(base.sig, base.field, base.bindings)
+
+    def run(env):
+        return [(v.check_id, v.status, v.witness) for v in run_identity_table(table, env)]
+
+    env = context()
+    serial = run(env)
+    assert [row[0] for row in serial if row[1] != "pass"] == ["commutative"]
+    assert _plan_of(parse_expr("swap(H,H) ; mu", env.sig), env).mono is not None
+    for results in race(context, run, 5):
+        assert results == [serial] * 4
+
+
+def test_a_kronecker_column_is_computed_once_per_plan():
+    # piL * piR is read at permuted columns by one side and as a composite's
+    # first operand by the other.  On dual S3 neither projection is
+    # monomial, so both reads go through its columns, which are computed
+    # once for both.
+    H = dual_group_hopf(dihedral(3), QQ)
+    env = H.base_env()
+    table = [("permuted_read", "swap(H,H) ; piL * piR ; mu", "piL * piR ; mu")]
+    assert _plan_of(Gen("piL"), env).mono is None
+    computed = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "outer" and code.co_filename == ir.__file__:
+            computed.append(frame.f_locals["j"])
+
+    sys.setprofile(profile)
+    try:
+        report = run_identity_table(table, env)
+    finally:
+        sys.setprofile(None)
+    assert report.all_pass
+    assert sorted(computed) == list(range(36))
 
 
 # -- convolutions: permutation index maps and fused Kronecker steps ------------
@@ -528,6 +720,25 @@ def test_filtered_convolution_matches_dense_route(field, filtered, data):
     with _support_decisions() as decisions:
         _assert_verdict_matches_dense(e, Gen("Q"), fresh)
     assert decisions == ([support] if filtered else [False])
+    # Column 0 of first has two terms, so every draw above reached the
+    # filter, monomial L and R or not.  With a monomial first M instead, the
+    # composite is monomial exactly when L and R are: it is then read from
+    # the lists of M, L and R, and its columns are never computed.
+    mono_rows = [[0] * width for _ in range(dl * dr)]
+    for j in range(width):
+        k = data.draw(st.integers(-1, dl * dr - 1))
+        if k >= 0:
+            mono_rows[k][j] = data.draw(st.sampled_from(_NONZERO))
+    child = env.extend({"M": from_rows(field, (F,), (X, Y), mono_rows)})
+    m = parse_expr("M ; L * R", child.sig)
+    with _support_decisions() as decisions:
+        dense = _dense(m, child)
+        assert evaluate(m, child) == dense
+        assert check_identity(m, Gen("P"), child.extend({"P": dense})).status == "pass"
+    assert decisions == []  # no column of M has two terms
+    monomial = _is_monomial(bindings["L"]) and _is_monomial(bindings["R"])
+    plan = _plan_of(m, child)
+    assert (plan.mono is not None) == monomial == _unread(plan)
 
 
 def test_env_is_freed_by_reference_counting():
@@ -633,7 +844,7 @@ def test_child_matches_fresh_env_over_merged_bindings(field, parts):
 def test_memoized_text_under_a_smaller_signature_raises_as_cold():
     small = Signature(objects={"H": 2}, generators={"mu": (("H", "H"), ("H",))})
     for text in ("mu ; Delta", "id(H) * id(A) ; swap(H,A)"):
-        ir._PARSED.clear()
+        syntax._PARSED.clear()
         with pytest.raises(UnknownNameError) as cold:
             parse_expr(text, small)
         first = parse_expr(text, SIG)
