@@ -22,9 +22,7 @@ from .algebra import (
     CoalgebraData,
     RegularityPreconditionFailed,
     StructureError,
-    TensorPowerCoalgebra,
     conv_inverse,
-    conv_unit,
     convolve,
 )
 from .bialgebra import (

@@ -1,13 +1,13 @@
 """Unital algebras, counital coalgebras, convolution and regular inverses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from . import identities as ids
 from .fields import Field
 from .ir import build_env, run_identity_table
-from .linalg import LinMap, Obj, ShapeError, UNIT_WORD, _solve_rows, rename_factor, wdim
+from .linalg import LinMap, Obj, ShapeError, UNIT_WORD, _solve_rows, rename_factor
 
 
 class StructureError(ValueError):
@@ -77,7 +77,6 @@ class CoalgebraData:
     obj: Obj
     delta: LinMap  # obj -> obj (x) obj
     eps: LinMap    # obj -> K
-    _delta_cols: Optional[list] = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ob = self.obj
@@ -95,101 +94,63 @@ class CoalgebraData:
         _require_axioms(ids.COALGEBRA_AXIOMS, self.field, self.obj, bindings)
         return self
 
-    def delta_column(self, j: int) -> list:
-        """Sparse comultiplication of the j-th basis vector: [(j1, j2, coeff)]."""
-        if self._delta_cols is None:
-            d = self.dim
-            cols: list = [[] for _ in range(d)]
-            for i, row in enumerate(self.delta.rows):
-                i1, i2 = divmod(i, d)
-                for c, v in enumerate(row):
-                    if v:
-                        cols[c].append((i1, i2, v))
-            self._delta_cols = cols
-        return self._delta_cols[j]
 
-
-class TensorPowerCoalgebra:
-    """The n-fold tensor power of a coalgebra, with per-column sparse access.
-
-    The comultiplication on the power interleaves the factorwise ones; its
-    matrix is never materialized here, which keeps n = 3 workable for larger
-    carriers.
-    """
-
-    def __init__(self, base: CoalgebraData, n: int):
-        if n < 1:
-            raise ValueError("tensor power needs n >= 1")
-        self.base = base
-        self.n = n
-        self.field = base.field
-        self.word = (base.obj,) * n
-        self.dim = base.dim ** n
-        self._cols: dict[int, list] = {}
-
-    def delta_column(self, j: int) -> list:
-        hit = self._cols.get(j)
-        if hit is not None:
-            return hit
-        d = self.base.dim
-        digits = []
-        jj = j
-        for _ in range(self.n):
-            digits.append(jj % d)
-            jj //= d
-        digits.reverse()
-        norm = self.field.normalize
-        terms = [(0, 0, self.field.one)]
-        for digit in digits:
-            col = self.base.delta_column(digit)
-            terms = [
-                (a * d + i1, b * d + i2, norm(v * w))
-                for a, b, v in terms
-                for i1, i2, w in col
-            ]
-        self._cols[j] = terms
-        return terms
-
-    def eps_value(self, j: int):
-        d = self.base.dim
-        norm = self.field.normalize
-        out = self.field.one
-        jj = j
-        for _ in range(self.n):
-            out = norm(out * self.base.eps.rows[0][jj % d])
-            jj //= d
-            if not out:
-                break
-        return out
-
-
-ConvCoalgebra = Union[CoalgebraData, TensorPowerCoalgebra]
-
-
-def _conv_word(c: ConvCoalgebra):
-    return (c.obj,) if isinstance(c, CoalgebraData) else c.word
-
-
-def convolve(alpha: LinMap, beta: LinMap, coalg: ConvCoalgebra, alg: AlgebraData) -> LinMap:
-    """Convolution product mu_A . (alpha (x) beta) . Delta_C."""
-    cword = _conv_word(coalg)
-    aw = (alg.obj,)
-    for m, nm in ((alpha, "alpha"), (beta, "beta")):
-        if m.dom != cword or m.cod != aw:
-            raise ShapeError(f"{nm} must be a map {cword} -> {aw}")
+def _power(coalg: CoalgebraData, alg: AlgebraData, **maps: LinMap) -> int:
+    """The n for which each of ``maps`` is a map coalg^(x)n -> A over A's
+    field, read from the first one's domain; ShapeError otherwise."""
+    n = len(next(iter(maps.values())).dom)
+    cword, aw = (coalg.obj,) * n, (alg.obj,)
+    for name, m in maps.items():
+        if not n or m.dom != cword or m.cod != aw:
+            raise ShapeError(
+                f"{name} must be a map from a tensor power of {coalg.obj.name} to {alg.obj.name}"
+            )
         if m.field != alg.field:
-            raise ShapeError(f"{nm} is over the wrong field")
+            raise ShapeError(f"{name} is over the wrong field")
+    return n
+
+
+def _power_delta(coalg: CoalgebraData, n: int) -> tuple[list, int]:
+    """The comultiplication of C = coalg^(x)n as columns of terms
+    ``(j1, j2, c)``, the entry of C (x) C at j1 * dim C + j2 being c / d:
+    (columns, d).  Over F_p d is 1 and c a residue.
+
+    Delta_C interleaves the factorwise comultiplications, so column j is
+    the product of the base columns of j's digits, leftmost most
+    significant."""
+    cols, d = coalg.delta.int_columns()
+    p = coalg.delta.field.modulus
+    dim = coalg.dim
+    base = [[(*divmod(i, dim), c) for i, c in col.items()] for col in cols]
+    terms = [[(0, 0, 1)]]
+    for _ in range(n):
+        terms = [
+            [(a * dim + i1, b * dim + i2, w * c % p if p else w * c)
+             for a, b, w in prefix for i1, i2, c in col]
+            for prefix in terms
+            for col in base
+        ]
+    return terms, d ** n
+
+
+def convolve(alpha: LinMap, beta: LinMap, coalg: CoalgebraData, alg: AlgebraData) -> LinMap:
+    """Convolution product mu_A . (alpha (x) beta) . Delta_C on C =
+    coalg^(x)n, n read from alpha's domain, in field arithmetic.  The
+    library does not call it; it stays as the tests' reference."""
+    n = _power(coalg, alg, alpha=alpha, beta=beta)
     field = alg.field
     norm = field.normalize
     da = alg.dim
-    nc = wdim(cword)
-    out = [[field.zero] * nc for _ in range(da)]
+    terms, d = _power_delta(coalg, n)
+    scale = field.from_int(1, d)
+    out = [[field.zero] * len(terms) for _ in range(da)]
     mu_rows = alg.mu.rows
     a_cols, b_cols = (
         [[(i, v) for i, v in enumerate(col) if v] for col in zip(*m.rows)] for m in (alpha, beta)
     )
-    for j in range(nc):
-        for j1, j2, w in coalg.delta_column(j):
+    for j, col in enumerate(terms):
+        for j1, j2, c in col:
+            w = norm(c * scale)
             for s, av in a_cols[j1]:
                 for t, bv in b_cols[j2]:
                     coeff = norm(w * av * bv)
@@ -200,36 +161,7 @@ def convolve(alpha: LinMap, beta: LinMap, coalg: ConvCoalgebra, alg: AlgebraData
                         mv = mu_rows[r][k]
                         if mv:
                             out[r][j] = norm(out[r][j] + coeff * mv)
-    return LinMap(field, cword, aw, out)
-
-
-def conv_unit(coalg: ConvCoalgebra, alg: AlgebraData) -> LinMap:
-    """The convolution unit eta_A . eps_C."""
-    cword = _conv_word(coalg)
-    field = alg.field
-    norm = field.normalize
-    nc = wdim(cword)
-    eta_col = [r[0] for r in alg.eta.rows]
-    if isinstance(coalg, CoalgebraData):
-        eps_vals = list(coalg.eps.rows[0])
-    else:
-        eps_vals = [coalg.eps_value(j) for j in range(nc)]
-    rows = [[norm(ev * eps_vals[j]) for j in range(nc)] for ev in eta_col]
-    return LinMap(field, cword, (alg.obj,), rows)
-
-
-def _int_terms(cols: list, field: Field) -> tuple[list, int]:
-    """Columns of terms ``(index, ..., scalar)`` with the scalars as integers
-    over one common denominator: (columns, denominator)."""
-    ns, d = field.to_ints([t[-1] for col in cols for t in col])
-    it = iter(ns)
-    return [[(*t[:-1], next(it)) for t in col] for col in cols], d
-
-
-def _delta_terms(coalg: ConvCoalgebra, field: Field) -> tuple[list, int]:
-    """The comultiplication as columns of terms ``(j1, j2, n)`` over one
-    common denominator: (columns, denominator)."""
-    return _int_terms([coalg.delta_column(j) for j in range(wdim(_conv_word(coalg)))], field)
+    return LinMap(field, alpha.dom, (alg.obj,), out)
 
 
 def _conv_operator_rows(
@@ -237,7 +169,7 @@ def _conv_operator_rows(
 ) -> tuple[list, int]:
     """The linear operator x -> known*x (side='left') or x -> x*known
     (side='right') on flattened maps C -> A, where ``delta`` is
-    ``_delta_terms`` of C, as sparse integer rows over one denominator:
+    ``_power_delta`` of C, as sparse integer rows over one denominator:
     (rows, d), row i holding {unknown: n} for the entries n / d.  Over F_p,
     d is 1 and the entries are residues."""
     field = alg.field
@@ -266,30 +198,54 @@ def _conv_operator_rows(
     return rows, dw * dk * dm
 
 
-def conv_inverse(
-    g: LinMap, u: LinMap, coalg: ConvCoalgebra, alg: AlgebraData
-) -> Optional[LinMap]:
-    """Solve g*x = u, x*g = u, x*u = x by exact elimination.
+def _fixes(rows: list, d: int, m: LinMap) -> bool:
+    """Whether the operator of ``rows`` over ``d`` (as ``_conv_operator_rows``
+    returns it) maps the flattened m to itself."""
+    p = m.field.modulus
+    cols, _ = m.int_columns()
+    nc = len(cols)
+    flat = {r * nc + j: n for j, col in enumerate(cols) for r, n in col.items()}
+    for i, row in enumerate(rows):
+        v = sum(n * flat.get(k, 0) for k, n in row.items()) - d * flat.get(i, 0)
+        if v % p if p else v:
+            return False
+    return True
 
-    Requires g*u = g (raising RegularityPreconditionFailed otherwise); returns
-    the deterministic solution, every free unknown zero, or None.
+
+def conv_inverse(
+    g: LinMap, u: LinMap, coalg: CoalgebraData, alg: AlgebraData
+) -> Optional[LinMap]:
+    """Solve g*x = u, x*g = u, x*u = x by exact elimination, convolving
+    over C = coalg^(x)n where g is a map C -> A.
+
+    Requires g*u = g, checked on the solver's own operator x -> x*u
+    (raising RegularityPreconditionFailed otherwise); returns the
+    deterministic solution, every free unknown zero, or None.
     """
-    if convolve(g, u, coalg, alg) != g:
-        raise RegularityPreconditionFailed("g * u != g")
-    return _conv_solve(g, u, u, coalg, alg)
+    return _conv_solve(g, u, u, coalg, alg, regular=True)
 
 
 def _conv_solve(
-    g: LinMap, left_unit: LinMap, right_unit: LinMap, coalg: ConvCoalgebra, alg: AlgebraData
+    g: LinMap,
+    left_unit: LinMap,
+    right_unit: LinMap,
+    coalg: CoalgebraData,
+    alg: AlgebraData,
+    regular: bool = False,
 ) -> Optional[LinMap]:
-    """Solve g*x = left_unit, x*g = right_unit, x*left_unit = x; None when
-    the system has no solution.  The system is built as sparse integer rows
-    and solved by ``rref`` with every free unknown zero."""
+    """Solve g*x = left_unit, x*g = right_unit, x*left_unit = x over C =
+    coalg^(x)n where g is a map C -> A; None when the system has no
+    solution.  With ``regular``, first require g*left_unit = g.  The system
+    is built as sparse integer rows and solved by ``rref`` with every free
+    unknown zero."""
     field = alg.field
-    cword = _conv_word(coalg)
-    nc = wdim(cword)
+    n = _power(coalg, alg, g=g, left_unit=left_unit, right_unit=right_unit)
+    nc = g.ncols
     nunk = alg.dim * nc
-    delta = _delta_terms(coalg, field)  # read by all three operators
+    delta = _power_delta(coalg, n)  # read by all three operators
+    idem, di = _conv_operator_rows(left_unit, delta, alg, "right")
+    if regular and not _fixes(idem, di, g):
+        raise RegularityPreconditionFailed("g * u != g")
     aug = []
     for side, unit in (("left", left_unit), ("right", right_unit)):
         rows, d = _conv_operator_rows(g, delta, alg, side)
@@ -301,13 +257,11 @@ def _conv_solve(
             if u:
                 row[nunk] = u * d
             aug.append(row)
-    rows, d = _conv_operator_rows(left_unit, delta, alg, "right")
-    for i, row in enumerate(rows):
-        n = row.get(i, 0) - d
-        if n:
-            row[i] = n
+    for i, row in enumerate(idem):
+        v = row.get(i, 0) - di
+        if v:
+            row[i] = v
         else:
             del row[i]
         aug.append(row)
-    return _solve_rows(field, cword, (alg.obj,), aug, nunk)
-
+    return _solve_rows(field, g.dom, (alg.obj,), aug, nunk)

@@ -13,12 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from . import identities as ids
-from .algebra import (
-    AlgebraData,
-    StructureError,
-    TensorPowerCoalgebra,
-    conv_inverse,
-)
+from .algebra import AlgebraData, StructureError, conv_inverse
 from .bialgebra import WeakBialgebra, base_subalgebra
 from .ir import Env, check_identity_text, eval_text, run_identity_table
 from .linalg import (
@@ -361,8 +356,7 @@ def cocycle_inverse(data: CocycleData) -> Optional[LinMap]:
     """The convolution inverse of f with unit u2, found by the solver alone;
     None when no inverse exists."""
     m = data.measure
-    power = TensorPowerCoalgebra(m.H.coalgebra, 2)
-    return conv_inverse(data.f, m.u(2), power, m.A)
+    return conv_inverse(data.f, m.u(2), m.H.coalgebra, m.A)
 
 
 def invert_cocycle(

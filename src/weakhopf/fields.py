@@ -19,6 +19,15 @@ class FieldError(ValueError):
     pass
 
 
+class NonCanonicalScalar(FieldError):
+    """Raised by ``to_ints`` for a value that is not a canonical scalar of
+    the field; ``index`` is its position in the values given."""
+
+    def __init__(self, field: "Field", index: int, value):
+        super().__init__(f"not a canonical scalar of {field!r}: {value!r}")
+        self.index = index
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -40,7 +49,10 @@ class Field:
         raise NotImplementedError
 
     def to_ints(self, values) -> tuple[list, int]:
-        """(ns, d) with each value equal to ns[k] / d; d is 1 over F_p."""
+        """(ns, d) with each value equal to ns[k] / d; d is 1 over F_p.
+        Raises NonCanonicalScalar at the first value that is not canonical:
+        over Q anything but an int or a Fraction, over F_p anything but an
+        int in [0, p)."""
         raise NotImplementedError
 
     def from_int(self, n: int, d: int):
@@ -81,6 +93,9 @@ class RationalField(Field):
 
     def to_ints(self, values):
         values = list(values)
+        for k, v in enumerate(values):
+            if type(v) is not Fraction and type(v) is not int:
+                raise NonCanonicalScalar(self, k, v)
         d = lcm(*(v.denominator for v in values))
         return [v.numerator * (d // v.denominator) for v in values], d
 
@@ -138,7 +153,12 @@ class PrimeField(Field):
         raise FieldError(f"not a scalar mod {self.p}: {x!r}")
 
     def to_ints(self, values):
-        return [v % self.p for v in values], 1
+        values = list(values)
+        p = self.p
+        for k, v in enumerate(values):
+            if type(v) is not int or not 0 <= v < p:
+                raise NonCanonicalScalar(self, k, v)
+        return values, 1
 
     def from_int(self, n, d):
         return n % self.p if d == 1 else n * self.inv(d) % self.p

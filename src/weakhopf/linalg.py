@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .fields import Field
+from .fields import Field, FieldError, NonCanonicalScalar
 
 
 class ShapeError(ValueError):
@@ -109,6 +109,8 @@ class LinMap:
     def int_columns(self) -> tuple[list, int]:
         """(cols, scale): column j as a dict {row: n} without zeros, whose
         entries are n / scale; over F_p the scale is 1 and n a residue.
+        Raises FieldError naming the (row, col) of an entry that is not a
+        canonical scalar of the map's field.
         Computed once and kept; the dicts are shared, and never written."""
         if self._int_cols is None:
             nz = [[] for _ in range(self.ncols)]
@@ -116,7 +118,11 @@ class LinMap:
                 for j, v in enumerate(row):
                     if v:
                         nz[j].append((i, v))
-            ns, scale = self.field.to_ints([v for col in nz for _, v in col])
+            try:
+                ns, scale = self.field.to_ints([v for col in nz for _, v in col])
+            except NonCanonicalScalar as exc:
+                i, j = [(i, j) for j, col in enumerate(nz) for i, _ in col][exc.index]
+                raise FieldError(f"entry ({i}, {j}) of {self!r}: {exc}") from None
             flat = iter(ns)  # zip reads col first, so flat is never over-read
             cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
             self._int_cols = (cols, scale)  # published in one assignment

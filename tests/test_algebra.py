@@ -8,18 +8,18 @@ from hypothesis import given, settings, strategies as st
 from weakhopf.algebra import (
     AlgebraData,
     CoalgebraData,
+    RegularityPreconditionFailed,
     StructureError,
-    TensorPowerCoalgebra,
+    _power_delta,
     conv_inverse,
-    conv_unit,
     convolve,
 )
 from weakhopf.fields import GF, QQ
+from weakhopf.groupoid import dihedral
 from weakhopf.identities import DELTA_H2, DELTA_H3
 from weakhopf.ir import eval_text
 from weakhopf.linalg import (
     LinMap,
-    UNIT_WORD,
     compose,
     from_rows,
     identity,
@@ -83,38 +83,41 @@ def test_convolution_monoid_laws_on_conjugated_structures(data):
     lhs = convolve(convolve(a, b, coalg, alg), c, coalg, alg)
     rhs = convolve(a, convolve(b, c, coalg, alg), coalg, alg)
     assert lhs == rhs
-    unit = conv_unit(coalg, alg)
+    unit = compose(alg.eta, coalg.eps)
     assert convolve(a, unit, coalg, alg) == a
     assert convolve(unit, a, coalg, alg) == a
 
 
 def test_tensor_power_delta_matches_materialized():
-    # The sparse columns of the power's comultiplication and counit against
-    # the interleaved ladders the kernel materializes for the identity tables.
-    H = pair_groupoid_hopf()
-    env = H.core_env()
-    for n, ladder in ((2, DELTA_H2), (3, DELTA_H3)):
-        power = TensorPowerCoalgebra(H.coalgebra, n)
-        dmap = eval_text(ladder, env)
-        emap = eval_text(" * ".join(["eps"] * n), env)
-        assert dmap.dom == power.word and emap.cod == UNIT_WORD
-        for j in range(power.dim):
-            col = {i1 * power.dim + i2: v for i1, i2, v in power.delta_column(j)}
-            assert {i: r[j] for i, r in enumerate(dmap.rows) if r[j]} == col
-            assert emap.rows[0][j] == power.eps_value(j)
+    # The integer terms of the power's comultiplication against the
+    # interleaved ladders the kernel materializes for the identity tables.
+    # Dual S3 is not cocommutative, so a swapped or mis-interleaved (j1, j2)
+    # shows; the pair groupoid keeps the n = 3 ladder cheap.
+    cases = [(dual_group_hopf(dihedral(3), field), 2, DELTA_H2) for field in (QQ, GF(7))]
+    cases += [(dual_group_hopf(dihedral(3)), 1, "Delta"), (pair_groupoid_hopf(), 3, DELTA_H3)]
+    for H, n, ladder in cases:
+        field = H.field
+        dmap = eval_text(ladder, H.core_env())
+        terms, d = _power_delta(H.coalgebra, n)
+        assert dmap.dom == (H.obj,) * n and len(terms) == H.dim ** n
+        nc = len(terms)
+        for j, col in enumerate(terms):
+            got = {i1 * nc + i2: field.from_int(c, d) for i1, i2, c in col}
+            assert len(got) == len(col)
+            assert {i: r[j] for i, r in enumerate(dmap.rows) if r[j]} == got, (field, n, j)
 
 
 def test_convolution_on_tensor_power_matches_dense_route():
     H = pair_groupoid_hopf()
     field = H.field
-    power = TensorPowerCoalgebra(H.coalgebra, 2)
+    word = (H.obj, H.obj)
     A = H.algebra
-    a = zero_map(field, power.word, (H.obj,))
-    b = zero_map(field, power.word, (H.obj,))
-    for j in range(power.dim):
+    a = zero_map(field, word, (H.obj,))
+    b = zero_map(field, word, (H.obj,))
+    for j in range(H.dim ** 2):
         a.rows[j % 4][j] = field.normalize(j + 1)
         b.rows[(j + 1) % 4][j] = field.one
-    got = convolve(a, b, power, A)
+    got = convolve(a, b, H.coalgebra, A)
     dense = compose(A.mu, compose(tensor_product(a, b), eval_text(DELTA_H2, H.core_env())))
     assert got == dense
 
@@ -123,7 +126,7 @@ def test_conv_inverse_uniqueness_and_determinism():
     # Hopf case: the inverse of the identity is the antipode.
     Hz = z2_hopf()
     idh = identity(QQ, Hz.obj)
-    unit = conv_unit(Hz.coalgebra, Hz.algebra)
+    unit = compose(Hz.algebra.eta, Hz.coalgebra.eps)
     x1 = conv_inverse(idh, unit, Hz.coalgebra, Hz.algebra)
     x2 = conv_inverse(idh, unit, Hz.coalgebra, Hz.algebra)
     assert x1 == x2  # deterministic pivoting
@@ -131,14 +134,13 @@ def test_conv_inverse_uniqueness_and_determinism():
     # Genuinely weak case: the identity is not regular against the
     # convolution unit, but the unit power u2 is its own inverse.
     H = pair_groupoid_hopf()
-    assert conv_inverse(identity(QQ, H.obj), conv_unit(H.coalgebra, H.algebra),
+    assert conv_inverse(identity(QQ, H.obj), compose(H.algebra.eta, H.coalgebra.eps),
                         H.coalgebra, H.algebra) is None
     from weakhopf.crossed import base_action_measure
 
     m = base_action_measure(H)
-    power = TensorPowerCoalgebra(H.coalgebra, 2)
     u2 = m.u(2)
-    got = conv_inverse(u2, u2, power, m.A)
+    got = conv_inverse(u2, u2, H.coalgebra, m.A)
     assert got == u2  # idempotent in the convolution monoid
 
 
@@ -153,12 +155,17 @@ def test_exhaustive_solver_agreement_small_field():
     import random
 
     rng = random.Random(42)
-    checked = 0
+    checked = refused = 0
     for _ in range(50):
         g = cands[rng.randrange(16)]
         u = cands[rng.randrange(16)]
         if convolve(g, u, coalg, alg) != g:
-            continue  # precondition fails; conv_inverse would refuse
+            # The solver checks g * u = g on its own operator; the dense
+            # oracle must agree that the pair is refused.
+            with pytest.raises(RegularityPreconditionFailed):
+                conv_inverse(g, u, coalg, alg)
+            refused += 1
+            continue
         got = conv_inverse(g, u, coalg, alg)
         sols = [
             x
@@ -172,14 +179,14 @@ def test_exhaustive_solver_agreement_small_field():
         else:
             assert got in sols
         checked += 1
-    assert checked > 0
+    assert checked > 0 and refused > 0
 
 
 def test_conv_operator_rows_match_convolve():
     # The solver builds the linear operators x -> g*x and x -> x*g directly,
     # as sparse integer rows over one denominator; applied to an arbitrary
     # map they must agree with the independent convolve path, over Q and F_7.
-    from weakhopf.algebra import _conv_operator_rows, _delta_terms
+    from weakhopf.algebra import _conv_operator_rows
 
     for field in (QQ, GF(7)):
         H = pair_groupoid_hopf(field=field)
@@ -191,7 +198,7 @@ def test_conv_operator_rows_match_convolve():
         x_flat = [v for r in x.rows for v in r]
         for side, expected in (("left", convolve(g, x, coalg, alg)),
                                ("right", convolve(x, g, coalg, alg))):
-            rows, d = _conv_operator_rows(g, _delta_terms(coalg, field), alg, side)
+            rows, d = _conv_operator_rows(g, _power_delta(coalg, 1), alg, side)
             assert len(rows) == len(x_flat)
             assert all(type(n) is int and n for row in rows for n in row.values())
             if field.modulus:
@@ -206,31 +213,27 @@ def test_conv_operator_rows_match_convolve():
             assert got_flat == exp_flat, (field, side)
 
 
-def test_a_solve_reads_each_delta_column_once(monkeypatch):
-    # The three operators of one solve share one pass over Delta's columns.
+def test_a_cocycle_inverse_expands_delta_once(monkeypatch):
+    # The regularity check and the three operators of one solve share one
+    # expansion of Delta on H^2, and the dense convolve is never called.
     from weakhopf import algebra
     from weakhopf.crossed import CocycleData, cocycle_inverse, trivial_measure
-    from weakhopf.groupoid import dihedral
 
     m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
-    read, solve = TensorPowerCoalgebra.delta_column, algebra._conv_solve
-    calls, in_solve = [], []
+    expand = algebra._power_delta
+    calls = []
 
-    def counted(self, j):
-        calls.append(j)
-        return read(self, j)
+    def counted(coalg, n):
+        calls.append(n)
+        return expand(coalg, n)
 
-    def counted_solve(*args):
-        start = len(calls)
-        out = solve(*args)
-        in_solve.append(calls[start:])
-        return out
+    def dense(*args):
+        raise AssertionError("the solver called the dense convolve")
 
-    monkeypatch.setattr(TensorPowerCoalgebra, "delta_column", counted)
-    monkeypatch.setattr(algebra, "_conv_solve", counted_solve)
-    assert cocycle_inverse(CocycleData(m, m.u(2))) is not None
-    assert in_solve == [list(range(36))]  # H^2 of dual D3 has 36 columns
-    assert len(calls) == 72  # and the dense precondition g * u = g reads each once more
+    monkeypatch.setattr(algebra, "_power_delta", counted)
+    monkeypatch.setattr(algebra, "convolve", dense)
+    assert cocycle_inverse(CocycleData(m, m.u(2))) == m.u(2)
+    assert calls == [2]
 
 
 def test_validate_names_the_failing_axiom():

@@ -1,6 +1,6 @@
 import pytest
 
-from weakhopf.algebra import convolve, conv_inverse, conv_unit, RegularityPreconditionFailed
+from weakhopf.algebra import convolve, conv_inverse, RegularityPreconditionFailed
 from weakhopf.bialgebra import (
     InvalidStructure,
     WeakBialgebra,
@@ -10,8 +10,9 @@ from weakhopf.bialgebra import (
     check_bialgebra_axioms,
     projection_identity_suite,
 )
+from weakhopf.crossed import base_action_measure
 from weakhopf.fields import GF, QQ
-from weakhopf.linalg import LinMap, compose, from_rows, identity, zero_map
+from weakhopf.linalg import LinMap, ShapeError, compose, from_rows, identity, zero_map
 
 from instances import (
     brute_convolve,
@@ -100,7 +101,7 @@ def test_convolution_unit_and_projection_identity():
     H = pair_groupoid_hopf()
     coalg, alg = H.coalgebra, H.algebra
     alpha = H.projection("L")
-    unit = conv_unit(coalg, alg)
+    unit = compose(alg.eta, coalg.eps)
     assert convolve(alpha, unit, coalg, alg) == alpha
     idh = identity(QQ, H.obj)
     assert convolve(idh, H.projection("R"), coalg, alg) == idh
@@ -120,7 +121,7 @@ def test_convolve_matches_brute_on_random_maps():
 def test_conv_inverse_of_identity_is_antipode():
     H = z2_hopf()
     idh = identity(QQ, H.obj)
-    unit = conv_unit(H.coalgebra, H.algebra)
+    unit = compose(H.algebra.eta, H.coalgebra.eps)
     x = conv_inverse(idh, unit, H.coalgebra, H.algebra)
     assert x == H.antipode  # S = id for the order-2 group
 
@@ -131,6 +132,19 @@ def test_conv_inverse_precondition():
     u = zero_map(QQ, (H.obj,), (H.obj,))
     with pytest.raises(RegularityPreconditionFailed):
         conv_inverse(g, u, H.coalgebra, H.algebra)
+    # On H (x) H (n = 2): the unit power u2 of a measure is regular against
+    # itself, and the zero map is not.
+    m = base_action_measure(H)
+    u2 = m.u(2)
+    assert conv_inverse(u2, u2, H.coalgebra, m.A) == u2
+    with pytest.raises(RegularityPreconditionFailed):
+        conv_inverse(u2, zero_map(QQ, u2.dom, u2.cod), H.coalgebra, m.A)
+    # A domain that is not a tensor power of the coalgebra's carrier.
+    other = pair_groupoid_hopf(3)
+    with pytest.raises(ShapeError):
+        conv_inverse(identity(QQ, other.obj), identity(QQ, other.obj), H.coalgebra, H.algebra)
+    with pytest.raises(ShapeError):
+        conv_inverse(u2, u2, H.coalgebra, H.algebra)  # codomain A, not H
 
 
 def test_base_subalgebra_dims():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weakhopf.fields import GF, QQ
+from weakhopf.fields import GF, QQ, FieldError
 from weakhopf.linalg import (
     LinMap,
     NotIdempotentError,
@@ -292,3 +292,29 @@ def test_rref_matches_dense_reference(case):
         assert all(type(v) is type(field.one) for v in row.values())
     assert sparse == _int_rows(rows, field)  # the input rows are not changed
 
+
+
+def test_unreduced_residue_is_refused_where_it_enters_the_kernel():
+    # 8 is not a residue mod 7: the maps differ under ==, so the kernel must
+    # not read 8 as 1 and call them equal; it names the entry instead.
+    from weakhopf.ir import build_env, check_identity_text
+
+    f7 = GF(7)
+    bad = LinMap(f7, (X2,), (X2,), [[1, 0], [0, 8]])
+    assert bad != identity(f7, X2)
+    with pytest.raises(FieldError, match=r"entry \(1, 1\) .*: 8$"):
+        bad.int_columns()
+    env = build_env(f7, {}, {"m": bad, "e": identity(f7, X2)})
+    with pytest.raises(FieldError, match=r"entry \(1, 1\)"):
+        check_identity_text("m", "e", env)
+    for value in (-1, True, Fraction(1, 2)):
+        with pytest.raises(FieldError, match=r"entry \(0, 1\)"):
+            LinMap(f7, (X2,), (X2,), [[1, value], [0, 1]]).int_columns()
+
+
+def test_float_entry_is_refused_where_it_enters_the_kernel():
+    bad = LinMap(QQ, (X2,), (X2,), [[Fraction(1), 0], [0.5, 3]])
+    with pytest.raises(FieldError, match=r"entry \(1, 0\) .*: 0\.5$"):
+        bad.int_columns()
+    assert LinMap(QQ, (X2,), (X2,), [[Fraction(1, 2), 0], [0, 3]]).int_columns() == (
+        [{0: 1}, {1: 6}], 2)
