@@ -41,18 +41,42 @@ class RebindingError(ValueError):
 
 _KEYS = itertools.count()
 
+# structure -> key, and generator typing -> (types, keys) of every Env over
+# it; both are emptied when full, not grown (an Env keeps the dicts it took).
+_STRUCTS: dict = {}
+_STRUCTS_MAX = 1 << 16
+_TYPINGS: dict = {}
+_TYPINGS_MAX = 64
+_TYPED_MAX = 1 << 16  # nodes a typing may hold before new Envs get a fresh one
+
+
+def _typing(sig: Signature) -> tuple:
+    """The shared (types, keys) of the Envs whose generators are typed as in
+    ``sig``: a node's structure key, domain and codomain depend on those names
+    alone, never on the dimensions or the bound matrices."""
+    gens = frozenset(sig.generators.items())
+    typing = _TYPINGS.get(gens)
+    if typing is None or len(typing[0]) >= _TYPED_MAX:
+        if len(_TYPINGS) >= _TYPINGS_MAX:
+            _TYPINGS.clear()
+        typing = _TYPINGS[gens] = ({}, {})
+    return typing
+
 
 def infer_type(e: MorExpr, sig: Signature) -> tuple[tuple, tuple]:
     """Infer (dom, cod) as tuples of object names, or raise WordTypeError."""
-    return _typed(e, sig, {}, {})[1:3]
+    return _typed(e, sig, {}, {})[1:]
 
 
 def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") -> tuple:
     """Type e once per ``types`` (keyed by node id, holding the node): (key,
-    dom, cod, dom dim, cod dim, dims of the right factor of dom and cod for
-    Par).  ``keys`` maps each distinct structure to that tuple, whose key is
-    an int drawn once from ``_KEYS``, so a repeated structure is typed only
-    once and no two structures share a key, across Envs and threads alike."""
+    dom, cod).  ``keys`` maps each distinct structure to that tuple, so a
+    repeated structure is typed only once.  The key is an int drawn once per
+    structure from ``_KEYS`` for every typing: a leaf by its value, a Seq or
+    Par by its operands' keys.  So no two structures share a key, and a
+    structure has the same key in a child Env as in its parent, across
+    threads alike (two threads drawing at once each get a correct key, and
+    the later one is kept)."""
     hit = types.get(id(e))
     if hit is not None:
         return hit[1]
@@ -70,25 +94,27 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
         raise TypeError(f"not a MorExpr: {e!r}")
     typed = keys.get(struct)
     if typed is None:
-        right = None
         if isinstance(e, Seq):
             if t1[2] != t2[1]:
                 raise WordTypeError(expected=t1[2], found=t2[1], path=path or ".")
-            dom, cod, ddim, cdim = t1[1], t2[2], t1[3], t2[4]
+            dom, cod = t1[1], t2[2]
         elif isinstance(e, Par):
             dom, cod = t1[1] + t2[1], t1[2] + t2[2]
-            ddim, cdim, right = t1[3] * t2[3], t1[4] * t2[4], t2[3:5]
+        elif isinstance(e, Gen):
+            if e.name not in sig.generators:
+                raise UnknownNameError(f"unknown generator {e.name!r}")
+            dom, cod = sig.generators[e.name]
+        elif isinstance(e, Id):
+            dom = cod = e.word
         else:
-            if isinstance(e, Gen):
-                if e.name not in sig.generators:
-                    raise UnknownNameError(f"unknown generator {e.name!r}")
-                dom, cod = sig.generators[e.name]
-            elif isinstance(e, Id):
-                dom = cod = e.word
-            else:
-                dom, cod = e.left + e.right, e.right + e.left
-            ddim, cdim = wdim(sig.word_of(dom)), wdim(sig.word_of(cod))
-        typed = keys[struct] = (next(_KEYS), dom, cod, ddim, cdim, right)
+            dom, cod = e.left + e.right, e.right + e.left
+        key = _STRUCTS.get(struct)
+        if key is None:
+            if len(_STRUCTS) >= _STRUCTS_MAX:  # keys drawn later are new ones
+                _STRUCTS.clear()
+                _TYPINGS.clear()
+            key = _STRUCTS[struct] = next(_KEYS)
+        typed = keys[struct] = (key, dom, cod)
     types[id(e)] = (e, typed)
     return typed
 
@@ -100,35 +126,36 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
 class Env:
     """A signature together with a matrix for every generator.
 
-    Each node is typed once per environment, and each distinct structure
-    (interned by ``_typed``) is compiled once per environment into a plan
-    (see ``_plan``): its columns as sparse integer dicts over one
+    Each node is typed once per generator typing, shared by every Env whose
+    generators have the same names, domains and codomains (see ``_typing``),
+    and each distinct structure is compiled once per environment into a
+    plan (see ``_plan``): its columns as sparse integer dicts over one
     denominator, filled on first use, and for a monomial structure two flat
     lists of rows and entries.  Structurally equal subexpressions
-    are therefore propagated only once across a whole table.  ``extend``
-    makes a child context that keeps what its parent has typed and compiled.
+    are therefore propagated only once across a whole table.  The
+    dimension of each word is read from this Env's objects, once.
+    ``extend`` makes a child context that keeps what its parent has
+    compiled.
 
-    Threads may share an Env without a lock: two threads that type or
-    compile the same structure at once each get a correct entry, and the
-    later one is kept; a key is never reused, and a column, or a pair of
-    lists, is published only when it is complete.
+    Threads may share an Env, and Envs a typing, without a lock: two threads
+    that type or compile the same structure at once each get a correct
+    entry, and the later one is kept; a key is never reused, and a column,
+    or a pair of lists, is published only when it is complete.
     """
 
     def __init__(self, sig: Signature, field: Field, bindings: dict, parent: Optional["Env"] = None):
         """``parent`` is set by ``extend``: its bindings, checked when it was
-        built, come first, and its caches are the snapshot."""
+        built, come first, and its plans are the snapshot."""
         self.sig = sig
         self.field = field
+        self._types, self._keys = _typing(sig)
+        self._wdims: dict = {}
         if parent is None:
             self.bindings = dict(bindings)
             self._plans: dict = {}
-            self._types: dict = {}
-            self._keys: dict = {}
         else:
             self.bindings = {**parent.bindings, **bindings}
             self._plans = parent._plans.copy()
-            self._types = parent._types.copy()
-            self._keys = parent._keys.copy()
         missing = set(sig.generators) - set(self.bindings)
         if missing:
             raise UnknownNameError(f"unbound generators: {sorted(missing)}")
@@ -144,13 +171,20 @@ class Env:
             if m.field != field:
                 raise ValueError(f"generator {name!r} bound over the wrong field")
 
+    def _dim(self, word: tuple) -> int:
+        """The dimension of a word of object names."""
+        d = self._wdims.get(word)
+        if d is None:
+            d = self._wdims[word] = wdim(self.sig.word_of(word))
+        return d
+
     def extend(self, bindings: dict) -> "Env":
         """A child context: this signature and these bindings plus the new
         names, whose types and objects are read off their matrices.
 
-        The child starts from a snapshot of the nodes typed, structures
-        interned and plans compiled here; what it adds later stays its own,
-        so this Env never sees the child's names or plans.  A name already
+        The child starts from a snapshot of the plans compiled here; what it
+        adds later stays its own, so this Env never sees the child's names
+        or plans.  A name already
         bound to the same matrix is skipped, and to a different one raises
         RebindingError; with no new name the result is this Env itself.
         """
@@ -371,7 +405,7 @@ def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
     """The plan of e's structure, compiled once per Env for an expression
     whose domain has ``width`` columns (0: e itself).  The column functions
     refer to their children's columns and index maps, never to the Env."""
-    key, _, _, ncols, _, right = env._types[id(e)][1]
+    key, dom, _ = env._types[id(e)][1]
     plan = env._plans.get(key)
     if plan is not None:
         return plan
@@ -387,11 +421,14 @@ def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
         order = tuple(range(nl, nl + nr)) + tuple(range(nl))
         plan = _permutation((_dims(e.left + e.right, env.sig), order))
     else:
+        ncols = env._dim(dom)
         width = width or ncols
         size = ncols if ncols <= width else 0
         if isinstance(e, Seq):
             plan = _seq(_plan(e.first, env, width), _plan(e.then, env, width), p, size, ncols)
         else:
+            _, rdom, rcod = env._types[id(e.right)][1]
+            right = env._dim(rdom), env._dim(rcod)
             plan = _par(_plan(e.left, env, width), _plan(e.right, env, width), right, p, size)
     env._plans[key] = plan
     return plan
@@ -653,7 +690,8 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     Large intermediate Kronecker products are never materialized, and
     scalars of the field are built only here, at the end.
     """
-    _, dom_names, cod_names, ncols, nrows, _ = _typed(e, env.sig, env._types, env._keys)
+    _, dom_names, cod_names = _typed(e, env.sig, env._types, env._keys)
+    ncols, nrows = env._dim(dom_names), env._dim(cod_names)
     plan = _plan(e, env)
     scale = plan.scale
     field = env.field
@@ -683,8 +721,8 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
     the two matrices, with both scalars."""
     tl = _typed(lhs, env.sig, env._types, env._keys)
     tr = _typed(rhs, env.sig, env._types, env._keys)
-    if tl[1:3] != tr[1:3]:
-        raise SideMismatchError(f"sides have different types: {tl[1:3]} vs {tr[1:3]}")
+    if tl[1:] != tr[1:]:
+        raise SideMismatchError(f"sides have different types: {tl[1:]} vs {tr[1:]}")
     lplan, rplan = _plan(lhs, env), _plan(rhs, env)
     lscale, rscale = lplan.scale, rplan.scale
     if lplan.mono and rplan.mono:
@@ -693,7 +731,7 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
             lcoefs == rcoefs if lscale == rscale
             else [n * rscale for n in lcoefs] == [n * lscale for n in rcoefs])
     else:
-        same = _same_columns(lplan, rplan, tl[3])
+        same = _same_columns(lplan, rplan, env._dim(tl[1]))
     if same:
         return Verdict(check_id, "pass")
     r, c, x, y = evaluate(lhs, env).first_difference(evaluate(rhs, env))

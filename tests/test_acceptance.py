@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from weakhopf.algebra import conv_inverse, convolve
+from weakhopf.algebra import RegularityPreconditionFailed, conv_inverse, convolve
 from weakhopf.bialgebra import (
     WeakHopfAlgebra,
     check_antipode,
@@ -211,12 +211,16 @@ def test_criterion_9_solver_against_exhaustive_enumeration():
     ]
     assert len(cands) == 16
     rng = random.Random(99)
-    agreements = 0
+    agreements = refused = 0
     for _ in range(50):
         g = cands[rng.randrange(16)]
         u = cands[rng.randrange(16)]
         if convolve(g, u, coalg, alg) != g:
-            continue  # the solver precondition would reject the pair
+            # Not regular: the solver must refuse the pair, as the oracle does.
+            with pytest.raises(RegularityPreconditionFailed):
+                conv_inverse(g, u, coalg, alg)
+            refused += 1
+            continue
         got = conv_inverse(g, u, coalg, alg)
         solutions = [
             x
@@ -230,8 +234,9 @@ def test_criterion_9_solver_against_exhaustive_enumeration():
         else:
             assert got in solutions
         agreements += 1
-    assert agreements >= 10
-    _pass(9, f"solver agrees with exhaustive search on {agreements} admissible pairs")
+    assert agreements >= 10 and refused > 0
+    _pass(9, f"solver agrees with exhaustive search on {agreements} admissible pairs"
+             f" and refuses the other {refused}")
 
 
 def test_criterion_10_build_determinism(tmp_path):

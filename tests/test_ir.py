@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ from weakhopf.algebra import AlgebraData, convolve
 from weakhopf.bialgebra import (
     WeakHopfAlgebra,
     build_env,
+    check_antipode,
     check_bialgebra_axioms,
     projection_identity_suite,
 )
@@ -799,18 +801,24 @@ def test_rebinding_a_name():
         child.extend({"P": _map(("H",), ("A",), shift=1)})
 
 
-def test_second_axiom_table_compiles_no_plan(monkeypatch):
-    G = groupoid_algebra(pair_groupoid(2), QQ)
-    H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+def _counting_plan(monkeypatch) -> list:
+    """Patch ir._plan to record the key of every structure it compiles."""
     compiled = []
     plan = ir._plan
 
-    def counting_plan(e, env, *rest):
-        if env._types[id(e)][1][0] not in env._plans:
-            compiled.append(e)
+    def counting(e, env, *rest):
+        key = env._types[id(e)][1][0]
+        if key not in env._plans:
+            compiled.append(key)
         return plan(e, env, *rest)
+    monkeypatch.setattr(ir, "_plan", counting)
+    return compiled
 
-    monkeypatch.setattr(ir, "_plan", counting_plan)
+
+def test_second_axiom_table_compiles_no_plan(monkeypatch):
+    G = groupoid_algebra(pair_groupoid(2), QQ)
+    H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+    compiled = _counting_plan(monkeypatch)
     first = check_bialgebra_axioms(H)
     assert compiled
     compiled.clear()
@@ -836,6 +844,118 @@ def test_child_matches_fresh_env_over_merged_bindings(field, parts):
     p_then_q = Seq(Seq(Gen("P"), Gen("Q")), Gen("mu"))
     for e in exprs + [p_then_q, Par(Gen("P"), p_then_q)]:
         assert evaluate(e, child) == evaluate(e, fresh)
+
+
+# -- typing shared across Envs ------------------------------------------------
+
+@pytest.fixture
+def cold_typing(monkeypatch):
+    """An empty typing registry and structure-key memo for this test alone."""
+    monkeypatch.setattr(ir, "_TYPINGS", {})
+    monkeypatch.setattr(ir, "_STRUCTS", {})
+
+
+def test_a_second_groupoid_algebra_types_no_node_again(cold_typing, monkeypatch):
+    def run(H):
+        return [[(v.check_id, v.status) for v in r]
+                for r in (check_bialgebra_axioms(H), check_antipode(H), projection_identity_suite(H))]
+
+    first = run(groupoid_algebra(pair_groupoid(2), QQ))
+    paths = []  # of every _typed call; a call from the top has path ''
+    typed = ir._typed
+
+    def counting(e, sig, types, keys, path=""):
+        paths.append(path)
+        return typed(e, sig, types, keys, path)
+    monkeypatch.setattr(ir, "_typed", counting)
+    second = run(groupoid_algebra(pair_groupoid(3), GF(7)))  # another dimension and field
+    assert paths and set(paths) == {""}  # every node is typed already: no recursion
+    assert second == first
+
+
+def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
+    parent = _frac_env(QQ)
+    texts = ["id(H) * mu ; mu", "Delta * id(A) ; id(H) * rho ; swap(H,A)", "eta ; Delta ; mu"]
+    exprs = [parse_expr(text, SIG) for text in texts]
+    expected = [evaluate(e, parent) for e in exprs]
+    child = parent.extend({"P": _map(("H",), ("A",))})
+    assert child._types is not parent._types  # P types the child apart
+    compiled = _counting_plan(monkeypatch)
+    assert [evaluate(e, child) for e in exprs] == expected
+    assert compiled == []
+    assert check_identity(parse_expr("P ; id(A)", child.sig), parse_expr("P", child.sig), child).passed
+    assert compiled and not set(compiled) & set(parent._plans)
+
+
+def test_typing_errors_are_the_same_cold_and_warm(cold_typing):
+    bad_name = Seq(parse_expr("id(H) * mu", SIG), Par(Id(("H",)), Gen("nope")))
+    bad_type = parse_expr("eta * id(H) ; (id(H) * (mu ; mu))", SIG)
+
+    def errors():  # in a new Env each time, over the one typing
+        env = _sig_env()
+        out = []
+        for e in (bad_name, bad_type):
+            for route in (lambda: evaluate(e, env), lambda: check_identity(e, e, env)):
+                with pytest.raises((UnknownNameError, WordTypeError)) as exc:
+                    route()
+                out.append((type(exc.value), str(exc.value), getattr(exc.value, "path", None)))
+        return out
+
+    cold = errors()
+    assert [c[0] for c in cold] == [UnknownNameError] * 2 + [WordTypeError] * 2
+    assert cold[2][2] == ".then.right"
+    env = _sig_env()
+    for text in ("id(H) * mu", "mu", "eta * id(H)", "id(H) * mu ; mu"):  # warm every typed part
+        evaluate(parse_expr(text, SIG), env)
+    assert errors() == cold
+
+
+def test_threads_on_two_envs_of_one_typing_match_a_serial_run(cold_typing):
+    # Each round two new Envs over one generator typing, cold, are shared by
+    # four threads; two threads start on each.
+    table = BIALGEBRA_AXIOMS + PROJECTION_BASICS + PROJECTION_IDENTITIES
+    table += [("commutative", "swap(H,H) ; mu", "mu")]
+    algebras = [groupoid_algebra(pair_groupoid(3), QQ), groupoid_algebra(pair_groupoid(2), GF(7))]
+
+    def context():
+        ir._TYPINGS.clear()
+        envs = [G.base_env() for G in algebras]
+        envs = [Env(env.sig, env.field, env.bindings) for env in envs]
+        assert envs[0]._types is envs[1]._types
+        return envs, itertools.count()
+
+    def run_one(env):
+        return [(v.check_id, v.status, v.witness) for v in run_identity_table(table, env)]
+
+    def run(shared):
+        envs, turn = shared
+        order = [0, 1] if next(turn) % 2 else [1, 0]
+        out = {i: run_one(envs[i]) for i in order}
+        return [out[0], out[1]]
+
+    serial = [run_one(env) for env in context()[0]]
+    assert [row[0] for row in serial[0] if row[1] != "pass"] == ["commutative"]
+    for results in race(context, run, 5):
+        assert results == [serial] * 4
+
+
+def test_the_typing_registry_stays_within_its_bounds(cold_typing, monkeypatch):
+    monkeypatch.setattr(ir, "_TYPINGS_MAX", 3)
+    monkeypatch.setattr(ir, "_TYPED_MAX", 8)
+    text = "Delta * id(A) ; id(H) * rho ; swap(H,A)"
+    for structs_max in (ir._STRUCTS_MAX, 8):  # then with the key memo emptied too
+        monkeypatch.setattr(ir, "_STRUCTS_MAX", structs_max)
+        ir._STRUCTS.clear()
+        env = _frac_env(QQ)
+        expected = evaluate(parse_expr(text, SIG), env)
+        for k in range(10):  # each child adds a generator: a new typing
+            m = _map(("H",), ("A",), shift=k)
+            env = env.extend({f"P{k}": m})
+            assert evaluate(parse_expr(text, env.sig), env) == expected
+            assert evaluate(parse_expr(f"P{k} ; id(A)", env.sig), env) == m
+            assert len(ir._TYPINGS) <= 3 and len(ir._STRUCTS) <= structs_max
+            assert len(env._types) > 8  # past _TYPED_MAX: the next Env types afresh
+            assert Env(env.sig, env.field, env.bindings)._types is not env._types
 
 
 # -- the parse memo ------------------------------------------------------------
