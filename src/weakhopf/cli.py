@@ -11,6 +11,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -207,6 +208,13 @@ def _read(args, path: str) -> tuple:
     return raw, ladder
 
 
+def _default_output(path: str, suffix: str) -> str:
+    """Where an output goes without ``--report``/``--out``: the working
+    directory, under the input's base name, so that a run on a bundled file
+    writes nothing into the package."""
+    return os.path.basename(path) + suffix
+
+
 class _Run:
     """One report command: its file read once, the ladder of what it read,
     and the report written at the end."""
@@ -233,7 +241,7 @@ class _Run:
         args, report = self.args, self.report
         millis = int((time.monotonic() - self.started) * 1000) if args.timing else 0
         digest = hashlib.sha256(self.raw).hexdigest()
-        target = args.report or (args.path + ".report.json")
+        target = args.report or _default_output(args.path, ".report.json")
         dump_json(report_to_json(report, self.ladder.pres.field, digest, millis), target)
         print(report.summary())
         for v in report.failures():
@@ -267,7 +275,7 @@ def cmd_build(args) -> int:
     report.add_pass("build.completed", note=f"E_dim {E.E_dim}")
     report.extend(crossed_product_law_suite(E), prefix="law.")
     report.extend(module_algebra_suite(E), prefix="module.")
-    out_path = args.out or (args.path + ".built.json")
+    out_path = args.out or _default_output(args.path, ".built.json")
     gens = dict(iE=E.i, pE=E.p, muE=E.mu_E, etaE=E.eta_E, nu=E.nu, jnu=E.j_nu, gam=E.gamma,
                 dE=E.delta_E)
     field = run.ladder.pres.field

@@ -238,15 +238,18 @@ class _Plan(NamedTuple):
     columns through ``cols`` and ``fn`` like any other's.
 
     A permutation of tensor factors (``Id``, ``SwapE`` and any Seq or Par of
-    them) keeps no columns: ``cols`` and ``fn`` are None, ``index`` maps a
-    column to the row of its one entry 1 (None for the identity), and
-    ``perm`` is the factor permutation.  ``factors`` is (left, right, right
-    dom dim, right cod dim) of a Par that is not a permutation, and ``kron``
-    a function computing a column of it without keeping it, set when neither
-    factor is a permutation.  A Seq whose second operand such a Par is reads
-    it from its factors' columns, or from their lists when all three are
-    monomial, so its columns and lists are never formed; the column route
-    skips the terms whose factor columns are zero (see ``_fused``).
+    them) keeps no columns: ``cols`` and ``fn`` are None, ``perm`` is the
+    factor permutation, (factor dims, order), and ``index`` its tables
+    (low, hi, lo), shared by every Env (see ``_tables``; None for the
+    identity): column j has its one entry 1 in row
+    ``hi[j // low] + lo[j % low]``, and every consumer reads them inline.
+    ``factors`` is (left, right, right dom dim, right cod dim) of a Par that
+    is not a permutation, and ``kron`` a function computing a column of it
+    without keeping it, set when neither factor is a permutation.  A Seq
+    whose second operand such a Par is reads it from its factors' columns,
+    or from their lists when all three are monomial, so its columns and
+    lists are never formed; the column route skips the terms whose factor
+    columns are zero (see ``_fused``).
     ``base`` marks a Seq that only permutes the rows of ``base`` by
     ``perm``, so that a further permutation composes with it.
     """
@@ -254,7 +257,7 @@ class _Plan(NamedTuple):
     cols: Optional[dict]
     fn: Optional[Callable]
     scale: int
-    index: Optional[Callable] = None
+    index: Optional[tuple] = None  # (low, hi, lo)
     perm: Optional[tuple] = None  # (factor dims, order): output factor q is input factor order[q]
     kron: Optional[Callable] = None
     base: Optional["_Plan"] = None
@@ -286,9 +289,13 @@ def _reduced(ns: list, p: int) -> list:
     return [n % p for n in ns] if p else ns
 
 
-def _unit_lists(n: int, index: Optional[Callable]) -> tuple:
+def _unit_lists(n: int, index: Optional[tuple]) -> tuple:
     """The lists of a permutation on n columns."""
-    rows = list(range(n)) if index is None else [index(j) for j in range(n)]
+    if index is None:
+        rows = list(range(n))
+    else:
+        _, hi, lo = index
+        rows = [h + l for h in hi for l in lo]
     return rows + [-1], [1] * n + [0]
 
 
@@ -328,10 +335,11 @@ def _outer_lists(left: Callable, right: Callable, cr: int, p: int) -> tuple:
     return rows + [-1], coefs + [0]
 
 
-def _rekeyed(base: Callable, index: Callable) -> tuple:
-    """The lists of base with its rows permuted by ``index``."""
+def _rekeyed(base: Callable, index: tuple) -> tuple:
+    """The lists of base with its rows permuted by the tables ``index``."""
     rows, coefs = base()
-    return [index(k) if k >= 0 else -1 for k in rows], coefs
+    low, hi, lo = index
+    return [hi[k // low] + lo[k % low] if k >= 0 else -1 for k in rows], coefs
 
 
 def _composite_lists(first: _Plan, then: _Plan, p: int) -> Optional[_Lists]:
@@ -345,47 +353,56 @@ def _composite_lists(first: _Plan, then: _Plan, p: int) -> Optional[_Lists]:
 
 def _permutation(perm: tuple) -> _Plan:
     """The plan of a factor permutation."""
-    index = _index(perm)
+    index = _tables(perm)
     return _Plan(None, None, 1, index, perm, mono=_Lists(_unit_lists, math.prod(perm[0]), index))
 
 
-def _index(perm: tuple) -> Optional[Callable]:
-    """The index map of a factor permutation, None for the identity.  It
-    drops factors of dimension 1 and moves each run of factors that stay
-    adjacent as one block; the identity is one block."""
-    dims, order = perm
-    if all(i == q for q, i in enumerate(order)):
-        return None
-    if 1 in dims:
-        where = {}
-        for i, d in enumerate(dims):
-            if d > 1:
-                where[i] = len(where)
-        dims = [d for d in dims if d > 1]
-        order = [where[i] for i in order if i in where]
-    strides = [1] * len(dims)
-    for k in range(len(dims) - 1, 0, -1):
-        strides[k - 1] = strides[k] * dims[k]
-    blocks = []  # (input stride, block dim, output stride), from the last output block
-    out, q = 1, len(order) - 1
-    while q >= 0:
-        last = first = order[q]
-        while q > 0 and order[q - 1] == first - 1:
-            q -= 1
-            first -= 1
-        d = strides[first] * dims[first] // strides[last]
-        blocks.append((strides[last], d, out))
-        out *= d
-        q -= 1
-    if len(blocks) < 2:
-        return None
+# factor permutation -> its index tables (None for the identity), shared by
+# every Env; emptied when full, not grown.
+_PERMS: dict = {}
+_PERMS_MAX = 256
+_NO_TABLES = (1, None, None)  # what a unit column reads for the identity
 
-    def index(j):
-        i = 0
-        for s, d, t in blocks:
-            i += j // s % d * t
-        return i
-    return index
+
+def _tables(perm: tuple) -> Optional[tuple]:
+    """The index tables (low, hi, lo) of a factor permutation ``perm`` =
+    (factor dims, order), None for the identity: column j has its one entry
+    1 in row ``hi[j // low] + lo[j % low]``.
+
+    ``low`` is the product of the trailing input factors at which that
+    running product first reaches the square root of the width n; ``lo``
+    gives the rows moved by those factors' digits of j and ``hi`` those of
+    the others.  The cut lies at a factor boundary, so the two parts of a
+    block of adjacent factors that crosses it still add up to its row, and
+    the tables hold at most sqrt(n) * (1 + the largest factor dim) entries.
+    They are built once, kept in ``_PERMS`` for every Env and published in
+    one assignment, as Envs are shared by threads."""
+    hit = _PERMS.get(perm, False)
+    if hit is not False:
+        return hit
+    dims, order = perm
+    kept = [f for f in order if dims[f] > 1]
+    tables = None
+    if kept != sorted(kept):
+        moved, t = [0] * len(dims), 1  # each input factor's stride in a row
+        for f in reversed(order):
+            moved[f] = t
+            t *= dims[f]
+        n, cut, low = t, len(dims), 1
+        while low * low < n:
+            cut -= 1
+            low *= dims[cut]
+
+        def table(factors):
+            rows = [0]
+            for f in factors:
+                rows = [r + x * moved[f] for r in rows for x in range(dims[f])]
+            return rows
+        tables = low, table(range(cut)), table(range(cut, len(dims)))
+    if len(_PERMS) >= _PERMS_MAX:
+        _PERMS.clear()
+    _PERMS[perm] = tables
+    return tables
 
 
 def _store(size: int):
@@ -397,14 +414,16 @@ def _columns(plan: _Plan) -> tuple:
     """(cols, fn) reading a plan's columns as the plan keeps them."""
     if plan.cols is not None:
         return plan.cols, plan.fn
-    index = plan.index
-    return _NOTHING, (lambda j: {j: 1}) if index is None else (lambda j: {index(j): 1})
+    if plan.index is None:
+        return _NOTHING, lambda j: {j: 1}
+    low, hi, lo = plan.index
+    return _NOTHING, lambda j: {hi[j // low] + lo[j % low]: 1}
 
 
 def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
     """The plan of e's structure, compiled once per Env for an expression
     whose domain has ``width`` columns (0: e itself).  The column functions
-    refer to their children's columns and index maps, never to the Env."""
+    refer to their children's columns and index tables, never to the Env."""
     key, dom, _ = env._types[id(e)][1]
     plan = env._plans.get(key)
     if plan is not None:
@@ -447,11 +466,11 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
         if then.cols is None:  # a permutation of a permutation
             dims, order = first.perm
             return _permutation((dims, tuple(order[i] for i in then.perm[1])))
-        index, cols = first.index, _store(size)
+        (low, hi, lo), cols = first.index, _store(size)
         tcols, tfn = _columns(then)
 
         def fn(j):  # a column of then, picked by the permutation
-            k = index(j)
+            k = hi[j // low] + lo[j % low]
             b = tcols[k]
             if b is None:
                 b = tfn(k)
@@ -465,13 +484,14 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
         if first.base is not None:  # compose with the rows first permutes
             base, (dims, order) = first.base, first.perm
             perm = (dims, tuple(order[i] for i in then.perm[1]))
-        index = _index(perm)
+        index = _tables(perm)
         if index is None:
             return base
         # A Kronecker base is read without keeping its columns: for the
         # comultiplication ladders nothing else reads it, and keeping them
         # would hold the widest structure twice.
         bcols, bfn = (base.cols, base.kron) if base.kron else _columns(base)
+        low, hi, lo = index
         cols = _store(size)
 
         def fn(j):
@@ -480,7 +500,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
                 a = bfn(j)
             c = {}
             for k, v in a.items():
-                c[index(k)] = v
+                c[hi[k // low] + lo[k % low]] = v
             cols[j] = c
             return c
         mono = base.mono and _Lists(_rekeyed, base.mono, index)
@@ -624,11 +644,11 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
     if left.mono and right.mono:
         mono = _Lists(_outer_lists, left.mono, right.mono, cr, p)
     if lcols is None:
-        index = left.index
+        low, hi, lo = left.index or _NO_TABLES
 
         def fn(j):  # a unit column beside a column
             j1, j2 = divmod(j, dr)
-            base = (j1 if index is None else index(j1)) * cr
+            base = (j1 if hi is None else hi[j1 // low] + lo[j1 % low]) * cr
             b = rcols[j2]
             if b is None:
                 b = rfn(j2)
@@ -639,11 +659,11 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
             return c
         return _Plan(cols, fn, scale, mono=mono, factors=factors)
     if rcols is None:
-        index = right.index
+        low, hi, lo = right.index or _NO_TABLES
 
         def fn(j):  # a column beside a unit column
             j1, j2 = divmod(j, dr)
-            i2 = j2 if index is None else index(j2)
+            i2 = j2 if hi is None else hi[j2 // low] + lo[j2 % low]
             a = lcols[j1]
             if a is None:
                 a = lfn(j1)

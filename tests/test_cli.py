@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -38,25 +40,47 @@ def pair_file(tmp_path):
     return str(target)
 
 
-def test_validate_bundled_instances(tmp_path, pair_file, capsys):
+def test_validate_bundled_instances(tmp_path, pair_file, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a report goes by default
     assert main(["validate", pair_file]) == 0
-    report = _load(pair_file + ".report.json")
+    report = _load(str(tmp_path / "pair.json.report.json"))
     assert report["version"] == "0.1.0"
     assert report["millis"] == 0
     assert all(e["status"] != "fail" for e in report["entries"])
     assert len(report["input_sha256"]) == 64
 
 
-def test_validate_broken_epsilon(tmp_path, capsys):
+def test_validate_broken_epsilon(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     data = _load(PAIR)
     data["generators"]["eps"]["matrix"][0][1] = "0"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code = main(["validate", str(bad)])
     assert code == 1
-    report = _load(str(bad) + ".report.json")
+    report = _load(str(tmp_path / "bad.json.report.json"))
     failed = {e["id"] for e in report["entries"] if e["status"] == "fail"}
     assert any("counit_weak_mult" in f for f in failed)
+
+
+def _digest(top):
+    """sha256 of every file under top, bytecode caches aside."""
+    return {str(p.relative_to(top)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in pathlib.Path(top).rglob("*") if p.is_file() and "__pycache__" not in p.parts}
+
+
+def test_default_outputs_go_to_the_working_directory_not_the_package(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    package = os.path.dirname(cli.__file__)
+    before = _digest(package)
+    assert main(["validate", Z2]) == 0
+    assert main(["build", Z2]) == 0
+    assert _digest(package) == before
+    assert sorted(os.listdir(tmp_path)) == ["z2_trivial_smash.json.built.json",
+                                            "z2_trivial_smash.json.report.json"]
+    out = capsys.readouterr().out
+    assert "report: z2_trivial_smash.json.report.json" in out
+    assert "product: z2_trivial_smash.json.built.json" in out
 
 
 def test_malformed_scalar_exits_2(tmp_path, capsys):

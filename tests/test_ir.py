@@ -25,7 +25,7 @@ from weakhopf.crossed import (
     trivial_measure,
 )
 from weakhopf.fields import GF, QQ
-from weakhopf.groupoid import dihedral, groupoid_algebra, pair_groupoid
+from weakhopf.groupoid import cyclic, dihedral, group_groupoid, groupoid_algebra, pair_groupoid
 from weakhopf.identities import (
     BIALGEBRA_AXIOMS,
     COCYCLE_IDENTITIES,
@@ -956,6 +956,145 @@ def test_the_typing_registry_stays_within_its_bounds(cold_typing, monkeypatch):
             assert len(ir._TYPINGS) <= 3 and len(ir._STRUCTS) <= structs_max
             assert len(env._types) > 8  # past _TYPED_MAX: the next Env types afresh
             assert Env(env.sig, env.field, env.bindings)._types is not env._types
+
+
+# -- permutation index tables -------------------------------------------------
+
+def _block_index(perm, j):
+    """The row of column j under a factor permutation, block by block: drop
+    the factors of dimension 1 and move each run of factors that stay
+    adjacent as one block (the per-term formula the tables replace)."""
+    dims, order = perm
+    where = {}
+    for i, d in enumerate(dims):
+        if d > 1:
+            where[i] = len(where)
+    dims = [d for d in dims if d > 1]
+    order = [where[i] for i in order if i in where]
+    strides = [1] * len(dims)
+    for k in range(len(dims) - 1, 0, -1):
+        strides[k - 1] = strides[k] * dims[k]
+    i, out, q = 0, 1, len(order) - 1
+    while q >= 0:
+        last = first = order[q]
+        while q > 0 and order[q - 1] == first - 1:
+            q -= 1
+            first -= 1
+        d = strides[first] * dims[first] // strides[last]
+        i += j // strides[last] % d * out
+        out *= d
+        q -= 1
+    return i
+
+
+@st.composite
+def _factor_permutations(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 4), max_size=5)))
+    order = draw(st.sampled_from([tuple(range(len(dims)))]) | st.permutations(range(len(dims))))
+    return dims, tuple(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm=_factor_permutations())
+def test_index_tables_match_the_block_formula(perm):
+    tables = ir._tables(perm)
+    n = math.prod(perm[0])
+    if tables is None:
+        assert all(_block_index(perm, j) == j for j in range(n))
+        return
+    low, hi, lo = tables
+    assert len(hi) * low == n and len(lo) == low
+    assert [hi[j // low] + lo[j % low] for j in range(n)] == [_block_index(perm, j) for j in range(n)]
+    assert (len(hi) + len(lo)) ** 2 <= n * (1 + max(perm[0])) ** 2
+
+
+def test_index_tables_of_a_wide_permutation_stay_small():
+    perm = ((9,) * 6, (0, 2, 4, 1, 3, 5))
+    low, hi, lo = ir._tables(perm)
+    assert len(hi) + len(lo) <= 2 * 9 * 729
+    for j in (0, 1, 8, 9, 728, 729, 12345, 531440):
+        assert hi[j // low] + lo[j % low] == _block_index(perm, j)
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """An empty registry of index tables for this test alone."""
+    monkeypatch.setattr(ir, "_PERMS", {})
+
+
+def _counting_tables(monkeypatch) -> list:
+    """The permutations whose tables are built from now on, in order."""
+    built = []
+    tables = ir._tables
+
+    def counting(perm):
+        if perm not in ir._PERMS:
+            built.append(perm)
+        return tables(perm)
+    monkeypatch.setattr(ir, "_tables", counting)
+    return built
+
+
+def _suites(H):
+    return [[(v.check_id, v.status) for v in r]
+            for r in (check_bialgebra_axioms(H), check_antipode(H), projection_identity_suite(H))]
+
+
+def test_two_algebras_of_one_dimension_build_each_table_once(cold_tables, monkeypatch):
+    built = _counting_tables(monkeypatch)
+    first = _suites(groupoid_algebra(pair_groupoid(2), QQ))
+    assert built and len(set(built)) == len(built)
+    before = list(built)
+    second = _suites(groupoid_algebra(group_groupoid(cyclic(4)), GF(7)))  # dim 4 too, fresh Envs
+    assert built == before
+    assert [[s for _, s in r] for r in second] == [[s for _, s in r] for r in first]
+
+
+def test_the_table_registry_stays_within_its_cap(cold_tables, monkeypatch):
+    expected = _suites(groupoid_algebra(pair_groupoid(3), QQ))
+    monkeypatch.setattr(ir, "_PERMS_MAX", 3)
+    ir._PERMS.clear()
+    sizes = []
+    tables = ir._tables
+
+    def watched(perm):
+        out = tables(perm)
+        sizes.append(len(ir._PERMS))
+        return out
+    monkeypatch.setattr(ir, "_tables", watched)
+    assert _suites(groupoid_algebra(pair_groupoid(3), QQ)) == expected
+    assert sizes and max(sizes) <= 3
+
+
+def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
+    # Each round two cold cocycle contexts of one dimension are shared by
+    # four threads, two starting on each, with no table built yet: the
+    # threads build the H^3 permutations' tables together.
+    def cocycle_env(H):
+        c = smash_cocycle(base_action_measure(H))
+        return c.env(extra={"finv": cocycle_inverse(c)})
+    bases = [cocycle_env(groupoid_algebra(pair_groupoid(2), QQ)),
+             cocycle_env(groupoid_algebra(group_groupoid(cyclic(4)), GF(7)))]
+
+    def context():
+        envs = [Env(env.sig, env.field, env.bindings) for env in bases]
+        ir._PERMS.clear()
+        return envs, itertools.count()
+
+    def run_one(env):
+        return [(v.check_id, v.status, v.witness)
+                for v in run_identity_table(COCYCLE_INVERSE_IDENTITIES, env)]
+
+    def run(shared):
+        envs, turn = shared
+        order = [0, 1] if next(turn) % 2 else [1, 0]
+        out = {i: run_one(envs[i]) for i in order}
+        return [out[0], out[1]]
+
+    serial = [run_one(env) for env in context()[0]]
+    assert all(status == "pass" for rows in serial for _, status, _ in rows)
+    for results in race(context, run, 5):
+        assert results == [serial] * 4
 
 
 # -- the parse memo ------------------------------------------------------------
