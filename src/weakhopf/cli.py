@@ -369,9 +369,13 @@ def _eval_env(ladder: _Ladder, level: Optional[str], texts: list) -> Env:
 
 
 def cmd_eval(args) -> int:
+    given = [name for name in ("key", "expr", "lhs", "rhs") if getattr(args, name) is not None]
+    if given not in (["key"], ["expr"], ["lhs", "rhs"]):
+        print("error: give exactly one of --key, --expr, or --lhs with --rhs", file=sys.stderr)
+        return EXIT_BAD_INPUT
     ladder = _read(args, args.sig)[1]
     level = None
-    if args.key:
+    if args.key is not None:
         if args.key not in _corpus_keys():
             print(f"unknown corpus identity {args.key!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
@@ -384,7 +388,7 @@ def cmd_eval(args) -> int:
         raise PresentationError(
             f"generator {exc.name!r} differs from the derived map of that name"
         ) from None
-    if lhs and rhs:
+    if args.expr is None:
         verdict = check_identity_text(lhs, rhs, env)
         if verdict.passed:
             print("IDENTITY: pass")

@@ -4,7 +4,6 @@ parser and the AST are in ``weakhopf.syntax``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -39,84 +38,32 @@ class RebindingError(ValueError):
 # Typing
 # --------------------------------------------------------------------------
 
-_KEYS = itertools.count()
-
-# structure -> key, and generator typing -> (types, keys) of every Env over
-# it; both are emptied when full, not grown (an Env keeps the dicts it took).
-_STRUCTS: dict = {}
-_STRUCTS_MAX = 1 << 16
-_TYPINGS: dict = {}
-_TYPINGS_MAX = 64
-_TYPED_MAX = 1 << 16  # nodes a typing may hold before new Envs get a fresh one
-
-
-def _typing(sig: Signature) -> tuple:
-    """The shared (types, keys) of the Envs whose generators are typed as in
-    ``sig``: a node's structure key, domain and codomain depend on those names
-    alone, never on the dimensions or the bound matrices."""
-    gens = frozenset(sig.generators.items())
-    typing = _TYPINGS.get(gens)
-    if typing is None or len(typing[0]) >= _TYPED_MAX:
-        if len(_TYPINGS) >= _TYPINGS_MAX:
-            _TYPINGS.clear()
-        typing = _TYPINGS[gens] = ({}, {})
-    return typing
-
-
 def infer_type(e: MorExpr, sig: Signature) -> tuple[tuple, tuple]:
-    """Infer (dom, cod) as tuples of object names, or raise WordTypeError."""
-    return _typed(e, sig, {}, {})[1:]
+    """Infer (dom, cod) as tuples of object names, or raise WordTypeError
+    with the path to the first mismatch."""
+    return _infer(e, sig, "")
 
 
-def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") -> tuple:
-    """Type e once per ``types`` (keyed by node id, holding the node): (key,
-    dom, cod).  ``keys`` maps each distinct structure to that tuple, so a
-    repeated structure is typed only once.  The key is an int drawn once per
-    structure from ``_KEYS`` for every typing: a leaf by its value, a Seq or
-    Par by its operands' keys.  So no two structures share a key, and a
-    structure has the same key in a child Env as in its parent, across
-    threads alike (two threads drawing at once each get a correct key, and
-    the later one is kept)."""
-    hit = types.get(id(e))
-    if hit is not None:
-        return hit[1]
+def _infer(e: MorExpr, sig: Signature, path: str) -> tuple[tuple, tuple]:
     if isinstance(e, Seq):
-        t1 = _typed(e.first, sig, types, keys, path + ".first")
-        t2 = _typed(e.then, sig, types, keys, path + ".then")
-        struct = (Seq, t1[0], t2[0])
-    elif isinstance(e, Par):
-        t1 = _typed(e.left, sig, types, keys, path + ".left")
-        t2 = _typed(e.right, sig, types, keys, path + ".right")
-        struct = (Par, t1[0], t2[0])
-    elif isinstance(e, (Gen, Id, SwapE)):
-        struct = e
-    else:
-        raise TypeError(f"not a MorExpr: {e!r}")
-    typed = keys.get(struct)
-    if typed is None:
-        if isinstance(e, Seq):
-            if t1[2] != t2[1]:
-                raise WordTypeError(expected=t1[2], found=t2[1], path=path or ".")
-            dom, cod = t1[1], t2[2]
-        elif isinstance(e, Par):
-            dom, cod = t1[1] + t2[1], t1[2] + t2[2]
-        elif isinstance(e, Gen):
-            if e.name not in sig.generators:
-                raise UnknownNameError(f"unknown generator {e.name!r}")
-            dom, cod = sig.generators[e.name]
-        elif isinstance(e, Id):
-            dom = cod = e.word
-        else:
-            dom, cod = e.left + e.right, e.right + e.left
-        key = _STRUCTS.get(struct)
-        if key is None:
-            if len(_STRUCTS) >= _STRUCTS_MAX:  # keys drawn later are new ones
-                _STRUCTS.clear()
-                _TYPINGS.clear()
-            key = _STRUCTS[struct] = next(_KEYS)
-        typed = keys[struct] = (key, dom, cod)
-    types[id(e)] = (e, typed)
-    return typed
+        dom, mid = _infer(e.first, sig, path + ".first")
+        found, cod = _infer(e.then, sig, path + ".then")
+        if mid != found:
+            raise WordTypeError(expected=mid, found=found, path=path or ".")
+        return dom, cod
+    if isinstance(e, Par):
+        d1, c1 = _infer(e.left, sig, path + ".left")
+        d2, c2 = _infer(e.right, sig, path + ".right")
+        return d1 + d2, c1 + c2
+    if isinstance(e, Gen):
+        if e.name not in sig.generators:
+            raise UnknownNameError(f"unknown generator {e.name!r}")
+        return sig.generators[e.name]
+    if isinstance(e, Id):
+        return e.word, e.word
+    if isinstance(e, SwapE):
+        return e.left + e.right, e.right + e.left
+    raise TypeError(f"not a MorExpr: {e!r}")
 
 
 # --------------------------------------------------------------------------
@@ -126,21 +73,18 @@ def _typed(e: MorExpr, sig: Signature, types: dict, keys: dict, path: str = "") 
 class Env:
     """A signature together with a matrix for every generator.
 
-    Each node is typed once per generator typing, shared by every Env whose
-    generators have the same names, domains and codomains (see ``_typing``),
-    and each distinct structure is compiled once per environment into a
-    plan (see ``_plan``): its columns as sparse integer dicts over one
-    denominator, filled on first use, and for a monomial structure two flat
-    lists of rows and entries.  Structurally equal subexpressions
-    are therefore propagated only once across a whole table.  The
+    Each node is typed and compiled once per environment into a plan (see
+    ``_plan``): its columns as sparse integer dicts over one denominator,
+    filled on first use, and for a monomial structure two flat lists of rows
+    and entries.  The parser makes structurally equal subexpressions one
+    node, so they are propagated only once across a whole table.  The
     dimension of each word is read from this Env's objects, once.
     ``extend`` makes a child context that keeps what its parent has
     compiled.
 
-    Threads may share an Env, and Envs a typing, without a lock: two threads
-    that type or compile the same structure at once each get a correct
-    entry, and the later one is kept; a key is never reused, and a column,
-    or a pair of lists, is published only when it is complete.
+    Threads may share an Env without a lock: two threads that compile the
+    same node at once each get a correct entry, and the later one is kept;
+    a column, or a pair of lists, is published only when it is complete.
     """
 
     def __init__(self, sig: Signature, field: Field, bindings: dict, parent: Optional["Env"] = None):
@@ -148,7 +92,6 @@ class Env:
         built, come first, and its plans are the snapshot."""
         self.sig = sig
         self.field = field
-        self._types, self._keys = _typing(sig)
         self._wdims: dict = {}
         if parent is None:
             self.bindings = dict(bindings)
@@ -217,11 +160,10 @@ class _Plan(NamedTuple):
     entry is n / scale; over F_p the scale is 1 and n is a residue.  A
     structure keeps each column it computes in ``cols``: ``fn(j)`` computes
     column j and keeps it, so a read is ``cols[j]``, or ``fn(j)`` when that
-    is None.  ``cols`` is a list over the domain when that domain is no
-    wider than the domain of the expression the structure is first compiled
-    for, and a ``_Sparse`` dict otherwise: a wider structure is read only at
-    the rows that narrower ones reach.  So no list of columns is longer than
-    the domain of a checked or evaluated expression.
+    is None.  ``cols`` is a list over the domain, or a ``_Sparse`` dict
+    when the structure is first compiled as the second operand of a Seq, or
+    as a factor in one, and is wider than that Seq's domain: it is read only
+    at the rows that the Seq's first operand reaches.
 
     A monomial structure, one with at most one entry in each column over its
     whole domain, also has ``mono``: a ``_Lists`` returning two flat lists
@@ -420,37 +362,61 @@ def _columns(plan: _Plan) -> tuple:
     return _NOTHING, lambda j: {hi[j // low] + lo[j % low]: 1}
 
 
-def _plan(e: MorExpr, env: Env, width: int = 0) -> _Plan:
-    """The plan of e's structure, compiled once per Env for an expression
-    whose domain has ``width`` columns (0: e itself).  The column functions
-    refer to their children's columns and index tables, never to the Env."""
-    key, dom, _ = env._types[id(e)][1]
-    plan = env._plans.get(key)
-    if plan is not None:
-        return plan
+def _plan(e: MorExpr, env: Env, width: int = 0) -> tuple:
+    """(plan, dom, cod, e): e typed and compiled once per Env, keyed by
+    ``id(e)``, which stays e's own as the entry keeps e.  ``width`` is the
+    domain width of the Seq whose second operand is e or has e among its
+    factors (0: none); a Seq or Par wider than that keeps its columns in a
+    ``_Sparse`` dict.  A type error is raised with the path "." (see
+    ``_compiled``).  The column functions refer to their children's columns
+    and index tables, never to the Env."""
+    hit = env._plans.get(id(e))
+    if hit is not None:
+        return hit
     p = env.field.modulus
-    if isinstance(e, Gen):
+    if isinstance(e, Seq):
+        first, dom, mid, _ = _plan(e.first, env)
+        ncols = env._dim(dom)
+        then, found, cod, _ = _plan(e.then, env, ncols)
+        if mid != found:
+            raise WordTypeError(expected=mid, found=found, path=".")
+        plan = _seq(first, then, p, ncols if ncols <= (width or ncols) else 0, ncols)
+    elif isinstance(e, Par):
+        left, ldom, lcod, _ = _plan(e.left, env, width)
+        right, rdom, rcod, _ = _plan(e.right, env, width)
+        dom, cod = ldom + rdom, lcod + rcod
+        ncols = env._dim(dom)
+        size = ncols if ncols <= (width or ncols) else 0
+        plan = _par(left, right, (env._dim(rdom), env._dim(rcod)), p, size)
+    elif isinstance(e, Gen):
+        if e.name not in env.sig.generators:
+            raise UnknownNameError(f"unknown generator {e.name!r}")
+        dom, cod = env.sig.generators[e.name]
         cols, scale = env.bindings[e.name].int_columns()
         mono = _Lists(_column_lists, cols) if all(len(c) < 2 for c in cols) else None
         plan = _Plan(cols, cols.__getitem__, scale, mono=mono)  # every column is already kept
     elif isinstance(e, Id):
+        dom = cod = e.word
         plan = _permutation((_dims(e.word, env.sig), tuple(range(len(e.word)))))
     elif isinstance(e, SwapE):
+        dom, cod = e.left + e.right, e.right + e.left
         nl, nr = len(e.left), len(e.right)
         order = tuple(range(nl, nl + nr)) + tuple(range(nl))
-        plan = _permutation((_dims(e.left + e.right, env.sig), order))
+        plan = _permutation((_dims(dom, env.sig), order))
     else:
-        ncols = env._dim(dom)
-        width = width or ncols
-        size = ncols if ncols <= width else 0
-        if isinstance(e, Seq):
-            plan = _seq(_plan(e.first, env, width), _plan(e.then, env, width), p, size, ncols)
-        else:
-            _, rdom, rcod = env._types[id(e.right)][1]
-            right = env._dim(rdom), env._dim(rcod)
-            plan = _par(_plan(e.left, env, width), _plan(e.right, env, width), right, p, size)
-    env._plans[key] = plan
-    return plan
+        raise TypeError(f"not a MorExpr: {e!r}")
+    hit = env._plans[id(e)] = (plan, dom, cod, e)
+    return hit
+
+
+def _compiled(e: MorExpr, env: Env) -> tuple:
+    """``_plan(e, env)``, with a type error raised again by ``infer_type``
+    from e, so that it carries its path."""
+    try:
+        return _plan(e, env)
+    except WordTypeError:
+        infer_type(e, env.sig)
+        raise
 
 
 def _dims(word: tuple, sig: Signature) -> tuple:
@@ -710,9 +676,8 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     Large intermediate Kronecker products are never materialized, and
     scalars of the field are built only here, at the end.
     """
-    _, dom_names, cod_names = _typed(e, env.sig, env._types, env._keys)
+    plan, dom_names, cod_names, _ = _compiled(e, env)
     ncols, nrows = env._dim(dom_names), env._dim(cod_names)
-    plan = _plan(e, env)
     scale = plan.scale
     field = env.field
     conv = field.from_int
@@ -739,11 +704,10 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
     agree, cross-multiplied ones when they differ.  Only on a mismatch are
     both sides evaluated; the witness is the first differing (row, col) of
     the two matrices, with both scalars."""
-    tl = _typed(lhs, env.sig, env._types, env._keys)
-    tr = _typed(rhs, env.sig, env._types, env._keys)
-    if tl[1:] != tr[1:]:
-        raise SideMismatchError(f"sides have different types: {tl[1:]} vs {tr[1:]}")
-    lplan, rplan = _plan(lhs, env), _plan(rhs, env)
+    lplan, ldom, lcod, _ = _compiled(lhs, env)
+    rplan, rdom, rcod, _ = _compiled(rhs, env)
+    if (ldom, lcod) != (rdom, rcod):
+        raise SideMismatchError(f"sides have different types: {(ldom, lcod)} vs {(rdom, rcod)}")
     lscale, rscale = lplan.scale, rplan.scale
     if lplan.mono and rplan.mono:
         (lrows, lcoefs), (rrows, rcoefs) = lplan.mono(), rplan.mono()
@@ -751,7 +715,7 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
             lcoefs == rcoefs if lscale == rscale
             else [n * rscale for n in lcoefs] == [n * lscale for n in rcoefs])
     else:
-        same = _same_columns(lplan, rplan, env._dim(tl[1]))
+        same = _same_columns(lplan, rplan, env._dim(ldom))
     if same:
         return Verdict(check_id, "pass")
     r, c, x, y = evaluate(lhs, env).first_difference(evaluate(rhs, env))

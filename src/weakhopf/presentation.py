@@ -126,7 +126,7 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
             raise PresentationError(f"{key} must be an object")
     objects = {}
     for name, dim in sections["objects"].items():
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise PresentationError(f"object {name!r} has bad dimension {dim!r}")
         objects[name] = Obj(name, dim)
     generators = {}

@@ -162,10 +162,13 @@ class _Tokenizer:
         return self.next()
 
 
-# text -> (AST, generator names, object names) of every text parsed so far.
-# A full memo is emptied, not grown.
+# text -> (AST, generator names, object names) of every text parsed so far,
+# and structure -> its one node in those ASTs: a leaf by its value, a Seq or
+# Par by its operands' identities (which the node keeps alive).  A full memo
+# is emptied, not grown, and the node table with it.
 _PARSED: dict = {}
 _PARSED_MAX = 4096
+_NODES: dict = {}
 
 
 def parse_expr(text: str, sig: Signature) -> MorExpr:
@@ -174,7 +177,9 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
     Each text is parsed once: a later call returns the same AST once the
     names it uses are checked against ``sig``.  A text that fails to parse,
     or names one that ``sig`` lacks, goes through the parser again, so the
-    error and its position are always the parser's own.
+    error and its position are always the parser's own.  Equal
+    subexpressions of the texts parsed are one node, so that a node is the
+    key of its structure.
     """
     hit = _PARSED.get(text)
     if hit is not None and sig.generators.keys() >= hit[1] and sig.objects.keys() >= hit[2]:
@@ -188,8 +193,23 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
     _collect_names(expr, gens, objs)
     if len(_PARSED) >= _PARSED_MAX:
         _PARSED.clear()
+        _NODES.clear()
+    expr = _interned(expr)
     _PARSED[text] = (expr, frozenset(gens), frozenset(objs))
     return expr
+
+
+def _interned(e: MorExpr) -> MorExpr:
+    """The one node of e's structure in ``_NODES``."""
+    if isinstance(e, Seq):
+        e = Seq(_interned(e.first), _interned(e.then))
+        key = (Seq, id(e.first), id(e.then))
+    elif isinstance(e, Par):
+        e = Par(_interned(e.left), _interned(e.right))
+        key = (Par, id(e.left), id(e.right))
+    else:
+        key = e
+    return _NODES.setdefault(key, e)
 
 
 def _collect_names(e: MorExpr, gens: set, objs: set) -> None:

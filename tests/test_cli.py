@@ -312,6 +312,24 @@ def _call(argv):
 PASS = "IDENTITY: pass\n"
 
 
+EVAL_FLAGS = {"--key": "unit_left", "--expr": "mu", "--lhs": "mu ; Delta", "--rhs": "mu ; Delta"}
+
+
+@pytest.mark.parametrize("flags", [
+    [flag for k, flag in enumerate(EVAL_FLAGS) if mask >> k & 1] for mask in range(16)
+], ids=lambda flags: "+".join(flag[2:] for flag in flags) or "none")
+def test_eval_takes_exactly_one_kind_of_input(flags):
+    argv = ["eval", "--sig", Z2] + [x for flag in flags for x in (flag, EVAL_FLAGS[flag])]
+    code, out, err = _call(argv)
+    if flags == ["--key"] or flags == ["--lhs", "--rhs"]:
+        assert (code, out, err) == (0, PASS, "")
+    elif flags == ["--expr"]:
+        assert code == 0 and json.loads(out)["cod"] == ["H"] and err == ""
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: give exactly one of --key, --expr, or --lhs with --rhs\n"
+
+
 def test_eval_sees_a_same_size_rewrite_with_the_old_mtime(tmp_path):
     data = _load(PAIR)
     target = tmp_path / "pair.json"
@@ -513,6 +531,21 @@ def test_malformed_presentation_exits_2_on_every_command(tmp_path, case, mutate,
         code, out, err = _call(argv)
         assert (code, out) == (2, ""), command
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+def test_a_boolean_dimension_exits_2_on_every_command(tmp_path):
+    # The z2 file's A has dimension 1, which ``true`` would pass for.
+    data = _load(Z2)
+    assert data["objects"]["A"] == 1
+    data["objects"]["A"] = True
+    target = tmp_path / "bool.json"
+    target.write_text(json.dumps(data))
+    for command in ALL_COMMANDS:
+        if command == "eval":
+            argv = ["eval", "--sig", str(target), "--key", "unit_left"]
+        else:
+            argv = [command, str(target), "--report", str(tmp_path / "r.json")]
+        assert _call(argv) == (2, "", "error: object 'A' has bad dimension True\n"), command
 
 
 def _declared_cleft(tmp_path, bump=False):

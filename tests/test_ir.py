@@ -176,10 +176,10 @@ def test_evaluate_unbound_generator_rejected():
 _IDENTS = st.sampled_from(["mu", "eta", "Delta", "eps", "rho"])
 
 
-def _ast(depth: int):
+def _ast(depth: int, idents=_IDENTS):
     if depth == 0:
         return st.one_of(
-            _IDENTS.map(Gen),
+            idents.map(Gen),
             st.lists(st.sampled_from(["H", "A"]), min_size=1, max_size=2).map(
                 lambda w: Id(tuple(w))
             ),
@@ -188,7 +188,7 @@ def _ast(depth: int):
                 st.lists(st.sampled_from(["H", "A"]), min_size=1, max_size=2),
             ).map(lambda t: SwapE((t[0],), tuple(t[1]))),
         )
-    sub = _ast(depth - 1)
+    sub = _ast(depth - 1, idents)
     return st.one_of(sub, st.tuples(sub, sub).map(lambda t: Seq(*t)), st.tuples(sub, sub).map(lambda t: Par(*t)))
 
 
@@ -248,7 +248,7 @@ def _small_and_typed(e, limit=36, sig=SIG) -> bool:
     """Well typed, with no node's dom or cod wider than limit."""
     try:
         words = infer_type(e, sig)
-    except WordTypeError:
+    except (WordTypeError, UnknownNameError):
         return False
     if any(math.prod(sig.objects[n] for n in w) > limit for w in words):
         return False
@@ -378,7 +378,7 @@ def test_kernel_compares_sides_of_different_scales(field):
     verdict = check_identity(lhs, bad, env)
     assert (verdict.status, verdict.witness.row, verdict.witness.col) == ("fail", 1, 0)
     if field == QQ:  # the pair really exercises the cross-multiplied path
-        assert _plan(lhs, env)[2] != _plan(good, env)[2]
+        assert _plan(lhs, env)[0].scale != _plan(good, env)[0].scale
 
 
 # -- monomial structures: flat row and entry lists ------------------------------
@@ -437,9 +437,8 @@ def _moved(m: LinMap, c: int) -> LinMap:
 
 
 def _plan_of(e, env):
-    """The plan of e's structure in env, typing e first."""
-    ir._typed(e, env.sig, env._types, env._keys)
-    return _plan(e, env)
+    """The plan of e in env."""
+    return _plan(e, env)[0]
 
 
 def _is_monomial(m: LinMap) -> bool:
@@ -802,14 +801,13 @@ def test_rebinding_a_name():
 
 
 def _counting_plan(monkeypatch) -> list:
-    """Patch ir._plan to record the key of every structure it compiles."""
+    """Patch ir._plan to record the key of every node it compiles."""
     compiled = []
     plan = ir._plan
 
     def counting(e, env, *rest):
-        key = env._types[id(e)][1][0]
-        if key not in env._plans:
-            compiled.append(key)
+        if id(e) not in env._plans:
+            compiled.append(id(e))
         return plan(e, env, *rest)
     monkeypatch.setattr(ir, "_plan", counting)
     return compiled
@@ -846,31 +844,34 @@ def test_child_matches_fresh_env_over_merged_bindings(field, parts):
         assert evaluate(e, child) == evaluate(e, fresh)
 
 
-# -- typing shared across Envs ------------------------------------------------
+# -- one node per structure, typed where it is compiled ------------------------
 
 @pytest.fixture
-def cold_typing(monkeypatch):
-    """An empty typing registry and structure-key memo for this test alone."""
-    monkeypatch.setattr(ir, "_TYPINGS", {})
-    monkeypatch.setattr(ir, "_STRUCTS", {})
+def cold_parse(monkeypatch):
+    """An empty parse memo and node table for this test alone."""
+    monkeypatch.setattr(syntax, "_PARSED", {})
+    monkeypatch.setattr(syntax, "_NODES", {})
 
 
-def test_a_second_groupoid_algebra_types_no_node_again(cold_typing, monkeypatch):
-    def run(H):
-        return [[(v.check_id, v.status) for v in r]
-                for r in (check_bialgebra_axioms(H), check_antipode(H), projection_identity_suite(H))]
+def _nodes(e) -> list:
+    """Every node of e, e's children before e."""
+    children = (e.first, e.then) if isinstance(e, Seq) else (e.left, e.right) if isinstance(e, Par) else ()
+    return [n for c in children for n in _nodes(c)] + [e]
 
-    first = run(groupoid_algebra(pair_groupoid(2), QQ))
-    paths = []  # of every _typed call; a call from the top has path ''
-    typed = ir._typed
 
-    def counting(e, sig, types, keys, path=""):
-        paths.append(path)
-        return typed(e, sig, types, keys, path)
-    monkeypatch.setattr(ir, "_typed", counting)
-    second = run(groupoid_algebra(pair_groupoid(3), GF(7)))  # another dimension and field
-    assert paths and set(paths) == {""}  # every node is typed already: no recursion
-    assert second == first
+def test_two_texts_share_their_common_subexpression(cold_parse, monkeypatch):
+    a = parse_expr("Delta * id(A) ; id(H) * rho ; swap(H,A)", SIG)
+    b = parse_expr("eta * id(A) ; Delta * id(A) ; id(H) * rho", SIG)
+    assert a.first.first is b.first.then  # Delta * id(A)
+    assert a.first.then is b.then  # id(H) * rho
+    assert a.first.first.right is b.first.first.right  # id(A)
+    square = parse_expr("(Delta ; mu) * (Delta ; mu)", SIG)
+    assert square.left is square.right
+    env = _frac_env(QQ)
+    evaluate(a, env)
+    compiled = _counting_plan(monkeypatch)
+    assert evaluate(b, env) == _dense(b, env)
+    assert compiled == [id(n) for n in (b, b.first, b.first.first, b.first.first.left)]
 
 
 def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
@@ -879,7 +880,6 @@ def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
     exprs = [parse_expr(text, SIG) for text in texts]
     expected = [evaluate(e, parent) for e in exprs]
     child = parent.extend({"P": _map(("H",), ("A",))})
-    assert child._types is not parent._types  # P types the child apart
     compiled = _counting_plan(monkeypatch)
     assert [evaluate(e, child) for e in exprs] == expected
     assert compiled == []
@@ -887,11 +887,11 @@ def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
     assert compiled and not set(compiled) & set(parent._plans)
 
 
-def test_typing_errors_are_the_same_cold_and_warm(cold_typing):
+def test_typing_errors_are_the_same_cold_and_warm():
     bad_name = Seq(parse_expr("id(H) * mu", SIG), Par(Id(("H",)), Gen("nope")))
     bad_type = parse_expr("eta * id(H) ; (id(H) * (mu ; mu))", SIG)
 
-    def errors():  # in a new Env each time, over the one typing
+    def errors():  # in a new Env each time
         env = _sig_env()
         out = []
         for e in (bad_name, bad_type):
@@ -910,52 +910,77 @@ def test_typing_errors_are_the_same_cold_and_warm(cold_typing):
     assert errors() == cold
 
 
-def test_threads_on_two_envs_of_one_typing_match_a_serial_run(cold_typing):
-    # Each round two new Envs over one generator typing, cold, are shared by
-    # four threads; two threads start on each.
-    table = BIALGEBRA_AXIOMS + PROJECTION_BASICS + PROJECTION_IDENTITIES
-    table += [("commutative", "swap(H,H) ; mu", "mu")]
-    algebras = [groupoid_algebra(pair_groupoid(3), QQ), groupoid_algebra(pair_groupoid(2), GF(7))]
+def _outcome(route):
+    """What a call returns, or the type, message and path of what it raises."""
+    try:
+        return route()
+    except (TypeError, UnknownNameError) as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_ast(3, _IDENTS | st.just("nope")), data=st.data())
+def test_kernel_typing_matches_infer_type(e, data):
+    # Drawn ASTs, mostly ill typed, some naming a generator SIG lacks, run
+    # in a fresh Env and in one where some well-typed parts are compiled.
+    typing = _outcome(lambda: infer_type(e, SIG))
+    well_typed = typing[0] is not WordTypeError and typing[0] is not UnknownNameError
+    assume(not well_typed or _small_and_typed(e, 81))
+    parts = [n for n in _nodes(e)[:-1] if _small_and_typed(n, 81)]
+    warm = _sig_env()
+    for part in data.draw(st.lists(st.sampled_from(parts), unique_by=id)) if parts else ():
+        evaluate(part, warm)
+    for env in (_sig_env(), warm):
+        m = _outcome(lambda: evaluate(e, env))
+        verdict = _outcome(lambda: check_identity(e, e, env).status)
+        if well_typed:
+            assert (m.dom, m.cod) == tuple(SIG.word_of(w) for w in typing)
+            assert verdict == "pass"
+        else:
+            assert m == verdict == typing
+
+
+def test_a_parse_memo_capped_small_keeps_the_node_table_to_its_texts(cold_parse, monkeypatch):
+    texts = ["Delta * id(A) ; id(H) * rho ; swap(H,A)", "eta ; Delta ; mu", "mu ; Delta",
+             "(Delta ; mu) * (Delta ; mu)", "id(H) * mu ; mu", "eta * id(A) ; Delta * id(A)"]
+    reference = {text: parse_expr(text, SIG) for text in texts}
+    monkeypatch.setattr(syntax, "_PARSED", {})
+    monkeypatch.setattr(syntax, "_NODES", {})
+    monkeypatch.setattr(syntax, "_PARSED_MAX", 2)
+    env = _frac_env(QQ)
+    for text in texts * 2:
+        e = parse_expr(text, SIG)
+        assert e == reference[text] and evaluate(e, env) == _dense(e, env)
+        assert len(syntax._PARSED) <= 2
+        held = {id(n) for ast, _, _ in syntax._PARSED.values() for n in _nodes(ast)}
+        assert {id(n) for n in syntax._NODES.values()} == held
+    assert len(syntax._PARSED) == 2
+
+
+def test_threads_sharing_a_cold_env_match_a_serial_run(cold_parse):
+    # Each round the threads parse, type and compile a table together: the
+    # parse memo is emptied and the Env is new.  The rows share parts, and
+    # the last one fails.
+    table = [("assoc", "mu * id(H) ; mu", "id(H) * mu ; mu"),
+             ("coassoc", "Delta ; Delta * id(H)", "Delta ; id(H) * Delta"),
+             ("action", "id(H) * rho ; rho", "mu * id(A) ; rho"),
+             ("swap", "Delta * id(A) ; id(H) * swap(H,A) ; rho * id(H)",
+              "Delta * id(A) ; id(H) * swap(H,A) ; rho * id(H)"),
+             ("commutative", "swap(H,H) ; mu", "mu")]
+    base = _frac_env(GF(7))
 
     def context():
-        ir._TYPINGS.clear()
-        envs = [G.base_env() for G in algebras]
-        envs = [Env(env.sig, env.field, env.bindings) for env in envs]
-        assert envs[0]._types is envs[1]._types
-        return envs, itertools.count()
+        syntax._PARSED.clear()
+        syntax._NODES.clear()
+        return Env(base.sig, base.field, base.bindings)
 
-    def run_one(env):
+    def run(env):
         return [(v.check_id, v.status, v.witness) for v in run_identity_table(table, env)]
 
-    def run(shared):
-        envs, turn = shared
-        order = [0, 1] if next(turn) % 2 else [1, 0]
-        out = {i: run_one(envs[i]) for i in order}
-        return [out[0], out[1]]
-
-    serial = [run_one(env) for env in context()[0]]
-    assert [row[0] for row in serial[0] if row[1] != "pass"] == ["commutative"]
-    for results in race(context, run, 5):
+    serial = run(context())
+    assert serial[3][1] == "pass" and serial[4][1] == "fail"
+    for results in race(context, run, 10):
         assert results == [serial] * 4
-
-
-def test_the_typing_registry_stays_within_its_bounds(cold_typing, monkeypatch):
-    monkeypatch.setattr(ir, "_TYPINGS_MAX", 3)
-    monkeypatch.setattr(ir, "_TYPED_MAX", 8)
-    text = "Delta * id(A) ; id(H) * rho ; swap(H,A)"
-    for structs_max in (ir._STRUCTS_MAX, 8):  # then with the key memo emptied too
-        monkeypatch.setattr(ir, "_STRUCTS_MAX", structs_max)
-        ir._STRUCTS.clear()
-        env = _frac_env(QQ)
-        expected = evaluate(parse_expr(text, SIG), env)
-        for k in range(10):  # each child adds a generator: a new typing
-            m = _map(("H",), ("A",), shift=k)
-            env = env.extend({f"P{k}": m})
-            assert evaluate(parse_expr(text, env.sig), env) == expected
-            assert evaluate(parse_expr(f"P{k} ; id(A)", env.sig), env) == m
-            assert len(ir._TYPINGS) <= 3 and len(ir._STRUCTS) <= structs_max
-            assert len(env._types) > 8  # past _TYPED_MAX: the next Env types afresh
-            assert Env(env.sig, env.field, env.bindings)._types is not env._types
 
 
 # -- permutation index tables -------------------------------------------------
