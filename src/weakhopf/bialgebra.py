@@ -25,7 +25,7 @@ class WeakBialgebra:
 
     Two evaluation contexts are built once and kept: the core (mu, eta,
     Delta, eps) and the base, a child of the core adding the projections and
-    the antipode.  Both assume the maps are not edited in place.
+    the antipode.
     """
 
     def __init__(self, algebra: AlgebraData, coalgebra: CoalgebraData):

@@ -377,7 +377,7 @@ def cmd_eval(args) -> int:
     level = None
     if args.key is not None:
         if args.key not in _corpus_keys():
-            print(f"unknown corpus identity {args.key!r}", file=sys.stderr)
+            print(f"error: unknown corpus identity {args.key!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
         level, lhs, rhs = _corpus_keys()[args.key]
     else:

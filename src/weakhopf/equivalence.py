@@ -56,13 +56,14 @@ def _primed(Ep: CrossedProduct) -> dict:
 def _transport(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap) -> LinMap:
     """The induced map between split images: include, insert phi, project."""
     m = eval_text(ids.TRANSPORT_EXPR, _pair_env(E, Ep, phi).extend(_primed(Ep)))
-    return LinMap(m.field, m.dom, (Ep.obj,), m.rows)
+    return LinMap(m.field, m.dom, (Ep.obj,), m.rows, m.int_columns())
 
 
 def _verify_iso(E: CrossedProduct, Ep: CrossedProduct, Phi: LinMap, report: VerdictReport) -> Env:
     """The iso laws of Phi: E -> Ep; returns their context, Phi bound into Ep."""
     P = (Obj("Ep", Ep.E_dim),)
-    env = E.env(extra={**_primed(Ep), "Phi": LinMap(Phi.field, Phi.dom, P, Phi.rows)})
+    Phi = LinMap(Phi.field, Phi.dom, P, Phi.rows, Phi.int_columns())
+    env = E.env(extra={**_primed(Ep), "Phi": Phi})
     run_identity_table(ids.ISO_IDENTITIES, env, report)
     report.add_bool("iso_invertible", invert(Phi) is not None)
     return env
@@ -88,7 +89,8 @@ def equivalence_from_phi(
     env = _verify_iso(E, Ep, Phi, report)
     Phi_inv = _transport(Ep, E, phi_inv)
     P = env.bindings["Phi"].cod
-    env = env.extend({"Phiinv": LinMap(Phi_inv.field, P, Phi_inv.cod, Phi_inv.rows)})
+    Phi_inv = LinMap(Phi_inv.field, P, Phi_inv.cod, Phi_inv.rows, Phi_inv.int_columns())
+    env = env.extend({"Phiinv": Phi_inv})
     run_identity_table(ids.ISO_INVERSE_IDENTITIES, env, report)
     if not report.all_pass:
         return None, report

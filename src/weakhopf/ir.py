@@ -673,29 +673,19 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     propagated as sparse integer dicts, or as flat lists for a monomial
     structure: over Q with one denominator per structure (the product of
     its generators' denominators), over F_p as residues reduced mod p.
-    Large intermediate Kronecker products are never materialized, and
-    scalars of the field are built only here, at the end.
+    Large intermediate Kronecker products are never materialized; the
+    result is built by ``LinMap.from_int_columns`` and keeps its columns.
     """
     plan, dom_names, cod_names, _ = _compiled(e, env)
-    ncols, nrows = env._dim(dom_names), env._dim(cod_names)
-    scale = plan.scale
-    field = env.field
-    conv = field.from_int
-    z = field.zero
-    rows = [[z] * ncols for _ in range(nrows)]
+    ncols = env._dim(dom_names)
     if plan.mono:
-        for j, (i, n) in enumerate(zip(*plan.mono())):
-            if i >= 0:
-                rows[i][j] = conv(n, scale)
+        rows, coefs = plan.mono()
+        cols = [{i: n} if i >= 0 else {} for i, n in zip(rows[:ncols], coefs)]
     else:
-        cols, fn = _columns(plan)
-        for j in range(ncols):
-            c = cols[j]
-            if c is None:
-                c = fn(j)
-            for i, n in c.items():
-                rows[i][j] = conv(n, scale)
-    return LinMap(field, env.sig.word_of(dom_names), env.sig.word_of(cod_names), rows)
+        kept, fn = _columns(plan)
+        cols = [fn(j) if kept[j] is None else kept[j] for j in range(ncols)]
+    return LinMap.from_int_columns(
+        env.field, env.sig.word_of(dom_names), env.sig.word_of(cod_names), cols, plan.scale)
 
 
 def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identity") -> Verdict:

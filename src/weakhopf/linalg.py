@@ -3,14 +3,16 @@
 A word is a tuple of named factors; the basis of ``X1 (x) ... (x) Xn`` is
 ordered lexicographically with the leftmost factor most significant, so the
 flat index of ``(i1, ..., in)`` is ``sum(i_k * prod(dim X_l for l > k))``.
-Matrices are stored densely, rows indexed by the codomain basis; Gaussian
-elimination (``rref``) works on sparse integer rows.
+A map's content is its integer columns (``LinMap.int_columns``); its dense
+rows of field scalars, indexed by the codomain basis, are editable until
+those are first read and read-only after.  Gaussian elimination (``rref``)
+works on sparse integer rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .fields import Field, FieldError, NonCanonicalScalar
@@ -61,9 +63,27 @@ def _as_word(x) -> Word:
     return tuple(x)
 
 
+class _Row(list):
+    """A list that refuses writes: the rows of a read map, and each row."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args):
+        raise TypeError("a LinMap's rows are read-only once its integer columns are read")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return _Row, (list(self),)
+
+
 @dataclass
 class LinMap:
-    """Exact matrix of a morphism dom -> cod; rows indexed by cod basis."""
+    """Exact matrix of a morphism dom -> cod; rows indexed by cod basis.
+
+    ``rows`` may be filled in place until ``int_columns`` is first called;
+    from then on they are read-only, and a write raises TypeError."""
 
     field: Field
     dom: Word
@@ -78,6 +98,24 @@ class LinMap:
                 f"matrix shape {len(self.rows)}x{'?' if not self.rows else len(self.rows[0])}"
                 f" does not match cod dim {nr} x dom dim {nc}"
             )
+        if self._int_cols is not None and type(self.rows) is not _Row:
+            self.rows = _Row(map(_Row, self.rows))
+
+    @classmethod
+    def from_int_columns(cls, field: Field, dom: Word, cod: Word, cols: list, scale: int):
+        """The map whose column j has the entries n / scale of ``cols[j]``, a
+        dict {row: n} without zeros (over F_p, residues and scale 1): the one
+        place where integer columns become field scalars.  The columns are
+        kept, reduced by their gcd with the scale, as ``int_columns``."""
+        g = gcd(scale, *(n for c in cols for n in c.values()))
+        if g > 1:
+            cols, scale = [{i: n // g for i, n in c.items()} for c in cols], scale // g
+        conv, z = field.from_int, field.zero
+        rows = [[z] * len(cols) for _ in range(wdim(cod))]
+        for j, c in enumerate(cols):
+            for i, n in c.items():
+                rows[i][j] = conv(n, scale)
+        return cls(field, dom, cod, rows, (cols, scale))
 
     @property
     def nrows(self) -> int:
@@ -111,7 +149,8 @@ class LinMap:
         entries are n / scale; over F_p the scale is 1 and n a residue.
         Raises FieldError naming the (row, col) of an entry that is not a
         canonical scalar of the map's field.
-        Computed once and kept; the dicts are shared, and never written."""
+        Computed once and kept, after which the rows are read-only; the
+        dicts are shared, and never written."""
         if self._int_cols is None:
             nz = [[] for _ in range(self.ncols)]
             for i, row in enumerate(self.rows):
@@ -125,6 +164,7 @@ class LinMap:
                 raise FieldError(f"entry ({i}, {j}) of {self!r}: {exc}") from None
             flat = iter(ns)  # zip reads col first, so flat is never over-read
             cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
+            self.rows = _Row(map(_Row, self.rows))
             self._int_cols = (cols, scale)  # published in one assignment
         return self._int_cols
 
@@ -229,11 +269,11 @@ def _tensor2(a: LinMap, b: LinMap) -> LinMap:
 
 
 def rename_factor(m: LinMap, mapping: dict) -> LinMap:
-    """Rename word factors (dims unchanged); entries are shared, not copied."""
+    """Rename word factors (dims unchanged); rows and columns are shared."""
     def ren(w: Word) -> Word:
         return tuple(Obj(mapping.get(ob.name, ob.name), ob.dim) for ob in w)
 
-    return LinMap(m.field, ren(m.dom), ren(m.cod), m.rows)
+    return LinMap(m.field, ren(m.dom), ren(m.cod), m.rows, m.int_columns())
 
 
 def swap(x, y, field: Field) -> LinMap:
@@ -253,17 +293,22 @@ def swap(x, y, field: Field) -> LinMap:
 # Gaussian elimination on sparse integer rows
 # ---------------------------------------------------------------------------
 
-def _int_rows(rows: Sequence, field: Field) -> list:
-    """Dense rows of field scalars as the sparse integer rows ``rref`` reads.
-
-    Over Q each row is scaled by its own common denominator; scaling a row
-    leaves its row space, and so the reduced form, unchanged."""
-    out = []
-    for row in rows:
-        cols = [j for j, v in enumerate(row) if v]
-        ns, _ = field.to_ints([row[j] for j in cols])
-        out.append(dict(zip(cols, ns)))
-    return out
+def _int_rows(*maps: LinMap) -> list:
+    """The block matrix [m1 | m2 | ...] of maps with one codomain as the
+    sparse integer rows ``rref`` reads, read from their integer columns
+    times the product of their scales, which leaves the row space, and so
+    the reduced form, unchanged."""
+    blocks = [m.int_columns() for m in maps]
+    total = prod(scale for _, scale in blocks)
+    rows = [{} for _ in range(maps[0].nrows)]
+    base = 0
+    for cols, scale in blocks:
+        f = total // scale
+        for j, c in enumerate(cols, base):
+            for i, n in c.items():
+                rows[i][j] = n * f
+        base += len(cols)
+    return rows
 
 
 def _primitive(row: dict) -> dict:
@@ -303,9 +348,9 @@ def rref(rows: list, ncols: int, field: Field) -> tuple[list, list[int]]:
 
     Each row is a dict column -> int with columns below ``ncols``: residues
     (or any integers, reduced here) over F_p, and over Q integers that may
-    carry any nonzero row factor (see ``_int_rows``).  ``rows`` is read, not
-    changed.  Returns the nonzero rows of the reduced form, top to bottom,
-    as dicts column -> field scalar, and their pivot columns, ascending.
+    carry any nonzero row factor.  ``rows`` is read, not changed.  Returns
+    the nonzero rows of the reduced form, top to bottom, as dicts column ->
+    field scalar, and their pivot columns, ascending.
 
     Elimination is fraction-free and Gauss-Jordan: each row is reduced
     against the pivot rows found so far, and a new pivot is cleared from
@@ -343,13 +388,6 @@ def rref(rows: list, ncols: int, field: Field) -> tuple[list, list[int]]:
     return red, pivots
 
 
-def _densify(row: dict, n: int, zero) -> list:
-    out = [zero] * n
-    for k, v in row.items():
-        out[k] = v
-    return out
-
-
 def split_idempotent(e: LinMap, name: str = "im") -> tuple[int, LinMap, LinMap]:
     """Split e = inj . proj with proj . inj = id on the image object.
 
@@ -364,76 +402,54 @@ def split_idempotent(e: LinMap, name: str = "im") -> tuple[int, LinMap, LinMap]:
         raise NotIdempotentError(
             f"map is not idempotent: e*e differs from e at {diff[:2]}", witness_col=diff[1]
         )
-    red, pivots = rref(_int_rows(e.rows, e.field), e.ncols, e.field)
+    red, pivots = rref(_int_rows(e), e.ncols, e.field)
     rank = len(pivots)
     img = (Obj(name, rank),)
     inj = LinMap(e.field, img, e.cod, [[e.rows[i][j] for j in pivots] for i in range(e.nrows)])
-    proj = LinMap(e.field, e.dom, img, [_densify(r, e.ncols, e.field.zero) for r in red])
+    z = e.field.zero
+    proj = LinMap(e.field, e.dom, img, [[r.get(k, z) for k in range(e.ncols)] for r in red])
     return rank, inj, proj
 
 
-def _particular(red: list, pivots: list, nunk: int, field: Field) -> Optional[list]:
-    """The flat solution, free unknowns zero, of a reduced augmented system
-    (unknowns 0..nunk-1, right-hand side at column nunk); None if there is
-    none."""
-    if pivots and pivots[-1] == nunk:
-        return None
+def _solve(aug: list, nunk: int, nrhs: int, field: Field) -> Optional[list]:
+    """The solution X, free unknowns zero, of A X = B given as the sparse
+    integer rows of [A | B] (unknowns 0..nunk-1, then nrhs right-hand
+    sides): nunk rows of nrhs field scalars, or None if there is none."""
+    red, pivots = rref(aug, nunk + nrhs, field)
+    if pivots and pivots[-1] >= nunk:
+        return None  # inconsistent: a rhs column is a pivot
     z = field.zero
-    flat = [z] * nunk
+    sol = [[z] * nrhs for _ in range(nunk)]
     for row, col in zip(red, pivots):
-        flat[col] = row.get(nunk, z)
-    return flat
-
-
-def _as_map(field: Field, dom: Word, cod: Word, flat: list) -> LinMap:
-    nc = wdim(dom)
-    return LinMap(field, dom, cod, [flat[i * nc:(i + 1) * nc] for i in range(wdim(cod))])
+        sol[col] = [row.get(k, z) for k in range(nunk, nunk + nrhs)]
+    return sol
 
 
 def _solve_rows(field: Field, dom: Word, cod: Word, aug_rows: list, nunk: int) -> Optional[LinMap]:
     """The solution dom -> cod, free unknowns zero, of an augmented system
-    of sparse integer rows (unknowns 0..nunk-1, then the rhs); None if the
-    system has no solution."""
-    red, pivots = rref(aug_rows, nunk + 1, field)
-    flat = _particular(red, pivots, nunk, field)
-    return None if flat is None else _as_map(field, dom, cod, flat)
+    of sparse integer rows (unknowns 0..nunk-1, then the rhs), the unknown
+    of entry (i, j) at i * dim dom + j; None if the system has no solution."""
+    sol = _solve(aug_rows, nunk, 1, field)
+    if sol is None:
+        return None
+    nc = wdim(dom)
+    rows = [[x for [x] in sol[i * nc:(i + 1) * nc]] for i in range(wdim(cod))]
+    return LinMap(field, dom, cod, rows)
 
 
 def factor_through(target: LinMap, through: LinMap) -> Optional[LinMap]:
     """Find X with through . X = target, or None.  Deterministic (free parts zero)."""
     if target.field != through.field or target.cod != through.cod:
         raise ShapeError("factor_through: codomains must agree")
-    field = target.field
-    n = through.ncols
-    aug = _int_rows([tr + tg for tr, tg in zip(through.rows, target.rows)], field)
-    red, pivots = rref(aug, n + target.ncols, field)
-    if pivots and pivots[-1] >= n:
-        return None  # inconsistent: a rhs column is a pivot
-    z = field.zero
-    sol_rows = [[z] * target.ncols for _ in range(n)]
-    for row, col in zip(red, pivots):
-        srow = sol_rows[col]
-        for k, v in row.items():
-            if k >= n:
-                srow[k - n] = v
-    return LinMap(field, target.dom, through.dom, sol_rows)
+    sol = _solve(_int_rows(through, target), through.ncols, target.ncols, target.field)
+    return None if sol is None else LinMap(target.field, target.dom, through.dom, sol)
 
 
 def column_rank(m: LinMap) -> int:
-    _, pivots = rref(_int_rows(m.rows, m.field), m.ncols, m.field)
+    _, pivots = rref(_int_rows(m), m.ncols, m.field)
     return len(pivots)
 
 
 def invert(m: LinMap) -> Optional[LinMap]:
-    """Two-sided inverse of a square-shaped map, or None."""
-    if m.nrows != m.ncols:
-        return None
-    field = m.field
-    n = m.nrows
-    z, one = field.zero, field.one
-    aug = [list(m.rows[i]) + [one if j == i else z for j in range(n)] for i in range(n)]
-    red, pivots = rref(_int_rows(aug, field), 2 * n, field)
-    if pivots[:n] != list(range(n)):
-        return None
-    inv_rows = [[r.get(n + j, z) for j in range(n)] for r in red[:n]]
-    return LinMap(field, m.cod, m.dom, inv_rows)
+    """Two-sided inverse of a square-shaped map, or None: the X with m . X = id."""
+    return factor_through(identity(m.field, m.cod), m) if m.nrows == m.ncols else None

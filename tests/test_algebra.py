@@ -20,6 +20,7 @@ from weakhopf.identities import DELTA_H2, DELTA_H3
 from weakhopf.ir import eval_text
 from weakhopf.linalg import (
     LinMap,
+    Obj,
     compose,
     from_rows,
     identity,
@@ -261,3 +262,19 @@ def test_validate_names_the_failing_axiom():
     for build, message in cases:
         with pytest.raises(StructureError, match=f"^{message}$"):
             build().validate()
+
+
+def test_conv_inverse_with_a_unit_over_a_denominator():
+    # The one-dimensional algebra with basis b = 2 * 1: b * b = 2b and 1 = b / 2,
+    # so u = eta . eps is 1/2 and its integer columns have the scale 2.
+    A = AlgebraData.checked(QQ, Obj("A", 1), from_rows(QQ, (Obj("A", 1),) * 2, Obj("A", 1), [[2]]),
+                            from_rows(QQ, (), Obj("A", 1), [[Fraction(1, 2)]]))
+    C = CoalgebraData(QQ, Obj("C", 1), from_rows(QQ, Obj("C", 1), (Obj("C", 1),) * 2, [[1]]),
+                      from_rows(QQ, Obj("C", 1), (), [[1]])).validate()
+    u = compose(A.eta, C.eps)
+    assert u.int_columns() == ([{0: 1}], 2)
+    g = from_rows(QQ, u.dom, u.cod, [[Fraction(3, 2)]])
+    x = conv_inverse(g, u, C, A)
+    assert x == from_rows(QQ, u.dom, u.cod, [[Fraction(1, 6)]])  # u / 3
+    assert convolve(g, x, C, A) == u == convolve(x, g, C, A)
+    assert convolve(x, u, C, A) == x

@@ -76,3 +76,36 @@ def test_post_evaluate_reads_a_real_evaluate_result():
     assert tracer.extra["ir.evaluate.columns"] == 16
     assert tracer.extra["ir.evaluate.cells"] == 32
     assert tracer.max_word == 3
+
+
+def test_post_rref_reads_real_rref_calls(monkeypatch):
+    # A traced run calls this hook after every rref, with rref's arguments
+    # as the library passes them: rows, then ncols.  Each caller of rref is
+    # run once here, so a change to how they call it fails here first.
+    from fractions import Fraction
+
+    from weakhopf import linalg
+    from weakhopf.fields import QQ
+
+    calls = []
+    rref = linalg.rref
+
+    def recorded(*args, **kwargs):
+        out = rref(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(linalg, "rref", recorded)
+    X = (linalg.Obj("X", 2),)
+    m = linalg.from_rows(QQ, X, X, [[Fraction(1, 2), 1], [0, 3]])
+    e = linalg.from_rows(QQ, X, X, [[1, 1], [0, 0]])
+    assert linalg.column_rank(m) == 2
+    assert linalg.invert(m) is not None
+    assert linalg.factor_through(m, m) == linalg.identity(QQ, X)
+    assert linalg.split_idempotent(e)[0] == 1
+    modules = {name: importlib.import_module("weakhopf." + name) for name in ("ir", "identities")}
+    tracer = _tracer.Tracer(modules)
+    for args, kwargs, out in calls:
+        tracer._post_rref(args, kwargs, out, "linalg.rref", 0)
+    # 2 rows each: 2, 4 (m | id), 4 (m | m) and 2 columns.
+    assert tracer.extra["linalg.rref.cells"] == 2 * (2 + 4 + 4 + 2)

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from weakhopf.algebra import convolve, conv_inverse, RegularityPreconditionFailed
@@ -12,6 +14,7 @@ from weakhopf.bialgebra import (
 )
 from weakhopf.crossed import base_action_measure
 from weakhopf.fields import GF, QQ
+from weakhopf.groupoid import groupoid_algebra, pair_groupoid
 from weakhopf.linalg import LinMap, ShapeError, compose, from_rows, identity, zero_map
 
 from instances import (
@@ -34,6 +37,17 @@ def test_pair_groupoid_axioms_all_pass():
     assert check_bialgebra_axioms(H).all_pass
     assert check_antipode(H).all_pass
     assert projection_identity_suite(H).all_pass
+
+
+def test_a_checked_structure_refuses_an_edit_of_its_maps():
+    # Its cached contexts keep the integer columns they read, so an edit in
+    # place could not reach its verdicts; it raises instead.
+    H = groupoid_algebra(pair_groupoid(2), QQ)
+    mu = copy.deepcopy(H.mu)
+    with pytest.raises(TypeError):
+        H.mu.rows[0][0] += 1
+    assert H.mu == mu
+    assert check_bialgebra_axioms(H).all_pass
 
 
 def test_broken_counit_fails_with_witness():

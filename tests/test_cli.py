@@ -160,7 +160,9 @@ def test_eval_expression_and_identity(capsys, pair_file):
 def test_eval_corpus_key(capsys, pair_file):
     assert main(["eval", "--sig", pair_file, "--key", "comult_multiplicative"]) == 0
     assert "IDENTITY: pass" in capsys.readouterr().out
-    assert main(["eval", "--sig", pair_file, "--key", "no_such_identity"]) == 2
+    for key in ("no_such_identity", ""):
+        assert _call(["eval", "--sig", pair_file, "--key", key]) == (
+            2, "", f"error: unknown corpus identity {key!r}\n")
 
 
 def test_field_override(tmp_path, pair_file):
@@ -590,6 +592,22 @@ def test_declared_cleft_extension(tmp_path):
     assert code == 1 and failed
     assert all(cid.startswith("cleaving.") for cid in failed), failed
     assert all(f"  FAIL {cid}" in out for cid in failed)
+
+
+def test_reconstruct_reports_a_cleaving_that_does_not_factor(tmp_path):
+    # An entry of gamma inverse set from 0 to 1: q = b0 gamma^-1(b1) leaves
+    # the image of j, a verdict on the input (exit 1), not bad input (exit 2).
+    data = _load(_declared_cleft(tmp_path))
+    row = data["generators"]["gamBinv"]["matrix"][1]
+    assert row[0] == "0"
+    row[0] = "1"
+    target = tmp_path / "unfactored.json"
+    target.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    code, out, err = _call(["reconstruct", str(target), "--report", str(report)])
+    assert (code, err) == (1, "")
+    assert [(e["id"], e["status"]) for e in _load(report)["entries"]] == [("factorization", "fail")]
+    assert "  FAIL factorization\n" in out
 
 
 def _bumped_antipode(tmp_path):

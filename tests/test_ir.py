@@ -171,6 +171,21 @@ def test_evaluate_unbound_generator_rejected():
         Env(sig, QQ, {})
 
 
+def test_env_checks_each_binding_against_its_declaration():
+    sig = Signature(objects={"H": 2, "A": 3}, generators={"mu": (("H", "H"), ("H",))})
+    H, A = sig.word_of(("H",)), sig.word_of(("A",))
+    mu = zero_map(QQ, H + H, H)
+    with pytest.raises(UnknownNameError, match="undeclared generator 'nu'"):
+        Env(sig, QQ, {"mu": mu, "nu": zero_map(QQ, H, H)})
+    with pytest.raises(WordTypeError) as exc:
+        Env(sig, QQ, {"mu": zero_map(QQ, A + H, H)})
+    assert exc.value.path == "mu"
+    assert (exc.value.expected, exc.value.found) == (("H", "H", "->", "H"), ("A", "H", "->", "H"))
+    with pytest.raises(ValueError, match="'mu' bound over the wrong field"):
+        Env(sig, QQ, {"mu": zero_map(GF(7), H + H, H)})
+    assert Env(sig, QQ, {"mu": mu}).bindings == {"mu": mu}
+
+
 # -- round trip and interchange ---------------------------------------------
 
 _IDENTS = st.sampled_from(["mu", "eta", "Delta", "eps", "rho"])
@@ -363,6 +378,31 @@ def test_kernel_matches_dense_route(field, parts, data):
         assert check_identity(e, Gen("P"), env2).status == "pass"
         _assert_verdict_matches_dense(e, Gen("R"), env2)
         _assert_verdict_matches_dense(Gen("R"), e, env2)
+
+
+@FIELDS
+@settings(max_examples=40, deadline=None)
+@given(parts=st.lists(_ast(2), min_size=1, max_size=3), monomial=st.booleans(), data=st.data())
+def test_evaluate_keeps_the_columns_to_ints_reads_off_its_rows(field, parts, monomial, data):
+    # Both routes out of the kernel, column dicts and monomial lists: the
+    # kept columns are those a scan of the result's rows gives.
+    sig = _MONO_SIG if monomial else SIG
+    pairs = [(a, b) for a in parts for b in parts]
+    candidates = parts + [Par(a, b) for a, b in pairs] + [Seq(a, b) for a, b in pairs]
+    exprs = [e for e in candidates if _small_and_typed(e, sig=sig)]
+    assume(exprs)
+    if monomial:
+        env = Env(sig, field, {
+            name: _monomial_map(data, field, sig.word_of(dom), sig.word_of(cod), False)
+            for name, (dom, cod) in sig.generators.items()})
+    else:
+        env = _frac_env(field)
+    for e in exprs:
+        got = evaluate(e, env)
+        unread = LinMap(field, got.dom, got.cod, [list(r) for r in got.rows])
+        assert got.int_columns() == unread.int_columns()
+        with pytest.raises(TypeError):
+            got.rows[0][0] = field.one
 
 
 @FIELDS

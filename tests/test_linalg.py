@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,8 @@ from weakhopf.linalg import (
     tensor_product,
     zero_map,
 )
+
+from concurrency import race
 
 X2 = Obj("X", 2)
 X3 = Obj("Y", 3)
@@ -104,6 +108,11 @@ def test_factor_through():
     assert x is not None and compose(through, x) == target
     bad = from_rows(QQ, w2, w3, [[0, 0], [0, 0], [1, 0]])
     assert factor_through(bad, through) is None
+    # The two blocks of the system have different scales (2 and 3).
+    through = from_rows(QQ, w2, w3, [[Fraction(1, 2), 0], [0, 1], [1, 1]])
+    target = from_rows(QQ, w2, w3, [[Fraction(1, 3), 1], [2, 0], [Fraction(8, 3), 2]])
+    x = factor_through(target, through)
+    assert x == from_rows(QQ, w2, w2, [[Fraction(2, 3), 2], [2, 0]])
 
 
 def test_invert():
@@ -113,6 +122,86 @@ def test_invert():
     assert compose(mi, m) == identity(QQ, X2)
     sing = from_rows(QQ, (X2,), (X2,), [[1, 1], [1, 1]])
     assert invert(sing) is None
+    half = from_rows(QQ, (X2,), (X2,), [[Fraction(1, 2), 1], [0, 3]])
+    assert invert(half) == from_rows(QQ, (X2,), (X2,), [[2, Fraction(-2, 3)], [0, Fraction(1, 3)]])
+
+
+# -- integer columns as a map's content --------------------------------------
+
+def _write(rows):
+    rows[0][0] = QQ.one
+
+
+def _add_in_place(rows):
+    rows[0][0] += 1
+
+
+def _grow_row(rows):
+    rows[0] += [QQ.one]
+
+
+def _write_slice(rows):
+    rows[1][:] = [QQ.one, QQ.one]
+
+
+def _delete(rows):
+    del rows[1]
+
+
+@pytest.mark.parametrize("write", [_write, _add_in_place, _grow_row, _write_slice, _delete,
+                                   lambda rows: rows.append([QQ.one] * 2),
+                                   lambda rows: rows[0].sort()])
+def test_rows_are_filled_in_place_until_first_read_and_read_only_after(write):
+    m = zero_map(QQ, (X2,), (X2,))
+    m.rows[0][1] = QQ.normalize(Fraction(1, 2))
+    m.rows[1][0] = QQ.one
+    assert m.int_columns() == ([{1: 2}, {0: 1}], 2)  # read with its fills
+    with pytest.raises(TypeError, match="read-only"):
+        write(m.rows)
+    assert m == from_rows(QQ, X2, X2, [[0, Fraction(1, 2)], [1, 0]])
+    assert m.int_columns() == ([{1: 2}, {0: 1}], 2)
+
+
+def test_threads_reading_one_fresh_map_read_one_content():
+    rows = [[Fraction(i - j, i + j + 1) for j in range(3)] for i in range(3)]
+    want = LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]).int_columns()
+
+    def run(m):
+        cols = m.int_columns()
+        with pytest.raises(TypeError):
+            m.rows[2][2] = QQ.one
+        return cols, m.rows == rows
+
+    for results in race(lambda: LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]), run, 20):
+        assert results == [(want, True)] * 4
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_a_read_map_round_trips_read_only(clone):
+    m = from_rows(QQ, (X2,), (X3,), [[Fraction(1, 2), 0], [0, 3], [Fraction(-2, 3), 1]])
+    cols = m.int_columns()
+    out = clone(m)
+    assert out == m and copy.copy(m) == m
+    assert out.int_columns() == cols
+    with pytest.raises(TypeError):
+        out.rows[0][0] = QQ.one
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_from_int_columns_keeps_what_to_ints_reads_off_its_rows(field):
+    # Entries 2/4, 6/4 and 4/4 over Q: the columns are kept over the scale 2.
+    cols = [{0: 2}, {}, {0: 6, 1: 4}]
+    made = LinMap.from_int_columns(field, (X3,), (X2,), cols, 4 if field is QQ else 1)
+    unread = LinMap(field, made.dom, made.cod, [list(r) for r in made.rows])
+    assert made.int_columns() == unread.int_columns()
+    assert cols == [{0: 2}, {}, {0: 6, 1: 4}]  # the given columns are not changed
+    if field is QQ:
+        assert made.int_columns() == ([{0: 1}, {}, {0: 3, 1: 2}], 2)
+    empty = LinMap.from_int_columns(field, (X2,), (X2,), [{}, {}], 6 if field is QQ else 1)
+    assert empty == zero_map(field, (X2,), (X2,)) and empty.int_columns() == ([{}, {}], 1)
+    with pytest.raises(TypeError):
+        made.rows[0][0] = field.one
 
 
 # -- randomized laws --------------------------------------------------------
@@ -280,7 +369,8 @@ _NON_UNIT_PIVOTS = [[-2, 4, 0, 6], [-3, 9, 3, 9], [0, 0, 0, 0], [-2, 4, 0, 6]]
 @example((GF(7), [[GF(7).normalize(v) for v in r] for r in _NON_UNIT_PIVOTS], 4))
 def test_rref_matches_dense_reference(case):
     field, rows, ncols = case
-    sparse = _int_rows(rows, field)
+    m = LinMap(field, (Obj("C", ncols),), (Obj("R", len(rows)),), rows)
+    sparse = _int_rows(m)
     assert all(type(n) is int and n for row in sparse for n in row.values())
     red, pivots = rref(sparse, ncols, field)
     ref, ref_pivots = dense_rref([list(r) for r in rows], ncols, field)
@@ -290,7 +380,7 @@ def test_rref_matches_dense_reference(case):
         dense = [row.get(j, field.zero) for j in range(ncols)]
         assert dense == ref_row
         assert all(type(v) is type(field.one) for v in row.values())
-    assert sparse == _int_rows(rows, field)  # the input rows are not changed
+    assert sparse == _int_rows(m)  # the input rows are not changed
 
 
 
@@ -302,6 +392,9 @@ def test_unreduced_residue_is_refused_where_it_enters_the_kernel():
     f7 = GF(7)
     bad = LinMap(f7, (X2,), (X2,), [[1, 0], [0, 8]])
     assert bad != identity(f7, X2)
+    read = identity(f7, X2)
+    read.int_columns()
+    assert bad != read  # a read map compares by its entries, without raising
     with pytest.raises(FieldError, match=r"entry \(1, 1\) .*: 8$"):
         bad.int_columns()
     env = build_env(f7, {}, {"m": bad, "e": identity(f7, X2)})
