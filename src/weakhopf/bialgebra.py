@@ -95,9 +95,8 @@ class WeakBialgebra:
             )
         return self._core
 
-    def base_env(self, extra: Optional[dict] = None) -> Env:
-        """The core context plus the projections and the antipode; with
-        ``extra``, a child of it binding those names too."""
+    def base_env(self) -> Env:
+        """The core context plus the projections and the antipode."""
         if self._base is None:
             bindings = {
                 "piL": self.projection("L"),
@@ -109,7 +108,7 @@ class WeakBialgebra:
             if s is not None:
                 bindings["S"] = s
             self._base = self.core_env().extend(bindings)
-        return self._base.extend(extra) if extra else self._base
+        return self._base
 
     def projection(self, kind: str) -> LinMap:
         """One of the four projections; kind in {L, R, Lbar, Rbar}."""

@@ -8,8 +8,8 @@ mutually inverse on instances.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from . import identities as ids
 from .algebra import AlgebraData, RegularityPreconditionFailed, StructureError
@@ -35,7 +35,8 @@ class FactorizationFailed(ValueError):
 
 @dataclass
 class ComoduleAlgebra:
-    """A unital algebra with a counitary coaction of H."""
+    """A unital algebra with a counitary coaction of H; ``context``, kept
+    and built once, is H's base context plus muB, etaB and dB."""
 
     B: AlgebraData
     delta: LinMap  # B -> B (x) H
@@ -50,18 +51,16 @@ class ComoduleAlgebra:
     def field(self):
         return self.B.field
 
-    def env(self, extra: Optional[dict] = None) -> Env:
-        bindings = {"muB": self.B.mu, "etaB": self.B.eta, "dB": self.delta}
-        if extra:
-            bindings.update(extra)
-        return self.H.base_env(extra=bindings)
+    @cached_property
+    def context(self) -> Env:
+        return self.H.base_env().extend({"muB": self.B.mu, "etaB": self.B.eta, "dB": self.delta})
 
 
 def comodule_algebra_report(C: ComoduleAlgebra) -> VerdictReport:
     """Coaction laws, colinearity of the product, the six equivalent weak
     unit conditions and the cross-check that they agree."""
     report = VerdictReport("comodule algebra")
-    run_identity_table(ids.COMODULE_IDENTITIES, C.env(), report)
+    run_identity_table(ids.COMODULE_IDENTITIES, C.context.child(), report)
     statuses = {report.get(cid).status for cid in ids.COMODULE_EQUIVALENT_IDS}
     report.add_bool(
         "weak_unit_forms_agree",
@@ -73,6 +72,9 @@ def comodule_algebra_report(C: ComoduleAlgebra) -> VerdictReport:
 
 @dataclass
 class Extension:
+    """An algebra map j: A -> B into a comodule algebra; ``context``, kept
+    and built once, is the comodule's plus muA, etaA and j."""
+
     comodule: ComoduleAlgebra
     A: AlgebraData
     j: LinMap  # A -> B
@@ -89,17 +91,15 @@ class Extension:
     def H(self) -> WeakBialgebra:
         return self.comodule.H
 
-    def env(self, extra: Optional[dict] = None) -> Env:
-        bindings = {"muA": self.A.mu, "etaA": self.A.eta, "j": self.j}
-        if extra:
-            bindings.update(extra)
-        return self.comodule.env(extra=bindings)
+    @cached_property
+    def context(self) -> Env:
+        return self.comodule.context.extend({"muA": self.A.mu, "etaA": self.A.eta, "j": self.j})
 
 
 def extension_check(X: Extension) -> VerdictReport:
     """j is an algebra monomorphism landing exactly on the coinvariants."""
     report = VerdictReport("extension")
-    run_identity_table(ids.EXTENSION_IDENTITIES, X.env(), report)
+    run_identity_table(ids.EXTENSION_IDENTITIES, X.context.child(), report)
     report.add_bool("j_injective", column_rank(X.j) == X.A.dim)
     ok, dim = equalizer_matches(X.H, X.comodule.delta, X.j)
     report.add_bool("j_is_equalizer", ok, note=f"coinvariants have dim {dim}")
@@ -116,7 +116,7 @@ def cleaving_check(X: Extension, c: CleavingData) -> VerdictReport:
     """Total colinear integral, its convolution inverse laws, and the
     factorization of gamma . piL through j."""
     report = VerdictReport("cleaving")
-    env = X.env(extra={"gamB": c.gamma, "gamBinv": c.gamma_inv})
+    env = X.context.child({"gamB": c.gamma, "gamBinv": c.gamma_inv})
     run_identity_table(ids.CLEAVING_IDENTITIES, env, report)
     target = eval_text(ids.GAMMA_B_PIL_EXPR, env)
     report.add_bool("cleft_factorization", factor_through(target, X.j) is not None)
@@ -125,12 +125,17 @@ def cleaving_check(X: Extension, c: CleavingData) -> VerdictReport:
 
 @dataclass
 class Decomposition:
+    """The maps splitting B against A (x) H; ``context`` is the extension's
+    plus the cleaving (gamB, gamBinv) and the maps bound as q, p, w, wt and
+    Ups, kept from the context they were evaluated in."""
+
     upsilon: LinMap
     q: LinMap
     p: LinMap
     w: LinMap
     w_tilde: LinMap
     omega: LinMap
+    context: Env = dc_field(repr=False, compare=False)
 
 
 def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
@@ -142,32 +147,16 @@ def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
     Raises FactorizationFailed when q does not land in the image of j, which
     witnesses a non-cleft input.
     """
-    env = X.env(extra={"gamB": c.gamma, "gamBinv": c.gamma_inv})
+    env = X.context.extend({"gamB": c.gamma, "gamBinv": c.gamma_inv})
     q = eval_text(ids.Q_CLEFT_EXPR, env)
     p = factor_through(q, X.j)
     if p is None:
         raise FactorizationFailed("q does not factor through j (input is not cleft)")
     env = env.extend({"p": p})
-    return Decomposition(
-        upsilon=eval_text(ids.UPSILON_EXPR, env),
-        q=q,
-        p=p,
-        w=eval_text(ids.W_EXPR, env),
-        w_tilde=eval_text(ids.W_TILDE_EXPR, env),
-        omega=eval_text(ids.OMEGA_EXPR, env),
-    )
-
-
-def _decomposition_bindings(c: CleavingData, decomp: Decomposition) -> dict:
-    return {
-        "gamB": c.gamma,
-        "gamBinv": c.gamma_inv,
-        "q": decomp.q,
-        "p": decomp.p,
-        "w": decomp.w,
-        "wt": decomp.w_tilde,
-        "Ups": decomp.upsilon,
-    }
+    upsilon = eval_text(ids.UPSILON_EXPR, env)
+    w, w_tilde = eval_text(ids.W_EXPR, env), eval_text(ids.W_TILDE_EXPR, env)
+    return Decomposition(upsilon, q, p, w, w_tilde, eval_text(ids.OMEGA_EXPR, env),
+                         env.extend({"q": q, "w": w, "wt": w_tilde, "Ups": upsilon}))
 
 
 def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, VerdictReport]:
@@ -175,21 +164,18 @@ def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, Verdict
     and on the induced idempotent omega on A (x) H."""
     decomp = build_decomposition(X, c)
     report = VerdictReport("decomposition")
-    env = X.env(extra=_decomposition_bindings(c, decomp))
-    run_identity_table(ids.DECOMPOSITION_IDENTITIES, env, report)
+    run_identity_table(ids.DECOMPOSITION_IDENTITIES, decomp.context.child(), report)
     rank = column_rank(decomp.omega)
     report.add_bool("omega_rank_is_dim_B", rank == X.comodule.B.dim, note=f"rank {rank}")
     return decomp, report
 
 
-def sigma_env(X: Extension, c: CleavingData, decomp: Decomposition) -> Env:
-    """The decomposition maps together with sigma and its inverse: the
-    context of the recovered-inverse identities."""
-    bindings = _decomposition_bindings(c, decomp)
-    env = X.env(extra=bindings)
-    bindings["sig"] = eval_text(ids.SIGMA_EXPR, env)
-    bindings["siginv"] = eval_text(ids.SIGMA_INV_EXPR, env)
-    return X.env(extra=bindings)
+def sigma_env(decomp: Decomposition) -> Env:
+    """The decomposition's context plus sigma and its inverse, evaluated in
+    it: the context of the recovered-inverse identities."""
+    env = decomp.context
+    sigma, sigma_inv = eval_text(ids.SIGMA_EXPR, env), eval_text(ids.SIGMA_INV_EXPR, env)
+    return env.child({"sig": sigma, "siginv": sigma_inv})
 
 
 @dataclass
@@ -208,16 +194,16 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
     and cocycle, computing each by its transported formula and by its closed
     form and asserting the two routes agree."""
     decomp, report = decomposition(X, c)
-    env = X.env(extra=_decomposition_bindings(c, decomp))
+    env = decomp.context
     mu_tilde = eval_text(ids.MU_TILDE_EXPR, env)
     nu_tilde = eval_text(ids.NU_TILDE_EXPR, env)
     rho = eval_text(ids.RHO_TILDE_EXPR, env)
     f = eval_text(ids.F_TILDE_EXPR, env)
-    run_identity_table(ids.RECONSTRUCTION_ROUTES, env, report)
+    run_identity_table(ids.RECONSTRUCTION_ROUTES, env.child(), report)
     measure = WeakMeasure(X.H, X.A, rho)
     cocycle = CocycleData(measure, f)
-    env = measure.derived_env(
-        extra={
+    env = measure.derived.child(
+        {
             "f": f,
             "Ff": cocycle.Ff,
             "nu": nu_tilde,
@@ -242,7 +228,7 @@ def recover_inverse_cocycle(
     through j and check the result against the independent convolution
     solver: (reconstruction, sigma, sigma_inv, f_inv, report)."""
     recon, report = reconstruct(X, c)
-    env = sigma_env(X, c, recon.decomp)
+    env = sigma_env(recon.decomp)
     sigma, sigma_inv = env.bindings["sig"], env.bindings["siginv"]
     run_identity_table(ids.RECOVER_IDENTITIES, env, report)
     f_inv = factor_through(sigma_inv, X.j)
@@ -276,7 +262,7 @@ def full_reconstruction(
         report.add_fail("rebuild." + exc.check_id, witness=exc.witness)
         return recon, f_inv, None, report
     bindings = {"w": recon.decomp.w, "j": X.j, "muB": B.mu, "etaB": B.eta, "dB": X.comodule.delta}
-    env = E_rb.env(extra=bindings)
+    env = E_rb.context.child(bindings)
     iso = eval_text(ids.REBUILT_ISO_EXPR, env)
     run_identity_table(ids.REBUILT_ISO_IDENTITIES, env.extend({"iso": iso}), report)
     report.add_bool("iso_invertible", invert(iso) is not None)

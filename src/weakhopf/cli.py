@@ -152,24 +152,24 @@ class _Ladder:
             return H, H.base_env
         if level == "measure":
             m = pres.measure(below, self.measure_name)
-            return m, m.derived_env
+            return m, lambda: m.derived
         if level == "cocycle":
             data = pres.cocycle(below, self.cocycle_name)
-            return data, data.env
+            return data, lambda: data.context
         if level == "crossed":
             E = build_crossed_product(below.measure, below)
             if pres.has_role("phi"):
                 return E, lambda: _pair_env(E, E, pres.phi())
-            return E, E.env
+            return E, lambda: E.context
         if level == "crossed_inverse":
             finv = cocycle_inverse(below.cocycle)
             if finv is None:
                 raise _NoInverse("the cocycle is not invertible; no inverse context")
             gaminv = build_gamma_inverse(below, finv)
-            return (below, finv, gaminv), lambda: below.env(extra={"finv": finv, "gaminv": gaminv})
+            return (below, finv, gaminv), lambda: below.context.extend({"finv": finv, "gaminv": gaminv})
         E, _, gaminv = below
         X, c = crossed_to_cleft(E, gaminv)
-        return (X, c), lambda: sigma_env(X, c, build_decomposition(X, c))
+        return (X, c), lambda: sigma_env(build_decomposition(X, c))
 
     def context(self, level: str) -> Env:
         """A new child of the level's merged context.  Checks compile in the
@@ -178,7 +178,7 @@ class _Ladder:
         env = self._contexts.get(level)
         if env is None:
             env = self._contexts[level] = self._merge(level)
-        return Env(env.sig, env.field, {}, parent=env)
+        return env.child()
 
     def _merge(self, level: str) -> Env:
         """The ladder's one merge point: the presentation's generators join

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 from . import identities as ids
@@ -45,7 +46,12 @@ class PreconditionFailed(ValueError):
 @dataclass
 class WeakMeasure:
     """A map rho: H (x) A -> A multiplicative in A in the coproduct-twisted
-    sense, with its derived twisting map, idempotent and unit powers."""
+    sense, with its derived twisting map, idempotent and unit powers.
+
+    Two contexts are kept, each built once: ``context``, H's base context
+    plus muA, etaA and rho, and ``derived``, a child of it adding chi and
+    nab.  chi and nab are evaluated in the first, the unit powers in the
+    second; every check runs in a new child of one of them."""
 
     H: WeakBialgebra
     A: AlgebraData
@@ -66,53 +72,43 @@ class WeakMeasure:
     def checked(cls, H: WeakBialgebra, A: AlgebraData, rho: LinMap) -> "WeakMeasure":
         m = cls(H, A, rho)
         check_id, lhs, rhs = ids.MEASURE_AXIOM
-        verdict = check_identity_text(lhs, rhs, m.env(), check_id)
+        verdict = check_identity_text(lhs, rhs, m.context.child(), check_id)
         if not verdict.passed:
             w = verdict.witness
             raise MeasureAxiomError(f"measure axiom fails at (row {w.row}, col {w.col})")
         return m
 
-    def env(self, extra: Optional[dict] = None) -> Env:
-        bindings = {"muA": self.A.mu, "etaA": self.A.eta, "rho": self.rho}
-        if extra:
-            bindings.update(extra)
-        return self.H.base_env(extra=bindings)
+    @cached_property
+    def context(self) -> Env:
+        return self.H.base_env().extend({"muA": self.A.mu, "etaA": self.A.eta, "rho": self.rho})
 
-    def derived_env(self, extra: Optional[dict] = None) -> Env:
-        bindings = {"chi": self.chi, "nab": self.nabla}
-        if extra:
-            bindings.update(extra)
-        return self.env(extra=bindings)
+    @cached_property
+    def derived(self) -> Env:
+        return self.context.extend({"chi": self.chi, "nab": self.nabla})
 
-    def _formula(self, key, src: str) -> LinMap:
-        """The map of a derived formula, evaluated once in the one context
-        kept for all of this measure's formulas.  Identity tables run in
-        children of their own (``env``), so that their plans do not live as
-        long as the measure."""
+    def _formula(self, key, src: str, env: Env) -> LinMap:
+        """The map of a derived formula, evaluated once, in a kept context."""
         if key not in self._cache:
-            env = self._cache.get("env")
-            if env is None:
-                env = self._cache["env"] = self.env()
             self._cache[key] = eval_text(src, env)
         return self._cache[key]
 
     @property
     def chi(self) -> LinMap:
-        return self._formula("chi", ids.CHI_FORMULA)
+        return self._formula("chi", ids.CHI_FORMULA, self.context)
 
     @property
     def nabla(self) -> LinMap:
-        return self._formula("nab", ids.NABLA_FORMULA)
+        return self._formula("nab", ids.NABLA_FORMULA, self.context)
 
     def u(self, n: int) -> LinMap:
         """rho-image of the unit after multiplying n tensor factors."""
-        return self._formula(("u", n), ids.u_formula(n))
+        return self._formula(("u", n), ids.u_formula(n), self.derived)
 
     def v(self, n: int) -> LinMap:
         """Iterated action on the unit: v_{n+1} = rho . (H (x) v_n)."""
         if n == 1:
             return self.u(1)
-        return self._formula(("v", n), ids.v_formula(n))
+        return self._formula(("v", n), ids.v_formula(n), self.derived)
 
 
 def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
@@ -122,7 +118,7 @@ def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
     if "wma" in m._cache:
         return copy.deepcopy(m._cache["wma"])
     report = VerdictReport("weak module algebra")
-    run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, m.env(), report)
+    run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, m.context.child(), report)
     gating = [report.get("wma_unital"), report.get("measure_axiom"), report.get("wma_unit_power")]
     equivalents = [report.get(cid) for cid in ids.MODULE_ALGEBRA_EQUIVALENT_IDS]
     if all(v.passed for v in gating):
@@ -142,14 +138,18 @@ def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
     """The twisting map derived from the measure, with the twisted-space law
     and normalization verdicts attached."""
     report = VerdictReport("twisting")
-    run_identity_table(ids.TWISTING_IDENTITIES, m.derived_env(), report)
+    run_identity_table(ids.TWISTING_IDENTITIES, m.derived.child(), report)
     return m.chi, report
 
 
 @dataclass
 class CocycleData:
     """A candidate cocycle f: H (x) H -> A over a weak measure, with its lift
-    to A (x) H and the preunit of the twisted product."""
+    to A (x) H and the preunit of the twisted product.
+
+    ``context`` is kept, built once: the measure's derived context plus f,
+    the unit powers u1, u2, u3, v2 and v3, the lift Ff (evaluated in the
+    part before it) and the preunit nu (evaluated in the measure's)."""
 
     measure: WeakMeasure
     f: LinMap
@@ -166,41 +166,33 @@ class CocycleData:
 
     @property
     def Ff(self) -> LinMap:
-        if "Ff" not in self._cache:
-            env = self.measure.derived_env(extra={"f": self.f})
-            self._cache["Ff"] = eval_text(ids.FF_FORMULA, env)
-        return self._cache["Ff"]
+        return self.context.bindings["Ff"]
 
     @property
     def nu(self) -> LinMap:
         if "nu" not in self._cache:
-            env = self.measure.derived_env()
-            self._cache["nu"] = eval_text(ids.NU_FORMULA, env)
+            self._cache["nu"] = eval_text(ids.NU_FORMULA, self.measure.derived)
         return self._cache["nu"]
 
-    def env(self, extra: Optional[dict] = None) -> Env:
+    @cached_property
+    def context(self) -> Env:
         m = self.measure
-        bindings = {
+        env = m.derived.extend({
             "f": self.f,
-            "Ff": self.Ff,
-            "nu": self.nu,
             "u1": m.u(1),
             "u2": m.u(2),
             "u3": m.u(3),
             "v2": m.v(2),
             "v3": m.v(3),
-        }
-        if extra:
-            bindings.update(extra)
-        return m.derived_env(extra=bindings)
+        })
+        return env.extend({"Ff": eval_text(ids.FF_FORMULA, env), "nu": self.nu})
 
 
 def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
     """All recorded cocycle laws, with the cross-checks that the two
     normalization forms and the two (plain vs lifted) condition levels agree."""
     report = VerdictReport("cocycle laws")
-    env = data.env()
-    run_identity_table(ids.COCYCLE_IDENTITIES, env, report)
+    run_identity_table(ids.COCYCLE_IDENTITIES, data.context.child(), report)
     counit_form = report.get("cocycle_counit_form").passed
     normalized = report.get("cocycle_image_normalized").passed
     conv_form = report.get("cocycle_conv_u2").passed
@@ -226,7 +218,8 @@ def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
 
 @dataclass
 class CrossedProduct:
-    """The unitary crossed product in split-image coordinates."""
+    """The unitary crossed product in split-image coordinates; ``context``,
+    kept and built once, is the cocycle's plus the product's maps."""
 
     measure: WeakMeasure
     cocycle: CocycleData
@@ -252,8 +245,9 @@ class CrossedProduct:
     def algebra(self) -> AlgebraData:
         return AlgebraData(self.field, self.obj, self.mu_E, self.eta_E)
 
-    def env(self, extra: Optional[dict] = None) -> Env:
-        bindings = {
+    @cached_property
+    def context(self) -> Env:
+        return self.cocycle.context.extend({
             "muE": self.mu_E,
             "etaE": self.eta_E,
             "iE": self.i,
@@ -261,10 +255,7 @@ class CrossedProduct:
             "jnu": self.j_nu,
             "gam": self.gamma,
             "dE": self.delta_E,
-        }
-        if extra:
-            bindings.update(extra)
-        return self.cocycle.env(extra=bindings)
+        })
 
 
 def build_crossed_product(m: WeakMeasure, data: CocycleData) -> CrossedProduct:
@@ -273,7 +264,7 @@ def build_crossed_product(m: WeakMeasure, data: CocycleData) -> CrossedProduct:
 
     Raises HypothesisFailed naming the first failing hypothesis.
     """
-    env = data.env()
+    env = data.context.child()
     for check_id, lhs, rhs in ids.BUILD_HYPOTHESES:
         verdict = check_identity_text(lhs, rhs, env, check_id)
         if not verdict.passed:
@@ -299,7 +290,7 @@ def crossed_product_law_suite(E: CrossedProduct) -> VerdictReport:
     """Unit/associativity of the product, behaviour of the embeddings, the
     twisting/cocycle factorizations, and the comodule-algebra laws."""
     report = VerdictReport("crossed product laws")
-    env = E.env()
+    env = E.context.child()
     run_identity_table(ids.CROSSED_LAW_IDENTITIES, env, report)
     run_identity_table([ids.NU_PROJECTED], env, report)
     # Monicity of the base embedding is reported, not required: it can fail
@@ -321,7 +312,7 @@ def equalizer_matches(H: WeakBialgebra, delta: LinMap, j: LinMap) -> tuple[bool,
     The image of j lies in it when j ; cut = 0, an identity on the integer
     kernel, and is all of it when the two have the same dimension."""
     carrier = delta.dom[0]
-    env = H.base_env(extra={"d": delta, "j": j})
+    env = H.base_env().child({"d": delta, "j": j})
     coinvariant = ids.COINVARIANT_CUT.format(carrier.name)
     dim = carrier.dim - column_rank(delta - eval_text(coinvariant, env))
     inside = check_identity_text("j ; d", f"j ; {coinvariant}", env).passed
@@ -340,7 +331,7 @@ def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
             report.add_skipped(check_id, note="not a weak module algebra")
         report.add_skipped("equalizer_is_base", note="not a weak module algebra")
         return report
-    env = E.env()
+    env = E.context.child()
     run_identity_table(ids.MODULE_SUITE_IDENTITIES, env, report)
     if E.measure.H.antipode is None:
         for check_id, _, _ in ids.MODULE_SUITE_ANTIPODE_IDENTITIES:
@@ -372,7 +363,7 @@ def invert_cocycle(
         report.add_fail("cocycle_invertible", note="convolution system has no solution")
         return None, report
     report.add_pass("cocycle_invertible")
-    env = data.env(extra={"finv": finv})
+    env = data.context.child({"finv": finv})
     run_identity_table(ids.COCYCLE_INVERSE_IDENTITIES, env, report)
     return finv, report
 
@@ -387,7 +378,7 @@ def build_gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> LinMap:
         raise PreconditionFailed("gamma inverse needs an antipode")
     if not check_weak_module_algebra(E.measure).all_pass:
         raise PreconditionFailed("gamma inverse needs a weak module algebra")
-    return eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", E.env(extra={"finv": f_inv}))
+    return eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", E.context.child({"finv": f_inv}))
 
 
 def gamma_inverse(
@@ -399,7 +390,7 @@ def gamma_inverse(
     if gaminv is None:
         gaminv = build_gamma_inverse(E, f_inv)
     report = VerdictReport("integral inverse")
-    env = E.env(extra={"finv": f_inv, "gaminv": gaminv})
+    env = E.context.child({"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)
     ok, dim = equalizer_matches(E.measure.H, E.delta_E, E.j_nu)
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")

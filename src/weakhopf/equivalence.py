@@ -33,8 +33,8 @@ def _pair_env(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap):
     """The context of the exchange conditions: E's bindings, phi, and the
     measure and cocycle data of Ep primed."""
     mp = Ep.measure
-    return E.env(
-        extra={
+    return E.context.child(
+        {
             "phi": phi,
             "rhop": mp.rho,
             "chip": mp.chi,
@@ -63,7 +63,7 @@ def _verify_iso(E: CrossedProduct, Ep: CrossedProduct, Phi: LinMap, report: Verd
     """The iso laws of Phi: E -> Ep; returns their context, Phi bound into Ep."""
     P = (Obj("Ep", Ep.E_dim),)
     Phi = LinMap(Phi.field, Phi.dom, P, Phi.rows, Phi.int_columns())
-    env = E.env(extra={**_primed(Ep), "Phi": Phi})
+    env = E.context.child({**_primed(Ep), "Phi": Phi})
     run_identity_table(ids.ISO_IDENTITIES, env, report)
     report.add_bool("iso_invertible", invert(Phi) is not None)
     return env

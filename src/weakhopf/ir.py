@@ -79,8 +79,8 @@ class Env:
     and entries.  The parser makes structurally equal subexpressions one
     node, so they are propagated only once across a whole table.  The
     dimension of each word is read from this Env's objects, once.
-    ``extend`` makes a child context that keeps what its parent has
-    compiled.
+    ``child`` and ``extend`` make a child context that starts from what its
+    parent has compiled.
 
     Threads may share an Env without a lock: two threads that compile the
     same node at once each get a correct entry, and the later one is kept;
@@ -88,7 +88,7 @@ class Env:
     """
 
     def __init__(self, sig: Signature, field: Field, bindings: dict, parent: Optional["Env"] = None):
-        """``parent`` is set by ``extend``: its bindings, checked when it was
+        """``parent`` is set by ``child``: its bindings, checked when it was
         built, come first, and its plans are the snapshot."""
         self.sig = sig
         self.field = field
@@ -121,16 +121,26 @@ class Env:
             d = self._wdims[word] = wdim(self.sig.word_of(word))
         return d
 
-    def extend(self, bindings: dict) -> "Env":
-        """A child context: this signature and these bindings plus the new
-        names, whose types and objects are read off their matrices.
+    def child(self, bindings: Optional[dict] = None) -> "Env":
+        """A new child context: this signature and these bindings plus the
+        new names, whose types and objects are read off their matrices.
 
         The child starts from a snapshot of the plans compiled here; what it
         adds later stays its own, so this Env never sees the child's names
-        or plans.  A name already
-        bound to the same matrix is skipped, and to a different one raises
-        RebindingError; with no new name the result is this Env itself.
+        or plans, and what a check compiles in a child is dropped with it.
+        A name already bound to the same matrix is skipped, and to a
+        different one raises RebindingError.
         """
+        new = self._unbound(bindings or {})
+        sig = Signature.of_bindings(self.sig.objects, new, self.sig.generators) if new else self.sig
+        return Env(sig, self.field, new, parent=self)
+
+    def extend(self, bindings: dict) -> "Env":
+        """``child(bindings)``, or this Env itself when no name is new."""
+        return self.child(bindings) if self._unbound(bindings) else self
+
+    def _unbound(self, bindings: dict) -> dict:
+        """The bindings whose names this Env does not bind yet."""
         new = {}
         for name, m in bindings.items():
             old = self.bindings.get(name)
@@ -138,10 +148,7 @@ class Env:
                 new[name] = m
             elif old is not m and old != m:
                 raise RebindingError(name)
-        if not new:
-            return self
-        sig = Signature.of_bindings(self.sig.objects, new, self.sig.generators)
-        return Env(sig, self.field, new, parent=self)
+        return new
 
 
 class _Sparse(dict):
@@ -180,11 +187,12 @@ class _Plan(NamedTuple):
     columns through ``cols`` and ``fn`` like any other's.
 
     A permutation of tensor factors (``Id``, ``SwapE`` and any Seq or Par of
-    them) keeps no columns: ``cols`` and ``fn`` are None, ``perm`` is the
-    factor permutation, (factor dims, order), and ``index`` its tables
-    (low, hi, lo), shared by every Env (see ``_tables``; None for the
-    identity): column j has its one entry 1 in row
-    ``hi[j // low] + lo[j % low]``, and every consumer reads them inline.
+    them) keeps no columns: ``cols`` is ``_NOTHING``, ``perm`` is the factor
+    permutation, (factor dims, order), and ``index`` its tables (low, hi,
+    lo), shared by every Env (see ``_tables``; None for the identity):
+    column j has its one entry 1 in row ``hi[j // low] + lo[j % low]``,
+    which ``fn`` returns without keeping it.  A Seq re-keying the rows of
+    its first operand by a permutation reads the tables inline.
     ``factors`` is (left, right, right dom dim, right cod dim) of a Par that
     is not a permutation, and ``kron`` a function computing a column of it
     without keeping it, set when neither factor is a permutation.  A Seq
@@ -296,14 +304,21 @@ def _composite_lists(first: _Plan, then: _Plan, p: int) -> Optional[_Lists]:
 def _permutation(perm: tuple) -> _Plan:
     """The plan of a factor permutation."""
     index = _tables(perm)
-    return _Plan(None, None, 1, index, perm, mono=_Lists(_unit_lists, math.prod(perm[0]), index))
+    if index is None:
+        def fn(j):
+            return {j: 1}
+    else:
+        low, hi, lo = index
+
+        def fn(j):
+            return {hi[j // low] + lo[j % low]: 1}
+    return _Plan(_NOTHING, fn, 1, index, perm, mono=_Lists(_unit_lists, math.prod(perm[0]), index))
 
 
 # factor permutation -> its index tables (None for the identity), shared by
 # every Env; emptied when full, not grown.
 _PERMS: dict = {}
 _PERMS_MAX = 256
-_NO_TABLES = (1, None, None)  # what a unit column reads for the identity
 
 
 def _tables(perm: tuple) -> Optional[tuple]:
@@ -350,16 +365,6 @@ def _tables(perm: tuple) -> Optional[tuple]:
 def _store(size: int):
     """Kept columns: a list of ``size`` slots, or a ``_Sparse`` dict for 0."""
     return [None] * size if size else _Sparse()
-
-
-def _columns(plan: _Plan) -> tuple:
-    """(cols, fn) reading a plan's columns as the plan keeps them."""
-    if plan.cols is not None:
-        return plan.cols, plan.fn
-    if plan.index is None:
-        return _NOTHING, lambda j: {j: 1}
-    low, hi, lo = plan.index
-    return _NOTHING, lambda j: {hi[j // low] + lo[j % low]: 1}
 
 
 def _plan(e: MorExpr, env: Env, width: int = 0) -> tuple:
@@ -426,26 +431,12 @@ def _dims(word: tuple, sig: Signature) -> tuple:
 def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
     """first, then then, keeping columns in ``_store(size)``; ``ncols`` is
     the width of first."""
-    if first.cols is None:
-        if first.index is None:
-            return then
-        if then.cols is None:  # a permutation of a permutation
-            dims, order = first.perm
-            return _permutation((dims, tuple(order[i] for i in then.perm[1])))
-        (low, hi, lo), cols = first.index, _store(size)
-        tcols, tfn = _columns(then)
-
-        def fn(j):  # a column of then, picked by the permutation
-            k = hi[j // low] + lo[j % low]
-            b = tcols[k]
-            if b is None:
-                b = tfn(k)
-            cols[j] = b
-            return b
-        return _Plan(cols, fn, then.scale, mono=_composite_lists(first, then, p))
-    if then.cols is None:  # re-key the rows of first
+    if then.cols is _NOTHING:  # re-key the rows of first
         if then.index is None:
             return first
+        if first.cols is _NOTHING:  # a permutation of a permutation
+            dims, order = first.perm
+            return _permutation((dims, tuple(order[i] for i in then.perm[1])))
         base, perm = first, then.perm
         if first.base is not None:  # compose with the rows first permutes
             base, (dims, order) = first.base, first.perm
@@ -456,7 +447,7 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
         # A Kronecker base is read without keeping its columns: for the
         # comultiplication ladders nothing else reads it, and keeping them
         # would hold the widest structure twice.
-        bcols, bfn = (base.cols, base.kron) if base.kron else _columns(base)
+        bcols, bfn = base.cols, base.kron or base.fn
         low, hi, lo = index
         cols = _store(size)
 
@@ -471,11 +462,11 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int, ncols: int) -> _Plan:
             return c
         mono = base.mono and _Lists(_rekeyed, base.mono, index)
         return _Plan(cols, fn, base.scale, None, perm, base=base, mono=mono)
-    fcols, ffn = _columns(first)
+    fcols, ffn = first.cols, first.fn
     scale = first.scale * then.scale
     cols = _store(size)  # published one whole column at a time: Envs are shared by threads
     mono = _composite_lists(first, then, p)
-    if then.kron:
+    if then.kron and fcols is not _NOTHING:  # a permuted first reads then's kept columns
         return _Plan(cols, _fused(cols, fcols, ffn, then, p, ncols), scale, mono=mono)
     tcols, tfn = then.cols, then.fn
 
@@ -601,7 +592,7 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
     lcols, lfn = left.cols, left.fn
     rcols, rfn = right.cols, right.fn
     scale = left.scale * right.scale
-    if lcols is None and rcols is None:  # a permutation beside a permutation
+    if lcols is _NOTHING and rcols is _NOTHING:  # a permutation beside a permutation
         (d1, o1), (d2, o2) = left.perm, right.perm
         return _permutation((d1 + d2, o1 + tuple(len(d1) + i for i in o2)))
     cols = _store(size)
@@ -609,8 +600,8 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
     mono = None
     if left.mono and right.mono:
         mono = _Lists(_outer_lists, left.mono, right.mono, cr, p)
-    if lcols is None:
-        low, hi, lo = left.index or _NO_TABLES
+    if lcols is _NOTHING:
+        low, hi, lo = left.index or (1, None, None)
 
         def fn(j):  # a unit column beside a column
             j1, j2 = divmod(j, dr)
@@ -624,8 +615,8 @@ def _par(left: _Plan, right: _Plan, dims: tuple, p: int, size: int) -> _Plan:
             cols[j] = c
             return c
         return _Plan(cols, fn, scale, mono=mono, factors=factors)
-    if rcols is None:
-        low, hi, lo = right.index or _NO_TABLES
+    if rcols is _NOTHING:
+        low, hi, lo = right.index or (1, None, None)
 
         def fn(j):  # a column beside a unit column
             j1, j2 = divmod(j, dr)
@@ -682,7 +673,7 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
         rows, coefs = plan.mono()
         cols = [{i: n} if i >= 0 else {} for i, n in zip(rows[:ncols], coefs)]
     else:
-        kept, fn = _columns(plan)
+        kept, fn = plan.cols, plan.fn
         cols = [fn(j) if kept[j] is None else kept[j] for j in range(ncols)]
     return LinMap.from_int_columns(
         env.field, env.sig.word_of(dom_names), env.sig.word_of(cod_names), cols, plan.scale)
@@ -713,7 +704,7 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
 
 
 def _same_columns(lplan: _Plan, rplan: _Plan, ncols: int) -> bool:
-    (lcols, lfn), (rcols, rfn) = _columns(lplan), _columns(rplan)
+    lcols, lfn, rcols, rfn = lplan.cols, lplan.fn, rplan.cols, rplan.fn
     lscale, rscale = lplan.scale, rplan.scale
     same_scale = lscale == rscale
     for j in range(ncols):

@@ -82,8 +82,9 @@ class _Row(list):
 class LinMap:
     """Exact matrix of a morphism dom -> cod; rows indexed by cod basis.
 
-    ``rows`` may be filled in place until ``int_columns`` is first called;
-    from then on they are read-only, and a write raises TypeError."""
+    ``rows`` may be filled in place, and any field rebound, until
+    ``int_columns`` is first called; from then on the map is read-only,
+    and a write raises TypeError."""
 
     field: Field
     dom: Word
@@ -99,7 +100,12 @@ class LinMap:
                 f" does not match cod dim {nr} x dom dim {nc}"
             )
         if self._int_cols is not None and type(self.rows) is not _Row:
-            self.rows = _Row(map(_Row, self.rows))
+            object.__setattr__(self, "rows", _Row(map(_Row, self.rows)))
+
+    def __setattr__(self, name, value):
+        if self._int_cols is not None:
+            raise TypeError("a LinMap is read-only once its integer columns are read")
+        object.__setattr__(self, name, value)
 
     @classmethod
     def from_int_columns(cls, field: Field, dom: Word, cod: Word, cols: list, scale: int):
@@ -164,8 +170,9 @@ class LinMap:
                 raise FieldError(f"entry ({i}, {j}) of {self!r}: {exc}") from None
             flat = iter(ns)  # zip reads col first, so flat is never over-read
             cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
-            self.rows = _Row(map(_Row, self.rows))
-            self._int_cols = (cols, scale)  # published in one assignment
+            # Published past the guard, as threads may read one new map at once.
+            object.__setattr__(self, "rows", _Row(map(_Row, self.rows)))
+            object.__setattr__(self, "_int_cols", (cols, scale))  # in one assignment
         return self._int_cols
 
     def column(self, j: int) -> list:

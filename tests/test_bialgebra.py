@@ -26,6 +26,21 @@ from instances import (
 )
 
 
+def test_rebinding_a_read_structure_map_raises_instead_of_a_stale_pass():
+    # Rebinding the rows of a map the kept contexts have read would leave
+    # them on the old entries, so the axioms would still pass.
+    H = groupoid_algebra(pair_groupoid(2), QQ)
+    assert check_bialgebra_axioms(H).all_pass
+    edited = [list(r) for r in H.mu.rows]
+    edited[0][0] = QQ.normalize(edited[0][0] + 1)
+    with pytest.raises(TypeError, match="read-only"):
+        H.mu.rows = edited
+    assert H.mu.rows != edited
+    bad = LinMap(QQ, H.mu.dom, H.mu.cod, edited)
+    assert not check_bialgebra_axioms(
+        WeakBialgebra.unchecked(QQ, H.obj, bad, H.eta, H.delta, H.eps)).all_pass
+
+
 def test_z2_axioms_all_pass():
     H = z2_hopf()
     assert check_bialgebra_axioms(H).all_pass

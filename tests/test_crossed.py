@@ -373,7 +373,7 @@ def test_equalizer_dimension():
 
 def _cut(H, delta):
     """cut = delta - delta ; id(X) * piL, whose kernel is the coinvariants."""
-    env = H.base_env(extra={"d": delta})
+    env = H.base_env().child({"d": delta})
     return delta - eval_text(COINVARIANT_CUT.format(delta.dom[0].name), env)
 
 
@@ -488,9 +488,9 @@ def test_product_maps_and_unit_powers_match_the_dense_route(field):
     E = build_crossed_product(m, data)
     idA, idH = identity(field, m.A.obj), identity(field, H.obj)
     i, p = E.i, E.p
-    assert E.mu_E == compose(p, compose(eval_text(MU_EE, data.env()), tensor_product(i, i)))
+    assert E.mu_E == compose(p, compose(eval_text(MU_EE, data.context), tensor_product(i, i)))
     assert E.eta_E == compose(p, data.nu)
-    assert E.j_nu == compose(p, eval_text(J_NU_PRIME, data.env()))
+    assert E.j_nu == compose(p, eval_text(J_NU_PRIME, data.context))
     assert E.gamma == compose(p, tensor_product(m.A.eta, idH))
     assert E.delta_E == compose(tensor_product(p, idH), compose(tensor_product(idA, H.delta), i))
 

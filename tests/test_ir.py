@@ -21,6 +21,7 @@ from weakhopf.crossed import (
     CocycleData,
     base_action_measure,
     cocycle_inverse,
+    cocycle_report,
     smash_cocycle,
     trivial_measure,
 )
@@ -28,12 +29,18 @@ from weakhopf.fields import GF, QQ
 from weakhopf.groupoid import cyclic, dihedral, group_groupoid, groupoid_algebra, pair_groupoid
 from weakhopf.identities import (
     BIALGEBRA_AXIOMS,
+    CHI_FORMULA,
     COCYCLE_IDENTITIES,
     COCYCLE_INVERSE_IDENTITIES,
     DELTA_H2,
+    FF_FORMULA,
+    NABLA_FORMULA,
+    NU_FORMULA,
     PROJECTION_BASICS,
     PROJECTION_IDENTITIES,
     conv_h,
+    u_formula,
+    v_formula,
 )
 from weakhopf.ir import (
     Env,
@@ -659,7 +666,7 @@ def test_convolutions_match_independent_routes(field):
 def test_a_wide_convolution_check_keeps_little_memory():
     # u3 * u3 = u3 passes through H^6 (46656 columns on dual S3).
     m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
-    env = CocycleData(m, m.u(2)).env()
+    env = CocycleData(m, m.u(2)).context.child()
     table = [t for t in COCYCLE_IDENTITIES if t[0] == "u3_idempotent"]
     tracemalloc.start()
     try:
@@ -927,6 +934,30 @@ def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
     assert compiled and not set(compiled) & set(parent._plans)
 
 
+def test_cocycle_laws_reuse_the_measures_plans_and_keep_none_of_their_own(monkeypatch):
+    # The measure's formulas compile in its kept contexts, the cocycle's
+    # context is built on them, and the laws run in a child of it.
+    H = groupoid_algebra(pair_groupoid(2), QQ)
+    m = base_action_measure(H)
+    c = smash_cocycle(m)
+    m.u(3)
+    sig = Signature.of_bindings({}, {"mu": H.mu, "etaA": m.A.eta, "rho": m.rho})
+    u3 = _nodes(parse_expr(u_formula(3), sig))
+    compiled = _counting_plan(monkeypatch)
+    assert cocycle_report(m, c).all_pass
+    assert not set(map(id, u3)) & set(compiled)
+    sig = c.context.sig
+    table = {id(n) for _, lhs, rhs in COCYCLE_IDENTITIES
+             for n in _nodes(parse_expr(lhs, sig)) + _nodes(parse_expr(rhs, sig))}
+    assert {id(n) for n in u3 if isinstance(n, (Seq, Par))} & table  # the laws read u3's parts
+    formulas = [CHI_FORMULA, NABLA_FORMULA, NU_FORMULA, FF_FORMULA]
+    formulas += [u_formula(n) for n in (1, 2, 3)] + [v_formula(n) for n in (2, 3)]
+    own = {id(n) for text in formulas for n in _nodes(parse_expr(text, sig))}
+    table_only = table - own - set(H.base_env()._plans)
+    assert table_only & set(compiled)  # compiled by the laws...
+    assert not table_only & set(c.context._plans)  # ...and dropped with their child
+
+
 def test_typing_errors_are_the_same_cold_and_warm():
     bad_name = Seq(parse_expr("id(H) * mu", SIG), Par(Id(("H",)), Gen("nope")))
     bad_type = parse_expr("eta * id(H) ; (id(H) * (mu ; mu))", SIG)
@@ -1137,7 +1168,7 @@ def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
     # threads build the H^3 permutations' tables together.
     def cocycle_env(H):
         c = smash_cocycle(base_action_measure(H))
-        return c.env(extra={"finv": cocycle_inverse(c)})
+        return c.context.child({"finv": cocycle_inverse(c)})
     bases = [cocycle_env(groupoid_algebra(pair_groupoid(2), QQ)),
              cocycle_env(groupoid_algebra(group_groupoid(cyclic(4)), GF(7)))]
 
@@ -1205,7 +1236,7 @@ def test_threads_sharing_one_cocycle_context_match_a_serial_run():
     # and fused Kronecker steps, whose plans the threads compile together.
     def context():
         c = smash_cocycle(base_action_measure(groupoid_algebra(pair_groupoid(2), QQ)))
-        return c.env(extra={"finv": cocycle_inverse(c)})
+        return c.context.child({"finv": cocycle_inverse(c)})
 
     def run(env):
         return [(v.check_id, v.status, v.witness)
@@ -1222,7 +1253,7 @@ def test_threads_sharing_one_filtered_convolution_match_a_serial_run():
     # one column only, so the plan of f * finv keeps its support filter.
     m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
     c = CocycleData(m, m.u(2))
-    base = c.env(extra={"finv": cocycle_inverse(c)})
+    base = c.context.child({"finv": cocycle_inverse(c)})
     _, lhs, rhs = next(row for row in COCYCLE_INVERSE_IDENTITIES if row[0] == "f_conv_finv")
     bad = _perturbed(base.bindings[rhs], 0, 7)
     bindings = {**base.bindings, "R": bad}

@@ -170,14 +170,16 @@ def test_threads_reading_one_fresh_map_read_one_content():
         cols = m.int_columns()
         with pytest.raises(TypeError):
             m.rows[2][2] = QQ.one
+        with pytest.raises(TypeError):
+            m.rows = [list(r) for r in rows]
         return cols, m.rows == rows
 
     for results in race(lambda: LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]), run, 20):
         assert results == [(want, True)] * 4
 
 
-@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
-                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
 def test_a_read_map_round_trips_read_only(clone):
     m = from_rows(QQ, (X2,), (X3,), [[Fraction(1, 2), 0], [0, 3], [Fraction(-2, 3), 1]])
     cols = m.int_columns()
@@ -186,6 +188,20 @@ def test_a_read_map_round_trips_read_only(clone):
     assert out.int_columns() == cols
     with pytest.raises(TypeError):
         out.rows[0][0] = QQ.one
+    with pytest.raises(TypeError):
+        out.rows = [[QQ.one] * 2] * 3
+
+
+def test_fields_are_rebound_until_first_read_and_refused_after():
+    m = zero_map(QQ, (X2,), (X2,))
+    m.rows = [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]
+    m.cod = (Obj("Z", 2),)
+    assert m.int_columns() == ([{0: 1}, {1: 1}], 1)
+    for name, value in (("rows", [[QQ.zero] * 2] * 2), ("dom", (X3,)), ("field", GF(7)),
+                        ("_int_cols", None)):
+        with pytest.raises(TypeError, match="read-only"):
+            setattr(m, name, value)
+    assert m == from_rows(QQ, (X2,), (Obj("Z", 2),), [[1, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
