@@ -107,7 +107,7 @@ class WeakBialgebra:
             s = self.antipode
             if s is not None:
                 bindings["S"] = s
-            self._base = self.core_env().extend(bindings)
+            self._base = self.core_env().child(bindings)
         return self._base
 
     def projection(self, kind: str) -> LinMap:
@@ -195,11 +195,11 @@ def base_subalgebra(H: WeakBialgebra, side: str) -> tuple[AlgebraData, LinMap, L
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
     _, inj, proj = split_idempotent(H.projection(side), name=f"H{side}")
-    env = H.core_env().extend({"inj": inj, "proj": proj})
+    env = H.core_env().child({"inj": inj, "proj": proj})
     mu_sub = eval_text(ids.BASE_MU_FORMULA, env)
     eta_sub = eval_text(ids.BASE_ETA_FORMULA, env)
     sub = AlgebraData.checked(H.field, inj.dom[0], mu_sub, eta_sub)
-    env = env.extend({"muSub": mu_sub, "etaSub": eta_sub})
+    env = env.child({"muSub": mu_sub, "etaSub": eta_sub})
     fail = run_identity_table(ids.BASE_INCLUSION_IDENTITIES, env).first_failure()
     if fail is not None:
         kind = fail.check_id.removeprefix("inclusion_")

@@ -53,7 +53,7 @@ class ComoduleAlgebra:
 
     @cached_property
     def context(self) -> Env:
-        return self.H.base_env().extend({"muB": self.B.mu, "etaB": self.B.eta, "dB": self.delta})
+        return self.H.base_env().child({"muB": self.B.mu, "etaB": self.B.eta, "dB": self.delta})
 
 
 def comodule_algebra_report(C: ComoduleAlgebra) -> VerdictReport:
@@ -93,7 +93,7 @@ class Extension:
 
     @cached_property
     def context(self) -> Env:
-        return self.comodule.context.extend({"muA": self.A.mu, "etaA": self.A.eta, "j": self.j})
+        return self.comodule.context.child({"muA": self.A.mu, "etaA": self.A.eta, "j": self.j})
 
 
 def extension_check(X: Extension) -> VerdictReport:
@@ -147,16 +147,16 @@ def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
     Raises FactorizationFailed when q does not land in the image of j, which
     witnesses a non-cleft input.
     """
-    env = X.context.extend({"gamB": c.gamma, "gamBinv": c.gamma_inv})
+    env = X.context.child({"gamB": c.gamma, "gamBinv": c.gamma_inv})
     q = eval_text(ids.Q_CLEFT_EXPR, env)
     p = factor_through(q, X.j)
     if p is None:
         raise FactorizationFailed("q does not factor through j (input is not cleft)")
-    env = env.extend({"p": p})
+    env = env.child({"p": p})
     upsilon = eval_text(ids.UPSILON_EXPR, env)
     w, w_tilde = eval_text(ids.W_EXPR, env), eval_text(ids.W_TILDE_EXPR, env)
     return Decomposition(upsilon, q, p, w, w_tilde, eval_text(ids.OMEGA_EXPR, env),
-                         env.extend({"q": q, "w": w, "wt": w_tilde, "Ups": upsilon}))
+                         env.child({"q": q, "w": w, "wt": w_tilde, "Ups": upsilon}))
 
 
 def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, VerdictReport]:
@@ -202,7 +202,7 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
     run_identity_table(ids.RECONSTRUCTION_ROUTES, env.child(), report)
     measure = WeakMeasure(X.H, X.A, rho)
     cocycle = CocycleData(measure, f)
-    env = measure.derived.child(
+    env = measure.context.child(
         {
             "f": f,
             "Ff": cocycle.Ff,
@@ -234,7 +234,7 @@ def recover_inverse_cocycle(
     f_inv = factor_through(sigma_inv, X.j)
     if f_inv is None:
         raise FactorizationFailed("sigma inverse does not factor through j")
-    env = env.extend({"f": recon.f, "finv": f_inv, "u2": recon.measure.u(2)})
+    env = env.child({"f": recon.f, "finv": f_inv, "u2": recon.measure.u(2)})
     run_identity_table(ids.INVERSE_RECOVERY_IDENTITIES, env, report)
     try:
         solver_inv = cocycle_inverse(recon.cocycle)
@@ -264,7 +264,7 @@ def full_reconstruction(
     bindings = {"w": recon.decomp.w, "j": X.j, "muB": B.mu, "etaB": B.eta, "dB": X.comodule.delta}
     env = E_rb.context.child(bindings)
     iso = eval_text(ids.REBUILT_ISO_EXPR, env)
-    run_identity_table(ids.REBUILT_ISO_IDENTITIES, env.extend({"iso": iso}), report)
+    run_identity_table(ids.REBUILT_ISO_IDENTITIES, env.child({"iso": iso}), report)
     report.add_bool("iso_invertible", invert(iso) is not None)
     return recon, f_inv, iso, report
 

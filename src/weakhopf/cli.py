@@ -99,23 +99,50 @@ class _Ladder:
     """The structures and eval contexts of one presentation, from "raw" up to
     "cleft": the one place the command line builds anything.
 
-    Each level is built from the level below the first time a command needs
-    it, and kept: its structures and its merged eval context, with the plans
-    compiled in building them.  A level whose build raises is not kept:
-    asking again raises again.  Threads may share a ladder without a lock:
-    two threads may build the same level, and each is published in one
-    assignment.
+    Each level above "raw" is the library's structure at that rung, built by
+    its own builder from the level below the first time a command needs it,
+    and kept with its merged eval context and the plans compiled in
+    building them.  A level whose build raises is not kept: asking again
+    raises again.  Threads may share a ladder without a lock: each level
+    and each context is published in one assignment.
     """
 
     def __init__(self, pres: PresentationFile, measure: Optional[str] = None,
                  cocycle: Optional[str] = None):
         self.pres = pres
         self.measure_name, self.cocycle_name = measure, cocycle  # from --measure, --cocycle
-        self._rungs: dict = {}     # level -> (its structures, derived context builder)
-        self._contexts: dict = {}  # level -> derived context plus the generators
+        self._contexts: dict = {}  # level -> its derived context plus the generators
 
-    def structures(self, level: str):
-        return self._rung(level)[0]
+    @functools.cached_property
+    def bialgebra(self):
+        return self.pres.bialgebra()
+
+    @functools.cached_property
+    def measure(self):
+        return self.pres.measure(self.bialgebra, self.measure_name)
+
+    @functools.cached_property
+    def cocycle(self):
+        return self.pres.cocycle(self.measure, self.cocycle_name)
+
+    @functools.cached_property
+    def crossed(self):
+        return build_crossed_product(self.measure, self.cocycle)
+
+    @functools.cached_property
+    def crossed_inverse(self) -> tuple:
+        """(finv, gaminv): the cocycle's convolution inverse and the
+        integral's, built on the crossed product."""
+        E = self.crossed
+        finv = cocycle_inverse(E.cocycle)
+        if finv is None:
+            raise _NoInverse("the cocycle is not invertible; no inverse context")
+        return finv, build_gamma_inverse(E, finv)
+
+    @functools.cached_property
+    def cleft(self) -> tuple:
+        """(X, c): the crossed product viewed as a cleft extension."""
+        return crossed_to_cleft(self.crossed, self.crossed_inverse[1])
 
     def declared_cleft(self):
         """The cleft extension and cleaving the file declares, over the
@@ -123,53 +150,25 @@ class _Ladder:
         pres = self.pres
         if not (pres.has_role("extension") and pres.has_role("cleaving")):
             return None
-        return pres.extension(self.structures("bialgebra")), pres.cleaving()
+        return pres.extension(self.bialgebra), pres.cleaving()
 
-    def _rung(self, level: str):
-        rung = self._rungs.get(level)
-        if rung is None:
-            i = _LEVELS.index(level)
-            below = self._rung(_LEVELS[i - 1])[0] if i else None
-            rung = self._rungs[level] = self._build(level, below)
-        return rung
-
-    def _build(self, level: str, below):
-        """The structures ``level`` adds, built on those of the level below by
-        the library's own builders, and a function returning the level's
-        derived context (None at "raw").
-
-        The bialgebra level adds the projections, the measure level the
-        twisting data, the cocycle level the unit powers, the crossed level
-        the built product (plus primed/phi data when present), the inverse
-        level the cocycle and integral inverses, and the cleft level the
-        reconstruction maps.
-        """
-        pres = self.pres
+    def _derived(self, level: str) -> Optional[Env]:
+        """The kept context of the level's structure; None at "raw".  The
+        crossed level adds phi and the primed data when the file declares
+        phi, the inverse level adds finv and gaminv, and the cleft level is
+        the decomposition's context with sigma and its inverse."""
         if level == "raw":
-            return None, lambda: None
+            return None
         if level == "bialgebra":
-            H = pres.bialgebra()
-            return H, H.base_env
-        if level == "measure":
-            m = pres.measure(below, self.measure_name)
-            return m, lambda: m.derived
-        if level == "cocycle":
-            data = pres.cocycle(below, self.cocycle_name)
-            return data, lambda: data.context
-        if level == "crossed":
-            E = build_crossed_product(below.measure, below)
-            if pres.has_role("phi"):
-                return E, lambda: _pair_env(E, E, pres.phi())
-            return E, lambda: E.context
+            return self.bialgebra.base_env()
+        if level == "crossed" and self.pres.has_role("phi"):
+            return _pair_env(self.crossed, self.crossed, self.pres.phi())
         if level == "crossed_inverse":
-            finv = cocycle_inverse(below.cocycle)
-            if finv is None:
-                raise _NoInverse("the cocycle is not invertible; no inverse context")
-            gaminv = build_gamma_inverse(below, finv)
-            return (below, finv, gaminv), lambda: below.context.extend({"finv": finv, "gaminv": gaminv})
-        E, _, gaminv = below
-        X, c = crossed_to_cleft(E, gaminv)
-        return (X, c), lambda: sigma_env(build_decomposition(X, c))
+            finv, gaminv = self.crossed_inverse
+            return self.crossed.context.child({"finv": finv, "gaminv": gaminv})
+        if level == "cleft":
+            return sigma_env(build_decomposition(*self.cleft))
+        return getattr(self, level).context
 
     def context(self, level: str) -> Env:
         """A new child of the level's merged context.  Checks compile in the
@@ -184,11 +183,11 @@ class _Ladder:
         """The ladder's one merge point: the presentation's generators join
         the level's derived context as its child.  A generator may reuse a
         derived name only when it binds the same matrix."""
-        pres, derived = self.pres, self._rung(level)[1]()
+        pres, derived = self.pres, self._derived(level)
         if derived is None:
             objects = {name: ob.dim for name, ob in pres.objects.items()}
             return build_env(pres.field, objects, pres.generators)
-        return derived.extend(pres.generators)
+        return derived.child(pres.generators)
 
 
 @functools.lru_cache(maxsize=1)
@@ -225,10 +224,10 @@ class _Run:
         self.report = VerdictReport(title)
 
     def level(self, level: str):
-        """The structures of a ladder level, or None when a build hypothesis
+        """The structure of a ladder level, or None when a build hypothesis
         fails or the cocycle has no inverse; the report records which."""
         try:
-            return self.ladder.structures(level)
+            return getattr(self.ladder, level)
         except HypothesisFailed as exc:
             self.report.add_fail("build." + exc.check_id, witness=exc.witness)
         except _NoInverse:
@@ -252,7 +251,7 @@ class _Run:
 
 def cmd_validate(args) -> int:
     run = _Run(args, "validate")
-    report, H = run.report, run.ladder.structures("bialgebra")
+    report, H = run.report, run.ladder.bialgebra
     report.extend(check_bialgebra_axioms(H), prefix="axiom.")
     if H.antipode is not None:
         report.extend(check_antipode(H), prefix="antipode.")
@@ -262,7 +261,7 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     run = _Run(args, "build")
-    report, data = run.report, run.ladder.structures("cocycle")
+    report, data = run.report, run.ladder.cocycle
     m = data.measure
     report.extend(check_weak_module_algebra(m), prefix="wma.")
     report.extend(twisting(m)[1], prefix="twisting.")
@@ -296,7 +295,7 @@ def cmd_cleft(args) -> int:
         return run.finish()
     inverse = run.level("crossed_inverse")
     if inverse is not None:
-        E, finv, gaminv = inverse
+        E, (finv, gaminv) = run.ladder.crossed, inverse
         report.extend(invert_cocycle(E.measure, E.cocycle, finv)[1], prefix="inverse.")
         report.extend(gamma_inverse(E, finv, gaminv)[1], prefix="integral.")
     return run.finish()
@@ -315,7 +314,7 @@ def cmd_reconstruct(args) -> int:
         return run.finish()
     report.extend(rec_report)
     if declared is None:
-        E = run.ladder.structures("crossed")
+        E = run.ladder.crossed
         report.add_equality("recovered_rho_matches", recon.rho, E.measure.rho)
         report.add_equality("recovered_f_matches", recon.f, E.cocycle.f)
     return run.finish()

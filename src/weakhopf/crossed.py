@@ -48,10 +48,9 @@ class WeakMeasure:
     """A map rho: H (x) A -> A multiplicative in A in the coproduct-twisted
     sense, with its derived twisting map, idempotent and unit powers.
 
-    Two contexts are kept, each built once: ``context``, H's base context
-    plus muA, etaA and rho, and ``derived``, a child of it adding chi and
-    nab.  chi and nab are evaluated in the first, the unit powers in the
-    second; every check runs in a new child of one of them."""
+    ``context`` is kept, built once: H's base context plus muA, etaA and
+    rho, then chi and nab, evaluated in the part before them.  The unit
+    powers are evaluated in it; every check runs in a new child of it."""
 
     H: WeakBialgebra
     A: AlgebraData
@@ -80,35 +79,33 @@ class WeakMeasure:
 
     @cached_property
     def context(self) -> Env:
-        return self.H.base_env().extend({"muA": self.A.mu, "etaA": self.A.eta, "rho": self.rho})
-
-    @cached_property
-    def derived(self) -> Env:
-        return self.context.extend({"chi": self.chi, "nab": self.nabla})
-
-    def _formula(self, key, src: str, env: Env) -> LinMap:
-        """The map of a derived formula, evaluated once, in a kept context."""
-        if key not in self._cache:
-            self._cache[key] = eval_text(src, env)
-        return self._cache[key]
+        env = self.H.base_env().child({"muA": self.A.mu, "etaA": self.A.eta, "rho": self.rho})
+        return env.child({"chi": eval_text(ids.CHI_FORMULA, env),
+                          "nab": eval_text(ids.NABLA_FORMULA, env)})
 
     @property
     def chi(self) -> LinMap:
-        return self._formula("chi", ids.CHI_FORMULA, self.context)
+        return self.context.bindings["chi"]
 
     @property
     def nabla(self) -> LinMap:
-        return self._formula("nab", ids.NABLA_FORMULA, self.context)
+        return self.context.bindings["nab"]
+
+    def _formula(self, key, src: str) -> LinMap:
+        """The map of a unit-power formula, evaluated once, in the context."""
+        if key not in self._cache:
+            self._cache[key] = eval_text(src, self.context)
+        return self._cache[key]
 
     def u(self, n: int) -> LinMap:
         """rho-image of the unit after multiplying n tensor factors."""
-        return self._formula(("u", n), ids.u_formula(n), self.derived)
+        return self._formula(("u", n), ids.u_formula(n))
 
     def v(self, n: int) -> LinMap:
         """Iterated action on the unit: v_{n+1} = rho . (H (x) v_n)."""
         if n == 1:
             return self.u(1)
-        return self._formula(("v", n), ids.v_formula(n), self.derived)
+        return self._formula(("v", n), ids.v_formula(n))
 
 
 def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
@@ -138,7 +135,7 @@ def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
     """The twisting map derived from the measure, with the twisted-space law
     and normalization verdicts attached."""
     report = VerdictReport("twisting")
-    run_identity_table(ids.TWISTING_IDENTITIES, m.derived.child(), report)
+    run_identity_table(ids.TWISTING_IDENTITIES, m.context.child(), report)
     return m.chi, report
 
 
@@ -147,7 +144,7 @@ class CocycleData:
     """A candidate cocycle f: H (x) H -> A over a weak measure, with its lift
     to A (x) H and the preunit of the twisted product.
 
-    ``context`` is kept, built once: the measure's derived context plus f,
+    ``context`` is kept, built once: the measure's context plus f,
     the unit powers u1, u2, u3, v2 and v3, the lift Ff (evaluated in the
     part before it) and the preunit nu (evaluated in the measure's)."""
 
@@ -171,13 +168,13 @@ class CocycleData:
     @property
     def nu(self) -> LinMap:
         if "nu" not in self._cache:
-            self._cache["nu"] = eval_text(ids.NU_FORMULA, self.measure.derived)
+            self._cache["nu"] = eval_text(ids.NU_FORMULA, self.measure.context)
         return self._cache["nu"]
 
     @cached_property
     def context(self) -> Env:
         m = self.measure
-        env = m.derived.extend({
+        env = m.context.child({
             "f": self.f,
             "u1": m.u(1),
             "u2": m.u(2),
@@ -185,12 +182,20 @@ class CocycleData:
             "v2": m.v(2),
             "v3": m.v(3),
         })
-        return env.extend({"Ff": eval_text(ids.FF_FORMULA, env), "nu": self.nu})
+        return env.child({"Ff": eval_text(ids.FF_FORMULA, env), "nu": self.nu})
+
+
+def _require_measure(m: WeakMeasure, data: CocycleData) -> None:
+    """Raise StructureError unless ``data`` is a cocycle over ``m``."""
+    if m is not data.measure and m != data.measure:
+        raise StructureError("the cocycle is over another measure")
 
 
 def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
     """All recorded cocycle laws, with the cross-checks that the two
-    normalization forms and the two (plain vs lifted) condition levels agree."""
+    normalization forms and the two (plain vs lifted) condition levels agree.
+    Raises StructureError unless ``data`` is a cocycle over ``m``."""
+    _require_measure(m, data)
     report = VerdictReport("cocycle laws")
     run_identity_table(ids.COCYCLE_IDENTITIES, data.context.child(), report)
     counit_form = report.get("cocycle_counit_form").passed
@@ -241,13 +246,9 @@ class CrossedProduct:
     def field(self):
         return self.measure.field
 
-    @property
-    def algebra(self) -> AlgebraData:
-        return AlgebraData(self.field, self.obj, self.mu_E, self.eta_E)
-
     @cached_property
     def context(self) -> Env:
-        return self.cocycle.context.extend({
+        return self.cocycle.context.child({
             "muE": self.mu_E,
             "etaE": self.eta_E,
             "iE": self.i,
@@ -262,15 +263,17 @@ def build_crossed_product(m: WeakMeasure, data: CocycleData) -> CrossedProduct:
     """Verify the five construction hypotheses, split the induced idempotent
     and install the unital product on its image.
 
-    Raises HypothesisFailed naming the first failing hypothesis.
+    Raises HypothesisFailed naming the first failing hypothesis, and
+    StructureError unless ``data`` is a cocycle over ``m``.
     """
+    _require_measure(m, data)
     env = data.context.child()
     for check_id, lhs, rhs in ids.BUILD_HYPOTHESES:
         verdict = check_identity_text(lhs, rhs, env, check_id)
         if not verdict.passed:
             raise HypothesisFailed(check_id, verdict.witness)
     _, i, p = split_idempotent(m.nabla, name="E")
-    env = env.extend({"iE": i, "pE": p})
+    env = env.child({"iE": i, "pE": p})
     return CrossedProduct(
         m,
         data,
@@ -355,7 +358,9 @@ def invert_cocycle(
 ) -> tuple[Optional[LinMap], VerdictReport]:
     """Invert the cocycle in the convolution monoid with unit u2 and verify
     the derived laws of the inverse; returns (None, report) when no inverse
-    exists.  ``finv``, when given, is the inverse already solved for."""
+    exists.  ``finv``, when given, is the inverse already solved for.
+    Raises StructureError unless ``data`` is a cocycle over ``m``."""
+    _require_measure(m, data)
     report = VerdictReport("cocycle inverse")
     if finv is None:
         finv = cocycle_inverse(data)
@@ -424,7 +429,7 @@ def base_action_measure(H: WeakBialgebra) -> WeakMeasure:
         rename_factor(sub.mu, ren),
         rename_factor(sub.eta, ren),
     )
-    env = H.core_env().extend({"inj": rename_factor(inj, ren), "proj": rename_factor(proj, ren)})
+    env = H.core_env().child({"inj": rename_factor(inj, ren), "proj": rename_factor(proj, ren)})
     return WeakMeasure.checked(H, A, eval_text(ids.BASE_ACTION_FORMULA, env))
 
 

@@ -55,7 +55,7 @@ def _primed(Ep: CrossedProduct) -> dict:
 
 def _transport(E: CrossedProduct, Ep: CrossedProduct, phi: LinMap) -> LinMap:
     """The induced map between split images: include, insert phi, project."""
-    m = eval_text(ids.TRANSPORT_EXPR, _pair_env(E, Ep, phi).extend(_primed(Ep)))
+    m = eval_text(ids.TRANSPORT_EXPR, _pair_env(E, Ep, phi).child(_primed(Ep)))
     return LinMap(m.field, m.dom, (Ep.obj,), m.rows, m.int_columns())
 
 
@@ -82,7 +82,7 @@ def equivalence_from_phi(
     phi_inv = _conv_solve(phi, m.u(1), mp.u(1), m.H.coalgebra, m.A)
     report.add_bool("phi_inverse_exists", phi_inv is not None)
     if phi_inv is not None:
-        run_identity_table(ids.PHI_INVERSE_IDENTITIES, env.extend({"phiinv": phi_inv}), report)
+        run_identity_table(ids.PHI_INVERSE_IDENTITIES, env.child({"phiinv": phi_inv}), report)
     if not report.all_pass:
         return None, report
     Phi = _transport(E, Ep, phi)
@@ -90,7 +90,7 @@ def equivalence_from_phi(
     Phi_inv = _transport(Ep, E, phi_inv)
     P = env.bindings["Phi"].cod
     Phi_inv = LinMap(Phi_inv.field, P, Phi_inv.cod, Phi_inv.rows, Phi_inv.int_columns())
-    env = env.extend({"Phiinv": Phi_inv})
+    env = env.child({"Phiinv": Phi_inv})
     run_identity_table(ids.ISO_INVERSE_IDENTITIES, env, report)
     if not report.all_pass:
         return None, report

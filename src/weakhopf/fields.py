@@ -42,7 +42,6 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Common interface of the two scalar fields."""
 
-    kind: str
     modulus: int  # integers are reduced mod this when it is nonzero
 
     def normalize(self, x):
@@ -81,7 +80,6 @@ class Field:
 
 
 class RationalField(Field):
-    kind = "rational"
     modulus = 0
 
     def normalize(self, x):
@@ -134,8 +132,6 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    kind = "prime"
-
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .bialgebra import WeakHopfAlgebra
 from .fields import Field
-from .linalg import Obj, UNIT_WORD, zero_map
+from .linalg import LinMap, Obj, UNIT_WORD
 
 
 class InvalidGroupoid(ValueError):
@@ -30,10 +30,6 @@ class GroupoidPresentation:
     compose: dict  # (g, h) -> g after h, defined iff source[g] == target[h]
     identity: dict  # object -> identity morphism
     inverse: dict
-
-    @property
-    def name(self) -> str:
-        return getattr(self, "_name", f"groupoid({len(self.objects)}o,{len(self.morphisms)}m)")
 
     def validate(self) -> "GroupoidPresentation":
         obs, mors = set(self.objects), set(self.morphisms)
@@ -88,22 +84,18 @@ def groupoid_algebra(G: GroupoidPresentation, field: Field) -> WeakHopfAlgebra:
     n = len(G.morphisms)
     index = {m: i for i, m in enumerate(G.morphisms)}
     H = Obj("H", n)
-    mu = zero_map(field, (H, H), (H,))
-    one = field.one
+
+    def linmap(dom, cod, cols):
+        return LinMap.from_int_columns(field, dom, cod, cols, 1)
+
+    mu_cols = [{} for _ in range(n * n)]
     for (g, h), gh in G.compose.items():
-        mu.rows[index[gh]][index[g] * n + index[h]] = one
-    eta = zero_map(field, UNIT_WORD, (H,))
-    for x in G.objects:
-        eta.rows[index[G.identity[x]]][0] = one
-    delta = zero_map(field, (H,), (H, H))
-    for m, i in index.items():
-        delta.rows[i * n + i][i] = one
-    eps = zero_map(field, (H,), UNIT_WORD)
-    for i in range(n):
-        eps.rows[0][i] = one
-    antipode = zero_map(field, (H,), (H,))
-    for m, i in index.items():
-        antipode.rows[index[G.inverse[m]]][i] = one
+        mu_cols[index[g] * n + index[h]] = {index[gh]: 1}
+    mu = linmap((H, H), (H,), mu_cols)
+    eta = linmap(UNIT_WORD, (H,), [{index[G.identity[x]]: 1 for x in G.objects}])
+    delta = linmap((H,), (H, H), [{i * n + i: 1} for i in range(n)])
+    eps = linmap((H,), UNIT_WORD, [{0: 1} for _ in range(n)])
+    antipode = linmap((H,), (H,), [{index[G.inverse[m]]: 1} for m in G.morphisms])
     return WeakHopfAlgebra.checked(field, H, mu, eta, delta, eps, antipode)
 
 

@@ -79,8 +79,8 @@ class Env:
     and entries.  The parser makes structurally equal subexpressions one
     node, so they are propagated only once across a whole table.  The
     dimension of each word is read from this Env's objects, once.
-    ``child`` and ``extend`` make a child context that starts from what its
-    parent has compiled.
+    ``child`` is the one way to derive a context: a child starts from what
+    its parent has compiled.
 
     Threads may share an Env without a lock: two threads that compile the
     same node at once each get a correct entry, and the later one is kept;
@@ -134,10 +134,6 @@ class Env:
         new = self._unbound(bindings or {})
         sig = Signature.of_bindings(self.sig.objects, new, self.sig.generators) if new else self.sig
         return Env(sig, self.field, new, parent=self)
-
-    def extend(self, bindings: dict) -> "Env":
-        """``child(bindings)``, or this Env itself when no name is new."""
-        return self.child(bindings) if self._unbound(bindings) else self
 
     def _unbound(self, bindings: dict) -> dict:
         """The bindings whose names this Env does not bind yet."""

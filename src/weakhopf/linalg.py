@@ -42,10 +42,6 @@ Word = tuple  # tuple[Obj, ...]
 UNIT_WORD: Word = ()
 
 
-def word(*objs: Obj) -> Word:
-    return tuple(objs)
-
-
 def wdim(w: Word) -> int:
     d = 1
     for ob in w:

@@ -155,6 +155,13 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
             raise PresentationError(
                 f"generator {name!r}: matrix shape does not match declared words"
             )
+        for i, r in enumerate(matrix):
+            for j, v in enumerate(r):
+                if isinstance(v, float):
+                    raise PresentationError(
+                        f"generator {name!r}: entry (row {i}, col {j}) is a JSON float;"
+                        " write it as a string or an integer"
+                    )
         try:
             rows = [[field.parse(str(v)) for v in r] for r in matrix]
         except FieldError as exc:

@@ -18,7 +18,14 @@ from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
 from weakhopf.ir import check_identity_text
 from weakhopf.cleft import crossed_to_cleft
-from weakhopf.presentation import dump_json, load_presentation, presentation_to_json, read_presentation
+from weakhopf.presentation import (
+    PresentationError,
+    decode_presentation,
+    dump_json,
+    load_presentation,
+    presentation_to_json,
+    read_presentation,
+)
 
 from concurrency import race
 
@@ -513,6 +520,7 @@ MALFORMED = [
     ("measure_undeclared_object", _set(["roles", "measure", "object"], "Q"), ALL_COMMANDS[1:]),
     ("cocycle_no_map", _set(["roles", "cocycle", "map"], KeyError), ALL_COMMANDS[1:]),
     ("phi_no_map", _set(["roles", "phi", "map"], KeyError), ("equiv",)),
+    ("entry_float", _set(["generators", "eps", "matrix", 0, 1], 0.5), ALL_COMMANDS),
     ("not_utf8", None, ALL_COMMANDS),
 ]
 
@@ -533,6 +541,25 @@ def test_malformed_presentation_exits_2_on_every_command(tmp_path, case, mutate,
         code, out, err = _call(argv)
         assert (code, out) == (2, ""), command
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+@pytest.mark.parametrize("entry", ["1e-400", "1.0000000000000001", "1e400", "2.0"])
+def test_a_float_entry_is_refused_where_it_stands(entry):
+    # A JSON float is not an exact scalar: 1e-400 would read as 0 and
+    # 1.0000000000000001 as 1.  Strings and integers stay accepted.
+    data = _load(PAIR)
+    data["generators"]["eps"]["matrix"][0][1] = "@"
+    text = json.dumps(data)
+
+    def eps01(literal):
+        """eps[0][1] of the file whose entry there is the JSON ``literal``."""
+        raw = text.replace('"@"', literal).encode()
+        return decode_presentation(raw, "p.json").generators["eps"].rows[0][1]
+
+    with pytest.raises(PresentationError, match=r"generator 'eps': entry \(row 0, col 1\)"):
+        eps01(entry)
+    assert eps01(json.dumps(entry)) == Fraction(entry)
+    assert eps01("1") == 1
 
 
 def test_a_boolean_dimension_exits_2_on_every_command(tmp_path):
@@ -649,5 +676,33 @@ def test_cleft_and_reconstruct_solve_the_cocycle_once(tmp_path, monkeypatch):
     cli._ladder_of.cache_clear()
     for command in ("cleft", "reconstruct"):
         assert _call([command, PAIR, "--report", str(tmp_path / "r.json")])[0] == 0, command
-    presented = cli._ladder_of(read_presentation(PAIR), PAIR, None, None, None).structures("cocycle")
+    presented = cli._ladder_of(read_presentation(PAIR), PAIR, None, None, None).cocycle
     assert [data is presented for data in calls] == [True, False]
+
+
+def test_a_file_without_an_antipode_validates_but_has_no_cleft_extension(tmp_path):
+    data = _load(PAIR)
+    del data["roles"]["antipode"]
+    target = tmp_path / "noS.json"
+    target.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    code, out, err = _call(["validate", str(target), "--report", str(report)])
+    assert (code, err) == (0, "")
+    entries = json.loads(report.read_text())["entries"]
+    skipped = [e["id"] for e in entries if e["status"] == "skipped"]
+    assert skipped == ["projection." + row[0] for row in ids.ANTIPODE_PROJECTION_IDENTITIES]
+    assert not any(e["id"].startswith("antipode.") for e in entries)
+    assert _call(["cleft", str(target), "--report", str(report)]) == (
+        2, "", "error: gamma inverse needs an antipode\n")
+
+
+def test_eval_of_an_unknown_name_stops_at_the_last_level_the_file_supports(tmp_path):
+    data = _load(PAIR)
+    del data["roles"]["measure"]
+    target = tmp_path / "nomeasure.json"
+    target.write_text(json.dumps(data))
+    cli._ladder_of.cache_clear()
+    assert _call(["eval", "--sig", str(target), "--expr", "nosuchgen"]) == (
+        2, "", "error: unknown generator 'nosuchgen' (line 1, col 1)\n")
+    ladder = cli._ladder_of(read_presentation(str(target)), str(target), None, None, None)
+    assert sorted(ladder._contexts) == ["bialgebra", "raw"]

@@ -11,6 +11,7 @@ from weakhopf.crossed import (
     WeakMeasure,
     base_action_measure,
     build_crossed_product,
+    build_gamma_inverse,
     check_weak_module_algebra,
     cocycle_report,
     crossed_product_law_suite,
@@ -24,7 +25,9 @@ from weakhopf.crossed import (
     twisting,
 )
 from weakhopf.fields import GF, QQ
-from weakhopf.identities import COINVARIANT_CUT, J_NU_PRIME, MU_EE
+from weakhopf.algebra import StructureError
+from weakhopf.groupoid import groupoid_algebra, pair_groupoid
+from weakhopf.identities import COINVARIANT_CUT, J_NU_PRIME, MODULE_SUITE_ANTIPODE_IDENTITIES, MU_EE
 from weakhopf.linalg import (
     LinMap,
     Obj,
@@ -268,6 +271,8 @@ def test_module_suite_skips_without_module_algebra():
     assert E0.E_dim == 0  # the induced idempotent is zero
     report = module_algebra_suite(E0)
     assert all(v.status == "skipped" for v in report)
+    with pytest.raises(PreconditionFailed, match="needs a weak module algebra"):
+        build_gamma_inverse(E0, zero_map(QQ, (H.obj, H.obj), (m.A.obj,)))
 
 
 # -- cocycle inversion ---------------------------------------------------------
@@ -358,6 +363,11 @@ def test_gamma_inverse_needs_antipode():
     E2 = build_crossed_product(m2, CocycleData(m2, c.f))
     with pytest.raises(PreconditionFailed):
         gamma_inverse(E2, finv)
+    # The module suite runs on E2 but skips the rows that need the antipode.
+    report = module_algebra_suite(E2)
+    needs_s = [row[0] for row in MODULE_SUITE_ANTIPODE_IDENTITIES]
+    assert [report.get(cid).status for cid in needs_s] == ["skipped"] * len(needs_s)
+    assert all(v.passed for v in report if v.check_id not in needs_s)
 
 
 def test_equalizer_dimension():
@@ -504,3 +514,23 @@ def test_product_maps_and_unit_powers_match_the_dense_route(field):
     hid, hmu = identity(field, small.H.obj), small.H.mu
     mu3 = compose(hmu, tensor_product(hmu, hid))
     assert small.u(4) == compose(small.u(1), compose(hmu, tensor_product(mu3, hid)))
+
+
+def test_a_cocycle_over_another_measure_is_refused():
+    # c1 is a cocycle over m1, not over m2: checking, inverting or building
+    # with the pair (m2, c1) used to read c1's own measure and pass.
+    H = groupoid_algebra(pair_groupoid(2), QQ)
+    m1 = base_action_measure(H)
+    c1 = smash_cocycle(m1)
+    n = m1.A.dim
+    rho2 = LinMap.from_int_columns(QQ, m1.rho.dom, m1.rho.cod,
+                                   [{a: 1} for _ in range(H.dim) for a in range(n)], 1)
+    m2 = WeakMeasure.checked(H, m1.A, rho2)  # rho2(h (x) a) = a
+    for call in (cocycle_report, invert_cocycle, build_crossed_product):
+        with pytest.raises(StructureError, match="another measure"):
+            call(m2, c1)
+    honest = CocycleData(m2, c1.f)
+    assert not cocycle_report(m2, honest).get("cocycle_f").passed
+    assert invert_cocycle(m2, honest)[0] is None
+    # An equal measure is the cocycle's own.
+    assert cocycle_report(WeakMeasure(H, m1.A, m1.rho), c1).all_pass

@@ -527,7 +527,7 @@ def test_monomial_kernel_matches_dense_route(field, multi, parts, data):
         c = data.draw(st.integers(0, dense.ncols - 1))
         moved = _moved(dense, c)
         bumped = _perturbed(dense, data.draw(st.integers(0, dense.nrows - 1)), c)
-        child = env.extend({"P": dense, "M": moved, "R": bumped})
+        child = env.child({"P": dense, "M": moved, "R": bumped})
         assert check_identity(e, Gen("P"), child).status == "pass"
         assert (_plan_of(Gen("M"), child).mono is not None) == _is_monomial(moved)
         for other in (Gen("M"), Gen("R")):
@@ -654,7 +654,7 @@ def test_convolutions_match_independent_routes(field):
         e = parse_expr(text, env.sig)
         assert evaluate(e, env) == ref, text
         bad = _perturbed(ref, 1, ref.ncols - 2)
-        child = env.extend({"P": ref, "R": bad})
+        child = env.child({"P": ref, "R": bad})
         assert check_identity(e, Gen("P"), child).status == "pass", text
         for lhs, rhs, diff in ((e, Gen("R"), ref.first_difference(bad)),
                                (Gen("R"), e, bad.first_difference(ref))):
@@ -758,12 +758,12 @@ def test_filtered_convolution_matches_dense_route(field, filtered, data):
     r = data.draw(st.integers(0, dense.nrows - 1))
     c = data.draw(st.integers(0, dense.ncols - 1))
     bad = _perturbed(dense, r, c)
-    child = env.extend({"P": dense, "Q": bad})
+    child = env.child({"P": dense, "Q": bad})
     assert check_identity(e, Gen("P"), child).status == "pass"
     _assert_verdict_matches_dense(e, Gen("Q"), child)
     _assert_verdict_matches_dense(Gen("Q"), e, child)
     # A fresh Env compiles the plan again, and checks before it evaluates.
-    fresh = Env(env.sig, field, env.bindings).extend({"Q": bad})
+    fresh = Env(env.sig, field, env.bindings).child({"Q": bad})
     with _support_decisions() as decisions:
         _assert_verdict_matches_dense(e, Gen("Q"), fresh)
     assert decisions == ([support] if filtered else [False])
@@ -776,12 +776,12 @@ def test_filtered_convolution_matches_dense_route(field, filtered, data):
         k = data.draw(st.integers(-1, dl * dr - 1))
         if k >= 0:
             mono_rows[k][j] = data.draw(st.sampled_from(_NONZERO))
-    child = env.extend({"M": from_rows(field, (F,), (X, Y), mono_rows)})
+    child = env.child({"M": from_rows(field, (F,), (X, Y), mono_rows)})
     m = parse_expr("M ; L * R", child.sig)
     with _support_decisions() as decisions:
         dense = _dense(m, child)
         assert evaluate(m, child) == dense
-        assert check_identity(m, Gen("P"), child.extend({"P": dense})).status == "pass"
+        assert check_identity(m, Gen("P"), child.child({"P": dense})).status == "pass"
     assert decisions == []  # no column of M has two terms
     monomial = _is_monomial(bindings["L"]) and _is_monomial(bindings["R"])
     plan = _plan_of(m, child)
@@ -800,7 +800,7 @@ def test_env_is_freed_by_reference_counting():
         text = "Delta * id(A) ; id(H) * rho ; swap(H,A)"
         assert run_identity_table([("a", text, text)], env).all_pass
         evaluate(parse_expr("eta ; Delta ; mu", SIG), env)
-        child = env.extend({"P": evaluate(parse_expr(text, SIG), env)})
+        child = env.child({"P": evaluate(parse_expr(text, SIG), env)})
         assert run_identity_table([("b", text, "P")], child).all_pass
         refs = [weakref.ref(env), weakref.ref(child)]
         del env
@@ -822,7 +822,7 @@ def _map(dom, cod, field=QQ, shift=0):
 
 def test_child_names_stay_out_of_the_parent():
     parent = _frac_env(QQ)
-    child = parent.extend({"P": _map(("H",), ("A",))})
+    child = parent.child({"P": _map(("H",), ("A",))})
     node = Gen("P")  # built by hand, so no parse checks its name
     assert evaluate(node, child) == child.bindings["P"]
     assert check_identity(Seq(node, Id(("A",))), node, child).passed
@@ -835,16 +835,16 @@ def test_child_names_stay_out_of_the_parent():
 
 def test_rebinding_a_name():
     parent = _frac_env(QQ)
-    assert parent.extend({"mu": parent.bindings["mu"]}) is parent
+    assert parent.child({"mu": parent.bindings["mu"]}).sig is parent.sig
     same = LinMap(QQ, parent.bindings["mu"].dom, parent.bindings["mu"].cod,
                   [list(r) for r in parent.bindings["mu"].rows])
-    assert parent.extend({"mu": same}) is parent  # an equal matrix is the same binding
+    assert parent.child({"mu": same}).sig is parent.sig  # an equal matrix is the same binding
     with pytest.raises(RebindingError) as exc:
-        parent.extend({"P": _map(("H",), ("A",)), "mu": _map(("H", "H"), ("H",), shift=1)})
+        parent.child({"P": _map(("H",), ("A",)), "mu": _map(("H", "H"), ("H",), shift=1)})
     assert exc.value.name == "mu"
-    child = parent.extend({"P": _map(("H",), ("A",))})
+    child = parent.child({"P": _map(("H",), ("A",))})
     with pytest.raises(RebindingError):
-        child.extend({"P": _map(("H",), ("A",), shift=1)})
+        child.child({"P": _map(("H",), ("A",), shift=1)})
 
 
 def _counting_plan(monkeypatch) -> list:
@@ -884,7 +884,7 @@ def test_child_matches_fresh_env_over_merged_bindings(field, parts):
     for e in exprs[::2]:  # the child starts from these plans
         evaluate(e, parent)
     extra = {"P": _map(("H", "A"), ("A",), field), "Q": _map(("A",), ("H", "H"), field, 1)}
-    child = parent.extend(extra)
+    child = parent.child(extra)
     fresh = build_env(field, {}, {**parent.bindings, **extra})
     p_then_q = Seq(Seq(Gen("P"), Gen("Q")), Gen("mu"))
     for e in exprs + [p_then_q, Par(Gen("P"), p_then_q)]:
@@ -926,7 +926,7 @@ def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
     texts = ["id(H) * mu ; mu", "Delta * id(A) ; id(H) * rho ; swap(H,A)", "eta ; Delta ; mu"]
     exprs = [parse_expr(text, SIG) for text in texts]
     expected = [evaluate(e, parent) for e in exprs]
-    child = parent.extend({"P": _map(("H",), ("A",))})
+    child = parent.child({"P": _map(("H",), ("A",))})
     compiled = _counting_plan(monkeypatch)
     assert [evaluate(e, child) for e in exprs] == expected
     assert compiled == []

@@ -1,6 +1,6 @@
-"""Every structure builds its context one way: as its parent's kept context
-extended by its own maps (``Env.extend``), with checks in a new child of it
-(``Env.child``).  Only ``ir.py`` constructs an ``Env``, and no module merges
+"""Every structure builds its context one way: as a child of its parent's
+kept context binding its own maps (``Env.child``), with checks in a new
+child of it.  Only ``ir.py`` constructs an ``Env``, and no module merges
 binding dicts of its own to pass down a chain of wrappers."""
 import ast
 import glob
