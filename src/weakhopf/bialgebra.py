@@ -1,6 +1,12 @@
-"""Weak bialgebras and weak Hopf algebras presented by structure constants."""
+"""Weak bialgebras presented by structure constants.
+
+One class, ``WeakBialgebra``, holds H: its antipode is optional, and H with
+one is a weak Hopf algebra (``WeakHopfAlgebra`` names the same class).
+"""
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from . import identities as ids
@@ -18,139 +24,97 @@ class InvalidStructure(StructureError):
         self.report = report
 
 
+@dataclass(eq=False, frozen=True)
 class WeakBialgebra:
     """Carrier H with multiplication, unit, comultiplication and counit
-    subject to the weak compatibility axioms; the four source/target
-    projections are computed once and cached.
+    subject to the weak compatibility axioms, and optionally an antipode S.
 
-    Two evaluation contexts are built once and kept: the core (mu, eta,
-    Delta, eps) and the base, a child of the core adding the projections and
-    the antipode.
+    H is a weak Hopf algebra when it has an antipode: only the equivalence
+    of cleft extensions and crossed products needs one.  Equality is
+    identity.  The fields cannot be rebound, so what is kept stays true to
+    them.  Kept, each built once: the core context (mu, eta, Delta, eps),
+    the four source/target projections evaluated in it, and the base
+    context, a child of the core adding the projections and the antipode.
     """
 
-    def __init__(self, algebra: AlgebraData, coalgebra: CoalgebraData):
-        if algebra.obj != coalgebra.obj:
-            raise StructureError("algebra and coalgebra must share the carrier")
-        if algebra.field != coalgebra.field:
-            raise StructureError("algebra and coalgebra must share the field")
-        self.algebra = algebra
-        self.coalgebra = coalgebra
-        self._projections: dict[str, LinMap] = {}
-        self._core: Optional[Env] = None
-        self._base: Optional[Env] = None
+    field: Field
+    obj: Obj
+    mu: LinMap
+    eta: LinMap
+    delta: LinMap
+    eps: LinMap
+    antipode: Optional[LinMap] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "algebra", AlgebraData(self.field, self.obj, self.mu, self.eta))
+        object.__setattr__(
+            self, "coalgebra", CoalgebraData(self.field, self.obj, self.delta, self.eps)
+        )
+        s = self.antipode
+        if s is not None and (s.dom != (self.obj,) or s.cod != (self.obj,)):
+            raise StructureError("antipode must be an endomorphism of the carrier")
+
+    @property
+    def dim(self) -> int:
+        return self.obj.dim
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def unchecked(cls, field, obj, mu, eta, delta, eps) -> "WeakBialgebra":
-        return cls(AlgebraData(field, obj, mu, eta), CoalgebraData(field, obj, delta, eps))
+    def unchecked(cls, field, obj, mu, eta, delta, eps, antipode=None) -> "WeakBialgebra":
+        return cls(field, obj, mu, eta, delta, eps, antipode)
 
     @classmethod
-    def checked(cls, field, obj, mu, eta, delta, eps) -> "WeakBialgebra":
-        cand = cls.unchecked(field, obj, mu, eta, delta, eps)
+    def checked(cls, field, obj, mu, eta, delta, eps, antipode=None) -> "WeakBialgebra":
+        """H with every axiom verified: the bialgebra axioms, then the
+        antipode axioms when an antipode is given."""
+        cand = cls(field, obj, mu, eta, delta, eps, antipode)
         report = check_bialgebra_axioms(cand)
+        if report.all_pass and antipode is not None:
+            report = check_antipode(cand)
         if not report.all_pass:
             raise InvalidStructure(report)
         return cand
 
-    # -- accessors ----------------------------------------------------------
+    def without_antipode(self) -> "WeakBialgebra":
+        return replace(self, antipode=None)
 
-    @property
-    def field(self) -> Field:
-        return self.algebra.field
+    # -- kept derived state -------------------------------------------------
 
-    @property
-    def obj(self) -> Obj:
-        return self.algebra.obj
+    @cached_property
+    def _core_context(self) -> Env:
+        return build_env(
+            self.field, {}, {"mu": self.mu, "eta": self.eta, "Delta": self.delta, "eps": self.eps}
+        )
 
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
+    @cached_property
+    def _projection_maps(self) -> dict[str, LinMap]:
+        """piL, piR, piLb and piRb by name, evaluated in the core context."""
+        env = self._core_context
+        return {name: eval_text(src, env) for name, src in ids.PROJECTION_FORMULAS.items()}
 
-    @property
-    def mu(self) -> LinMap:
-        return self.algebra.mu
-
-    @property
-    def eta(self) -> LinMap:
-        return self.algebra.eta
-
-    @property
-    def delta(self) -> LinMap:
-        return self.coalgebra.delta
-
-    @property
-    def eps(self) -> LinMap:
-        return self.coalgebra.eps
-
-    @property
-    def antipode(self) -> Optional[LinMap]:
-        return None
+    @cached_property
+    def _base_context(self) -> Env:
+        bindings = dict(self._projection_maps)
+        if self.antipode is not None:
+            bindings["S"] = self.antipode
+        return self._core_context.child(bindings)
 
     def core_env(self) -> Env:
         """The context binding mu, eta, Delta and eps."""
-        if self._core is None:
-            self._core = build_env(
-                self.field, {}, {"mu": self.mu, "eta": self.eta, "Delta": self.delta, "eps": self.eps}
-            )
-        return self._core
+        return self._core_context
 
     def base_env(self) -> Env:
         """The core context plus the projections and the antipode."""
-        if self._base is None:
-            bindings = {
-                "piL": self.projection("L"),
-                "piR": self.projection("R"),
-                "piLb": self.projection("Lbar"),
-                "piRb": self.projection("Rbar"),
-            }
-            s = self.antipode
-            if s is not None:
-                bindings["S"] = s
-            self._base = self.core_env().child(bindings)
-        return self._base
+        return self._base_context
 
     def projection(self, kind: str) -> LinMap:
         """One of the four projections; kind in {L, R, Lbar, Rbar}."""
         key = {"L": "piL", "R": "piR", "Lbar": "piLb", "Rbar": "piRb"}[kind]
-        if key not in self._projections:
-            env = self.core_env()
-            for name, src in ids.PROJECTION_FORMULAS.items():
-                self._projections[name] = eval_text(src, env)
-        return self._projections[key]
+        return self._projection_maps[key]
 
 
-class WeakHopfAlgebra(WeakBialgebra):
-    def __init__(self, algebra: AlgebraData, coalgebra: CoalgebraData, antipode: LinMap):
-        super().__init__(algebra, coalgebra)
-        ob = algebra.obj
-        if antipode.dom != (ob,) or antipode.cod != (ob,):
-            raise StructureError("antipode must be an endomorphism of the carrier")
-        self._antipode = antipode
-
-    @property
-    def antipode(self) -> LinMap:
-        return self._antipode
-
-    @classmethod
-    def unchecked(cls, field, obj, mu, eta, delta, eps, antipode) -> "WeakHopfAlgebra":
-        return cls(
-            AlgebraData(field, obj, mu, eta), CoalgebraData(field, obj, delta, eps), antipode
-        )
-
-    @classmethod
-    def checked(cls, field, obj, mu, eta, delta, eps, antipode) -> "WeakHopfAlgebra":
-        cand = cls.unchecked(field, obj, mu, eta, delta, eps, antipode)
-        report = check_bialgebra_axioms(cand)
-        if not report.all_pass:
-            raise InvalidStructure(report)
-        report = check_antipode(cand)
-        if not report.all_pass:
-            raise InvalidStructure(report)
-        return cand
-
-    def without_antipode(self) -> WeakBialgebra:
-        return WeakBialgebra(self.algebra, self.coalgebra)
+WeakHopfAlgebra = WeakBialgebra
 
 
 # --------------------------------------------------------------------------
@@ -180,7 +144,7 @@ def projection_identity_suite(H: WeakBialgebra) -> VerdictReport:
     return report
 
 
-def check_antipode(H: WeakHopfAlgebra) -> VerdictReport:
+def check_antipode(H: WeakBialgebra) -> VerdictReport:
     """The three antipode axioms plus the derived unit/counit invariance and
     anti(co)multiplicativity."""
     env = H.base_env()

@@ -50,7 +50,8 @@ class WeakMeasure:
 
     ``context`` is kept, built once: H's base context plus muA, etaA and
     rho, then chi and nab, evaluated in the part before them.  The unit
-    powers are evaluated in it; every check runs in a new child of it."""
+    powers are evaluated in it and memoized in ``_cache``; every check runs
+    in a new child of it.  The weak-module-algebra verdicts are kept too."""
 
     H: WeakBialgebra
     A: AlgebraData
@@ -107,28 +108,30 @@ class WeakMeasure:
             return self.u(1)
         return self._formula(("v", n), ids.v_formula(n))
 
+    @cached_property
+    def _module_algebra_report(self) -> VerdictReport:
+        """Kept for ``check_weak_module_algebra``, which hands out copies."""
+        report = VerdictReport("weak module algebra")
+        run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, self.context.child(), report)
+        gating = [report.get(cid) for cid in ("wma_unital", "measure_axiom", "wma_unit_power")]
+        equivalents = [report.get(cid) for cid in ids.MODULE_ALGEBRA_EQUIVALENT_IDS]
+        if all(v.passed for v in gating):
+            statuses = {v.status for v in equivalents}
+            report.add_bool(
+                "equivalent_forms_agree",
+                len(statuses) == 1,
+                note="reformulations must stand or fall together",
+            )
+        else:
+            report.add_skipped("equivalent_forms_agree", note="basic action laws fail")
+        return report
+
 
 def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
     """The unital/action laws making A a left weak module algebra, plus the
     cross-check that the six equivalent reformulations agree.  The table runs
     once per measure; every call returns its own copy of the report."""
-    if "wma" in m._cache:
-        return copy.deepcopy(m._cache["wma"])
-    report = VerdictReport("weak module algebra")
-    run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, m.context.child(), report)
-    gating = [report.get("wma_unital"), report.get("measure_axiom"), report.get("wma_unit_power")]
-    equivalents = [report.get(cid) for cid in ids.MODULE_ALGEBRA_EQUIVALENT_IDS]
-    if all(v.passed for v in gating):
-        statuses = {v.status for v in equivalents}
-        report.add_bool(
-            "equivalent_forms_agree",
-            len(statuses) == 1,
-            note="reformulations must stand or fall together",
-        )
-    else:
-        report.add_skipped("equivalent_forms_agree", note="basic action laws fail")
-    m._cache["wma"] = copy.deepcopy(report)
-    return report
+    return copy.deepcopy(m._module_algebra_report)
 
 
 def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
@@ -146,11 +149,10 @@ class CocycleData:
 
     ``context`` is kept, built once: the measure's context plus f,
     the unit powers u1, u2, u3, v2 and v3, the lift Ff (evaluated in the
-    part before it) and the preunit nu (evaluated in the measure's)."""
+    part before it) and the preunit nu (kept, evaluated in the measure's)."""
 
     measure: WeakMeasure
     f: LinMap
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         H, A = self.measure.H, self.measure.A
@@ -165,11 +167,9 @@ class CocycleData:
     def Ff(self) -> LinMap:
         return self.context.bindings["Ff"]
 
-    @property
+    @cached_property
     def nu(self) -> LinMap:
-        if "nu" not in self._cache:
-            self._cache["nu"] = eval_text(ids.NU_FORMULA, self.measure.context)
-        return self._cache["nu"]
+        return eval_text(ids.NU_FORMULA, self.measure.context)
 
     @cached_property
     def context(self) -> Env:
@@ -224,7 +224,9 @@ def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
 @dataclass
 class CrossedProduct:
     """The unitary crossed product in split-image coordinates; ``context``,
-    kept and built once, is the cocycle's plus the product's maps."""
+    kept and built once, is the cocycle's plus the product's maps.
+    ``equalizer`` is ``equalizer_matches`` for the coaction and the base
+    embedding, computed once."""
 
     measure: WeakMeasure
     cocycle: CocycleData
@@ -257,6 +259,10 @@ class CrossedProduct:
             "gam": self.gamma,
             "dE": self.delta_E,
         })
+
+    @cached_property
+    def equalizer(self) -> tuple[bool, int]:
+        return equalizer_matches(self.measure.H, self.delta_E, self.j_nu)
 
 
 def build_crossed_product(m: WeakMeasure, data: CocycleData) -> CrossedProduct:
@@ -341,7 +347,7 @@ def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
             report.add_skipped(check_id, note="no antipode")
     else:
         run_identity_table(ids.MODULE_SUITE_ANTIPODE_IDENTITIES, env, report)
-    ok, dim = equalizer_matches(E.measure.H, E.delta_E, E.j_nu)
+    ok, dim = E.equalizer
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")
     return report
 
@@ -397,7 +403,7 @@ def gamma_inverse(
     report = VerdictReport("integral inverse")
     env = E.context.child({"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)
-    ok, dim = equalizer_matches(E.measure.H, E.delta_E, E.j_nu)
+    ok, dim = E.equalizer
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")
     target = eval_text(ids.GAMMA_PIL_EXPR, env)
     report.add_bool("cleft_factorization", factor_through(target, E.j_nu) is not None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bialgebra import WeakHopfAlgebra
+from .bialgebra import WeakBialgebra
 from .fields import Field
 from .linalg import LinMap, Obj, UNIT_WORD
 
@@ -78,8 +78,9 @@ class GroupoidPresentation:
         return self
 
 
-def groupoid_algebra(G: GroupoidPresentation, field: Field) -> WeakHopfAlgebra:
-    """Weak Hopf algebra on the morphism basis of a validated groupoid."""
+def groupoid_algebra(G: GroupoidPresentation, field: Field) -> WeakBialgebra:
+    """Weak Hopf algebra on the morphism basis of a validated groupoid: H
+    with the inversion as its antipode."""
     G.validate()
     n = len(G.morphisms)
     index = {m: i for i, m in enumerate(G.morphisms)}
@@ -96,7 +97,7 @@ def groupoid_algebra(G: GroupoidPresentation, field: Field) -> WeakHopfAlgebra:
     delta = linmap((H,), (H, H), [{i * n + i: 1} for i in range(n)])
     eps = linmap((H,), UNIT_WORD, [{0: 1} for _ in range(n)])
     antipode = linmap((H,), (H,), [{index[G.inverse[m]]: 1} for m in G.morphisms])
-    return WeakHopfAlgebra.checked(field, H, mu, eta, delta, eps, antipode)
+    return WeakBialgebra.checked(field, H, mu, eta, delta, eps, antipode)
 
 
 # --------------------------------------------------------------------------

@@ -70,6 +70,13 @@ def _infer(e: MorExpr, sig: Signature, path: str) -> tuple[tuple, tuple]:
 # Environment and evaluation
 # --------------------------------------------------------------------------
 
+def _arrow(dom, cod, dims: bool = False) -> tuple:
+    """The labels of a map's type, dom, "->", cod: each object's name, with
+    its dim in brackets when ``dims``."""
+    label = (lambda o: f"{o.name}[{o.dim}]") if dims else (lambda o: o.name)
+    return (*map(label, dom), "->", *map(label, cod))
+
+
 class Env:
     """A signature together with a matrix for every generator.
 
@@ -106,11 +113,12 @@ class Env:
             if name not in sig.generators:
                 raise UnknownNameError(f"binding for undeclared generator {name!r}")
             dom, cod = sig.generators[name]
-            if m.dom != sig.word_of(dom) or m.cod != sig.word_of(cod):
-                raise WordTypeError(expected=dom + ("->",) + cod,
-                                    found=tuple(o.name for o in m.dom) + ("->",)
-                                    + tuple(o.name for o in m.cod),
-                                    path=name)
+            want = sig.word_of(dom), sig.word_of(cod)
+            if (m.dom, m.cod) != want:
+                # Same names, other objects: only the dims tell them apart.
+                dims = _arrow(*want) == _arrow(m.dom, m.cod)
+                raise WordTypeError(expected=_arrow(*want, dims=dims),
+                                    found=_arrow(m.dom, m.cod, dims=dims), path=name)
             if m.field != field:
                 raise ValueError(f"generator {name!r} bound over the wrong field")
 

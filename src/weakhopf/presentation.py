@@ -3,7 +3,7 @@
 A presentation declares a field, object dimensions, generator matrices
 (row-major, rows indexed by the codomain, scalars as strings) and role tags
 naming which generators play which part.  Reports are JSON with a version,
-the input digest, one entry per verdict and a timing field.
+the input digest, the field, one entry per verdict and a timing field.
 """
 from __future__ import annotations
 
@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraData
-from .bialgebra import WeakBialgebra, WeakHopfAlgebra
+from .bialgebra import WeakBialgebra
 from .cleft import CleavingData, ComoduleAlgebra, Extension
 from .crossed import CocycleData, WeakMeasure
 from .fields import Field, FieldError, field_from_spec
-from .linalg import LinMap, Obj
+from .linalg import LinMap, Obj, wdim
 from .report import VerdictReport
 
 TOOL_VERSION = "0.1.0"
@@ -68,18 +68,15 @@ class PresentationFile:
 
     def bialgebra(self) -> WeakBialgebra:
         """H, with its antipode when one is declared."""
-        args = (
+        return WeakBialgebra.unchecked(
             self.field,
             self.obj("bialgebra"),
             self.gen(self.name("bialgebra", "mu", "mu")),
             self.gen(self.name("bialgebra", "eta", "eta")),
             self.gen(self.name("bialgebra", "delta", "Delta")),
             self.gen(self.name("bialgebra", "eps", "eps")),
+            self.gen(self.name("antipode", "map")) if self.has_role("antipode") else None,
         )
-        if self.has_role("antipode"):
-            s = self.gen(self.name("antipode", "map"))
-            return WeakHopfAlgebra.unchecked(*args, s)
-        return WeakBialgebra.unchecked(*args)
 
     def algebra(self, tag: str) -> AlgebraData:
         mu, eta = self.name(tag, "mu"), self.name(tag, "eta")
@@ -145,12 +142,7 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
             cod = tuple(objects[n] for n in cod)
         except KeyError as exc:
             raise PresentationError(f"generator {name!r} is missing {exc.args[0]!r}") from None
-        nrows = 1
-        for ob in cod:
-            nrows *= ob.dim
-        ncols = 1
-        for ob in dom:
-            ncols *= ob.dim
+        nrows, ncols = wdim(cod), wdim(dom)
         if len(matrix) != nrows or any(len(r) != ncols for r in matrix):
             raise PresentationError(
                 f"generator {name!r}: matrix shape does not match declared words"
@@ -239,6 +231,7 @@ def report_to_json(
     return {
         "version": TOOL_VERSION,
         "input_sha256": input_sha256,
+        "field": field.spec(),
         "entries": report.to_json_entries(field),
         "millis": millis,
     }

@@ -229,7 +229,7 @@ def test_build_rejects_broken_preunit():
     nu = LinMap(QQ, data.nu.dom, data.nu.cod, [list(r) for r in data.nu.rows])
     nu.rows[0][0] = QQ.normalize(nu.rows[0][0] + 1)
     nu.rows[1][0] = QQ.normalize(nu.rows[1][0] - 1)
-    data._cache["nu"] = nu
+    data.nu = nu
     with pytest.raises(HypothesisFailed) as exc:
         build_crossed_product(m, data)
     assert exc.value.check_id == "preunit2"
