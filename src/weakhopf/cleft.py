@@ -21,7 +21,6 @@ from .crossed import (
     WeakMeasure,
     build_crossed_product,
     check_weak_module_algebra,
-    cocycle_inverse,
     equalizer_matches,
 )
 from .ir import Env, eval_text, run_identity_table
@@ -46,10 +45,6 @@ class ComoduleAlgebra:
         ob = self.B.obj
         if self.delta.dom != (ob,) or self.delta.cod != (ob, self.H.obj):
             raise StructureError("coaction must be a map B -> B,H")
-
-    @property
-    def field(self):
-        return self.B.field
 
     @cached_property
     def context(self) -> Env:
@@ -82,10 +77,6 @@ class Extension:
     def __post_init__(self):
         if self.j.dom != (self.A.obj,) or self.j.cod != (self.comodule.B.obj,):
             raise StructureError("j must be a map A -> B")
-
-    @property
-    def field(self):
-        return self.A.field
 
     @property
     def H(self) -> WeakBialgebra:
@@ -127,7 +118,10 @@ def cleaving_check(X: Extension, c: CleavingData) -> VerdictReport:
 class Decomposition:
     """The maps splitting B against A (x) H; ``context`` is the extension's
     plus the cleaving (gamB, gamBinv) and the maps bound as q, p, w, wt and
-    Ups, kept from the context they were evaluated in."""
+    Ups, kept from the context they were evaluated in.  ``sigma_context``,
+    kept and built once, is ``context`` plus sigma and its inverse (sig,
+    siginv), evaluated in it: the context of the recovered-inverse
+    identities."""
 
     upsilon: LinMap
     q: LinMap
@@ -136,6 +130,12 @@ class Decomposition:
     w_tilde: LinMap
     omega: LinMap
     context: Env = dc_field(repr=False, compare=False)
+
+    @cached_property
+    def sigma_context(self) -> Env:
+        env = self.context
+        return env.child({"sig": eval_text(ids.SIGMA_EXPR, env),
+                          "siginv": eval_text(ids.SIGMA_INV_EXPR, env)})
 
 
 def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
@@ -168,14 +168,6 @@ def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, Verdict
     rank = column_rank(decomp.omega)
     report.add_bool("omega_rank_is_dim_B", rank == X.comodule.B.dim, note=f"rank {rank}")
     return decomp, report
-
-
-def sigma_env(decomp: Decomposition) -> Env:
-    """The decomposition's context plus sigma and its inverse, evaluated in
-    it: the context of the recovered-inverse identities."""
-    env = decomp.context
-    sigma, sigma_inv = eval_text(ids.SIGMA_EXPR, env), eval_text(ids.SIGMA_INV_EXPR, env)
-    return env.child({"sig": sigma, "siginv": sigma_inv})
 
 
 @dataclass
@@ -228,16 +220,16 @@ def recover_inverse_cocycle(
     through j and check the result against the independent convolution
     solver: (reconstruction, sigma, sigma_inv, f_inv, report)."""
     recon, report = reconstruct(X, c)
-    env = sigma_env(recon.decomp)
+    env = recon.decomp.sigma_context
     sigma, sigma_inv = env.bindings["sig"], env.bindings["siginv"]
-    run_identity_table(ids.RECOVER_IDENTITIES, env, report)
+    run_identity_table(ids.RECOVER_IDENTITIES, env.child(), report)
     f_inv = factor_through(sigma_inv, X.j)
     if f_inv is None:
         raise FactorizationFailed("sigma inverse does not factor through j")
     env = env.child({"f": recon.f, "finv": f_inv, "u2": recon.measure.u(2)})
     run_identity_table(ids.INVERSE_RECOVERY_IDENTITIES, env, report)
     try:
-        solver_inv = cocycle_inverse(recon.cocycle)
+        solver_inv = recon.cocycle.inverse
     except RegularityPreconditionFailed as exc:
         report.add_fail("solver_finds_inverse", note=f"not regular: {exc}")
     else:

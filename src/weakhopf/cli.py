@@ -31,7 +31,6 @@ from .cleft import (
     crossed_to_cleft,
     extension_check,
     full_reconstruction,
-    sigma_env,
 )
 from .crossed import (
     HypothesisFailed,
@@ -39,7 +38,6 @@ from .crossed import (
     build_crossed_product,
     build_gamma_inverse,
     check_weak_module_algebra,
-    cocycle_inverse,
     cocycle_report,
     crossed_product_law_suite,
     gamma_inverse,
@@ -130,19 +128,18 @@ class _Ladder:
         return build_crossed_product(self.measure, self.cocycle)
 
     @functools.cached_property
-    def crossed_inverse(self) -> tuple:
-        """(finv, gaminv): the cocycle's convolution inverse and the
-        integral's, built on the crossed product."""
+    def crossed_inverse(self):
+        """The integral's convolution inverse, built on the crossed product
+        from the cocycle's kept inverse."""
         E = self.crossed
-        finv = cocycle_inverse(E.cocycle)
-        if finv is None:
+        if E.cocycle.inverse is None:
             raise _NoInverse("the cocycle is not invertible; no inverse context")
-        return finv, build_gamma_inverse(E, finv)
+        return build_gamma_inverse(E, E.cocycle.inverse)
 
     @functools.cached_property
     def cleft(self) -> tuple:
         """(X, c): the crossed product viewed as a cleft extension."""
-        return crossed_to_cleft(self.crossed, self.crossed_inverse[1])
+        return crossed_to_cleft(self.crossed, self.crossed_inverse)
 
     def declared_cleft(self):
         """The cleft extension and cleaving the file declares, over the
@@ -164,10 +161,10 @@ class _Ladder:
         if level == "crossed" and self.pres.has_role("phi"):
             return _pair_env(self.crossed, self.crossed, self.pres.phi())
         if level == "crossed_inverse":
-            finv, gaminv = self.crossed_inverse
-            return self.crossed.context.child({"finv": finv, "gaminv": gaminv})
+            E = self.crossed
+            return E.context.child({"finv": E.cocycle.inverse, "gaminv": self.crossed_inverse})
         if level == "cleft":
-            return sigma_env(build_decomposition(*self.cleft))
+            return build_decomposition(*self.cleft).sigma_context
         return getattr(self, level).context
 
     def context(self, level: str) -> Env:
@@ -293,11 +290,10 @@ def cmd_cleft(args) -> int:
         report.extend(extension_check(X), prefix="extension.")
         report.extend(cleaving_check(X, c), prefix="cleaving.")
         return run.finish()
-    inverse = run.level("crossed_inverse")
-    if inverse is not None:
-        E, (finv, gaminv) = run.ladder.crossed, inverse
-        report.extend(invert_cocycle(E.measure, E.cocycle, finv)[1], prefix="inverse.")
-        report.extend(gamma_inverse(E, finv, gaminv)[1], prefix="integral.")
+    if run.level("crossed_inverse") is not None:
+        E = run.ladder.crossed
+        report.extend(invert_cocycle(E.measure, E.cocycle)[1], prefix="inverse.")
+        report.extend(gamma_inverse(E, E.cocycle.inverse)[1], prefix="integral.")
     return run.finish()
 
 

@@ -8,7 +8,6 @@ the integral inverse that exhibits the product as a cleft extension.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional
@@ -110,7 +109,7 @@ class WeakMeasure:
 
     @cached_property
     def _module_algebra_report(self) -> VerdictReport:
-        """Kept for ``check_weak_module_algebra``, which hands out copies."""
+        """Kept for ``check_weak_module_algebra``, which shares its verdicts."""
         report = VerdictReport("weak module algebra")
         run_identity_table(ids.MODULE_ALGEBRA_IDENTITIES, self.context.child(), report)
         gating = [report.get(cid) for cid in ("wma_unital", "measure_axiom", "wma_unit_power")]
@@ -130,8 +129,12 @@ class WeakMeasure:
 def check_weak_module_algebra(m: WeakMeasure) -> VerdictReport:
     """The unital/action laws making A a left weak module algebra, plus the
     cross-check that the six equivalent reformulations agree.  The table runs
-    once per measure; every call returns its own copy of the report."""
-    return copy.deepcopy(m._module_algebra_report)
+    once per measure; every call returns its own report of the kept,
+    immutable verdicts."""
+    kept = m._module_algebra_report
+    report = VerdictReport(kept.title)
+    report.extend(kept)
+    return report
 
 
 def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
@@ -145,11 +148,13 @@ def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
 @dataclass
 class CocycleData:
     """A candidate cocycle f: H (x) H -> A over a weak measure, with its lift
-    to A (x) H and the preunit of the twisted product.
+    to A (x) H, the preunit of the twisted product and its convolution
+    inverse.
 
     ``context`` is kept, built once: the measure's context plus f,
     the unit powers u1, u2, u3, v2 and v3, the lift Ff (evaluated in the
-    part before it) and the preunit nu (kept, evaluated in the measure's)."""
+    part before it) and the preunit nu (kept, evaluated in the measure's).
+    ``inverse`` is kept too, solved once."""
 
     measure: WeakMeasure
     f: LinMap
@@ -160,16 +165,21 @@ class CocycleData:
             raise StructureError("f must be a map H,H -> A")
 
     @property
-    def field(self):
-        return self.measure.field
-
-    @property
     def Ff(self) -> LinMap:
         return self.context.bindings["Ff"]
 
     @cached_property
     def nu(self) -> LinMap:
         return eval_text(ids.NU_FORMULA, self.measure.context)
+
+    @cached_property
+    def inverse(self) -> Optional[LinMap]:
+        """The convolution inverse of f with unit u2, found by the solver
+        alone; None when no inverse exists.  Raises
+        RegularityPreconditionFailed, and is then not kept, when f * u2 = f
+        fails."""
+        m = self.measure
+        return conv_inverse(self.f, m.u(2), m.H.coalgebra, m.A)
 
     @cached_property
     def context(self) -> Env:
@@ -352,24 +362,15 @@ def module_algebra_suite(E: CrossedProduct) -> VerdictReport:
     return report
 
 
-def cocycle_inverse(data: CocycleData) -> Optional[LinMap]:
-    """The convolution inverse of f with unit u2, found by the solver alone;
-    None when no inverse exists."""
-    m = data.measure
-    return conv_inverse(data.f, m.u(2), m.H.coalgebra, m.A)
-
-
 def invert_cocycle(
-    m: WeakMeasure, data: CocycleData, finv: Optional[LinMap] = None
+    m: WeakMeasure, data: CocycleData
 ) -> tuple[Optional[LinMap], VerdictReport]:
-    """Invert the cocycle in the convolution monoid with unit u2 and verify
-    the derived laws of the inverse; returns (None, report) when no inverse
-    exists.  ``finv``, when given, is the inverse already solved for.
-    Raises StructureError unless ``data`` is a cocycle over ``m``."""
+    """The cocycle's kept convolution inverse (``data.inverse``) with the
+    verdicts on its derived laws; returns (None, report) when no inverse
+    exists.  Raises StructureError unless ``data`` is a cocycle over ``m``."""
     _require_measure(m, data)
     report = VerdictReport("cocycle inverse")
-    if finv is None:
-        finv = cocycle_inverse(data)
+    finv = data.inverse
     if finv is None:
         report.add_fail("cocycle_invertible", note="convolution system has no solution")
         return None, report
@@ -392,14 +393,11 @@ def build_gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> LinMap:
     return eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", E.context.child({"finv": f_inv}))
 
 
-def gamma_inverse(
-    E: CrossedProduct, f_inv: LinMap, gaminv: Optional[LinMap] = None
-) -> tuple[LinMap, VerdictReport]:
+def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictReport]:
     """The convolution inverse of the canonical integral of a built product,
-    with the full cleftness verdict list.  ``gaminv``, when given, is that
-    inverse already built by ``build_gamma_inverse``."""
-    if gaminv is None:
-        gaminv = build_gamma_inverse(E, f_inv)
+    built by ``build_gamma_inverse`` from the cocycle inverse ``f_inv``,
+    with the full cleftness verdict list."""
+    gaminv = build_gamma_inverse(E, f_inv)
     report = VerdictReport("integral inverse")
     env = E.context.child({"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)

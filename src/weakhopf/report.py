@@ -1,7 +1,7 @@
 """Verdict reports: named pass/fail entries with basis witnesses."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .fields import Field
@@ -15,7 +15,7 @@ class DuplicateCheckId(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Witness:
     row: int
     col: int
@@ -31,7 +31,7 @@ class Witness:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     check_id: str
     status: str
@@ -79,8 +79,10 @@ class VerdictReport:
         return self.add_pass(check_id, note=note) if ok else self.add_fail(check_id, note=note)
 
     def extend(self, other: "VerdictReport", prefix: str = ""):
+        """Add the other report's verdicts, renamed with ``prefix``.  Verdicts
+        are immutable, so an unrenamed one is shared, not copied."""
         for v in other.entries:
-            self.add(Verdict(prefix + v.check_id, v.status, v.witness, v.note))
+            self.add(replace(v, check_id=prefix + v.check_id) if prefix else v)
 
     def __iter__(self):
         return iter(self.entries)

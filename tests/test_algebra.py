@@ -218,7 +218,7 @@ def test_a_cocycle_inverse_expands_delta_once(monkeypatch):
     # The regularity check and the three operators of one solve share one
     # expansion of Delta on H^2, and the dense convolve is never called.
     from weakhopf import algebra
-    from weakhopf.crossed import CocycleData, cocycle_inverse, trivial_measure
+    from weakhopf.crossed import CocycleData, trivial_measure
 
     m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
     expand = algebra._power_delta
@@ -233,7 +233,7 @@ def test_a_cocycle_inverse_expands_delta_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "_power_delta", counted)
     monkeypatch.setattr(algebra, "convolve", dense)
-    assert cocycle_inverse(CocycleData(m, m.u(2))) == m.u(2)
+    assert CocycleData(m, m.u(2)).inverse == m.u(2)
     assert calls == [2]
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import cleft, cli, crossed, fields
+from weakhopf import cli, crossed, fields
 from weakhopf import identities as ids
 from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
@@ -665,19 +665,18 @@ def test_cleft_and_reconstruct_solve_the_cocycle_once(tmp_path, monkeypatch):
     # The kept ladder's inverse serves both commands.  The reconstruction's
     # solver check on the recovered cocycle is a separate, independent route.
     calls = []
-    solve = crossed.cocycle_inverse
+    solve = crossed.conv_inverse
 
-    def counted(data):
-        calls.append(data)
-        return solve(data)
+    def counted(f, *rest):
+        calls.append(f)
+        return solve(f, *rest)
 
-    for module in (cli, crossed, cleft):
-        monkeypatch.setattr(module, "cocycle_inverse", counted)
+    monkeypatch.setattr(crossed, "conv_inverse", counted)
     cli._ladder_of.cache_clear()
     for command in ("cleft", "reconstruct"):
         assert _call([command, PAIR, "--report", str(tmp_path / "r.json")])[0] == 0, command
     presented = cli._ladder_of(read_presentation(PAIR), PAIR, None, None, None).cocycle
-    assert [data is presented for data in calls] == [True, False]
+    assert [f is presented.f for f in calls] == [True, False]
 
 
 def test_a_file_without_an_antipode_validates_but_has_no_cleft_extension(tmp_path):

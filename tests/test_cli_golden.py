@@ -1,11 +1,14 @@
 """Golden digests of the command line on the bundled presentations.
 
 Every report command and a battery of ``eval`` calls run in process, in a
-temporary working directory, on both bundled files, over the declared field
-and over F_7.  Each call's exit code, stdout, stderr, report bytes and
-product bytes are hashed: one sha256 per (file, field, command), and one per
-(file, field) over all its eval calls.  A change to any byte the command
-line prints or writes shows here.
+temporary working directory, on both bundled files and on two variants of
+them, over the declared field and over F_7.  The variants stop the ladder
+early: the pair file's cocycle with its first entry raised by two fails a
+build hypothesis, and the z2 file's cocycle with one entry set to zero has
+no convolution inverse.  Each call's exit code, stdout, stderr, report
+bytes and product bytes are hashed: one sha256 per (file, field, command),
+and one per (file, field) over all its eval calls.  A change to any byte
+the command line prints or writes shows here.
 
 The digests live in ``cli_golden.json`` beside this file.  Rewrite them only
 for an intended output change, by running this module as a script::
@@ -28,6 +31,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "cli_golden.json")
 CORPUS = os.path.join(HERE, "..", "src", "weakhopf", "corpus")
 FILES = ("pair_groupoid_smash.json", "z2_trivial_smash.json")
+# Variant name -> (bundled source, column of the cocycle's first row, new entry).
+VARIANTS = {
+    "bumped_cocycle.json": ("pair_groupoid_smash.json", 0, lambda entry: str(int(entry) + 2)),
+    "singular_cocycle.json": ("z2_trivial_smash.json", 3, lambda entry: "0"),
+}
 FIELDS = {"declared": [], "prime:7": ["--field", "prime:7"]}
 REPORT, PRODUCT = "r.json", "p.json"
 COMMANDS = {
@@ -64,12 +72,23 @@ def _eval_argvs(path, extra):
     return argvs
 
 
+def _write_inputs():
+    """Copy the bundled files and write the variants, under fixed names."""
+    for name in FILES:
+        shutil.copy(os.path.join(CORPUS, name), name)
+    for name, (source, col, change) in VARIANTS.items():
+        data = json.loads(pathlib.Path(CORPUS, source).read_text(encoding="utf-8"))
+        row = data["generators"]["f"]["matrix"][0]
+        row[col] = change(row[col])
+        pathlib.Path(name).write_text(json.dumps(data), encoding="utf-8")
+
+
 def digests() -> dict:
     """The digests of the battery, run in the current working directory."""
     cli._ladder_of.cache_clear()
+    _write_inputs()
     found = {}
-    for name in FILES:
-        shutil.copy(os.path.join(CORPUS, name), name)
+    for name in (*FILES, *VARIANTS):
         for field, extra in FIELDS.items():
             for command, options in COMMANDS.items():
                 argv = [command, name, "--report", REPORT, *options, *extra]

@@ -93,6 +93,15 @@ def test_weak_module_algebra_table_runs_once_per_measure(monkeypatch):
     assert [v.check_id for v in second][-1] == "equivalent_forms_agree"
 
 
+def test_kept_verdicts_are_shared_and_immutable():
+    _, m, _ = pair_smash()
+    first, second = check_weak_module_algebra(m), check_weak_module_algebra(m)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.get("measure_axiom").status = "fail"
+
+
 def test_measure_axiom_perturbation_fails_with_witness():
     H, m, _ = pair_smash()
     rho = LinMap(QQ, m.rho.dom, m.rho.cod, [list(r) for r in m.rho.rows])

@@ -20,7 +20,6 @@ from weakhopf.bialgebra import (
 from weakhopf.crossed import (
     CocycleData,
     base_action_measure,
-    cocycle_inverse,
     cocycle_report,
     smash_cocycle,
     trivial_measure,
@@ -1168,7 +1167,7 @@ def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
     # threads build the H^3 permutations' tables together.
     def cocycle_env(H):
         c = smash_cocycle(base_action_measure(H))
-        return c.context.child({"finv": cocycle_inverse(c)})
+        return c.context.child({"finv": c.inverse})
     bases = [cocycle_env(groupoid_algebra(pair_groupoid(2), QQ)),
              cocycle_env(groupoid_algebra(group_groupoid(cyclic(4)), GF(7)))]
 
@@ -1236,7 +1235,7 @@ def test_threads_sharing_one_cocycle_context_match_a_serial_run():
     # and fused Kronecker steps, whose plans the threads compile together.
     def context():
         c = smash_cocycle(base_action_measure(groupoid_algebra(pair_groupoid(2), QQ)))
-        return c.context.child({"finv": cocycle_inverse(c)})
+        return c.context.child({"finv": c.inverse})
 
     def run(env):
         return [(v.check_id, v.status, v.witness)
@@ -1253,7 +1252,7 @@ def test_threads_sharing_one_filtered_convolution_match_a_serial_run():
     # one column only, so the plan of f * finv keeps its support filter.
     m = trivial_measure(dual_group_hopf(dihedral(3), GF(7)))
     c = CocycleData(m, m.u(2))
-    base = c.context.child({"finv": cocycle_inverse(c)})
+    base = c.context.child({"finv": c.inverse})
     _, lhs, rhs = next(row for row in COCYCLE_INVERSE_IDENTITIES if row[0] == "f_conv_finv")
     bad = _perturbed(base.bindings[rhs], 0, 7)
     bindings = {**base.bindings, "R": bad}

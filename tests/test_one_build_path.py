@@ -1,6 +1,8 @@
 """The command line builds through one ladder: in ``cli.py`` each builder of
 the chain from a presentation to its cleft extension is named in exactly one
-function, and the file is read only through that ladder."""
+function, and the file is read only through that ladder.  Outside the
+solver's own module, the convolution solver is called from one place: the
+cocycle's kept inverse."""
 import ast
 import os
 
@@ -10,7 +12,6 @@ import weakhopf
 
 BUILDERS = (
     "build_crossed_product",
-    "cocycle_inverse",
     "build_gamma_inverse",
     "crossed_to_cleft",
     "decode_presentation",
@@ -18,12 +19,19 @@ BUILDERS = (
 NEVER = {"load_presentation", "sha256_file", "environ"}
 
 
-def _cli_tree():
-    with open(os.path.join(os.path.dirname(weakhopf.__file__), "cli.py"), encoding="utf-8") as fh:
+SRC = os.path.dirname(weakhopf.__file__)
+
+
+def _tree(module: str):
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as fh:
         return ast.parse(fh.read())
 
 
-def _scopes_naming(tree) -> dict:
+def _cli_tree():
+    return _tree("cli")
+
+
+def _scopes_naming(tree, module: str = "cli") -> dict:
     """Each name read in ``tree`` -> the qualified names of the innermost
     functions (or classes, or the module) whose own code reads it."""
     found: dict = {}
@@ -39,7 +47,7 @@ def _scopes_naming(tree) -> dict:
                 found.setdefault(child.attr, set()).add(scope)
             walk(child, scope)
 
-    walk(tree, "cli")
+    walk(tree, module)
     return found
 
 
@@ -56,3 +64,13 @@ def test_cli_reads_files_only_through_the_ladder():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     assert not names & NEVER, f"cli.py uses {sorted(names & NEVER)}"
+
+
+def test_only_the_cocycle_solves_its_inverse():
+    # Imports are not names read, so a module importing the solver is fine.
+    modules = sorted(name[:-3] for name in os.listdir(SRC)
+                     if name.endswith(".py") and name != "algebra.py")
+    scopes = set()
+    for module in modules:
+        scopes |= _scopes_naming(_tree(module), module).get("conv_inverse", set())
+    assert scopes == {"crossed.CocycleData.inverse"}
