@@ -76,7 +76,6 @@ from .cleft import (
     extension_check,
     full_reconstruction,
     reconstruct,
-    recover_inverse_cocycle,
 )
 
 __version__ = "0.1.0"

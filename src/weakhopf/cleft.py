@@ -98,30 +98,12 @@ def extension_check(X: Extension) -> VerdictReport:
 
 
 @dataclass
-class CleavingData:
-    gamma: LinMap      # H -> B
-    gamma_inv: LinMap  # H -> B
-
-
-def cleaving_check(X: Extension, c: CleavingData) -> VerdictReport:
-    """Total colinear integral, its convolution inverse laws, and the
-    factorization of gamma . piL through j."""
-    report = VerdictReport("cleaving")
-    env = X.context.child({"gamB": c.gamma, "gamBinv": c.gamma_inv})
-    run_identity_table(ids.CLEAVING_IDENTITIES, env, report)
-    target = eval_text(ids.GAMMA_B_PIL_EXPR, env)
-    report.add_bool("cleft_factorization", factor_through(target, X.j) is not None)
-    return report
-
-
-@dataclass
 class Decomposition:
-    """The maps splitting B against A (x) H; ``context`` is the extension's
-    plus the cleaving (gamB, gamBinv) and the maps bound as q, p, w, wt and
-    Ups, kept from the context they were evaluated in.  ``sigma_context``,
-    kept and built once, is ``context`` plus sigma and its inverse (sig,
-    siginv), evaluated in it: the context of the recovered-inverse
-    identities."""
+    """The maps splitting B against A (x) H; ``context`` is the cleaving's
+    plus the maps bound as p, q, w, wt and Ups, kept from the context they
+    were evaluated in.  ``sigma_context``, kept and built once, is
+    ``context`` plus sigma and its inverse (sig, siginv), evaluated in it:
+    the context of the recovered-inverse identities."""
 
     upsilon: LinMap
     q: LinMap
@@ -138,31 +120,73 @@ class Decomposition:
                           "siginv": eval_text(ids.SIGMA_INV_EXPR, env)})
 
 
-def build_decomposition(X: Extension, c: CleavingData) -> Decomposition:
-    """Split B against A (x) H: the coinvariant projection p obtained by
-    factoring q through j, and the mutually inverse maps w and w-tilde.
-    Each map is its formula in :mod:`weakhopf.identities`, evaluated in the
-    extension's context.
+@dataclass
+class CleavingData:
+    """Gamma and its convolution inverse, maps H -> B of the extension;
+    ``context`` (the extension's plus gamB, gamBinv) and ``decomposition``
+    are kept, each built once."""
 
-    Raises FactorizationFailed when q does not land in the image of j, which
-    witnesses a non-cleft input.
-    """
-    env = X.context.child({"gamB": c.gamma, "gamBinv": c.gamma_inv})
-    q = eval_text(ids.Q_CLEFT_EXPR, env)
-    p = factor_through(q, X.j)
-    if p is None:
-        raise FactorizationFailed("q does not factor through j (input is not cleft)")
-    env = env.child({"p": p})
-    upsilon = eval_text(ids.UPSILON_EXPR, env)
-    w, w_tilde = eval_text(ids.W_EXPR, env), eval_text(ids.W_TILDE_EXPR, env)
-    return Decomposition(upsilon, q, p, w, w_tilde, eval_text(ids.OMEGA_EXPR, env),
-                         env.child({"q": q, "w": w, "wt": w_tilde, "Ups": upsilon}))
+    extension: Extension
+    gamma: LinMap      # H -> B
+    gamma_inv: LinMap  # H -> B
+
+    def __post_init__(self):
+        H, B = self.extension.H.obj, self.extension.comodule.B.obj
+        for name, m in (("gamma", self.gamma), ("gamma_inv", self.gamma_inv)):
+            if m.dom != (H,) or m.cod != (B,):
+                raise StructureError(f"the cleaving's {name} must be a map H -> B")
+
+    @cached_property
+    def context(self) -> Env:
+        return self.extension.context.child({"gamB": self.gamma, "gamBinv": self.gamma_inv})
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        """Split B against A (x) H: the coinvariant projection p obtained by
+        factoring q through j, and the mutually inverse maps w and w-tilde.
+        Each map is its formula in :mod:`weakhopf.identities`, evaluated in
+        the cleaving's context.
+
+        Raises FactorizationFailed, and is then not kept, when q does not
+        land in the image of j, which witnesses a non-cleft input.
+        """
+        env = self.context
+        q = eval_text(ids.Q_CLEFT_EXPR, env)
+        p = factor_through(q, self.extension.j)
+        if p is None:
+            raise FactorizationFailed("q does not factor through j (input is not cleft)")
+        env = env.child({"p": p})
+        upsilon = eval_text(ids.UPSILON_EXPR, env)
+        w, w_tilde = eval_text(ids.W_EXPR, env), eval_text(ids.W_TILDE_EXPR, env)
+        return Decomposition(upsilon, q, p, w, w_tilde, eval_text(ids.OMEGA_EXPR, env),
+                             env.child({"q": q, "w": w, "wt": w_tilde, "Ups": upsilon}))
+
+
+def _require_extension(X: Extension, c: CleavingData) -> None:
+    """Raise StructureError unless ``c`` is a cleaving of ``X``."""
+    if X is not c.extension and X != c.extension:
+        raise StructureError("the cleaving is of another extension")
+
+
+def cleaving_check(X: Extension, c: CleavingData) -> VerdictReport:
+    """Total colinear integral, its convolution inverse laws, and the
+    factorization of gamma . piL through j.  Raises StructureError unless
+    ``c`` is a cleaving of ``X``."""
+    _require_extension(X, c)
+    report = VerdictReport("cleaving")
+    env = c.context.child()
+    run_identity_table(ids.CLEAVING_IDENTITIES, env, report)
+    target = eval_text(ids.GAMMA_B_PIL_EXPR, env)
+    report.add_bool("cleft_factorization", factor_through(target, X.j) is not None)
+    return report
 
 
 def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, VerdictReport]:
     """The decomposition of a cleft extension with the verdicts on its maps
-    and on the induced idempotent omega on A (x) H."""
-    decomp = build_decomposition(X, c)
+    and on the induced idempotent omega on A (x) H.  Raises StructureError
+    unless ``c`` is a cleaving of ``X``."""
+    _require_extension(X, c)
+    decomp = c.decomposition
     report = VerdictReport("decomposition")
     run_identity_table(ids.DECOMPOSITION_IDENTITIES, decomp.context.child(), report)
     rank = column_rank(decomp.omega)
@@ -184,7 +208,8 @@ class Reconstruction:
 def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictReport]:
     """Transport the product of B along (w, w-tilde) and read off the measure
     and cocycle, computing each by its transported formula and by its closed
-    form and asserting the two routes agree."""
+    form and asserting the two routes agree.  Raises StructureError unless
+    ``c`` is a cleaving of ``X``."""
     decomp, report = decomposition(X, c)
     env = decomp.context
     mu_tilde = eval_text(ids.MU_TILDE_EXPR, env)
@@ -213,17 +238,18 @@ def reconstruct(X: Extension, c: CleavingData) -> tuple[Reconstruction, VerdictR
     return Reconstruction(mu_tilde, nu_tilde, rho, f, measure, cocycle, decomp), report
 
 
-def recover_inverse_cocycle(
+def full_reconstruction(
     X: Extension, c: CleavingData
-) -> tuple[Reconstruction, LinMap, LinMap, LinMap, VerdictReport]:
-    """Reconstruct, then invert the recovered cocycle by factorization
-    through j and check the result against the independent convolution
-    solver: (reconstruction, sigma, sigma_inv, f_inv, report)."""
+) -> tuple[Reconstruction, LinMap, LinMap, VerdictReport]:
+    """One pass through decomposition, reconstruction, cocycle inversion (by
+    factorization through j, checked against the independent solver) and
+    the rebuilt-product isomorphism: (reconstruction, f_inv, iso, report).
+    When the recovered data fail a construction hypothesis, the report says
+    which, as ``rebuild.<hypothesis>``, and iso is None."""
     recon, report = reconstruct(X, c)
     env = recon.decomp.sigma_context
-    sigma, sigma_inv = env.bindings["sig"], env.bindings["siginv"]
     run_identity_table(ids.RECOVER_IDENTITIES, env.child(), report)
-    f_inv = factor_through(sigma_inv, X.j)
+    f_inv = factor_through(env.bindings["siginv"], X.j)
     if f_inv is None:
         raise FactorizationFailed("sigma inverse does not factor through j")
     env = env.child({"f": recon.f, "finv": f_inv, "u2": recon.measure.u(2)})
@@ -236,17 +262,6 @@ def recover_inverse_cocycle(
         report.add_bool("solver_finds_inverse", solver_inv is not None)
         if solver_inv is not None:
             report.add_equality("finv_matches_solver", f_inv, solver_inv)
-    return recon, sigma, sigma_inv, f_inv, report
-
-
-def full_reconstruction(
-    X: Extension, c: CleavingData
-) -> tuple[Reconstruction, LinMap, LinMap, VerdictReport]:
-    """One pass through decomposition, reconstruction, cocycle inversion and
-    the rebuilt-product isomorphism: (reconstruction, f_inv, iso, report).
-    When the recovered data fail a construction hypothesis, the report says
-    which, as ``rebuild.<hypothesis>``, and iso is None."""
-    recon, _, _, f_inv, report = recover_inverse_cocycle(X, c)
     B = X.comodule.B
     try:
         E_rb = build_crossed_product(recon.measure, recon.cocycle)
@@ -272,7 +287,4 @@ def crossed_to_cleft(E: CrossedProduct, gamma_inv: LinMap) -> tuple[Extension, C
     )
     comodule = ComoduleAlgebra(B, rename_factor(E.delta_E, ren), E.measure.H)
     ext = Extension(comodule, E.measure.A, rename_factor(E.j_nu, ren))
-    cleaving = CleavingData(
-        rename_factor(E.gamma, ren), rename_factor(gamma_inv, ren)
-    )
-    return ext, cleaving
+    return ext, CleavingData(ext, rename_factor(E.gamma, ren), rename_factor(gamma_inv, ren))

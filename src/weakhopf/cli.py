@@ -25,7 +25,6 @@ from .bialgebra import (
 )
 from .cleft import (
     FactorizationFailed,
-    build_decomposition,
     cleaving_check,
     comodule_algebra_report,
     crossed_to_cleft,
@@ -36,7 +35,6 @@ from .crossed import (
     HypothesisFailed,
     PreconditionFailed,
     build_crossed_product,
-    build_gamma_inverse,
     check_weak_module_algebra,
     cocycle_report,
     crossed_product_law_suite,
@@ -100,9 +98,11 @@ class _Ladder:
     Each level above "raw" is the library's structure at that rung, built by
     its own builder from the level below the first time a command needs it,
     and kept with its merged eval context and the plans compiled in
-    building them.  A level whose build raises is not kept: asking again
-    raises again.  Threads may share a ladder without a lock: each level
-    and each context is published in one assignment.
+    building them; E's integral inverse keeps its verdicts too, and a
+    declared cleft extension is the cleft level.  A level whose build raises
+    is not kept: asking again raises again.  Threads may share a ladder
+    without a lock: each level and each context is published in one
+    assignment.
     """
 
     def __init__(self, pres: PresentationFile, measure: Optional[str] = None,
@@ -128,32 +128,34 @@ class _Ladder:
         return build_crossed_product(self.measure, self.cocycle)
 
     @functools.cached_property
-    def crossed_inverse(self):
-        """The integral's convolution inverse, built on the crossed product
-        from the cocycle's kept inverse."""
+    def crossed_inverse(self) -> tuple:
+        """(gaminv, report): the integral's convolution inverse and its
+        verdicts, built on the crossed product from the cocycle's inverse."""
         E = self.crossed
         if E.cocycle.inverse is None:
             raise _NoInverse("the cocycle is not invertible; no inverse context")
-        return build_gamma_inverse(E, E.cocycle.inverse)
+        return gamma_inverse(E, E.cocycle.inverse)
 
     @functools.cached_property
-    def cleft(self) -> tuple:
-        """(X, c): the crossed product viewed as a cleft extension."""
-        return crossed_to_cleft(self.crossed, self.crossed_inverse)
-
-    def declared_cleft(self):
-        """The cleft extension and cleaving the file declares, over the
-        ladder's H; None when it declares none."""
+    def declared_cleft(self) -> Optional[tuple]:
+        """(X, c): the cleft extension and cleaving the file declares, over
+        the ladder's H; None when it declares none."""
         pres = self.pres
         if not (pres.has_role("extension") and pres.has_role("cleaving")):
             return None
-        return pres.extension(self.bialgebra), pres.cleaving()
+        X = pres.extension(self.bialgebra)
+        return X, pres.cleaving(X)
+
+    @functools.cached_property
+    def cleft(self) -> tuple:
+        """(X, c): the declared cleft extension, else E viewed as one."""
+        return self.declared_cleft or crossed_to_cleft(self.crossed, self.crossed_inverse[0])
 
     def _derived(self, level: str) -> Optional[Env]:
         """The kept context of the level's structure; None at "raw".  The
         crossed level adds phi and the primed data when the file declares
         phi, the inverse level adds finv and gaminv, and the cleft level is
-        the decomposition's context with sigma and its inverse."""
+        the cleaving's decomposition's context with sigma and its inverse."""
         if level == "raw":
             return None
         if level == "bialgebra":
@@ -162,9 +164,9 @@ class _Ladder:
             return _pair_env(self.crossed, self.crossed, self.pres.phi())
         if level == "crossed_inverse":
             E = self.crossed
-            return E.context.child({"finv": E.cocycle.inverse, "gaminv": self.crossed_inverse})
+            return E.context.child({"finv": E.cocycle.inverse, "gaminv": self.crossed_inverse[0]})
         if level == "cleft":
-            return build_decomposition(*self.cleft).sigma_context
+            return self.cleft[1].decomposition.sigma_context
         return getattr(self, level).context
 
     def context(self, level: str) -> Env:
@@ -283,24 +285,24 @@ def cmd_build(args) -> int:
 
 def cmd_cleft(args) -> int:
     run = _Run(args, "cleft")
-    report, declared = run.report, run.ladder.declared_cleft()
+    report, declared = run.report, run.ladder.declared_cleft
     if declared is not None:
         X, c = declared
         report.extend(comodule_algebra_report(X.comodule), prefix="comodule.")
         report.extend(extension_check(X), prefix="extension.")
         report.extend(cleaving_check(X, c), prefix="cleaving.")
         return run.finish()
-    if run.level("crossed_inverse") is not None:
+    integral = run.level("crossed_inverse")
+    if integral is not None:
         E = run.ladder.crossed
         report.extend(invert_cocycle(E.measure, E.cocycle)[1], prefix="inverse.")
-        report.extend(gamma_inverse(E, E.cocycle.inverse)[1], prefix="integral.")
+        report.extend(integral[1], prefix="integral.")
     return run.finish()
 
 
 def cmd_reconstruct(args) -> int:
     run = _Run(args, "reconstruct")
-    report, declared = run.report, run.ladder.declared_cleft()
-    cleft = declared or run.level("cleft")
+    report, cleft = run.report, run.level("cleft")
     if cleft is None:
         return run.finish()
     try:
@@ -309,7 +311,7 @@ def cmd_reconstruct(args) -> int:
         report.add_fail("factorization", note=str(exc))
         return run.finish()
     report.extend(rec_report)
-    if declared is None:
+    if run.ladder.declared_cleft is None:
         E = run.ladder.crossed
         report.add_equality("recovered_rho_matches", recon.rho, E.measure.rho)
         report.add_equality("recovered_f_matches", recon.f, E.cocycle.f)

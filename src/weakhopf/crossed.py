@@ -380,8 +380,10 @@ def invert_cocycle(
     return finv, report
 
 
-def build_gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> LinMap:
-    """The convolution inverse of the canonical integral of a built product.
+def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictReport]:
+    """The convolution inverse of the canonical integral of a built product,
+    evaluated from the cocycle inverse ``f_inv``, with the full cleftness
+    verdict list.
 
     Raises PreconditionFailed unless H has an antipode and the measure makes
     A a weak module algebra.
@@ -390,16 +392,10 @@ def build_gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> LinMap:
         raise PreconditionFailed("gamma inverse needs an antipode")
     if not check_weak_module_algebra(E.measure).all_pass:
         raise PreconditionFailed("gamma inverse needs a weak module algebra")
-    return eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", E.context.child({"finv": f_inv}))
-
-
-def gamma_inverse(E: CrossedProduct, f_inv: LinMap) -> tuple[LinMap, VerdictReport]:
-    """The convolution inverse of the canonical integral of a built product,
-    built by ``build_gamma_inverse`` from the cocycle inverse ``f_inv``,
-    with the full cleftness verdict list."""
-    gaminv = build_gamma_inverse(E, f_inv)
+    env = E.context.child({"finv": f_inv})
+    gaminv = eval_text(f"{ids.Q_EXPR} ; jnu * gam ; muE", env)
+    env = env.child({"gaminv": gaminv})
     report = VerdictReport("integral inverse")
-    env = E.context.child({"finv": f_inv, "gaminv": gaminv})
     run_identity_table(ids.GAMMA_INVERSE_IDENTITIES, env, report)
     ok, dim = E.equalizer
     report.add_bool("equalizer_is_base", ok, note=f"coinvariants have dim {dim}")

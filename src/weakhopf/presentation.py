@@ -97,9 +97,9 @@ class PresentationFile:
         A = self.algebra("extension")
         return Extension(self.comodule(H), A, self.gen(self.name("extension", "j")))
 
-    def cleaving(self) -> CleavingData:
+    def cleaving(self, X: Extension) -> CleavingData:
         gamma, gamma_inv = self.name("cleaving", "gamma"), self.name("cleaving", "gamma_inv")
-        return CleavingData(self.gen(gamma), self.gen(gamma_inv))
+        return CleavingData(X, self.gen(gamma), self.gen(gamma_inv))
 
     def phi(self, name: Optional[str] = None) -> LinMap:
         return self.gen(name or self.name("phi", "map"))

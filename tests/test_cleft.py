@@ -2,14 +2,13 @@ import tracemalloc
 
 import pytest
 
-from weakhopf.algebra import AlgebraData
+from weakhopf.algebra import AlgebraData, StructureError
 from weakhopf.bialgebra import base_subalgebra
 from weakhopf.cleft import (
     CleavingData,
     ComoduleAlgebra,
     Extension,
     FactorizationFailed,
-    build_decomposition,
     cleaving_check,
     comodule_algebra_report,
     crossed_to_cleft,
@@ -17,7 +16,6 @@ from weakhopf.cleft import (
     extension_check,
     full_reconstruction,
     reconstruct,
-    recover_inverse_cocycle,
 )
 from weakhopf.crossed import (
     base_action_measure,
@@ -164,9 +162,17 @@ def test_cleaving_checks_pass():
     assert cleaving_check(Xz, clz).all_pass
 
 
+def test_a_cleaving_of_another_extension_is_refused():
+    *_, cl = pair_cleft()
+    *_, Xz, _ = z2_cleft()
+    for check in (cleaving_check, decomposition, reconstruct, full_reconstruction):
+        with pytest.raises(StructureError, match="another extension"):
+            check(Xz, cl)
+
+
 def test_wrong_inverse_fails_conv_identity():
     *_, X, cl = pair_cleft()
-    bad = CleavingData(cl.gamma, cl.gamma)  # gamma is not its own inverse
+    bad = CleavingData(X, cl.gamma, cl.gamma)  # gamma is not its own inverse
     report = cleaving_check(X, bad)
     assert report.get("cleaving_conv_right").status == "fail"
 
@@ -193,7 +199,7 @@ def test_corrupt_inverse_fails_factorization():
     # of B, whose image escapes the coinvariants.
     bad_inv = compose(X.comodule.B.eta, X.H.eps)
     with pytest.raises(FactorizationFailed):
-        decomposition(X, CleavingData(cl.gamma, bad_inv))
+        decomposition(X, CleavingData(X, cl.gamma, bad_inv))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
@@ -203,7 +209,7 @@ def test_decomposition_and_reconstruction_match_the_dense_route(field):
     *_, X, cl = pair_cleft(3, field)
     H, A, B = X.H, X.A, X.comodule.B
     idA, idB, idH = (identity(field, ob) for ob in (A.obj, B.obj, H.obj))
-    d = build_decomposition(X, cl)
+    d = cl.decomposition
     assert d.upsilon == compose(
         tensor_product(idB, H.mu),
         compose(tensor_product(swap(H.obj, B.obj, field), idH), tensor_product(idH, X.comodule.delta)),
@@ -234,7 +240,7 @@ def test_decomposition_keeps_little_memory():
     *_, X, cl = pair_cleft(3)
     tracemalloc.start()
     try:
-        build_decomposition(X, cl)
+        cl.decomposition
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -261,7 +267,7 @@ def test_reconstruct_hopf_trivial():
 
 def test_recover_inverse_matches_solver():
     H, m, c, E, finv, X, cl = pair_cleft()
-    recon, sigma, sigma_inv, f_inv, report = recover_inverse_cocycle(X, cl)
+    recon, f_inv, iso, report = full_reconstruction(X, cl)
     assert report.all_pass, [v.check_id for v in report.failures()]
     assert f_inv == finv == m.u(2)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakhopf import cli, crossed, fields
+from weakhopf import cleft, cli, crossed, fields
 from weakhopf import identities as ids
 from weakhopf.cli import main
 from weakhopf.identities import identity_corpus
@@ -677,6 +677,43 @@ def test_cleft_and_reconstruct_solve_the_cocycle_once(tmp_path, monkeypatch):
         assert _call([command, PAIR, "--report", str(tmp_path / "r.json")])[0] == 0, command
     presented = cli._ladder_of(read_presentation(PAIR), PAIR, None, None, None).cocycle
     assert [f is presented.f for f in calls] == [True, False]
+
+
+def test_each_cleft_side_map_is_built_once_per_file(tmp_path, monkeypatch):
+    # The integral inverse is kept with its verdicts on the ladder, and the
+    # decomposition on the cleaving: cleft, reconstruct and a cleft-level
+    # eval share both.
+    formulas = {f"{ids.Q_EXPR} ; jnu * gam ; muE": "gaminv", ids.Q_CLEFT_EXPR: "q"}
+    calls = []
+    for module in (crossed, cleft):
+        def counted(src, env, _eval=module.eval_text):
+            if src in formulas:
+                calls.append(formulas[src])
+            return _eval(src, env)
+        monkeypatch.setattr(module, "eval_text", counted)
+    cli._ladder_of.cache_clear()
+    for command in ("cleft", "reconstruct"):
+        assert _call([command, PAIR, "--report", str(tmp_path / "r.json")])[0] == 0, command
+    assert _call(["eval", "--sig", PAIR, "--key", "cleaving_conv_right"])[:2] == (0, PASS)
+    assert sorted(calls) == ["gaminv", "q"]
+
+
+def test_eval_runs_the_cleft_rows_of_a_declared_cleft_extension(tmp_path):
+    path = _declared_cleft(tmp_path)
+    keys = [key for key, (level, *_) in cli._corpus_keys().items() if level == "cleft"]
+    assert len(keys) == 35
+    for key in keys:
+        assert _call(["eval", "--sig", path, "--key", key]) == (0, PASS, ""), key
+
+
+def test_a_cleaving_of_the_wrong_type_is_refused_where_it_is_built(tmp_path):
+    data = _load(_declared_cleft(tmp_path))
+    data["roles"]["cleaving"]["gamma_inv"] = "j"  # a map A -> B
+    target = tmp_path / "wrong_type.json"
+    target.write_text(json.dumps(data))
+    for command in ("cleft", "reconstruct"):
+        assert _call([command, str(target), "--report", str(tmp_path / "r.json")]) == (
+            2, "", "error: the cleaving's gamma_inv must be a map H -> B\n"), command
 
 
 def test_a_file_without_an_antipode_validates_but_has_no_cleft_extension(tmp_path):

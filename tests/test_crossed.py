@@ -11,7 +11,6 @@ from weakhopf.crossed import (
     WeakMeasure,
     base_action_measure,
     build_crossed_product,
-    build_gamma_inverse,
     check_weak_module_algebra,
     cocycle_report,
     crossed_product_law_suite,
@@ -281,7 +280,7 @@ def test_module_suite_skips_without_module_algebra():
     report = module_algebra_suite(E0)
     assert all(v.status == "skipped" for v in report)
     with pytest.raises(PreconditionFailed, match="needs a weak module algebra"):
-        build_gamma_inverse(E0, zero_map(QQ, (H.obj, H.obj), (m.A.obj,)))
+        gamma_inverse(E0, zero_map(QQ, (H.obj, H.obj), (m.A.obj,)))
 
 
 # -- cocycle inversion ---------------------------------------------------------

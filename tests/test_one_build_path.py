@@ -2,7 +2,8 @@
 the chain from a presentation to its cleft extension is named in exactly one
 function, and the file is read only through that ladder.  Outside the
 solver's own module, the convolution solver is called from one place: the
-cocycle's kept inverse."""
+cocycle's kept inverse; and a decomposition is built in one place: the
+cleaving's kept one."""
 import ast
 import os
 
@@ -12,9 +13,9 @@ import weakhopf
 
 BUILDERS = (
     "build_crossed_product",
-    "build_gamma_inverse",
     "crossed_to_cleft",
     "decode_presentation",
+    "gamma_inverse",
 )
 NEVER = {"load_presentation", "sha256_file", "environ"}
 
@@ -74,3 +75,32 @@ def test_only_the_cocycle_solves_its_inverse():
     for module in modules:
         scopes |= _scopes_naming(_tree(module), module).get("conv_inverse", set())
     assert scopes == {"crossed.CocycleData.inverse"}
+
+
+def _scopes_calling(tree, module: str, name: str) -> list:
+    """The qualified names of the innermost functions (or classes, or the
+    module) whose own code calls ``name``, once per call."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append(scope)
+            walk(child, scope)
+
+    walk(tree, module)
+    return found
+
+
+def test_only_the_cleaving_builds_its_decomposition():
+    # Calls, not names: annotations and imports may name the class.
+    modules = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
+    callers = []
+    for module in modules:
+        callers += _scopes_calling(_tree(module), module, "Decomposition")
+    assert callers == ["cleft.CleavingData.decomposition"]
