@@ -61,7 +61,7 @@ from .crossed import (
     trivial_measure,
     twisting,
 )
-from .equivalence import NotAnEquivalence, equivalence_from_phi, phi_from_iso
+from .equivalence import NotAnEquivalence, ProductPair, equivalence_from_phi, phi_from_iso
 from .cleft import (
     CleavingData,
     ComoduleAlgebra,

@@ -43,7 +43,7 @@ from .crossed import (
     module_algebra_suite,
     twisting,
 )
-from .equivalence import NotAnEquivalence, _pair_env, equivalence_from_phi, phi_from_iso
+from .equivalence import NotAnEquivalence, ProductPair, equivalence_from_phi, phi_from_iso
 from .identities import identity_corpus
 from .ir import (
     Env,
@@ -153,15 +153,16 @@ class _Ladder:
 
     def _derived(self, level: str) -> Optional[Env]:
         """The kept context of the level's structure; None at "raw".  The
-        crossed level adds phi and the primed data when the file declares
-        phi, the inverse level adds finv and gaminv, and the cleft level is
-        the cleaving's decomposition's context with sigma and its inverse."""
+        crossed level is the context of the pair (E, E) plus phi when the
+        file declares phi, the inverse level adds finv and gaminv, and the
+        cleft level is the cleaving's decomposition's context with sigma and
+        its inverse."""
         if level == "raw":
             return None
         if level == "bialgebra":
             return self.bialgebra.base_env()
         if level == "crossed" and self.pres.has_role("phi"):
-            return _pair_env(self.crossed, self.crossed, self.pres.phi())
+            return ProductPair(self.crossed, self.crossed).context.child({"phi": self.pres.phi()})
         if level == "crossed_inverse":
             E = self.crossed
             return E.context.child({"finv": E.cocycle.inverse, "gaminv": self.crossed_inverse[0]})
@@ -354,7 +355,7 @@ def _eval_env(ladder: _Ladder, level: Optional[str], texts: list) -> Env:
         try:
             env = ladder.context(lv)
         except PresentationError:
-            break  # the presentation supports no higher level
+            continue  # the presentation declares no structure at this level
         try:
             for text in texts:
                 parse_expr(text, env.sig)

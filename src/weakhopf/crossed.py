@@ -437,11 +437,11 @@ def trivial_measure(H: WeakBialgebra) -> WeakMeasure:
     """The counit acting on the one-dimensional algebra."""
     field = H.field
     A_obj = Obj("A", 1)
-    mu_A = LinMap(field, (A_obj, A_obj), (A_obj,), [[field.one]])
-    eta_A = LinMap(field, (), (A_obj,), [[field.one]])
+    mu_A = LinMap.from_int_columns(field, (A_obj, A_obj), (A_obj,), [{0: 1}], 1)
+    eta_A = LinMap.from_int_columns(field, (), (A_obj,), [{0: 1}], 1)
     A = AlgebraData(field, A_obj, mu_A, eta_A)
     # H (x) A has the basis of H when A is one-dimensional: rho is eps.
-    rho = LinMap(field, (H.obj, A_obj), (A_obj,), [list(H.eps.rows[0])])
+    rho = LinMap.from_int_columns(field, (H.obj, A_obj), (A_obj,), *H.eps.int_columns())
     return WeakMeasure.checked(H, A, rho)
 
 

@@ -610,6 +610,7 @@ PHI_INVERSE_IDENTITIES = [
 # An isomorphism Phi: E -> Ep of two products over one measured pair, and its
 # inverse Phiinv.  Ep's maps are E's names with a trailing p, on carrier Ep.
 TRANSPORT_EXPR = f"iE ; {L_PHI} ; pEp"
+TRANSPORT_BACK_EXPR = "iEp ; id(A) * Delta ; id(A) * phiinv * id(H) ; muA * id(H) ; pE"
 PHI_FROM_ISO_EXPR = "etaA * id(H) ; pE ; Phi ; iEp ; id(A) * eps"
 
 ISO_IDENTITIES = [

@@ -134,14 +134,18 @@ def parse_presentation(data: dict, field_override: Optional[str] = None) -> Pres
             raise PresentationError(f"generator {name!r} must be an object")
         try:
             dom, cod, matrix = spec["dom"], spec["cod"], spec["matrix"]
-            if not (_lists(dom, cod, of=str) and _lists(matrix, of=list)):
-                raise PresentationError(
-                    f"generator {name!r}: dom and cod must list object names, matrix its rows"
-                )
-            dom = tuple(objects[n] for n in dom)
-            cod = tuple(objects[n] for n in cod)
         except KeyError as exc:
             raise PresentationError(f"generator {name!r} is missing {exc.args[0]!r}") from None
+        if not (_lists(dom, cod, of=str) and _lists(matrix, of=list)):
+            raise PresentationError(
+                f"generator {name!r}: dom and cod must list object names, matrix its rows"
+            )
+        try:
+            dom, cod = (tuple(objects[n] for n in word) for word in (dom, cod))
+        except KeyError as exc:
+            raise PresentationError(
+                f"generator {name!r} names undeclared object {exc.args[0]!r}"
+            ) from None
         nrows, ncols = wdim(cod), wdim(dom)
         if len(matrix) != nrows or any(len(r) != ncols for r in matrix):
             raise PresentationError(

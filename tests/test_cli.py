@@ -522,7 +522,15 @@ MALFORMED = [
     ("phi_no_map", _set(["roles", "phi", "map"], KeyError), ("equiv",)),
     ("entry_float", _set(["generators", "eps", "matrix", 0, 1], 0.5), ALL_COMMANDS),
     ("not_utf8", None, ALL_COMMANDS),
+    ("dom_undeclared", _set(["generators", "mu", "dom"], ["Z", "H"]), ALL_COMMANDS),
+    ("cod_undeclared", _set(["generators", "Delta", "cod"], ["H", "Z"]), ALL_COMMANDS),
 ]
+
+# The one stderr line of the cases whose message names what is wrong.
+MALFORMED_MESSAGES = {
+    "dom_undeclared": "error: generator 'mu' names undeclared object 'Z'\n",
+    "cod_undeclared": "error: generator 'Delta' names undeclared object 'Z'\n",
+}
 
 
 @pytest.mark.parametrize("case,mutate,commands", MALFORMED, ids=[c[0] for c in MALFORMED])
@@ -541,6 +549,7 @@ def test_malformed_presentation_exits_2_on_every_command(tmp_path, case, mutate,
         code, out, err = _call(argv)
         assert (code, out) == (2, ""), command
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert err == MALFORMED_MESSAGES.get(case, err), command
 
 
 @pytest.mark.parametrize("entry", ["1e-400", "1.0000000000000001", "1e400", "2.0"])
@@ -704,6 +713,19 @@ def test_eval_runs_the_cleft_rows_of_a_declared_cleft_extension(tmp_path):
     assert len(keys) == 35
     for key in keys:
         assert _call(["eval", "--sig", path, "--key", key]) == (0, PASS, ""), key
+
+
+def test_bare_eval_escalates_past_levels_the_file_does_not_declare(tmp_path):
+    # The declared cleft extension has no measure, cocycle or product: bare
+    # --lhs/--rhs and --expr still reach its cleft level, as --key does.
+    path = _declared_cleft(tmp_path)
+    lhs, rhs = cli._corpus_keys()["siginv_absorbs_right"][1:]
+    assert _call(["eval", "--sig", path, "--lhs", "sig", "--rhs", "sig"]) == (0, PASS, "")
+    assert _call(["eval", "--sig", path, "--lhs", lhs, "--rhs", rhs]) == (0, PASS, "")
+    code, out, err = _call(["eval", "--sig", path, "--expr", "siginv"])
+    assert (code, err) == (0, "") and json.loads(out)["dom"] == ["H", "H"]
+    assert _call(["eval", "--sig", path, "--lhs", "nope", "--rhs", "nope"]) == (
+        2, "", "error: unknown generator 'nope' (line 1, col 1)\n")
 
 
 def test_a_cleaving_of_the_wrong_type_is_refused_where_it_is_built(tmp_path):

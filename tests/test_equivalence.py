@@ -1,29 +1,51 @@
 
 
+import os
+
 import pytest
 
-from weakhopf.crossed import base_action_measure, build_crossed_product, smash_cocycle, trivial_measure
-from weakhopf.equivalence import NotAnEquivalence, _verify_iso, equivalence_from_phi, phi_from_iso
-from weakhopf.fields import QQ
+import weakhopf
+from weakhopf import identities as ids
+from weakhopf.algebra import AlgebraData, convolve
+from weakhopf.crossed import (
+    WeakMeasure,
+    base_action_measure,
+    build_crossed_product,
+    smash_cocycle,
+    trivial_measure,
+)
+from weakhopf.equivalence import (
+    NotAnEquivalence,
+    ProductPair,
+    equivalence_from_phi,
+    iso_laws,
+    phi_from_iso,
+)
+from weakhopf.fields import GF, QQ
 from weakhopf.groupoid import cyclic, direct_product
-from weakhopf.linalg import compose, identity, tensor_product, zero_map
+from weakhopf.ir import Env, eval_text
+from weakhopf.linalg import LinMap, Obj, compose, identity, rename_factor, tensor_product, zero_map
+from weakhopf.presentation import load_presentation
 from weakhopf.report import VerdictReport
 
 from instances import dual_group_hopf, pair_groupoid_hopf, z2_hopf
 
 
-def pair_product():
-    H = pair_groupoid_hopf()
+PAIR = os.path.join(os.path.dirname(weakhopf.__file__), "corpus", "pair_groupoid_smash.json")
+
+
+def pair_product(field=QQ):
+    H = pair_groupoid_hopf(field=field)
     m = base_action_measure(H)
     return H, m, build_crossed_product(m, smash_cocycle(m))
 
 
 def scaled_phi(m, H, t0, t1):
     """phi(g_ij) = (t_i / t_j) z_i: the full family of valid data here."""
-    phi = zero_map(QQ, (H.obj,), (m.A.obj,))
-    t = [QQ.normalize(t0), QQ.normalize(t1)]
+    phi = zero_map(m.field, (H.obj,), (m.A.obj,))
+    t = [t0, t1]
     for col, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        phi.rows[i][col] = t[i] / t[j]
+        phi.rows[i][col] = m.field.from_int(t[i], t[j])
     return phi
 
 
@@ -90,15 +112,15 @@ def test_scaled_phi_on_twisted_cocycle_target():
     assert Phi != identity(QQ, E.obj)
 
 
-def _twisted_product(t):
+def _twisted_product(t, field=QQ):
     from weakhopf.crossed import CocycleData, trivial_measure, build_crossed_product
     from weakhopf.linalg import zero_map
 
-    H = z2_hopf()
+    H = z2_hopf(field)
     m = trivial_measure(H)
-    f = zero_map(QQ, (H.obj, H.obj), (m.A.obj,))
+    f = zero_map(field, (H.obj, H.obj), (m.A.obj,))
     for (i, j), val in {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): t}.items():
-        f.rows[0][i * 2 + j] = QQ.normalize(val)
+        f.rows[0][i * 2 + j] = field.normalize(val)
     c = CocycleData(m, f)
     return m, c, build_crossed_product(m, c)
 
@@ -136,8 +158,9 @@ def test_iso_witnesses_match_the_dense_route():
     bad = identity(QQ, E.obj)
     bad.rows[0][0] = bad.rows[1][1] = QQ.zero
     bad.rows[0][1] = bad.rows[1][0] = QQ.one
-    report = VerdictReport()
-    _verify_iso(E, E, bad, report)
+    Phi = LinMap.from_int_columns(QQ, bad.dom, (Obj("Ep", E.E_dim),), *bad.int_columns())
+    env = ProductPair(E, E).context.child({"Phi": Phi})
+    report = iso_laws(env, VerdictReport())
     idA, idH = identity(QQ, m.A.obj), identity(QQ, H.obj)
     left = compose(E.p, compose(tensor_product(m.A.mu, idH), tensor_product(idA, E.i)))
     dense = {
@@ -172,3 +195,82 @@ def test_products_over_different_comultiplications_are_rejected():
     with pytest.raises(NotAnEquivalence) as exc:
         phi_from_iso(E, Ep, identity(QQ, E.obj))
     assert exc.value.check_id == "products_share_H"
+
+
+def test_products_over_different_algebras_are_rejected():
+    # A' = k with product 2xy and unit 1/2 is isomorphic to A = k but is not
+    # A: the exchange conditions read A's product and the transport back
+    # would read it too, so a pair over two algebras is refused as a pair.
+    H = z2_hopf()
+    m = trivial_measure(H)
+    E = build_crossed_product(m, smash_cocycle(m))
+    A = m.A
+    mu2 = LinMap.from_int_columns(QQ, A.mu.dom, A.mu.cod, [{0: 2}], 1)
+    half = LinMap.from_int_columns(QQ, (), A.eta.cod, [{0: 1}], 2)
+    mp = WeakMeasure.checked(H, AlgebraData.checked(QQ, A.obj, mu2, half), m.rho)
+    Ep = build_crossed_product(mp, smash_cocycle(mp))
+    with pytest.raises(NotAnEquivalence) as exc:
+        equivalence_from_phi(E, Ep, m.u(1))
+    assert exc.value.check_id == "products_share_A"
+    with pytest.raises(NotAnEquivalence) as exc:
+        phi_from_iso(E, Ep, identity(QQ, E.obj))
+    assert exc.value.check_id == "products_share_A"
+
+
+def test_an_equivalence_derives_one_context_per_call_from_E(monkeypatch):
+    # Each call builds one pair, whose context is the only child of
+    # E.context: the conditions, both transports and the iso laws run in
+    # children of the pair's.
+    pres = load_presentation(PAIR)
+    m = pres.measure(pres.bialgebra())
+    E = build_crossed_product(m, pres.cocycle(m))
+    phi, base, calls = pres.phi(), E.context, []
+    child = Env.child
+
+    def counted(self, bindings=None):
+        if self is base:
+            calls.append(sorted(bindings or {}))
+        return child(self, bindings)
+
+    monkeypatch.setattr(Env, "child", counted)
+    Phi, report = equivalence_from_phi(E, E, phi)
+    assert report.all_pass
+    assert phi_from_iso(E, E, Phi) == phi
+    assert len(calls) == 2
+
+
+def _pair_instance(field):
+    H, m, E = pair_product(field)
+    return m, E, E, scaled_phi(m, H, 1, 2), scaled_phi(m, H, 2, 1)
+
+
+def _z2_instance(field):
+    # f(g,g) = 4 and f'(g,g) = 1 related by phi = (1, 2), inverse (1, 1/2).
+    m, _, E4 = _twisted_product(4, field)
+    _, _, E1 = _twisted_product(1, field)
+    phi = LinMap.from_int_columns(field, (m.H.obj,), (m.A.obj,), [{0: 1}, {0: 2}], 1)
+    phi_inv = LinMap.from_int_columns(field, (m.H.obj,), (m.A.obj,), [{0: 2}, {0: 1}], 2)
+    return m, E4, E1, phi, phi_inv
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("instance", [_pair_instance, _z2_instance], ids=["pair", "z2"])
+def test_transport_back_matches_the_dense_route(instance, field):
+    m, E, Ep, phi, phi_inv = instance(field)
+    H, A = m.H, m.A
+    assert convolve(phi, phi_inv, H.coalgebra, A) == m.u(1)
+    assert convolve(phi_inv, phi, H.coalgebra, A) == Ep.measure.u(1)
+    env = ProductPair(E, Ep).context.child({"phiinv": phi_inv})
+    back = rename_factor(eval_text(ids.TRANSPORT_BACK_EXPR, env), {"Ep": Ep.obj.name})
+    idA, idH = identity(field, A.obj), identity(field, H.obj)
+    dense = compose(E.p, compose(
+        tensor_product(A.mu, idH),
+        compose(tensor_product(tensor_product(idA, phi_inv), idH),
+                compose(tensor_product(idA, H.delta), Ep.i)),
+    ))
+    assert back == dense
+    # ... and it inverts the transport of phi.
+    Phi, report = equivalence_from_phi(E, Ep, phi)
+    assert report.all_pass, [v.check_id for v in report.failures()]
+    assert compose(back, Phi) == identity(field, E.obj)
+    assert compose(Phi, back) == identity(field, Ep.obj)
