@@ -269,7 +269,7 @@ def cmd_build(args) -> int:
     E = run.level("crossed")
     if E is None:
         code = run.finish()
-        print(f"hypothesis failed: {report.entries[-1].check_id.removeprefix('build.')}")
+        print(f"hypothesis failed: {next(reversed(report)).check_id.removeprefix('build.')}")
         return code
     report.add_pass("build.completed", note=f"E_dim {E.E_dim}")
     report.extend(crossed_product_law_suite(E), prefix="law.")

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import identities as ids
-from .algebra import _conv_solve
+from .algebra import StructureError, _conv_solve
 from .crossed import CrossedProduct
 from .ir import Env, check_identity_text, eval_text, run_identity_table
 from .linalg import LinMap, Obj, invert, rename_factor
@@ -70,9 +70,12 @@ def equivalence_from_phi(
     E: CrossedProduct, Ep: CrossedProduct, phi: LinMap
 ) -> tuple[Optional[LinMap], VerdictReport]:
     """Check the five conditions on phi; on success return the induced
-    isomorphism (verified unital, multiplicative, linear, colinear)."""
-    report = VerdictReport("equivalence from phi")
+    isomorphism (verified unital, multiplicative, linear, colinear).
+    Raises StructureError unless phi is a map H -> A."""
     m, mp = E.measure, Ep.measure
+    if phi.dom != (m.H.obj,) or phi.cod != (m.A.obj,):
+        raise StructureError("phi must be a map H -> A")
+    report = VerdictReport("equivalence from phi")
     env = ProductPair(E, Ep).context.child({"phi": phi})
     run_identity_table(ids.EQUIVALENCE_CONDITIONS, env, report)
     phi_inv = _conv_solve(phi, m.u(1), mp.u(1), m.H.coalgebra, m.A)
@@ -93,7 +96,10 @@ def equivalence_from_phi(
 
 def phi_from_iso(E: CrossedProduct, Ep: CrossedProduct, Phi: LinMap) -> LinMap:
     """Recover the exchange map from a verified isomorphism; raises
-    NotAnEquivalence naming the first failing property."""
+    NotAnEquivalence naming the first failing property, StructureError
+    unless Phi is a map E -> Ep."""
+    if Phi.dom != (E.obj,) or Phi.cod != (Ep.obj,):
+        raise StructureError("Phi must be a map E -> Ep")
     pair, P = ProductPair(E, Ep), (Obj("Ep", Ep.E_dim),)  # Phi's codomain, as the pair names it
     Phi = LinMap.from_int_columns(Phi.field, Phi.dom, P, *Phi.int_columns())
     env = pair.context.child({"Phi": Phi})

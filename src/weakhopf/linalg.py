@@ -1,16 +1,15 @@
-"""Exact dense linear maps between tensor words of named objects.
+"""Exact linear maps between tensor words of named objects.
 
 A word is a tuple of named factors; the basis of ``X1 (x) ... (x) Xn`` is
 ordered lexicographically with the leftmost factor most significant, so the
 flat index of ``(i1, ..., in)`` is ``sum(i_k * prod(dim X_l for l > k))``.
-A map's content is its integer columns (``LinMap.int_columns``); its dense
-rows of field scalars, indexed by the codomain basis, are editable until
-those are first read and read-only after.  Gaussian elimination (``rref``)
-works on sparse integer rows.
+A map's one content is its integer columns (``LinMap.int_columns``) in
+canonical form; its ``rows`` of field scalars, indexed by the codomain basis,
+are a read-only view of them.  Gaussian elimination (``rref``) works on
+sparse integer rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence
@@ -60,12 +59,12 @@ def _as_word(x) -> Word:
 
 
 class _Row(list):
-    """A list that refuses writes: the rows of a read map, and each row."""
+    """A list that refuses writes: the rows view of a LinMap, and each row."""
 
     __slots__ = ()
 
     def _refuse(self, *args):
-        raise TypeError("a LinMap's rows are read-only once its integer columns are read")
+        raise TypeError("a LinMap's rows are read-only")
 
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
     append = extend = insert = pop = remove = clear = sort = reverse = _refuse
@@ -74,50 +73,61 @@ class _Row(list):
         return _Row, (list(self),)
 
 
-@dataclass
+def _check_shape(rows, nr: int, nc: int) -> None:
+    if len(rows) != nr or any(len(r) != nc for r in rows):
+        raise ShapeError(
+            f"matrix shape {len(rows)}x{'?' if not rows else len(rows[0])}"
+            f" does not match cod dim {nr} x dom dim {nc}"
+        )
+
+
 class LinMap:
-    """Exact matrix of a morphism dom -> cod; rows indexed by cod basis.
+    """Exact matrix of a morphism dom -> cod.
 
-    ``rows`` may be filled in place, and any field rebound, until
-    ``int_columns`` is first called; from then on the map is read-only,
-    and a write raises TypeError."""
+    Its one content is ``int_columns()``, in the canonical form that
+    ``from_int_columns`` makes; ``==``, ``first_difference`` and ``-`` read
+    it.  A map built from rows reads them at its first ``int_columns``, and
+    until then the given list may be filled in place.  No field is ever
+    rebound: an assignment raises TypeError."""
 
-    field: Field
-    dom: Word
-    cod: Word
-    rows: list  # list[list[scalar]]
-    _int_cols: Optional[tuple] = dc_field(default=None, repr=False, compare=False)
+    __slots__ = ("field", "dom", "cod", "_given", "_int_cols", "_view")
+    __hash__ = None
 
-    def __post_init__(self):
-        nr, nc = wdim(self.cod), wdim(self.dom)
-        if len(self.rows) != nr or any(len(r) != nc for r in self.rows):
-            raise ShapeError(
-                f"matrix shape {len(self.rows)}x{'?' if not self.rows else len(self.rows[0])}"
-                f" does not match cod dim {nr} x dom dim {nc}"
-            )
-        if self._int_cols is not None and type(self.rows) is not _Row:
-            object.__setattr__(self, "rows", _Row(map(_Row, self.rows)))
+    def __init__(self, field: Field, dom: Word, cod: Word, rows: list):
+        _check_shape(rows, wdim(cod), wdim(dom))
+        _init(self, field, dom, cod, rows, None)
 
-    def __setattr__(self, name, value):
-        if self._int_cols is not None:
-            raise TypeError("a LinMap is read-only once its integer columns are read")
-        object.__setattr__(self, name, value)
+    def _refuse(self, *args):
+        raise TypeError("a LinMap is read-only: its fields are never rebound")
+
+    __setattr__ = __delattr__ = _refuse
 
     @classmethod
     def from_int_columns(cls, field: Field, dom: Word, cod: Word, cols: list, scale: int):
         """The map whose column j has the entries n / scale of ``cols[j]``, a
-        dict {row: n} without zeros (over F_p, residues and scale 1): the one
-        place where integer columns become field scalars.  The columns are
-        kept, reduced by their gcd with the scale, as ``int_columns``."""
-        g = gcd(scale, *(n for c in cols for n in c.values()))
-        if g > 1:
-            cols, scale = [{i: n // g for i, n in c.items()} for c in cols], scale // g
-        conv, z = field.from_int, field.zero
-        rows = [[z] * len(cols) for _ in range(wdim(cod))]
-        for j, c in enumerate(cols):
-            for i, n in c.items():
-                rows[i][j] = conv(n, scale)
-        return cls(field, dom, cod, rows, (cols, scale))
+        dict {row: n}, kept as ``int_columns`` in canonical form: over F_p
+        residues in [0, p) over the scale 1, over Q a positive scale reduced
+        with the entries by their gcd, and zeros dropped.  The given dicts
+        are kept when they are canonical already, else copied; they are
+        never written.  Raises FieldError for a scale that is zero in the
+        field, ShapeError for a wrong number of columns or a row index
+        outside the codomain."""
+        nr = wdim(cod)
+        if len(cols) != wdim(dom) or any(c and (min(c) < 0 or max(c) >= nr) for c in cols):
+            raise ShapeError(f"columns do not fit a map {word_name(dom)} -> {word_name(cod)}")
+        p = field.modulus
+        if not (scale % p if p else scale):
+            raise FieldError(f"scale {scale} is zero in {field!r}")
+        if p:
+            if scale != 1 or any(not 0 < n < p for c in cols for n in c.values()):
+                s = pow(scale, -1, p)
+                cols, scale = [{i: x for i, n in c.items() if (x := n * s % p)} for c in cols], 1
+        else:
+            g = gcd(scale, *(n for c in cols for n in c.values()))
+            g = -g if scale < 0 else g
+            if g != 1 or any(0 in c.values() for c in cols):
+                cols, scale = [{i: n // g for i, n in c.items() if n} for c in cols], scale // g
+        return _from_canonical(field, dom, cod, (cols, scale))
 
     @property
     def nrows(self) -> int:
@@ -127,35 +137,38 @@ class LinMap:
     def ncols(self) -> int:
         return wdim(self.dom)
 
-    def __eq__(self, other):
-        if not isinstance(other, LinMap):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.rows == other.rows
-        )
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        _check_same_shape(self, other)
-        norm = self.field.normalize
-        rows = [
-            [norm(a - b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return LinMap(self.field, self.dom, self.cod, rows)
+    @property
+    def rows(self) -> list:
+        """The rows of field scalars, indexed by the cod basis: the given list
+        of a map built from rows and not yet read, else a read-only view of
+        the columns, built the first time it is asked for and kept."""
+        view = self._view
+        if view is None:
+            if self._int_cols is None:
+                return self._given
+            cols, scale = self._int_cols
+            conv, z = self.field.from_int, self.field.zero
+            rows = [[z] * len(cols) for _ in range(self.nrows)]
+            for j, c in enumerate(cols):
+                for i, n in c.items():
+                    rows[i][j] = conv(n, scale)
+            view = _Row(map(_Row, rows))
+            object.__setattr__(self, "_view", view)  # published in one assignment
+        return view
 
     def int_columns(self) -> tuple[list, int]:
         """(cols, scale): column j as a dict {row: n} without zeros, whose
         entries are n / scale; over F_p the scale is 1 and n a residue.
-        Raises FieldError naming the (row, col) of an entry that is not a
-        canonical scalar of the map's field.
-        Computed once and kept, after which the rows are read-only; the
-        dicts are shared, and never written."""
-        if self._int_cols is None:
+        Read off the given rows at the first call and kept; raises
+        FieldError naming the (row, col) of an entry that is not a canonical
+        scalar of the map's field.  The dicts are shared, and never
+        written."""
+        kept = self._int_cols
+        if kept is None:
+            rows = self._given
+            _check_shape(rows, self.nrows, self.ncols)  # they may have been refilled in place
             nz = [[] for _ in range(self.ncols)]
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(rows):
                 for j, v in enumerate(row):
                     if v:
                         nz[j].append((i, v))
@@ -165,27 +178,67 @@ class LinMap:
                 i, j = [(i, j) for j, col in enumerate(nz) for i, _ in col][exc.index]
                 raise FieldError(f"entry ({i}, {j}) of {self!r}: {exc}") from None
             flat = iter(ns)  # zip reads col first, so flat is never over-read
-            cols = [{i: n for (i, _), n in zip(col, flat) if n} for col in nz]
-            # Published past the guard, as threads may read one new map at once.
-            object.__setattr__(self, "rows", _Row(map(_Row, self.rows)))
-            object.__setattr__(self, "_int_cols", (cols, scale))  # in one assignment
-        return self._int_cols
+            kept = ([{i: n for (i, _), n in zip(col, flat) if n} for col in nz], scale)
+            # Published in one assignment, as threads may read one new map at once.
+            object.__setattr__(self, "_int_cols", kept)
+        return kept
+
+    def __eq__(self, other):
+        if not isinstance(other, LinMap):
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self.dom == other.dom
+            and self.cod == other.cod
+            and self.int_columns() == other.int_columns()
+        )
+
+    def __sub__(self, other: "LinMap") -> "LinMap":
+        _check_same_shape(self, other)
+        (acols, sa), (bcols, sb) = self.int_columns(), other.int_columns()
+        cols = []
+        for a, b in zip(acols, bcols):
+            c = {i: n * sb for i, n in a.items()}
+            for i, n in b.items():
+                c[i] = c.get(i, 0) - n * sa
+            cols.append(c)
+        return LinMap.from_int_columns(self.field, self.dom, self.cod, cols, sa * sb)
 
     def column(self, j: int) -> list:
         return [r[j] for r in self.rows]
 
     def first_difference(self, other: "LinMap"):
-        """First (row, col, self value, other value) where entries differ, or None."""
+        """First (row, col, self value, other value), in row-major order,
+        where entries differ, or None."""
         _check_same_shape(self, other)
-        for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
-            if ra != rb:
-                for j, (a, b) in enumerate(zip(ra, rb)):
-                    if a != b:
-                        return (i, j, a, b)
-        return None
+        (acols, sa), (bcols, sb) = self.int_columns(), other.int_columns()
+        first = min(((i, j) for j, (a, b) in enumerate(zip(acols, bcols)) if sa != sb or a != b
+                     for i in a.keys() | b.keys() if a.get(i, 0) * sb != b.get(i, 0) * sa),
+                    default=None)
+        if first is None:
+            return None
+        i, j = first
+        conv = self.field.from_int
+        return (i, j, conv(acols[j].get(i, 0), sa), conv(bcols[j].get(i, 0), sb))
+
+    def __reduce__(self):
+        return _from_canonical, (self.field, self.dom, self.cod, self.int_columns())
 
     def __repr__(self):
         return f"LinMap({word_name(self.dom)} -> {word_name(self.cod)}, {self.nrows}x{self.ncols})"
+
+
+def _init(m: LinMap, field, dom, cod, given, int_cols) -> None:
+    """Set each slot of a new map once, past the refusing ``__setattr__``."""
+    for name, value in zip(LinMap.__slots__, (field, dom, cod, given, int_cols, None)):
+        object.__setattr__(m, name, value)
+
+
+def _from_canonical(field: Field, dom: Word, cod: Word, int_cols: tuple) -> LinMap:
+    """The map of columns already in canonical form, kept as they are."""
+    m = object.__new__(LinMap)
+    _init(m, field, dom, cod, None, int_cols)
+    return m
 
 
 def _check_same_shape(a: LinMap, b: LinMap):
@@ -272,11 +325,11 @@ def _tensor2(a: LinMap, b: LinMap) -> LinMap:
 
 
 def rename_factor(m: LinMap, mapping: dict) -> LinMap:
-    """Rename word factors (dims unchanged); rows and columns are shared."""
+    """Rename word factors (dims unchanged); the columns are shared."""
     def ren(w: Word) -> Word:
         return tuple(Obj(mapping.get(ob.name, ob.name), ob.dim) for ob in w)
 
-    return LinMap(m.field, ren(m.dom), ren(m.cod), m.rows, m.int_columns())
+    return _from_canonical(m.field, ren(m.dom), ren(m.cod), m.int_columns())
 
 
 def swap(x, y, field: Field) -> LinMap:
@@ -408,7 +461,8 @@ def split_idempotent(e: LinMap, name: str = "im") -> tuple[int, LinMap, LinMap]:
     red, pivots = rref(_int_rows(e), e.ncols, e.field)
     rank = len(pivots)
     img = (Obj(name, rank),)
-    inj = LinMap(e.field, img, e.cod, [[e.rows[i][j] for j in pivots] for i in range(e.nrows)])
+    cols, scale = e.int_columns()
+    inj = LinMap.from_int_columns(e.field, img, e.cod, [cols[j] for j in pivots], scale)
     z = e.field.zero
     proj = LinMap(e.field, e.dom, img, [[r.get(k, z) for k in range(e.ncols)] for r in red])
     return rank, inj, proj

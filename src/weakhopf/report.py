@@ -1,7 +1,7 @@
 """Verdict reports: named pass/fail entries with basis witnesses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .fields import Field
@@ -44,18 +44,17 @@ class Verdict:
 
 
 class VerdictReport:
-    """Ordered collection of uniquely named verdicts."""
+    """Ordered collection of uniquely named verdicts, kept by check id in
+    the order they were added."""
 
     def __init__(self, title: str = ""):
         self.title = title
-        self.entries: list[Verdict] = []
-        self._ids: set[str] = set()
+        self._verdicts: dict[str, Verdict] = {}
 
     def add(self, verdict: Verdict) -> Verdict:
-        if verdict.check_id in self._ids:
+        if verdict.check_id in self._verdicts:
             raise DuplicateCheckId(verdict.check_id)
-        self._ids.add(verdict.check_id)
-        self.entries.append(verdict)
+        self._verdicts[verdict.check_id] = verdict
         return verdict
 
     def add_pass(self, check_id: str, note: str = "") -> Verdict:
@@ -81,27 +80,27 @@ class VerdictReport:
     def extend(self, other: "VerdictReport", prefix: str = ""):
         """Add the other report's verdicts, renamed with ``prefix``.  Verdicts
         are immutable, so an unrenamed one is shared, not copied."""
-        for v in other.entries:
-            self.add(replace(v, check_id=prefix + v.check_id) if prefix else v)
+        for v in other:
+            self.add(Verdict(prefix + v.check_id, v.status, v.witness, v.note) if prefix else v)
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self._verdicts.values())
+
+    def __reversed__(self):
+        return reversed(self._verdicts.values())
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._verdicts)
 
     def get(self, check_id: str) -> Verdict:
-        for v in self.entries:
-            if v.check_id == check_id:
-                return v
-        raise KeyError(check_id)
+        return self._verdicts[check_id]
 
     @property
     def all_pass(self) -> bool:
-        return all(v.status != FAIL for v in self.entries)
+        return all(v.status != FAIL for v in self)
 
     def failures(self) -> list[Verdict]:
-        return [v for v in self.entries if v.status == FAIL]
+        return [v for v in self if v.status == FAIL]
 
     def first_failure(self) -> Optional[Verdict]:
         fails = self.failures()
@@ -109,7 +108,7 @@ class VerdictReport:
 
     def to_json_entries(self, field: Field) -> list[dict]:
         out = []
-        for v in self.entries:
+        for v in self:
             item: dict = {"id": v.check_id, "status": v.status}
             if v.witness is not None:
                 item["witness"] = v.witness.to_json(field)
@@ -119,8 +118,8 @@ class VerdictReport:
         return out
 
     def summary(self) -> str:
-        npass = sum(1 for v in self.entries if v.status == PASS)
-        nfail = sum(1 for v in self.entries if v.status == FAIL)
-        nskip = sum(1 for v in self.entries if v.status == SKIPPED)
+        npass = sum(1 for v in self if v.status == PASS)
+        nfail = sum(1 for v in self if v.status == FAIL)
+        nskip = sum(1 for v in self if v.status == SKIPPED)
         head = f"{self.title}: " if self.title else ""
         return f"{head}{npass} pass, {nfail} fail, {nskip} skipped"

@@ -520,6 +520,7 @@ MALFORMED = [
     ("measure_undeclared_object", _set(["roles", "measure", "object"], "Q"), ALL_COMMANDS[1:]),
     ("cocycle_no_map", _set(["roles", "cocycle", "map"], KeyError), ALL_COMMANDS[1:]),
     ("phi_no_map", _set(["roles", "phi", "map"], KeyError), ("equiv",)),
+    ("phi_wrong_type", _set(["roles", "phi", "map"], "S"), ("equiv",)),
     ("entry_float", _set(["generators", "eps", "matrix", 0, 1], 0.5), ALL_COMMANDS),
     ("not_utf8", None, ALL_COMMANDS),
     ("dom_undeclared", _set(["generators", "mu", "dom"], ["Z", "H"]), ALL_COMMANDS),
@@ -530,6 +531,7 @@ MALFORMED = [
 MALFORMED_MESSAGES = {
     "dom_undeclared": "error: generator 'mu' names undeclared object 'Z'\n",
     "cod_undeclared": "error: generator 'Delta' names undeclared object 'Z'\n",
+    "phi_wrong_type": "error: phi must be a map H -> A\n",
 }
 
 

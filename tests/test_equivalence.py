@@ -6,7 +6,7 @@ import pytest
 
 import weakhopf
 from weakhopf import identities as ids
-from weakhopf.algebra import AlgebraData, convolve
+from weakhopf.algebra import AlgebraData, StructureError, convolve
 from weakhopf.crossed import (
     WeakMeasure,
     base_action_measure,
@@ -215,6 +215,17 @@ def test_products_over_different_algebras_are_rejected():
     with pytest.raises(NotAnEquivalence) as exc:
         phi_from_iso(E, Ep, identity(QQ, E.obj))
     assert exc.value.check_id == "products_share_A"
+
+
+def test_maps_of_the_wrong_type_are_refused_where_they_enter():
+    pres = load_presentation(PAIR)
+    H = pres.bialgebra()
+    m = pres.measure(H)
+    E = build_crossed_product(m, pres.cocycle(m))
+    with pytest.raises(StructureError, match=r"^phi must be a map H -> A$"):
+        equivalence_from_phi(E, E, pres.gen("S"))
+    with pytest.raises(StructureError, match=r"^Phi must be a map E -> Ep$"):
+        phi_from_iso(E, E, H.delta)
 
 
 def test_an_equivalence_derives_one_context_per_call_from_E(monkeypatch):

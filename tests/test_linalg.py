@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weakhopf.fields import GF, QQ, FieldError
+from weakhopf.fields import GF, QQ, FieldError, PrimeField, RationalField
+from weakhopf.ir import build_env, check_identity_text, eval_text
 from weakhopf.linalg import (
     LinMap,
     NotIdempotentError,
@@ -15,6 +16,7 @@ from weakhopf.linalg import (
     UNIT_WORD,
     _int_rows,
     compose,
+    rename_factor,
     factor_through,
     from_rows,
     identity,
@@ -174,8 +176,12 @@ def test_threads_reading_one_fresh_map_read_one_content():
             m.rows = [list(r) for r in rows]
         return cols, m.rows == rows
 
-    for results in race(lambda: LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]), run, 20):
-        assert results == [(want, True)] * 4
+    # Built from rows, the threads read the columns and then build the rows
+    # view at once; built from the columns, they build the view at once.
+    for build in (lambda: LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]),
+                  lambda: LinMap.from_int_columns(QQ, (X3,), (X3,), *want)):
+        for results in race(build, run, 20):
+            assert results == [(want, True)] * 4
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
@@ -192,16 +198,20 @@ def test_a_read_map_round_trips_read_only(clone):
         out.rows = [[QQ.one] * 2] * 3
 
 
-def test_fields_are_rebound_until_first_read_and_refused_after():
+def test_fields_are_never_rebound():
+    # Refused before the first read as well as after: the rows of an unread
+    # map are filled in place, never replaced.
     m = zero_map(QQ, (X2,), (X2,))
-    m.rows = [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]
-    m.cod = (Obj("Z", 2),)
-    assert m.int_columns() == ([{0: 1}, {1: 1}], 1)
-    for name, value in (("rows", [[QQ.zero] * 2] * 2), ("dom", (X3,)), ("field", GF(7)),
-                        ("_int_cols", None)):
-        with pytest.raises(TypeError, match="read-only"):
-            setattr(m, name, value)
-    assert m == from_rows(QQ, (X2,), (Obj("Z", 2),), [[1, 0], [0, 1]])
+    for read in (False, True):
+        if read:
+            assert m.int_columns() == ([{}, {}], 1)
+        for name, value in (("rows", [[QQ.one] * 2] * 2), ("dom", (X3,)), ("cod", (X3,)),
+                            ("field", GF(7)), ("_int_cols", None)):
+            with pytest.raises(TypeError, match="read-only"):
+                setattr(m, name, value)
+            with pytest.raises(TypeError, match="read-only"):
+                delattr(m, name)
+    assert m == zero_map(QQ, (X2,), (X2,))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
@@ -220,6 +230,28 @@ def test_from_int_columns_keeps_what_to_ints_reads_off_its_rows(field):
         made.rows[0][0] = field.one
 
 
+def test_from_int_columns_makes_the_canonical_form():
+    f7, U = GF(7), Obj("U", 1)
+    canon = LinMap.from_int_columns(f7, (X2,), (U,), [{0: 1}, {0: 4}], 1)
+    # 2/2 and 1/2 are 1 and 4 mod 7, and so are 8 and 4 over the scale 1.
+    for cols, scale in (([{0: 2}, {0: 1}], 2), ([{0: 8}, {0: 4}], 1)):
+        m = LinMap.from_int_columns(f7, (X2,), (U,), cols, scale)
+        assert m.int_columns() == canon.int_columns() == ([{0: 1}, {0: 4}], 1)
+        assert m == canon
+        assert check_identity_text("m", "c", build_env(f7, {}, {"m": m, "c": canon})).passed
+    assert LinMap.from_int_columns(f7, (X2,), (U,), [{0: 14}, {0: 3}], 3).int_columns() == (
+        [{}, {0: 1}], 1)
+    # Over Q the scale is made positive and reduced by the gcd; zeros are dropped.
+    third = LinMap.from_int_columns(QQ, (X2,), (X2,), [{0: 2}, {0: -4, 1: 0}], -6)
+    assert third.int_columns() == ([{0: -1}, {0: 2}], 3)
+    for field, scale in ((f7, 0), (f7, 7), (f7, -14), (QQ, 0)):
+        with pytest.raises(FieldError, match="zero"):
+            LinMap.from_int_columns(field, (X2,), (U,), [{0: 1}, {}], scale)
+    for cols in ([{1: 1}, {}], [{0: 1}, {-1: 1}], [{0: 1}]):
+        with pytest.raises(ShapeError):
+            LinMap.from_int_columns(f7, (X2,), (U,), cols, 1)
+
+
 # -- randomized laws --------------------------------------------------------
 
 def _maps(field, names=("P", "Q", "R")):
@@ -234,6 +266,70 @@ def _maps(field, names=("P", "Q", "R")):
         return LinMap(field, dom, cod, rows)
 
     return one()
+
+
+def _row_major_difference(a: list, b: list):
+    """The first (row, col, a entry, b entry) where the rows differ, or None."""
+    return next(((i, j, x, y) for i, (ra, rb) in enumerate(zip(a, b))
+                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+
+
+def _both_forms(data, field, rows, dom, cod):
+    """The map of ``rows`` built from them, and built by ``from_int_columns``
+    from its columns times a random nonzero multiplier, every row listed
+    (zeros too) and, over F_7, each entry shifted by a multiple of 7."""
+    cols, scale = LinMap(field, dom, cod, [list(r) for r in rows]).int_columns()
+    k = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3] if field is QQ else [1, 2, 3, 4, 5, 6]))
+    shift = st.integers(min_value=-2, max_value=2) if field.modulus else st.just(0)
+    scaled = [{i: c.get(i, 0) * k + field.modulus * data.draw(shift) for i in range(len(rows))}
+              for c in cols]
+    return [LinMap(field, dom, cod, [list(r) for r in rows]),
+            LinMap.from_int_columns(field, dom, cod, scaled, scale * k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rows_and_columns_make_one_map(data):
+    field = data.draw(st.sampled_from([QQ, GF(7)]))
+    a = data.draw(_maps(field))
+    rows_a = [list(r) for r in a.rows]
+    rows_b = [[field.normalize(data.draw(st.integers(min_value=-3, max_value=3)))
+               if data.draw(st.booleans()) else v for v in r] for r in rows_a]
+    diff = _row_major_difference(rows_a, rows_b)
+    for x in _both_forms(data, field, rows_a, a.dom, a.cod):
+        for y in _both_forms(data, field, rows_b, a.dom, a.cod):
+            assert (x == y) == (diff is None) and x.first_difference(y) == diff
+            verdict = check_identity_text("x", "y", build_env(field, {}, {"x": x, "y": y}))
+            w = verdict.witness
+            assert verdict.passed == (diff is None)
+            assert diff is None or (w.row, w.col, w.lhs, w.rhs) == diff
+            assert x.rows == rows_a and y.rows == rows_b
+            assert (x - y).rows == [[field.normalize(p - q) for p, q in zip(ra, rb)]
+                                    for ra, rb in zip(rows_a, rows_b)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_column_reads_build_no_field_scalars(field, monkeypatch):
+    calls = []
+    for cls in (RationalField, PrimeField):
+        def counted(self, n, d, _orig=cls.from_int):
+            calls.append((n, d))
+            return _orig(self, n, d)
+        monkeypatch.setattr(cls, "from_int", counted)
+    f = from_rows(field, X2, X2, [[1, Fraction(1, 2)], [0, 3]])
+    g = from_rows(field, X2, X2, [[2, 0], [1, 1]])
+    env = build_env(field, {}, {"f": f, "g": g})
+    calls.clear()
+    fg, gf = eval_text("f ; g", env), eval_text("g ; f", env)
+    renamed = rename_factor(fg, {"X": "Z"})
+    assert fg == eval_text("f ; g", env) and fg != gf
+    assert fg.first_difference(eval_text("f ; g", env)) is None
+    assert calls == []
+    assert fg.first_difference(gf) is not None and len(calls) == 2
+    calls.clear()
+    # The view is built once, one scalar per nonzero entry.
+    nonzero = sum(len(c) for c in renamed.int_columns()[0])
+    assert renamed.rows == renamed.rows and len(calls) == nonzero
 
 
 @settings(max_examples=50, deadline=None)
@@ -401,16 +497,18 @@ def test_rref_matches_dense_reference(case):
 
 
 def test_unreduced_residue_is_refused_where_it_enters_the_kernel():
-    # 8 is not a residue mod 7: the maps differ under ==, so the kernel must
-    # not read 8 as 1 and call them equal; it names the entry instead.
+    # 8 is not a residue mod 7: neither == nor the kernel may read 8 as 1 and
+    # call the maps equal; both name the entry instead.
     from weakhopf.ir import build_env, check_identity_text
 
     f7 = GF(7)
     bad = LinMap(f7, (X2,), (X2,), [[1, 0], [0, 8]])
-    assert bad != identity(f7, X2)
+    with pytest.raises(FieldError, match=r"entry \(1, 1\)"):
+        bad != identity(f7, X2)
     read = identity(f7, X2)
     read.int_columns()
-    assert bad != read  # a read map compares by its entries, without raising
+    with pytest.raises(FieldError, match=r"entry \(1, 1\)"):
+        bad != read  # == reads the columns of both maps
     with pytest.raises(FieldError, match=r"entry \(1, 1\) .*: 8$"):
         bad.int_columns()
     env = build_env(f7, {}, {"m": bad, "e": identity(f7, X2)})

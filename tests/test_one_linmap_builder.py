@@ -4,12 +4,14 @@ its integer columns: no module fills a ``zero_map`` or writes into the
 reads a file's rows and writes a map's) call the ``LinMap`` constructor or
 read ``.rows``, apart from the dense oracle ``algebra.convolve``, kept apart
 from the integer kernel on purpose; every other module builds maps through
-linalg's builders, from integer columns."""
+linalg's builders, from integer columns.  No module but ``linalg.py`` reads
+or writes a LinMap's private state."""
 import ast
 import glob
 import os
 
 import weakhopf
+from weakhopf.linalg import LinMap
 
 SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(weakhopf.__file__), "*.py")))
 
@@ -76,3 +78,21 @@ def test_only_the_row_modules_call_the_linmap_constructor():
 def test_only_the_row_modules_read_rows():
     assert _outside_row_modules(lambda node: isinstance(node, ast.Attribute)
                                 and node.attr == "rows") == []
+
+
+# A LinMap's private state: every slot but its field and words.
+PRIVATE = {name for name in LinMap.__slots__ if name.startswith("_")}
+
+
+def test_only_linalg_touches_a_linmaps_private_state():
+    found = []
+    for path in SOURCES:
+        module = os.path.basename(path)
+        if module == "linalg.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr in PRIVATE)
+                  or (isinstance(node, ast.Constant) and node.value in PRIVATE)]
+    assert PRIVATE and found == []
