@@ -35,8 +35,8 @@ from .bialgebra import (
     projection_identity_suite,
 )
 from .groupoid import (
-    GroupoidPresentation,
-    InvalidGroupoid,
+    FiniteCategory,
+    InvalidCategory,
     enumerate_groupoids,
     groupoid_algebra,
     pair_groupoid,

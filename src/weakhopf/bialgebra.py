@@ -5,7 +5,7 @@ one is a weak Hopf algebra (``WeakHopfAlgebra`` names the same class).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -75,9 +75,6 @@ class WeakBialgebra:
         if not report.all_pass:
             raise InvalidStructure(report)
         return cand
-
-    def without_antipode(self) -> "WeakBialgebra":
-        return replace(self, antipode=None)
 
     # -- kept derived state -------------------------------------------------
 

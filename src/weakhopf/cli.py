@@ -162,7 +162,7 @@ class _Ladder:
         if level == "bialgebra":
             return self.bialgebra.base_env()
         if level == "crossed" and self.pres.has_role("phi"):
-            return ProductPair(self.crossed, self.crossed).context.child({"phi": self.pres.phi()})
+            return ProductPair(self.crossed, self.crossed).with_phi(self.pres.phi())
         if level == "crossed_inverse":
             E = self.crossed
             return E.context.child({"finv": E.cocycle.inverse, "gaminv": self.crossed_inverse[0]})
@@ -411,9 +411,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_path=True):
-        if with_path:
-            p.add_argument("path", help="presentation file (JSON)")
+    def common(p):
+        p.add_argument("path", help="presentation file (JSON)")
         p.add_argument("--field", help="override the field: rational | prime:P")
         p.add_argument("--report", help="report output path")
         p.add_argument("--timing", action="store_true", help="record real timing in the report")

@@ -233,22 +233,29 @@ def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
 
 @dataclass
 class CrossedProduct:
-    """The unitary crossed product in split-image coordinates; ``context``,
-    kept and built once, is the cocycle's plus the product's maps.
+    """The unitary crossed product in split-image coordinates, over its
+    cocycle's measure and with its cocycle's preunit; ``context``, kept and
+    built once, is the cocycle's plus the product's maps.
     ``equalizer`` is ``equalizer_matches`` for the coaction and the base
     embedding, computed once."""
 
-    measure: WeakMeasure
     cocycle: CocycleData
     obj: Obj
     i: LinMap       # E -> A (x) H
     p: LinMap       # A (x) H -> E
     mu_E: LinMap
     eta_E: LinMap
-    nu: LinMap
     j_nu: LinMap    # A -> E
     gamma: LinMap   # H -> E
     delta_E: LinMap # E -> E (x) H
+
+    @property
+    def measure(self) -> WeakMeasure:
+        return self.cocycle.measure
+
+    @property
+    def nu(self) -> LinMap:
+        return self.cocycle.nu
 
     @property
     def E_dim(self) -> int:
@@ -291,14 +298,12 @@ def build_crossed_product(m: WeakMeasure, data: CocycleData) -> CrossedProduct:
     _, i, p = split_idempotent(m.nabla, name="E")
     env = env.child({"iE": i, "pE": p})
     return CrossedProduct(
-        m,
         data,
         i.dom[0],
         i,
         p,
         mu_E=eval_text(ids.MU_E_EXPR, env),
         eta_E=eval_text(ids.ETA_E_EXPR, env),
-        nu=data.nu,
         j_nu=eval_text(ids.J_NU_EXPR, env),
         gamma=eval_text(ids.GAMMA_EXPR, env),
         delta_E=eval_text(ids.DELTA_E_EXPR, env),

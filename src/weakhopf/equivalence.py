@@ -58,6 +58,14 @@ class ProductPair:
             **{name + "p": rename_factor(m, ren) for name, m in maps.items()},
         })
 
+    def with_phi(self, phi: LinMap) -> Env:
+        """A new child of the context binding phi.  Raises StructureError
+        unless phi is a map H -> A."""
+        m = self.E.measure
+        if phi.dom != (m.H.obj,) or phi.cod != (m.A.obj,):
+            raise StructureError("phi must be a map H -> A")
+        return self.context.child({"phi": phi})
+
 
 def iso_laws(env: Env, report: VerdictReport) -> VerdictReport:
     """The iso laws of the map ``env`` binds as Phi, added to ``report``."""
@@ -73,10 +81,8 @@ def equivalence_from_phi(
     isomorphism (verified unital, multiplicative, linear, colinear).
     Raises StructureError unless phi is a map H -> A."""
     m, mp = E.measure, Ep.measure
-    if phi.dom != (m.H.obj,) or phi.cod != (m.A.obj,):
-        raise StructureError("phi must be a map H -> A")
+    env = ProductPair(E, Ep).with_phi(phi)
     report = VerdictReport("equivalence from phi")
-    env = ProductPair(E, Ep).context.child({"phi": phi})
     run_identity_table(ids.EQUIVALENCE_CONDITIONS, env, report)
     phi_inv = _conv_solve(phi, m.u(1), mp.u(1), m.H.coalgebra, m.A)
     report.add_bool("phi_inverse_exists", phi_inv is not None)

@@ -1,15 +1,20 @@
-"""Finite groupoids and their weak Hopf algebras.
+"""Finite categories and their weak bialgebras.
 
-The algebra of a finite groupoid has the morphisms as basis, product given by
-composition (zero when sources and targets do not match), grouplike
-comultiplication, counit one on every morphism and antipode the inversion.
-It is the canonical test universe here: every connected finite groupoid is a
-pair groupoid times a vertex group, so enumerating (component sizes, groups)
-multisets enumerates all finite groupoids up to isomorphism.
+A finite category is its composition table; its identities, and its
+inverses when it is a groupoid, are read off the table, each unique when it
+exists.  Its algebra has the morphisms as basis, composition as product (zero
+when sources and targets do not match), the sum of the identities as unit,
+grouplike comultiplication and counit one on every morphism: a weak
+bialgebra, weak Hopf with the inversion as antipode exactly for a groupoid.
+Groupoids are the canonical test universe here: every connected finite
+groupoid is a pair groupoid times a vertex group, so enumerating
+(component sizes, groups) multisets enumerates all finite groupoids up to
+isomorphism.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .bialgebra import WeakBialgebra
@@ -17,86 +22,90 @@ from .fields import Field
 from .linalg import LinMap, Obj, UNIT_WORD
 
 
-class InvalidGroupoid(ValueError):
+class InvalidCategory(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class GroupoidPresentation:
+class FiniteCategory:
     objects: tuple
     morphisms: tuple
     source: dict
     target: dict
     compose: dict  # (g, h) -> g after h, defined iff source[g] == target[h]
-    identity: dict  # object -> identity morphism
-    inverse: dict
 
-    def validate(self) -> "GroupoidPresentation":
+    @cached_property
+    def identity(self) -> dict:
+        """object -> its identity: the endomorphism e with e.h = h and g.e = g
+        for every composable g and h.  Raises InvalidCategory at an object
+        that has none."""
+        mors, source, target, comp = self.morphisms, self.source, self.target, self.compose.get
+        out = {x: e for x in self.objects for e in mors if source[e] == target[e] == x
+               and all(comp((e, h)) == h for h in mors if target[h] == x)
+               and all(comp((g, e)) == g for g in mors if source[g] == x)}
+        for x in self.objects:
+            if x not in out:
+                raise InvalidCategory(f"no identity at {x}")
+        return out
+
+    @cached_property
+    def inverse(self) -> Optional[dict]:
+        """morphism -> its inverse when every morphism has one, so that the
+        category is a groupoid; else None."""
+        ident, mors, comp = self.identity, self.morphisms, self.compose.get
+        out = {g: h for g in mors for h in mors if comp((g, h)) == ident[self.target[g]]
+               and comp((h, g)) == ident[self.source[g]]}
+        return out if len(out) == len(mors) else None
+
+    def validate(self) -> "FiniteCategory":
         obs, mors = set(self.objects), set(self.morphisms)
         if len(self.objects) != len(obs) or len(self.morphisms) != len(mors):
-            raise InvalidGroupoid("duplicate object or morphism names")
+            raise InvalidCategory("duplicate object or morphism names")
         for m in self.morphisms:
             if self.source.get(m) not in obs or self.target.get(m) not in obs:
-                raise InvalidGroupoid(f"morphism {m} has a bad source or target")
+                raise InvalidCategory(f"morphism {m} has a bad source or target")
         for (g, h), gh in self.compose.items():
             if self.source[g] != self.target[h]:
-                raise InvalidGroupoid(f"pair ({g},{h}) is not composable")
+                raise InvalidCategory(f"pair ({g},{h}) is not composable")
             if gh not in mors:
-                raise InvalidGroupoid(f"composite {gh} not a morphism")
+                raise InvalidCategory(f"composite {gh} not a morphism")
             if self.source[gh] != self.source[h] or self.target[gh] != self.target[g]:
-                raise InvalidGroupoid(f"composite {g}.{h} has wrong endpoints")
-        for g in self.morphisms:
-            for h in self.morphisms:
-                if self.source[g] == self.target[h] and (g, h) not in self.compose:
-                    raise InvalidGroupoid(f"missing composite of ({g},{h})")
-        for x in self.objects:
-            e = self.identity.get(x)
-            if e is None or self.source[e] != x or self.target[e] != x:
-                raise InvalidGroupoid(f"bad identity at {x}")
-        for g in self.morphisms:
-            if self.compose[(g, self.identity[self.source[g]])] != g:
-                raise InvalidGroupoid(f"right identity fails at {g}")
-            if self.compose[(self.identity[self.target[g]], g)] != g:
-                raise InvalidGroupoid(f"left identity fails at {g}")
-        for g in self.morphisms:
-            gi = self.inverse.get(g)
-            if gi is None or self.source[gi] != self.target[g] or self.target[gi] != self.source[g]:
-                raise InvalidGroupoid(f"bad inverse of {g}")
-            if self.compose[(g, gi)] != self.identity[self.target[g]]:
-                raise InvalidGroupoid(f"inverse fails at {g}")
-            if self.compose[(gi, g)] != self.identity[self.source[g]]:
-                raise InvalidGroupoid(f"inverse fails at {g}")
-        for g in self.morphisms:
-            for h in self.morphisms:
-                if self.source[g] != self.target[h]:
-                    continue
-                for k in self.morphisms:
-                    if self.source[h] != self.target[k]:
-                        continue
-                    if self.compose[(self.compose[(g, h)], k)] != self.compose[(g, self.compose[(h, k)])]:
-                        raise InvalidGroupoid("composition is not associative")
+                raise InvalidCategory(f"composite {g}.{h} has wrong endpoints")
+        comp = self.compose
+        pairs = [(g, h) for g in self.morphisms for h in self.morphisms
+                 if self.source[g] == self.target[h]]
+        for g, h in pairs:
+            if (g, h) not in comp:
+                raise InvalidCategory(f"missing composite of ({g},{h})")
+        if any(comp[(comp[(g, h)], k)] != comp[(g, comp[(h, k)])]
+               for g, h in pairs for k in self.morphisms if self.source[h] == self.target[k]):
+            raise InvalidCategory("composition is not associative")
+        self.identity  # raises InvalidCategory at an object without one
         return self
 
 
-def groupoid_algebra(G: GroupoidPresentation, field: Field) -> WeakBialgebra:
-    """Weak Hopf algebra on the morphism basis of a validated groupoid: H
-    with the inversion as its antipode."""
-    G.validate()
-    n = len(G.morphisms)
-    index = {m: i for i, m in enumerate(G.morphisms)}
+def groupoid_algebra(C: FiniteCategory, field: Field) -> WeakBialgebra:
+    """The weak bialgebra k[C] on the morphism basis of a validated finite
+    category.  Its antipode is the inversion when C is a groupoid, else
+    None: the algebra of a category that is not a groupoid has none."""
+    C.validate()
+    n = len(C.morphisms)
+    index = {m: i for i, m in enumerate(C.morphisms)}
     H = Obj("H", n)
 
     def linmap(dom, cod, cols):
         return LinMap.from_int_columns(field, dom, cod, cols, 1)
 
     mu_cols = [{} for _ in range(n * n)]
-    for (g, h), gh in G.compose.items():
+    for (g, h), gh in C.compose.items():
         mu_cols[index[g] * n + index[h]] = {index[gh]: 1}
     mu = linmap((H, H), (H,), mu_cols)
-    eta = linmap(UNIT_WORD, (H,), [{index[G.identity[x]]: 1 for x in G.objects}])
+    eta = linmap(UNIT_WORD, (H,), [{index[C.identity[x]]: 1 for x in C.objects}])
     delta = linmap((H,), (H, H), [{i * n + i: 1} for i in range(n)])
     eps = linmap((H,), UNIT_WORD, [{0: 1} for _ in range(n)])
-    antipode = linmap((H,), (H,), [{index[G.inverse[m]]: 1} for m in G.morphisms])
+    inverse = C.inverse
+    antipode = None if inverse is None else linmap(
+        (H,), (H,), [{index[inverse[m]]: 1} for m in C.morphisms])
     return WeakBialgebra.checked(field, H, mu, eta, delta, eps, antipode)
 
 
@@ -109,18 +118,22 @@ class GroupTable:
     name: str
     elements: tuple
     mult: dict
-    inverse: dict
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def inverse(self) -> dict:
+        """x -> its inverse, read off the table of a group."""
+        els, mult = self.elements, self.mult
+        unit, = (u for u in els if all(mult[(u, x)] == x for x in els))
+        return {x: y for x in els for y in els if mult[(x, y)] == unit}
+
 
 def cyclic(n: int) -> GroupTable:
     els = tuple(range(n))
-    mult = {(a, b): (a + b) % n for a in els for b in els}
-    inverse = {a: (-a) % n for a in els}
-    return GroupTable(f"C{n}", els, mult, inverse)
+    return GroupTable(f"C{n}", els, {(a, b): (a + b) % n for a in els for b in els})
 
 
 def direct_product(g1: GroupTable, g2: GroupTable, name: Optional[str] = None) -> GroupTable:
@@ -130,8 +143,7 @@ def direct_product(g1: GroupTable, g2: GroupTable, name: Optional[str] = None) -
         for (a1, b1) in els
         for (a2, b2) in els
     }
-    inverse = {(a, b): (g1.inverse[a], g2.inverse[b]) for (a, b) in els}
-    return GroupTable(name or f"{g1.name}x{g2.name}", els, mult, inverse)
+    return GroupTable(name or f"{g1.name}x{g2.name}", els, mult)
 
 
 def dihedral(n: int) -> GroupTable:
@@ -144,12 +156,7 @@ def dihedral(n: int) -> GroupTable:
             return ((r1 + r2) % n, s2)
         return ((r1 - r2) % n, 1 - s2)
     mult = {(x, y): mul(x, y) for x in els for y in els}
-    inverse = {}
-    for x in els:
-        for y in els:
-            if mul(x, y) == (0, 0):
-                inverse[x] = y
-    return GroupTable(f"D{n}" if n != 3 else "S3", els, mult, inverse)
+    return GroupTable(f"D{n}" if n != 3 else "S3", els, mult)
 
 
 def quaternion8() -> GroupTable:
@@ -167,12 +174,7 @@ def quaternion8() -> GroupTable:
         az, sz = table[(ax, ay)]
         return (az, sx * sy * sz)
     mult = {(x, y): mul(x, y) for x in els for y in els}
-    inverse = {}
-    for x in els:
-        for y in els:
-            if mul(x, y) == ("1", 1):
-                inverse[x] = y
-    return GroupTable("Q8", els, mult, inverse)
+    return GroupTable("Q8", els, mult)
 
 
 def groups_up_to_order(nmax: int) -> list:
@@ -197,59 +199,43 @@ def groups_up_to_order(nmax: int) -> list:
 # Groupoid builders and enumeration
 # --------------------------------------------------------------------------
 
-def connected_groupoid(n_objects: int, group: GroupTable, tag: str = "") -> GroupoidPresentation:
+def connected_groupoid(n_objects: int, group: GroupTable, tag: str = "") -> FiniteCategory:
     """The groupoid with n objects, all pairwise isomorphic with vertex group
     `group`; morphisms (i <- j, g) compose by (i,j,g).(j,k,h) = (i,k,gh)."""
     objs = tuple(f"{tag}x{i}" for i in range(n_objects))
-    mors = tuple(
-        f"{tag}m{i}_{j}_{k}"
-        for i in range(n_objects)
-        for j in range(n_objects)
-        for k in range(group.order)
-    )
+    els = group.elements
+    cells = [(i, j, k) for i in range(n_objects) for j in range(n_objects) for k in range(len(els))]
     def mor(i, j, k):
         return f"{tag}m{i}_{j}_{k}"
-    els = group.elements
     eidx = {e: i for i, e in enumerate(els)}
-    source, target, compose, identity, inverse = {}, {}, {}, {}, {}
-    for i in range(n_objects):
-        for j in range(n_objects):
-            for k in range(group.order):
-                m = mor(i, j, k)
-                source[m] = objs[j]
-                target[m] = objs[i]
-                inverse[m] = mor(j, i, eidx[group.inverse[els[k]]])
-    for i in range(n_objects):
-        identity[objs[i]] = mor(i, i, eidx[group.mult[(els[0], group.inverse[els[0]])]])
-    for i in range(n_objects):
-        for j in range(n_objects):
-            for k in range(group.order):
-                for j2 in range(n_objects):
-                    for k2 in range(group.order):
-                        g, h = mor(i, j, k), mor(j, j2, k2)
-                        compose[(g, h)] = mor(i, j2, eidx[group.mult[(els[k], els[k2])]])
-    return GroupoidPresentation(objs, mors, source, target, compose, identity, inverse)
+    compose = {
+        (mor(i, j, k), mor(j, j2, k2)): mor(i, j2, eidx[group.mult[(els[k], els[k2])]])
+        for i, j, k in cells
+        for j2 in range(n_objects)
+        for k2 in range(len(els))
+    }
+    return FiniteCategory(objs, tuple(mor(*c) for c in cells),
+                          {mor(i, j, k): objs[j] for i, j, k in cells},
+                          {mor(i, j, k): objs[i] for i, j, k in cells}, compose)
 
 
-def disjoint_union(*parts: GroupoidPresentation) -> GroupoidPresentation:
+def disjoint_union(*parts: FiniteCategory) -> FiniteCategory:
     objs, mors = [], []
-    source, target, compose, identity, inverse = {}, {}, {}, {}, {}
+    source, target, compose = {}, {}, {}
     for part in parts:
         objs.extend(part.objects)
         mors.extend(part.morphisms)
         source.update(part.source)
         target.update(part.target)
         compose.update(part.compose)
-        identity.update(part.identity)
-        inverse.update(part.inverse)
-    return GroupoidPresentation(tuple(objs), tuple(mors), source, target, compose, identity, inverse)
+    return FiniteCategory(tuple(objs), tuple(mors), source, target, compose)
 
 
-def pair_groupoid(n: int) -> GroupoidPresentation:
+def pair_groupoid(n: int) -> FiniteCategory:
     return connected_groupoid(n, cyclic(1))
 
 
-def group_groupoid(group: GroupTable) -> GroupoidPresentation:
+def group_groupoid(group: GroupTable) -> FiniteCategory:
     return connected_groupoid(1, group)
 
 

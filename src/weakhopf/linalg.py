@@ -86,9 +86,9 @@ class LinMap:
 
     Its one content is ``int_columns()``, in the canonical form that
     ``from_int_columns`` makes; ``==``, ``first_difference`` and ``-`` read
-    it.  A map built from rows reads them at its first ``int_columns``, and
-    until then the given list may be filled in place.  No field is ever
-    rebound: an assignment raises TypeError."""
+    it.  A map built from rows reads them at its first ``int_columns`` and
+    then drops them; until then the given list may be filled in place.  No
+    other field is ever rebound: an assignment raises TypeError."""
 
     __slots__ = ("field", "dom", "cod", "_given", "_int_cols", "_view")
     __hash__ = None
@@ -144,8 +144,9 @@ class LinMap:
         the columns, built the first time it is asked for and kept."""
         view = self._view
         if view is None:
+            given = self._given  # read first: the columns are published before it is dropped
             if self._int_cols is None:
-                return self._given
+                return given
             cols, scale = self._int_cols
             conv, z = self.field.from_int, self.field.zero
             rows = [[z] * len(cols) for _ in range(self.nrows)]
@@ -161,11 +162,11 @@ class LinMap:
         entries are n / scale; over F_p the scale is 1 and n a residue.
         Read off the given rows at the first call and kept; raises
         FieldError naming the (row, col) of an entry that is not a canonical
-        scalar of the map's field.  The dicts are shared, and never
-        written."""
+        scalar of the map's field.  The given rows are dropped once the
+        columns are kept.  The dicts are shared, and never written."""
+        rows = self._given  # read first, as in ``rows``
         kept = self._int_cols
         if kept is None:
-            rows = self._given
             _check_shape(rows, self.nrows, self.ncols)  # they may have been refilled in place
             nz = [[] for _ in range(self.ncols)]
             for i, row in enumerate(rows):
@@ -181,6 +182,7 @@ class LinMap:
             kept = ([{i: n for (i, _), n in zip(col, flat) if n} for col in nz], scale)
             # Published in one assignment, as threads may read one new map at once.
             object.__setattr__(self, "_int_cols", kept)
+            object.__setattr__(self, "_given", None)
         return kept
 
     def __eq__(self, other):

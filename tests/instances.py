@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from weakhopf.fields import QQ
 from weakhopf.groupoid import (
+    FiniteCategory,
     cyclic,
     group_groupoid,
     groupoid_algebra,
@@ -25,6 +26,23 @@ def z2_hopf(field=QQ):
 def pair_groupoid_hopf(n=2, field=QQ):
     """Pair groupoid on n objects; the basic truly weak example."""
     return groupoid_algebra(pair_groupoid(n), field)
+
+
+def arrow_category():
+    """The category 0 -> 1: two identities and one arrow a, which has no
+    inverse."""
+    return FiniteCategory(
+        ("0", "1"),
+        ("1_0", "a", "1_1"),
+        {"1_0": "0", "a": "0", "1_1": "1"},
+        {"1_0": "0", "a": "1", "1_1": "1"},
+        {("1_0", "1_0"): "1_0", ("a", "1_0"): "a", ("1_1", "a"): "a", ("1_1", "1_1"): "1_1"},
+    )
+
+
+def arrow_bialgebra(field=QQ):
+    """The algebra of the arrow category: a weak bialgebra with no antipode."""
+    return groupoid_algebra(arrow_category(), field)
 
 
 def trivial_groupoid_hopf(n=2, field=QQ):

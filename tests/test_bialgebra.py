@@ -18,6 +18,7 @@ from weakhopf.groupoid import groupoid_algebra, pair_groupoid
 from weakhopf.linalg import LinMap, ShapeError, compose, from_rows, identity, zero_map
 
 from instances import (
+    arrow_bialgebra,
     brute_convolve,
     brute_projection_left,
     pair_groupoid_hopf,
@@ -120,8 +121,8 @@ def test_wrong_antipode_fails_axiom_one():
 def test_antipode_suite_passes_with_inversion():
     H = pair_groupoid_hopf()
     assert projection_identity_suite(H).all_pass
-    bialg = H.without_antipode()
-    rep = projection_identity_suite(bialg)
+    # The arrow category's algebra has no antipode: its rows are skipped.
+    rep = projection_identity_suite(arrow_bialgebra())
     assert rep.all_pass
     assert any(v.status == "skipped" for v in rep)
 

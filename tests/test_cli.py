@@ -588,6 +588,17 @@ def test_a_boolean_dimension_exits_2_on_every_command(tmp_path):
         assert _call(argv) == (2, "", "error: object 'A' has bad dimension True\n"), command
 
 
+@pytest.mark.parametrize("query", [["--key", "phi_unit"], ["--expr", "muEp"]])
+def test_eval_refuses_a_phi_of_the_wrong_type_as_equiv_does(tmp_path, query):
+    # Both reach the crossed level, whose context binds the declared phi.
+    data = _load(PAIR)
+    data["roles"]["phi"]["map"] = "S"
+    target = tmp_path / "phi_s.json"
+    target.write_text(json.dumps(data))
+    assert _call(["eval", "--sig", str(target), *query]) == (
+        2, "", "error: phi must be a map H -> A\n")
+
+
 def _declared_cleft(tmp_path, bump=False):
     """The pair instance's crossed product written as a declared cleft
     extension; with ``bump``, one entry of its gamma inverse is off by one."""

@@ -169,19 +169,30 @@ def test_threads_reading_one_fresh_map_read_one_content():
     want = LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]).int_columns()
 
     def run(m):
+        before = m.rows == rows  # the given rows, or the view once the columns are kept
         cols = m.int_columns()
         with pytest.raises(TypeError):
             m.rows[2][2] = QQ.one
         with pytest.raises(TypeError):
             m.rows = [list(r) for r in rows]
-        return cols, m.rows == rows
+        return before, cols, m.rows == rows
 
-    # Built from rows, the threads read the columns and then build the rows
-    # view at once; built from the columns, they build the view at once.
+    # Built from rows, the threads read the rows while others read the
+    # columns and drop them, then build the rows view at once; built from
+    # the columns, they build the view at once.
     for build in (lambda: LinMap(QQ, (X3,), (X3,), [list(r) for r in rows]),
                   lambda: LinMap.from_int_columns(QQ, (X3,), (X3,), *want)):
         for results in race(build, run, 20):
-            assert results == [(want, True)] * 4
+            assert results == [(True, want, True)] * 4
+
+
+def test_a_row_built_map_drops_its_rows_once_its_columns_are_kept():
+    given = [[QQ.one, Fraction(1, 2)], [QQ.zero, QQ.one]]
+    m = LinMap(QQ, (X2,), (X2,), given)
+    assert m.rows is given  # filled in place until the first read
+    m.int_columns()
+    assert m._given is None  # the columns are its one copy of the content
+    assert m.rows == given and m.rows is not given
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],

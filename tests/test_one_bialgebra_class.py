@@ -47,10 +47,3 @@ def test_contexts_and_projections_are_kept():
     with pytest.raises(AttributeError):
         H.mu = H.mu  # the kept contexts are read off the fields
 
-
-def test_without_antipode_is_h_with_fresh_contexts():
-    H = groupoid_algebra(pair_groupoid(2), QQ)
-    B = H.without_antipode()
-    assert B.antipode is None
-    assert _parts(B) == _parts(H)
-    assert "S" in H.base_env().bindings and "S" not in B.base_env().bindings
