@@ -13,9 +13,10 @@ isomorphism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .bialgebra import WeakBialgebra
 from .fields import Field
@@ -26,16 +27,39 @@ class InvalidCategory(ValueError):
     pass
 
 
+def _frozen(obj, *names: str) -> None:
+    """Replace each named dict field of a frozen dataclass by a read-only
+    view of a copy, so that nothing read off the tables goes stale."""
+    for name in names:
+        object.__setattr__(obj, name, MappingProxyType(dict(getattr(obj, name))))
+
+
+def _reduce(obj) -> tuple:
+    """Pickle and copy a frozen table class by its fields, a read-only view
+    as a dict, since a view itself cannot be pickled."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+
+
 @dataclass(frozen=True)
 class FiniteCategory:
+    """A finite category as its tables; ``source``, ``target`` and
+    ``compose`` are kept as read-only copies of the mappings given, and
+    what is read off them is read-only too."""
+
     objects: tuple
     morphisms: tuple
-    source: dict
-    target: dict
-    compose: dict  # (g, h) -> g after h, defined iff source[g] == target[h]
+    source: Mapping
+    target: Mapping
+    compose: Mapping  # (g, h) -> g after h, defined iff source[g] == target[h]
+
+    def __post_init__(self):
+        _frozen(self, "source", "target", "compose")
+
+    __reduce__ = _reduce
 
     @cached_property
-    def identity(self) -> dict:
+    def identity(self) -> Mapping:
         """object -> its identity: the endomorphism e with e.h = h and g.e = g
         for every composable g and h.  Raises InvalidCategory at an object
         that has none."""
@@ -46,16 +70,16 @@ class FiniteCategory:
         for x in self.objects:
             if x not in out:
                 raise InvalidCategory(f"no identity at {x}")
-        return out
+        return MappingProxyType(out)
 
     @cached_property
-    def inverse(self) -> Optional[dict]:
+    def inverse(self) -> Optional[Mapping]:
         """morphism -> its inverse when every morphism has one, so that the
         category is a groupoid; else None."""
         ident, mors, comp = self.identity, self.morphisms, self.compose.get
         out = {g: h for g in mors for h in mors if comp((g, h)) == ident[self.target[g]]
                and comp((h, g)) == ident[self.source[g]]}
-        return out if len(out) == len(mors) else None
+        return MappingProxyType(out) if len(out) == len(mors) else None
 
     def validate(self) -> "FiniteCategory":
         obs, mors = set(self.objects), set(self.morphisms)
@@ -115,20 +139,27 @@ def groupoid_algebra(C: FiniteCategory, field: Field) -> WeakBialgebra:
 
 @dataclass(frozen=True)
 class GroupTable:
+    """A finite group as its multiplication table, kept as a read-only copy."""
+
     name: str
     elements: tuple
-    mult: dict
+    mult: Mapping
+
+    def __post_init__(self):
+        _frozen(self, "mult")
+
+    __reduce__ = _reduce
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @cached_property
-    def inverse(self) -> dict:
+    def inverse(self) -> Mapping:
         """x -> its inverse, read off the table of a group."""
         els, mult = self.elements, self.mult
         unit, = (u for u in els if all(mult[(u, x)] == x for x in els))
-        return {x: y for x in els for y in els if mult[(x, y)] == unit}
+        return MappingProxyType({x: y for x in els for y in els if mult[(x, y)] == unit})
 
 
 def cyclic(n: int) -> GroupTable:

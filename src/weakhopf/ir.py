@@ -87,7 +87,7 @@ class Env:
     node, so they are propagated only once across a whole table.  The
     dimension of each word is read from this Env's objects, once.
     ``child`` is the one way to derive a context: a child starts from what
-    its parent has compiled.
+    its parent has compiled and from the word dims it has read.
 
     Threads may share an Env without a lock: two threads that compile the
     same node at once each get a correct entry, and the later one is kept;
@@ -96,16 +96,17 @@ class Env:
 
     def __init__(self, sig: Signature, field: Field, bindings: dict, parent: Optional["Env"] = None):
         """``parent`` is set by ``child``: its bindings, checked when it was
-        built, come first, and its plans are the snapshot."""
+        built, come first, and its plans and word dims are the snapshot."""
         self.sig = sig
         self.field = field
-        self._wdims: dict = {}
         if parent is None:
             self.bindings = dict(bindings)
             self._plans: dict = {}
+            self._wdims: dict = {}
         else:
             self.bindings = {**parent.bindings, **bindings}
             self._plans = parent._plans.copy()
+            self._wdims = parent._wdims.copy()  # a child never changes an object's dim
         missing = set(sig.generators) - set(self.bindings)
         if missing:
             raise UnknownNameError(f"unbound generators: {sorted(missing)}")
@@ -181,14 +182,19 @@ class _Plan(NamedTuple):
     indexed by column, built on its first call and kept.  ``rows[j]`` is the
     row of column j's entry and ``coefs[j]`` its n, or -1 and 0 when column
     j is zero; both lists end with one more zero column, so that reading
-    them at row -1 reads a zero.  A generator is monomial when its integer
-    columns are; a Seq or Par of monomial operands (permutations included)
-    is monomial, and its lists are comprehensions over theirs: a product of
+    them at row -1 reads a zero.  In the unit form ``coefs`` is None: every
+    n is 1.  A permutation has the unit form, and so has a generator whose
+    integer entries are all 1 and a Seq or Par whose operands all have it,
+    such as every structure map of a groupoid algebra but its unit; their
+    lists are rows alone.  A generator is monomial when its integer columns
+    are; a Seq or Par of monomial operands (permutations included) is
+    monomial, and its lists are comprehensions over theirs: a product of
     nonzero terms is never zero over Q or F_p, so nothing accumulates.
-    Whether a structure is monomial depends only on its operands, never on
-    which expression compiled it first.  Two monomial sides are compared
-    list by list; a multi-term consumer reads a monomial structure's
-    columns through ``cols`` and ``fn`` like any other's.
+    Whether a structure is monomial, and unit, depends only on its
+    operands, never on which expression compiled it first.  Two monomial
+    sides are compared list by list, two unit ones by rows and scale; a
+    multi-term consumer reads a monomial structure's columns through
+    ``cols`` and ``fn`` like any other's.
 
     A permutation of tensor factors (``Id``, ``SwapE`` and any Seq or Par of
     them) keeps no columns: ``cols`` is ``_NOTHING``, ``perm`` is the factor
@@ -244,27 +250,44 @@ def _reduced(ns: list, p: int) -> list:
 
 
 def _unit_lists(n: int, index: Optional[tuple]) -> tuple:
-    """The lists of a permutation on n columns."""
+    """The lists of a permutation on n columns, in the unit form."""
     if index is None:
         rows = list(range(n))
     else:
         _, hi, lo = index
         rows = [h + l for h in hi for l in lo]
-    return rows + [-1], [1] * n + [0]
+    rows.append(-1)
+    return rows, None
 
 
 def _column_lists(cols: list) -> tuple:
-    """The lists of columns kept as dicts of at most one entry."""
+    """The lists of columns kept as dicts of at most one entry, in the unit
+    form when every entry is 1."""
     rows = [next(iter(c), -1) for c in cols]
-    coefs = [next(iter(c.values()), 0) for c in cols]
-    return rows + [-1], coefs + [0]
+    rows.append(-1)
+    if all(n == 1 for c in cols for n in c.values()):
+        return rows, None
+    return rows, [next(iter(c.values()), 0) for c in cols] + [0]
+
+
+def _coefs(rows: list, coefs: Optional[list]) -> list:
+    """The entry list of the lists (rows, coefs), spelled out for the unit
+    form (None): 1 at every row, 0 at -1."""
+    return [0 if k < 0 else 1 for k in rows] if coefs is None else coefs
 
 
 def _gather(first: Callable, then: Callable, p: int) -> tuple:
     """The lists of first ; then from theirs."""
     frows, fcoefs = first()
     trows, tcoefs = then()
-    return [trows[k] for k in frows], _reduced([c * tcoefs[k] for c, k in zip(fcoefs, frows)], p)
+    rows = [trows[k] for k in frows]
+    if tcoefs is None:
+        if fcoefs is None:
+            return rows, None
+        return rows, [c if k >= 0 else 0 for c, k in zip(fcoefs, rows)]  # 0 where then's column is
+    if fcoefs is None:
+        return rows, [tcoefs[k] for k in frows]
+    return rows, _reduced([c * tcoefs[k] for c, k in zip(fcoefs, frows)], p)
 
 
 def _through(first: Callable, factors: tuple, p: int) -> tuple:
@@ -276,6 +299,10 @@ def _through(first: Callable, factors: tuple, p: int) -> tuple:
     (lrows, lcoefs), (rrows, rcoefs) = left.mono(), right.mono()
     k1s = [k // dr for k in frows]
     k2s = [k % dr for k in frows]
+    if fcoefs is None and lcoefs is None and rcoefs is None:
+        pairs = zip([lrows[a] for a in k1s], [rrows[b] for b in k2s])
+        return [x * cr + y if x >= 0 and y >= 0 else -1 for x, y in pairs], None
+    fcoefs, lcoefs, rcoefs = _coefs(frows, fcoefs), _coefs(lrows, lcoefs), _coefs(rrows, rcoefs)
     coefs = _reduced([c * lcoefs[a] * rcoefs[b] for c, a, b in zip(fcoefs, k1s, k2s)], p)
     return [lrows[a] * cr + rrows[b] if c else -1 for a, b, c in zip(k1s, k2s, coefs)], coefs
 
@@ -283,10 +310,13 @@ def _through(first: Callable, factors: tuple, p: int) -> tuple:
 def _outer_lists(left: Callable, right: Callable, cr: int, p: int) -> tuple:
     """The lists of left * right."""
     (lrows, lcoefs), (rrows, rcoefs) = left(), right()
-    rrows, rcoefs = rrows[:-1], rcoefs[:-1]
-    rows = [a * cr + b if a >= 0 and b >= 0 else -1 for a in lrows[:-1] for b in rrows]
-    coefs = _reduced([x * y for x in lcoefs[:-1] for y in rcoefs], p)
-    return rows + [-1], coefs + [0]
+    inner = rrows[:-1]
+    rows = [a * cr + b if a >= 0 and b >= 0 else -1 for a in lrows[:-1] for b in inner]
+    rows.append(-1)
+    if lcoefs is None and rcoefs is None:
+        return rows, None
+    lcoefs, rcoefs = _coefs(lrows, lcoefs)[:-1], _coefs(rrows, rcoefs)[:-1]
+    return rows, _reduced([x * y for x in lcoefs for y in rcoefs], p) + [0]
 
 
 def _rekeyed(base: Callable, index: tuple) -> tuple:
@@ -675,7 +705,10 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     ncols = env._dim(dom_names)
     if plan.mono:
         rows, coefs = plan.mono()
-        cols = [{i: n} if i >= 0 else {} for i, n in zip(rows[:ncols], coefs)]
+        if coefs is None:
+            cols = [{i: 1} if i >= 0 else {} for i in rows[:ncols]]
+        else:
+            cols = [{i: n} if i >= 0 else {} for i, n in zip(rows[:ncols], coefs)]
     else:
         kept, fn = plan.cols, plan.fn
         cols = [fn(j) if kept[j] is None else kept[j] for j in range(ncols)]
@@ -696,9 +729,13 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
     lscale, rscale = lplan.scale, rplan.scale
     if lplan.mono and rplan.mono:
         (lrows, lcoefs), (rrows, rcoefs) = lplan.mono(), rplan.mono()
-        same = lrows == rrows and (
-            lcoefs == rcoefs if lscale == rscale
-            else [n * rscale for n in lcoefs] == [n * lscale for n in rcoefs])
+        same = lrows == rrows
+        if same and lcoefs is None and rcoefs is None:  # every entry is 1 / scale
+            same = lscale == rscale or max(lrows) < 0  # or both maps are zero
+        elif same:
+            lcoefs, rcoefs = _coefs(lrows, lcoefs), _coefs(rrows, rcoefs)
+            same = (lcoefs == rcoefs if lscale == rscale
+                    else [n * rscale for n in lcoefs] == [n * lscale for n in rcoefs])
     else:
         same = _same_columns(lplan, rplan, env._dim(ldom))
     if same:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 from itertools import permutations, product
 
 import pytest
@@ -132,6 +134,43 @@ def test_identities_and_inverses_are_read_off_the_table():
     A = arrow_category()
     assert A.identity == {"0": "1_0", "1": "1_1"} and A.inverse is None
     assert cyclic(5).inverse == {0: 0, 1: 4, 2: 3, 3: 2, 4: 1}
+
+
+def test_tables_are_read_only_so_what_is_read_off_them_stays_true():
+    # Rewriting C2's table in place into the monoid {e, 1}, whose unit is
+    # m0_0_1, once left the identity read before it, and validate() passed.
+    C = group_groupoid(cyclic(2))
+    assert C.identity == {"x0": "m0_0_0"}
+    e, one = "m0_0_0", "m0_0_1"
+    monoid = {(e, e): e, (e, one): e, (one, e): e, (one, one): one}
+    with pytest.raises(TypeError):
+        for pair, composite in monoid.items():
+            C.compose[pair] = composite
+    for table in (C.source, C.target):
+        with pytest.raises(TypeError):
+            table[e] = "x1"
+    with pytest.raises(TypeError):
+        C.identity["x0"] = one
+    assert C.validate().identity == {"x0": e} and C.inverse == {e: e, one: one}
+    # The mappings given are copied, so editing them afterwards changes
+    # nothing either; the monoid built as itself has its own identity.
+    given = dict(C.compose)
+    D = FiniteCategory(C.objects, C.morphisms, C.source, C.target, given)
+    given.update(monoid)
+    assert D.compose == C.compose and D.validate().identity == C.identity
+    M = _one_object(C.morphisms, monoid).validate()
+    assert M.identity == {"x": one} and M.inverse is None
+    g = cyclic(3)
+    assert g.inverse[1] == 2
+    for table, key in ((g.mult, (1, 1)), (g.inverse, 1), (C.inverse, e)):
+        with pytest.raises(TypeError):
+            table[key] = 0
+    # Copies and pickles are read-only too.
+    for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        C2, g2 = clone(C), clone(g)
+        assert (C2, g2) == (C, g) and C2.validate().identity == C.identity
+        with pytest.raises(TypeError):
+            C2.compose[(one, one)] = e
 
 
 def test_invalid_categories_rejected():

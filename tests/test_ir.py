@@ -54,6 +54,7 @@ from weakhopf.ir import (
     _plan,
 )
 from weakhopf.linalg import LinMap, Obj, from_rows, identity, swap, tensor_product, compose, zero_map
+from weakhopf.report import Witness
 from weakhopf.syntax import (
     Gen,
     Id,
@@ -450,19 +451,21 @@ _MONO_TEXTS = (
 _MONO_SIG = Signature({"H": 3, "A": 2}, SIG.generators)
 
 
-def _monomial_map(data, field, dom, cod, multi):
+def _monomial_map(data, field, dom, cod, multi, unit=False):
     """A map with at most one entry per column, some columns zero, and with
-    one column of two entries when ``multi``."""
+    one column of two entries when ``multi``; every entry is 1 when
+    ``unit``."""
     ncols, nrows = math.prod(ob.dim for ob in dom), math.prod(ob.dim for ob in cod)
     rows = [[0] * ncols for _ in range(nrows)]
+    entries = st.just(1) if unit else st.sampled_from(_NONZERO)
     for j in range(ncols):
         i = data.draw(st.integers(-1, nrows - 1))
         if i >= 0:
-            rows[i][j] = data.draw(st.sampled_from(_NONZERO))
+            rows[i][j] = data.draw(entries)
     if multi and nrows > 1:
         j = data.draw(st.integers(0, ncols - 1))
         for i in data.draw(st.permutations(range(nrows)))[:2]:
-            rows[i][j] = data.draw(st.sampled_from(_NONZERO))
+            rows[i][j] = data.draw(entries)
     return from_rows(field, dom, cod, rows)
 
 
@@ -491,21 +494,31 @@ def _is_monomial(m: LinMap) -> bool:
     return all(sum(1 for row in m.rows if row[j]) < 2 for j in range(m.ncols))
 
 
+def _is_unit(m: LinMap) -> bool:
+    """Every integer entry of m is 1 (entries 1 / scale over Q)."""
+    return all(n == 1 for c in m.int_columns()[0] for n in c.values())
+
+
 @FIELDS
 @settings(max_examples=30, deadline=None)
 @given(multi=st.sets(st.sampled_from(sorted(SIG.generators))),
+       unit=st.sets(st.sampled_from(sorted(SIG.generators))),
        parts=st.lists(_ast(2), max_size=3), data=st.data())
-def test_monomial_kernel_matches_dense_route(field, multi, parts, data):
+def test_monomial_kernel_matches_dense_route(field, multi, unit, parts, data):
     # Generators with at most one entry per column (zero columns and
     # entries other than 1 included), and the ones in ``multi`` with one
     # column of two entries.  A structure over the first alone is monomial
     # and is compared list by list; one over any of the others is not.
+    # The ones in ``unit`` have every entry 1, so their lists are rows
+    # alone, and each builder meets unit and listed operands side by side.
     sig = _MONO_SIG
     bindings = {
-        name: _monomial_map(data, field, sig.word_of(dom), sig.word_of(cod), name in multi)
+        name: _monomial_map(data, field, sig.word_of(dom), sig.word_of(cod), name in multi,
+                            name in unit)
         for name, (dom, cod) in sig.generators.items()
     }
     multi = {name for name, m in bindings.items() if not _is_monomial(m)}  # a one-row map is monomial
+    unit = {name for name, m in bindings.items() if _is_unit(m)}  # drawn entries may all be 1
     env = Env(sig, field, bindings)
     exprs = [parse_expr(text, sig) for text in _MONO_TEXTS]
     exprs += [e for e in parts if _small_and_typed(e, 81, sig)]
@@ -514,7 +527,9 @@ def test_monomial_kernel_matches_dense_route(field, multi, parts, data):
         assert evaluate(e, env) == dense
         names = set()
         syntax._collect_names(e, names, set())
-        assert (_plan_of(e, env).mono is not None) == (not names & multi)
+        mono = _plan_of(e, env).mono
+        assert (mono is not None) == (not names & multi)
+        assert mono is None or (mono()[1] is None) == (names <= unit)
     for a in exprs:
         for b in exprs:
             if infer_type(a, sig) == infer_type(b, sig):
@@ -532,6 +547,63 @@ def test_monomial_kernel_matches_dense_route(field, multi, parts, data):
         for other in (Gen("M"), Gen("R")):
             _assert_verdict_matches_dense(e, other, child)
             _assert_verdict_matches_dense(other, e, child)
+
+
+def test_unit_sides_compare_by_rows_and_scale():
+    # Unit lists hold rows alone: each entry is 1 / scale.  Two zero maps
+    # are equal at any scale; one row list over two scales is two maps.
+    H = SIG.word_of(("H",))
+    sig = Signature(SIG.objects, {name: (("H",), ("H",)) for name in "ZPR"})
+    env = Env(sig, QQ, {
+        "Z": LinMap.from_int_columns(QQ, H, H, [{}, {}], 1),
+        "P": LinMap.from_int_columns(QQ, H, H, [{1: 1}, {0: 1}], 2),
+        "R": LinMap.from_int_columns(QQ, H, H, [{1: 1}, {0: 1}], 3),
+    })
+    zp, zr, p, r = (parse_expr(text, sig) for text in ("Z ; P", "P ; Z ; R", "P", "R"))
+    plans = [_plan_of(e, env) for e in (zp, zr, p, r)]
+    assert [plan.mono()[1] for plan in plans] == [None] * 4
+    assert [plan.scale for plan in plans] == [2, 6, 2, 3]
+    for lhs, rhs in ((zp, zr), (zr, zp), (Gen("Z"), zp)):
+        assert check_identity(lhs, rhs, env).status == "pass"
+    verdict = check_identity(p, r, env)
+    assert verdict.status == "fail"
+    assert verdict.witness == Witness(0, 1, Fraction(1, 2), Fraction(1, 3))
+
+
+@FIELDS
+def test_groupoid_structure_maps_are_compared_by_their_rows(field):
+    # In a groupoid algebra every structure map but the unit sends a basis
+    # vector to a basis vector or to zero, so every side of the axiom table
+    # that does not name the unit has unit lists.
+    G = groupoid_algebra(pair_groupoid(3), field)
+    env = G.core_env().child()
+    sides = [parse_expr(text, env.sig) for _, lhs, rhs in BIALGEBRA_AXIOMS for text in (lhs, rhs)]
+    for e in sides:
+        names = set()
+        syntax._collect_names(e, names, set())
+        mono = _plan_of(e, env).mono
+        assert (mono is None) == ("eta" in names)
+        assert mono is None or mono()[1] is None
+    assert run_identity_table(BIALGEBRA_AXIOMS, env).all_pass
+    # mu with one entry 1 -> 2, at the identity e times a basis vector h, so
+    # unit_left fails at (row k, column h).  mu's plan, and every plan over
+    # it, lists its entries; the witnesses are the dense route's wherever
+    # that route stays small.
+    e, h, k = 0, 1, 1
+    rows = [list(row) for row in G.mu.rows]
+    assert rows[k][e * G.dim + h] == 1
+    rows[k][e * G.dim + h] = field.normalize(2)
+    bindings = {**env.bindings, "mu": from_rows(field, G.mu.dom, G.mu.cod, rows)}
+    bumped = build_env(field, {}, bindings)
+    assert _plan_of(Gen("mu"), bumped).mono()[1] is not None
+    assert _plan_of(parse_expr("mu ; Delta", bumped.sig), bumped).mono()[1] is not None
+    witness = run_identity_table(BIALGEBRA_AXIOMS, bumped).get("unit_left").witness
+    assert (witness.row, witness.col) == (k, h)
+    small = [row for row in BIALGEBRA_AXIOMS
+             if all(_small_and_typed(parse_expr(text, bumped.sig), 81, bumped.sig) for text in row[1:])]
+    assert "unit_left" in {row[0] for row in small}
+    for _, lhs, rhs in small:
+        _assert_verdict_matches_dense(parse_expr(lhs, bumped.sig), parse_expr(rhs, bumped.sig), bumped)
 
 
 def _unread(plan) -> bool:
@@ -931,6 +1003,21 @@ def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
     assert compiled == []
     assert check_identity(parse_expr("P ; id(A)", child.sig), parse_expr("P", child.sig), child).passed
     assert compiled and not set(compiled) & set(parent._plans)
+
+
+def test_a_child_reads_no_word_dim_its_parent_has_read(monkeypatch):
+    # A child starts from its parent's word dims as from its plans, so a
+    # node it compiles over words the parent has read reads no objects.
+    parent = _frac_env(QQ)
+    seen = parse_expr("Delta * id(A) ; id(H) * rho", SIG)
+    assert check_identity(seen, seen, parent).passed
+    child = parent.child({"P": _map(("H", "A"), ("A",))})
+    new = parse_expr("Delta * id(A) ; id(H) * P", child.sig)
+    calls, word_of = [], Signature.word_of
+    monkeypatch.setattr(Signature, "word_of", lambda sig, names: calls.append(names) or word_of(sig, names))
+    compiled = _counting_plan(monkeypatch)
+    assert check_identity(new, new, child).passed
+    assert compiled and calls == []
 
 
 def test_cocycle_laws_reuse_the_measures_plans_and_keep_none_of_their_own(monkeypatch):
