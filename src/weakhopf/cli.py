@@ -97,7 +97,7 @@ class _Ladder:
 
     Each level above "raw" is the library's structure at that rung, built by
     its own builder from the level below the first time a command needs it,
-    and kept with its merged eval context and the plans compiled in
+    and kept with its merged eval context and the values kept in
     building them; E's integral inverse keeps its verdicts too, and a
     declared cleft extension is the cleft level.  A level whose build raises
     is not kept: asking again raises again.  Threads may share a ladder
@@ -171,8 +171,8 @@ class _Ladder:
         return getattr(self, level).context
 
     def context(self, level: str) -> Env:
-        """A new child of the level's merged context.  Checks compile in the
-        child, so that their plans do not live as long as the ladder.
+        """A new child of the level's merged context.  Checks run in the
+        child, so that the values they keep do not live as long as the ladder.
         Raises RebindingError when a generator clashes with a derived name."""
         env = self._contexts.get(level)
         if env is None:

@@ -25,7 +25,14 @@ from weakhopf.crossed import (
     trivial_measure,
 )
 from weakhopf.fields import GF, QQ
-from weakhopf.groupoid import cyclic, dihedral, group_groupoid, groupoid_algebra, pair_groupoid
+from weakhopf.groupoid import (
+    cyclic,
+    dihedral,
+    direct_product,
+    group_groupoid,
+    groupoid_algebra,
+    pair_groupoid,
+)
 from weakhopf.identities import (
     BIALGEBRA_AXIOMS,
     CHI_FORMULA,
@@ -490,6 +497,11 @@ def _plan_of(e, env):
     return _plan(e, env)[0]
 
 
+def _lists_of(e, env) -> tuple:
+    """The lists of e's monomial plan, as kept in env."""
+    return ir._lists(_plan_of(e, env), env)
+
+
 def _is_monomial(m: LinMap) -> bool:
     return all(sum(1 for row in m.rows if row[j]) < 2 for j in range(m.ncols))
 
@@ -529,7 +541,7 @@ def test_monomial_kernel_matches_dense_route(field, multi, unit, parts, data):
         syntax._collect_names(e, names, set())
         mono = _plan_of(e, env).mono
         assert (mono is not None) == (not names & multi)
-        assert mono is None or (mono()[1] is None) == (names <= unit)
+        assert mono is None or (_lists_of(e, env)[1] is None) == (names <= unit)
     for a in exprs:
         for b in exprs:
             if infer_type(a, sig) == infer_type(b, sig):
@@ -561,7 +573,7 @@ def test_unit_sides_compare_by_rows_and_scale():
     })
     zp, zr, p, r = (parse_expr(text, sig) for text in ("Z ; P", "P ; Z ; R", "P", "R"))
     plans = [_plan_of(e, env) for e in (zp, zr, p, r)]
-    assert [plan.mono()[1] for plan in plans] == [None] * 4
+    assert [ir._lists(plan, env)[1] for plan in plans] == [None] * 4
     assert [plan.scale for plan in plans] == [2, 6, 2, 3]
     for lhs, rhs in ((zp, zr), (zr, zp), (Gen("Z"), zp)):
         assert check_identity(lhs, rhs, env).status == "pass"
@@ -583,7 +595,7 @@ def test_groupoid_structure_maps_are_compared_by_their_rows(field):
         syntax._collect_names(e, names, set())
         mono = _plan_of(e, env).mono
         assert (mono is None) == ("eta" in names)
-        assert mono is None or mono()[1] is None
+        assert mono is None or _lists_of(e, env)[1] is None
     assert run_identity_table(BIALGEBRA_AXIOMS, env).all_pass
     # mu with one entry 1 -> 2, at the identity e times a basis vector h, so
     # unit_left fails at (row k, column h).  mu's plan, and every plan over
@@ -595,8 +607,8 @@ def test_groupoid_structure_maps_are_compared_by_their_rows(field):
     rows[k][e * G.dim + h] = field.normalize(2)
     bindings = {**env.bindings, "mu": from_rows(field, G.mu.dom, G.mu.cod, rows)}
     bumped = build_env(field, {}, bindings)
-    assert _plan_of(Gen("mu"), bumped).mono()[1] is not None
-    assert _plan_of(parse_expr("mu ; Delta", bumped.sig), bumped).mono()[1] is not None
+    assert _lists_of(Gen("mu"), bumped)[1] is not None
+    assert _lists_of(parse_expr("mu ; Delta", bumped.sig), bumped)[1] is not None
     witness = run_identity_table(BIALGEBRA_AXIOMS, bumped).get("unit_left").witness
     assert (witness.row, witness.col) == (k, h)
     small = [row for row in BIALGEBRA_AXIOMS
@@ -606,9 +618,13 @@ def test_groupoid_structure_maps_are_compared_by_their_rows(field):
         _assert_verdict_matches_dense(parse_expr(lhs, bumped.sig), parse_expr(rhs, bumped.sig), bumped)
 
 
-def _unread(plan) -> bool:
-    """No column of the plan was computed: it was compared by its lists."""
-    return all(c is None for c in plan.cols) if type(plan.cols) is list else not plan.cols
+def _unread(plan, env) -> bool:
+    """No column of the plan was computed in env: it was compared by its
+    lists."""
+    cols = env._kept.get(plan)
+    if cols is None:
+        return True
+    return all(c is None for c in cols) if type(cols) is list else not cols
 
 
 def test_counit_weak_mult_takes_the_monomial_route_in_any_order():
@@ -626,7 +642,7 @@ def test_counit_weak_mult_takes_the_monomial_route_in_any_order():
         verdict = check_identity_text(lhs, rhs, env, "counit_weak_mult_1")
         for text in (lhs, rhs, "id(H) * Delta"):
             plan = _plan_of(parse_expr(text, env.sig), env)
-            assert plan.mono is not None and _unread(plan), text
+            assert plan.mono is not None and _unread(plan, env), text
         verdicts.append((verdict.status, verdict.witness))
     assert verdicts == [("pass", None)] * 2
 
@@ -667,7 +683,7 @@ def test_a_kronecker_column_is_computed_once_per_plan():
 
     def profile(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_name == "outer" and code.co_filename == ir.__file__:
+        if event == "call" and code.co_name == "_outer" and code.co_filename == ir.__file__:
             computed.append(frame.f_locals["j"])
 
     sys.setprofile(profile)
@@ -833,7 +849,8 @@ def test_filtered_convolution_matches_dense_route(field, filtered, data):
     assert check_identity(e, Gen("P"), child).status == "pass"
     _assert_verdict_matches_dense(e, Gen("Q"), child)
     _assert_verdict_matches_dense(Gen("Q"), e, child)
-    # A fresh Env compiles the plan again, and checks before it evaluates.
+    # A fresh Env finds the plan compiled and decides its support again, as
+    # the support is kept per Env; it checks before it evaluates.
     fresh = Env(env.sig, field, env.bindings).child({"Q": bad})
     with _support_decisions() as decisions:
         _assert_verdict_matches_dense(e, Gen("Q"), fresh)
@@ -856,12 +873,20 @@ def test_filtered_convolution_matches_dense_route(field, filtered, data):
     assert decisions == []  # no column of M has two terms
     monomial = _is_monomial(bindings["L"]) and _is_monomial(bindings["R"])
     plan = _plan_of(m, child)
-    assert (plan.mono is not None) == monomial == _unread(plan)
+    assert (plan.mono is not None) == monomial == _unread(plan, child)
+
+
+class _WeakMap(LinMap):
+    """A LinMap that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
 
 
 def test_env_is_freed_by_reference_counting():
     # Compiled plans must not refer back to their Env: a cycle would keep
-    # every Env of a long run alive until the next full collection.
+    # every Env of a long run alive until the next full collection.  The
+    # plan registry holds no Env, bound matrix or kept column either, so
+    # all of them go with the last Env that holds them.
     import gc
     import weakref
 
@@ -871,13 +896,19 @@ def test_env_is_freed_by_reference_counting():
         text = "Delta * id(A) ; id(H) * rho ; swap(H,A)"
         assert run_identity_table([("a", text, text)], env).all_pass
         evaluate(parse_expr("eta ; Delta ; mu", SIG), env)
-        child = env.child({"P": evaluate(parse_expr(text, SIG), env)})
+        m = evaluate(parse_expr(text, SIG), env)
+        bound = _WeakMap(QQ, m.dom, m.cod, [list(row) for row in m.rows])
+        del m
+        child = env.child({"P": bound})
         assert run_identity_table([("b", text, "P")], child).all_pass
-        refs = [weakref.ref(env), weakref.ref(child)]
-        del env
+        plan = _plan_of(parse_expr(text, SIG), env)
+        column = next(c for c in env._kept[plan] if c)  # a column the check kept
+        refs = [weakref.ref(env), weakref.ref(child), weakref.ref(bound)]
+        del env, plan, bound
         assert refs[1]() is child  # a child keeps no Env alive but itself
         del child
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
+        assert sys.getrefcount(column) == 2  # this name and the call's argument
     finally:
         gc.enable()
 
@@ -901,7 +932,8 @@ def test_child_names_stay_out_of_the_parent():
         with pytest.raises(UnknownNameError):
             evaluate(expr, parent)
     assert "P" not in parent.bindings and "P" not in parent.sig.generators
-    assert len(child._plans) > len(parent._plans)
+    assert "P" in child._shapes and "P" not in parent._shapes
+    assert _plan_of(node, child) in child._kept and not parent._kept  # P's values are the child's
 
 
 def test_rebinding_a_name():
@@ -918,29 +950,50 @@ def test_rebinding_a_name():
         child.child({"P": _map(("H",), ("A",), shift=1)})
 
 
-def _counting_plan(monkeypatch) -> list:
-    """Patch ir._plan to record the key of every node it compiles."""
-    compiled = []
-    plan = ir._plan
+@pytest.fixture
+def cold_plans(monkeypatch):
+    """An empty plan registry for this test alone."""
+    monkeypatch.setattr(ir, "_PLANS", {})
+    monkeypatch.setattr(ir, "_NAMES", {})
+    monkeypatch.setattr(ir, "_GENS", {})
 
-    def counting(e, env, *rest):
-        if id(e) not in env._plans:
-            compiled.append(id(e))
-        return plan(e, env, *rest)
-    monkeypatch.setattr(ir, "_plan", counting)
+
+def _counting_compile(monkeypatch) -> list:
+    """Patch ir._compile to record the id of every node it compiles, a node
+    before its parts."""
+    compiled = []
+    compile_ = ir._compile
+
+    def counting(e, *rest):
+        compiled.append(id(e))
+        return compile_(e, *rest)
+    monkeypatch.setattr(ir, "_compile", counting)
     return compiled
 
 
-def test_second_axiom_table_compiles_no_plan(monkeypatch):
+def _kept_nodes(env) -> set:
+    """The ids of the nodes whose plans keep a value in env."""
+    held = set(env._kept) | set(env._lists)
+    return {id(e) for plan, _, _, e in ir._PLANS.values() if plan in held}
+
+
+def test_second_axiom_table_compiles_no_plan(cold_plans, monkeypatch):
+    # The checked constructor runs the table first and compiles its plans.
+    # Run again, on H or on a new H over the same maps (new contexts, so
+    # nothing kept), the table reads those plans.
+    compiled = _counting_compile(monkeypatch)
     G = groupoid_algebra(pair_groupoid(2), QQ)
-    H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
-    compiled = _counting_plan(monkeypatch)
-    first = check_bialgebra_axioms(H)
     assert compiled
     compiled.clear()
+    H = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+    first = check_bialgebra_axioms(H)
     second = check_bialgebra_axioms(H)
+    again = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+    third = check_bialgebra_axioms(again)
     assert compiled == []
-    assert [(v.check_id, v.status) for v in second] == [(v.check_id, v.status) for v in first]
+    assert again.core_env()._lists and not set(again.core_env()._lists) - set(H.core_env()._lists)
+    for report in (second, third):
+        assert [(v.check_id, v.status) for v in report] == [(v.check_id, v.status) for v in first]
 
 
 @FIELDS
@@ -987,27 +1040,40 @@ def test_two_texts_share_their_common_subexpression(cold_parse, monkeypatch):
     assert square.left is square.right
     env = _frac_env(QQ)
     evaluate(a, env)
-    compiled = _counting_plan(monkeypatch)
+    compiled = _counting_compile(monkeypatch)
     assert evaluate(b, env) == _dense(b, env)
     assert compiled == [id(n) for n in (b, b.first, b.first.first, b.first.first.left)]
+    # The shared parts keep their values once in env, and a new Env of the
+    # same shape compiles nothing and keeps its own.
+    assert _plan_of(b.then, env) is _plan_of(a.first.then, env)
+    fresh = _frac_env(QQ)
+    assert evaluate(b, fresh) == evaluate(b, env)
+    stores = [{id(c) for c in e._kept.values() if c is not ir._NOTHING} for e in (env, fresh)]
+    assert len(compiled) == 4 and stores[1] and not stores[0] & stores[1]
 
 
-def test_a_child_compiles_no_plan_its_parent_compiled(monkeypatch):
+def test_a_child_compiles_no_plan_its_parent_compiled(cold_plans, monkeypatch):
+    # The child finds the parent's plan for every node that names none of
+    # its new generators; the nodes over P are compiled in the child, and
+    # the values it keeps for them are dropped with it.
     parent = _frac_env(QQ)
     texts = ["id(H) * mu ; mu", "Delta * id(A) ; id(H) * rho ; swap(H,A)", "eta ; Delta ; mu"]
     exprs = [parse_expr(text, SIG) for text in texts]
     expected = [evaluate(e, parent) for e in exprs]
     child = parent.child({"P": _map(("H",), ("A",))})
-    compiled = _counting_plan(monkeypatch)
+    compiled = _counting_compile(monkeypatch)
     assert [evaluate(e, child) for e in exprs] == expected
     assert compiled == []
     assert check_identity(parse_expr("P ; id(A)", child.sig), parse_expr("P", child.sig), child).passed
-    assert compiled and not set(compiled) & set(parent._plans)
+    nodes = {id(e): e for _, _, _, e in ir._PLANS.values()}
+    assert compiled and all("P" in ir._names(nodes[k]) for k in compiled)
+    assert not set(compiled) & _kept_nodes(parent)
+    assert set(compiled) & _kept_nodes(child)
 
 
-def test_a_child_reads_no_word_dim_its_parent_has_read(monkeypatch):
-    # A child starts from its parent's word dims as from its plans, so a
-    # node it compiles over words the parent has read reads no objects.
+def test_a_child_reads_no_word_dim_its_parent_has_read(cold_plans, monkeypatch):
+    # A plan reads its dims from the shapes of the names its node uses, so
+    # a node a child compiles over words the parent has read reads no word.
     parent = _frac_env(QQ)
     seen = parse_expr("Delta * id(A) ; id(H) * rho", SIG)
     assert check_identity(seen, seen, parent).passed
@@ -1015,21 +1081,23 @@ def test_a_child_reads_no_word_dim_its_parent_has_read(monkeypatch):
     new = parse_expr("Delta * id(A) ; id(H) * P", child.sig)
     calls, word_of = [], Signature.word_of
     monkeypatch.setattr(Signature, "word_of", lambda sig, names: calls.append(names) or word_of(sig, names))
-    compiled = _counting_plan(monkeypatch)
+    compiled = _counting_compile(monkeypatch)
     assert check_identity(new, new, child).passed
     assert compiled and calls == []
 
 
-def test_cocycle_laws_reuse_the_measures_plans_and_keep_none_of_their_own(monkeypatch):
+def test_cocycle_laws_reuse_the_measures_plans_and_keep_none_of_their_own(cold_plans, monkeypatch):
     # The measure's formulas compile in its kept contexts, the cocycle's
-    # context is built on them, and the laws run in a child of it.
+    # context is built on them, and the laws run in a child of it: the laws
+    # compile none of the measure's nodes, and the values kept for the
+    # nodes only they read are dropped with their child.
     H = groupoid_algebra(pair_groupoid(2), QQ)
     m = base_action_measure(H)
     c = smash_cocycle(m)
     m.u(3)
     sig = Signature.of_bindings({}, {"mu": H.mu, "etaA": m.A.eta, "rho": m.rho})
     u3 = _nodes(parse_expr(u_formula(3), sig))
-    compiled = _counting_plan(monkeypatch)
+    compiled = _counting_compile(monkeypatch)
     assert cocycle_report(m, c).all_pass
     assert not set(map(id, u3)) & set(compiled)
     sig = c.context.sig
@@ -1039,9 +1107,9 @@ def test_cocycle_laws_reuse_the_measures_plans_and_keep_none_of_their_own(monkey
     formulas = [CHI_FORMULA, NABLA_FORMULA, NU_FORMULA, FF_FORMULA]
     formulas += [u_formula(n) for n in (1, 2, 3)] + [v_formula(n) for n in (2, 3)]
     own = {id(n) for text in formulas for n in _nodes(parse_expr(text, sig))}
-    table_only = table - own - set(H.base_env()._plans)
+    table_only = table - own - _kept_nodes(H.base_env())
     assert table_only & set(compiled)  # compiled by the laws...
-    assert not table_only & set(c.context._plans)  # ...and dropped with their child
+    assert not table_only & _kept_nodes(c.context)  # ...and their values dropped with their child
 
 
 def test_typing_errors_are_the_same_cold_and_warm():
@@ -1199,8 +1267,9 @@ def test_index_tables_of_a_wide_permutation_stay_small():
 
 
 @pytest.fixture
-def cold_tables(monkeypatch):
-    """An empty registry of index tables for this test alone."""
+def cold_tables(monkeypatch, cold_plans):
+    """Empty registries of index tables and of the plans that hold them, for
+    this test alone."""
     monkeypatch.setattr(ir, "_PERMS", {})
 
 
@@ -1236,6 +1305,7 @@ def test_the_table_registry_stays_within_its_cap(cold_tables, monkeypatch):
     expected = _suites(groupoid_algebra(pair_groupoid(3), QQ))
     monkeypatch.setattr(ir, "_PERMS_MAX", 3)
     ir._PERMS.clear()
+    ir._PLANS.clear()  # so that the plans are compiled, and their tables built, again
     sizes = []
     tables = ir._tables
 
@@ -1261,6 +1331,7 @@ def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
     def context():
         envs = [Env(env.sig, env.field, env.bindings) for env in bases]
         ir._PERMS.clear()
+        ir._PLANS.clear()  # the threads compile the plans that hold the tables, too
         return envs, itertools.count()
 
     def run_one(env):
@@ -1277,6 +1348,219 @@ def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
     assert all(status == "pass" for rows in serial for _, status, _ in rows)
     for results in race(context, run, 5):
         assert results == [serial] * 4
+
+
+# -- plans shared across contexts ----------------------------------------------
+
+@contextlib.contextmanager
+def _cold_registry():
+    """An empty plan registry inside the block (also under hypothesis, which
+    runs no function-scoped fixture per example)."""
+    saved = ir._PLANS, ir._NAMES
+    ir._PLANS, ir._NAMES = {}, {}
+    try:
+        yield
+    finally:
+        ir._PLANS, ir._NAMES = saved
+
+
+def _odd_monomial(data, field, dom, cod) -> LinMap:
+    """A monomial map with integer entries 1, -1 or 3, so of scale 1 over Q,
+    some columns zero."""
+    ncols, nrows = math.prod(ob.dim for ob in dom), math.prod(ob.dim for ob in cod)
+    rows = [[0] * ncols for _ in range(nrows)]
+    for j in range(ncols):
+        i = data.draw(st.integers(-1, nrows - 1))
+        if i >= 0:
+            rows[i][j] = data.draw(st.sampled_from((1, -1, 3)))
+    return from_rows(field, dom, cod, rows)
+
+
+def _odd_bindings(data, field, sig) -> dict:
+    return {name: _odd_monomial(data, field, sig.word_of(dom), sig.word_of(cod))
+            for name, (dom, cod) in sig.generators.items()}
+
+
+def _one_column_of_two(m: LinMap, j: int) -> LinMap:
+    """m with one entry 1 added in column j at a row where it is zero, or
+    two when column j is zero: no longer monomial, of the same scale."""
+    rows = [list(row) for row in m.rows]
+    free = [i for i in range(m.nrows) if not rows[i][j]]
+    for i in free[:1] if len(free) < m.nrows else free[:2]:
+        rows[i][j] = m.field.one
+    return LinMap(m.field, m.dom, m.cod, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["field", "dim", "monomial", "scale"]),
+       text=st.sampled_from(_MONO_TEXTS), data=st.data())
+def test_two_shapes_of_one_node_get_two_plans(kind, text, data):
+    # One node under two Envs whose shapes differ in exactly one component
+    # the node reads: the field, the dim of an object it reads, whether a
+    # generator it names is monomial (one entry added to a column), or
+    # that generator's scale (the map times 1/2, over Q).  Every other
+    # generator stays monomial of scale 1.  The two Envs get two plans;
+    # evaluated in alternation, in new Envs of both shapes, each gives the
+    # dense route's matrix and a cold registry's, and checks against it.
+    field = QQ if kind == "scale" else data.draw(st.sampled_from([QQ, GF(7)]))
+    sig, other_sig, other_field = _MONO_SIG, _MONO_SIG, field
+    e = parse_expr(text, sig)
+    names = ir._names(e)
+    bindings = _odd_bindings(data, field, sig)
+    other = dict(bindings)
+    if kind == "field":
+        other_field = GF(7) if field == QQ else QQ
+        other = {name: from_rows(other_field, m.dom, m.cod, [list(map(int, row)) for row in m.rows])
+                 for name, m in bindings.items()}
+    elif kind == "dim":
+        read = sorted({ob for n in names
+                       for ob in (sum(sig.generators[n], ()) if n in sig.generators else (n,))})
+        ob = data.draw(st.sampled_from(read))
+        other_sig = Signature({**sig.objects, ob: sig.objects[ob] + 1}, sig.generators)
+        other = _odd_bindings(data, field, other_sig)
+    else:
+        gens = [n for n in names if n in sig.generators
+                and (kind == "scale" or bindings[n].nrows > 1)]
+        assume(gens)
+        g = data.draw(st.sampled_from(gens))
+        m = bindings[g]
+        if kind == "monomial":
+            other[g] = _one_column_of_two(m, data.draw(st.integers(0, m.ncols - 1)))
+        else:
+            assume(any(m.int_columns()[0]))
+            other[g] = from_rows(QQ, m.dom, m.cod, [[x / 2 for x in row] for row in m.rows])
+            assert other[g].int_columns()[1] == 2
+    shapes = [(sig, field, bindings), (other_sig, other_field, other)]
+    assert _plan_of(e, Env(*shapes[0])) is not _plan_of(e, Env(*shapes[1]))
+    dense = [_dense(e, Env(*shape)) for shape in shapes]
+    for _ in range(2):
+        for shape, want in zip(shapes, dense):
+            env = Env(*shape)
+            assert evaluate(e, env) == want
+            child = env.child({"P": want, "R": _moved(want, want.ncols - 1)})
+            assert check_identity(e, Gen("P"), child).status == "pass"
+            _assert_verdict_matches_dense(e, Gen("R"), child)
+            with _cold_registry():
+                assert evaluate(e, Env(*shape)) == want
+
+
+def _bumped_mu(H, e: int, h: int, k: int) -> LinMap:
+    """H's mu with one added to its entry at row k, column (e, h), as in
+    the seeded counterexamples of the benchmark."""
+    rows = [list(row) for row in H.mu.rows]
+    rows[k][e * H.dim + h] = H.field.normalize(rows[k][e * H.dim + h] + 1)
+    return from_rows(H.field, H.mu.dom, H.mu.cod, rows)
+
+
+@FIELDS
+def test_a_bumped_entry_of_the_same_form_shares_the_plans_and_fails_where_predicted(field):
+    # mu of pair(3) with one added at row k of column (e, h), e an
+    # identity: at a basis vector e * h = h (row h: entry 1 -> 2), or where
+    # e * h is zero (entry 0 -> 1).  Either way mu stays monomial of scale
+    # 1, so unit_left reads the plans of the unbumped algebra, and fails at
+    # (row k, col h) with lhs delta(k, h) + 1 and rhs delta(k, h).  A bump
+    # beside the entry of e * h = h makes a column of two: other plans, the
+    # same witness.
+    C = pair_groupoid(3)
+    H = groupoid_algebra(C, field)
+    env = H.core_env()
+    units = [C.morphisms.index(C.identity[x]) for x in C.objects]
+    mu_cols = H.mu.int_columns()[0]
+    defined = [(e, h) for e in units for h in range(H.dim) if mu_cols[e * H.dim + h]]
+    zero = [(e, h) for e in units for h in range(H.dim) if not mu_cols[e * H.dim + h]]
+    (e1, h1), (e2, h2) = defined[0], zero[-1]
+    _, lhs, rhs = next(row for row in BIALGEBRA_AXIOMS if row[0] == "unit_left")
+    sides = [parse_expr(text, env.sig) for text in (lhs, rhs)]
+    sides = [s for s in sides if "mu" in ir._names(s)]
+    assert sides
+    n = H.dim
+    cases = [(e1, h1, h1, True), (e2, h2, (h2 + 1) % n, True), (e1, h1, (h1 + 1) % n, False)]
+    for e, h, k, same_form in cases:
+        bumped = build_env(field, {}, {**env.bindings, "mu": _bumped_mu(H, e, h, k)})
+        assert all((_plan_of(s, bumped) is _plan_of(s, env)) == same_form for s in sides)
+        w = run_identity_table(BIALGEBRA_AXIOMS, bumped).get("unit_left").witness
+        delta = int(k == h)
+        assert (w.row, w.col) == (k, h)
+        assert (w.lhs, w.rhs) == (field.normalize(delta + 1), field.normalize(delta))
+
+
+def test_the_plan_registry_stays_within_its_cap(cold_plans, monkeypatch):
+    G = groupoid_algebra(pair_groupoid(3), QQ)
+    expected = _suites(G)
+    monkeypatch.setattr(ir, "_PLANS_MAX", 8)
+    for registry in (ir._PLANS, ir._NAMES, ir._GENS):
+        registry.clear()
+    sizes = []
+    compile_ = ir._compile
+
+    def watched(*args):
+        out = compile_(*args)
+        sizes.append(max(len(ir._PLANS), len(ir._NAMES), len(ir._GENS)))
+        return out
+    monkeypatch.setattr(ir, "_compile", watched)
+    again = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
+    assert _suites(again) == expected
+    assert len(sizes) > 8 and max(sizes) <= 8
+
+
+def test_threads_compiling_shared_plans_match_a_serial_run(cold_plans):
+    # C4 and the Klein group over Q are algebras of one shape.  Each round
+    # the plan registry is empty and two new algebras over their maps share
+    # four threads, two starting on each: the threads compile the plans
+    # both read together, while each algebra keeps its own values.  Every
+    # square is the unit in the Klein group only, so "squares" fails on C4.
+    algebras = [groupoid_algebra(group_groupoid(g), QQ)
+                for g in (cyclic(4), direct_product(cyclic(2), cyclic(2)))]
+    table = BIALGEBRA_AXIOMS + PROJECTION_BASICS + [("squares", "Delta ; mu", "eps ; eta")]
+
+    def context():
+        ir._PLANS.clear()
+        ir._NAMES.clear()
+        fresh = [WeakHopfAlgebra.unchecked(H.field, H.obj, H.mu, H.eta, H.delta, H.eps, H.antipode)
+                 for H in algebras]
+        return fresh, itertools.count()
+
+    def run_one(H):
+        return [(v.check_id, v.status, v.witness) for v in run_identity_table(table, H.base_env())]
+
+    def run(shared):
+        fresh, turn = shared
+        order = [0, 1] if next(turn) % 2 else [1, 0]
+        out = {i: run_one(fresh[i]) for i in order}
+        return [out[0], out[1]]
+
+    serial = [run_one(H) for H in context()[0]]
+    assert [[row[0] for row in rows if row[1] != "pass"] for rows in serial] == [["squares"], []]
+    for results in race(context, run, 5):
+        assert results == [serial] * 4
+
+
+def test_a_second_pass_over_a_small_universe_compiles_no_plan(cold_plans, monkeypatch):
+    # pair(2), pair(3) and the one-object C2 and C3 groupoids, over Q and
+    # F_7, each built by the checked constructor and run through the three
+    # suites.  The first pass compiles each node once per shape; a node
+    # naming no generator (a permutation) once per dim, over both fields.
+    # A second pass, on new algebras over the same maps, compiles nothing.
+    keys = []
+    compile_ = ir._compile
+
+    def counting(e, env, width, key):
+        keys.append(key)
+        return compile_(e, env, width, key)
+    monkeypatch.setattr(ir, "_compile", counting)
+    cats = [pair_groupoid(2), pair_groupoid(3)] + [group_groupoid(cyclic(n)) for n in (2, 3)]
+    algebras = [groupoid_algebra(C, field) for field in (QQ, GF(7)) for C in cats]
+    first = [_suites(H) for H in algebras]
+    assert keys and len(set(keys)) == len(keys)
+    nodes = {id(e): e for _, _, _, e in ir._PLANS.values()}
+    sig = algebras[0].base_env().sig
+    permutations = [k for k, *_ in keys if all(n in sig.objects for n in ir._names(nodes[k]))]
+    assert permutations and max(permutations.count(k) for k in permutations) <= 4  # dims 2, 3, 4, 9
+    keys.clear()
+    again = [WeakHopfAlgebra.unchecked(H.field, H.obj, H.mu, H.eta, H.delta, H.eps, H.antipode)
+             for H in algebras]
+    assert [_suites(H) for H in again] == first
+    assert keys == []
 
 
 # -- the parse memo ------------------------------------------------------------
