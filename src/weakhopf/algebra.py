@@ -38,7 +38,7 @@ def _require_axioms(table, field: Field, obj: Obj, bindings: dict) -> None:
         raise StructureError(_AXIOM_ERRORS[fail.check_id].format(obj.name))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraData:
     """Associative unital algebra presented by structure constants."""
 
@@ -69,7 +69,7 @@ class AlgebraData:
         return cls(field, obj, mu, eta).validate()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoalgebraData:
     """Coassociative counital coalgebra presented by structure constants."""
 

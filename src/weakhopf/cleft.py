@@ -32,7 +32,7 @@ class FactorizationFailed(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComoduleAlgebra:
     """A unital algebra with a counitary coaction of H; ``context``, kept
     and built once, is H's base context plus muB, etaB and dB."""
@@ -65,7 +65,7 @@ def comodule_algebra_report(C: ComoduleAlgebra) -> VerdictReport:
     return report
 
 
-@dataclass
+@dataclass(frozen=True)
 class Extension:
     """An algebra map j: A -> B into a comodule algebra; ``context``, kept
     and built once, is the comodule's plus muA, etaA and j."""
@@ -97,7 +97,7 @@ def extension_check(X: Extension) -> VerdictReport:
     return report
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     """The maps splitting B against A (x) H; ``context`` is the cleaving's
     plus the maps bound as p, q, w, wt and Ups, kept from the context they
@@ -120,7 +120,7 @@ class Decomposition:
                           "siginv": eval_text(ids.SIGMA_INV_EXPR, env)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class CleavingData:
     """Gamma and its convolution inverse, maps H -> B of the extension;
     ``context`` (the extension's plus gamB, gamBinv) and ``decomposition``
@@ -194,7 +194,7 @@ def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, Verdict
     return decomp, report
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reconstruction:
     mu_tilde: LinMap
     nu_tilde: LinMap

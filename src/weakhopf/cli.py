@@ -172,8 +172,9 @@ class _Ladder:
 
     def context(self, level: str) -> Env:
         """A new child of the level's merged context.  Checks run in the
-        child, so that the values they keep do not live as long as the ladder.
-        Raises RebindingError when a generator clashes with a derived name."""
+        child: the structures they open are dropped with it, and the columns
+        they add to the level's own structures stay with the ladder.  Raises
+        RebindingError when a generator clashes with a derived name."""
         env = self._contexts.get(level)
         if env is None:
             env = self._contexts[level] = self._merge(level)

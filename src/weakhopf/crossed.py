@@ -42,7 +42,7 @@ class PreconditionFailed(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeakMeasure:
     """A map rho: H (x) A -> A multiplicative in A in the coproduct-twisted
     sense, with its derived twisting map, idempotent and unit powers.
@@ -145,7 +145,7 @@ def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
     return m.chi, report
 
 
-@dataclass
+@dataclass(frozen=True)
 class CocycleData:
     """A candidate cocycle f: H (x) H -> A over a weak measure, with its lift
     to A (x) H, the preunit of the twisted product and its convolution
@@ -231,7 +231,7 @@ def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
     return report
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrossedProduct:
     """The unitary crossed product in split-image coordinates, over its
     cocycle's measure and with its cocycle's preunit; ``context``, kept and

@@ -28,7 +28,7 @@ class NotAnEquivalence(ValueError):
         self.check_id = check_id
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductPair:
     """Two crossed products of one A by one H.  ``context``, kept and built
     once, is E's plus Ep's measure and cocycle data and Ep's product, unit,

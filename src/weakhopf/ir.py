@@ -82,15 +82,15 @@ class Env:
     """A signature together with a matrix for every generator.
 
     An Env holds values only.  Each node is typed and compiled once per
-    shape into a plan shared by every Env (see ``_plan``); what a plan
-    fills from bound data is kept here, keyed by the plan and made on first
-    use: a generator's integer columns, the columns a structure keeps, the
-    flat lists of a monomial structure and the support set of a fused
-    convolution (see ``_Plan``).  ``_shapes`` holds the shape of each name
-    read so far.  The parser makes structurally equal subexpressions one
-    node, so they are propagated only once across a whole table.  ``child``
-    is the one way to derive a context: a child starts from what its parent
-    has kept.
+    shape into a plan that the node keeps for every Env (see ``_plan``);
+    what a plan fills from bound data is kept here, keyed by the plan and
+    made on first use: a generator's integer columns, the columns a
+    structure keeps, the flat lists of a monomial structure and the
+    support set of a fused convolution (see ``_Plan``).  ``_shapes`` holds
+    the shape of each name read so far.  The parser makes structurally
+    equal subexpressions one node, so they are propagated only once across
+    a whole table.  ``child`` is the one way to derive a context: a child
+    starts from what its parent has kept, and shares its parent's stores.
 
     Threads may share an Env without a lock: two threads that fill the same
     value at once each get a correct one, and the later one is kept; a
@@ -134,11 +134,12 @@ class Env:
         """A new child context: this signature and these bindings plus the
         new names, whose types and objects are read off their matrices.
 
-        The child starts from a snapshot of the values kept here; what it
-        adds later stays its own, so this Env never sees the child's names
-        or values, and what a check keeps in a child is dropped with it.
-        A name already bound to the same matrix is skipped, and to a
-        different one raises RebindingError.
+        The child starts from the values kept here.  A structure the child
+        opens later is its own: this Env never sees the child's names or
+        the stores it opens, which are dropped with it.  A store opened
+        here is shared, so the child fills it, up to its full width, for
+        this Env too.  A name already bound to the same matrix is skipped,
+        and to a different one raises RebindingError.
         """
         new = self._unbound(bindings or {})
         sig = Signature.of_bindings(self.sig.objects, new, self.sig.generators) if new else self.sig
@@ -156,17 +157,19 @@ class Env:
         return new
 
 
-class _Sparse(dict):
-    """Kept columns keyed by column: ``cols[j]`` is None until j is kept."""
+class _NoColumns:
+    """The store of a permutation, which keeps no column: every read is
+    None."""
 
     __slots__ = ()
 
-    def __missing__(self, j):
+    def __getitem__(self, j):
         return None
 
 
 class _Plan:
-    """A structure compiled for one shape, shared by every Env of it.
+    """A structure compiled for one shape, kept by its node (see ``_plan``)
+    and shared by every Env of that shape.
 
     Column j of a structure is a dict {row: n} without zeros, and the matrix
     entry is n / scale; over F_p the scale is 1 and n is a residue.  A plan
@@ -174,12 +177,10 @@ class _Plan:
     in its store there, ``_cols(plan, env)``, and ``fn(plan, env, cols, j)``
     computes column j and keeps it in the store ``cols``, so a read is
     ``cols[j]``, or ``fn(...)`` when that is None.  A store is a list over
-    the domain (``size`` slots), or a ``_Sparse`` dict (``size`` 0) when the
-    structure was first compiled as the second operand of a Seq, or as a
-    factor in one, and is wider than that Seq's domain: it is read only at
-    the rows that the Seq's first operand reaches.  A generator (``name``)
-    keeps every column: its store is its binding's integer columns.
-    ``ncols`` is the width of the domain and ``p`` the field's modulus.
+    the domain, ``ncols`` slots, filled only at the columns read, whichever
+    expression compiled the plan first.  A generator (``name``) keeps every
+    column: its store is its binding's integer columns.  ``ncols`` is the
+    width of the domain and ``p`` the field's modulus.
 
     A monomial structure, one with at most one entry in each column over its
     whole domain, also has ``mono``: ``mono(plan, env)`` builds its two flat
@@ -219,10 +220,10 @@ class _Plan:
     ``base`` by ``perm``, so that a further permutation composes with it.
     """
 
-    __slots__ = ("fn", "scale", "ncols", "size", "p", "mono", "name", "first", "then",
+    __slots__ = ("fn", "scale", "ncols", "p", "mono", "name", "first", "then",
                  "index", "perm", "base", "factors", "kron")
 
-    def __init__(self, fn: Callable, scale: int, ncols: int, size: int = 0, p: int = 0,
+    def __init__(self, fn: Callable, scale: int, ncols: int, p: int = 0,
                  mono: Optional[Callable] = None, name: Optional[str] = None,
                  first: Optional["_Plan"] = None, then: Optional["_Plan"] = None,
                  index: Optional[tuple] = None,  # (low, hi, lo)
@@ -230,18 +231,18 @@ class _Plan:
                  perm: Optional[tuple] = None,
                  base: Optional["_Plan"] = None, factors: Optional[tuple] = None,
                  kron: Optional[Callable] = None):
-        self.fn, self.scale, self.ncols, self.size, self.p = fn, scale, ncols, size, p
+        self.fn, self.scale, self.ncols, self.p = fn, scale, ncols, p
         self.mono, self.name, self.first, self.then = mono, name, first, then
         self.index, self.perm, self.base, self.factors, self.kron = index, perm, base, factors, kron
 
 
-_NOTHING = _Sparse()  # the kept columns of what keeps none; never written
+_NOTHING = _NoColumns()
 
 
 def _cols(plan: _Plan, env: Env):
     """The store of ``plan`` in ``env``, opened on first use: a generator's
-    integer columns, ``_NOTHING`` for a permutation, else a new
-    ``_store(plan.size)``.  Two threads opening it at once keep one."""
+    integer columns, ``_NOTHING`` for a permutation, else a list of
+    ``ncols`` slots.  Two threads opening it at once keep one."""
     cols = env._kept.get(plan)
     if cols is None:
         if plan.name is not None:
@@ -249,7 +250,7 @@ def _cols(plan: _Plan, env: Env):
         elif plan.fn is _perm_col:
             cols = _NOTHING
         else:
-            cols = _store(plan.size)
+            cols = [None] * plan.ncols
         cols = env._kept.setdefault(plan, cols)
     return cols
 
@@ -416,53 +417,21 @@ def _tables(perm: tuple) -> Optional[tuple]:
     return tables
 
 
-def _store(size: int):
-    """Kept columns: a list of ``size`` slots, or a ``_Sparse`` dict for 0."""
-    return [None] * size if size else _Sparse()
-
-
-# The plan registry, shared by every Env and emptied when full, not grown:
-# (id(node), the shape of each name the node uses) -> (plan, dom, cod, node).
-# A name's shape is an object's dim, or a generator's id in _GENS: the id of
-# its type with dims, whether its integer columns are monomial, its scale
-# and the field's modulus.  Each entry keeps its node, so the id in its key
-# stays the node's own; _NAMES (id(node) -> (node, names)) keeps the names
-# of a node in first-use order.  Ids are negative, so no generator's shape
-# is ever an object's dim, and are never reused: an Env keeping an id from
-# before an emptying only misses the plans compiled after it.
-_PLANS: dict = {}
-_NAMES: dict = {}
+# Generator shapes, shared by every Env and emptied when full, not grown:
+# (type with dims, whether the integer columns are monomial, scale, modulus)
+# -> an id.  Ids are negative, so no generator's shape is ever an object's
+# dim, and are never reused: an Env keeping an id from before an emptying
+# only misses the plans compiled after it.
 _GENS: dict = {}
+_GENS_MAX = 8192
 _GEN_IDS = itertools.count(-1, -1)
-_PLANS_MAX = 8192
-
-
-def _names(e: MorExpr) -> tuple:
-    """The names of the generators and objects e uses, in first-use order."""
-    hit = _NAMES.get(id(e))
-    if hit is not None and hit[0] is e:
-        return hit[1]
-    if isinstance(e, Seq):
-        names = _names(e.first) + _names(e.then)
-    elif isinstance(e, Par):
-        names = _names(e.left) + _names(e.right)
-    elif isinstance(e, Gen):
-        names = (e.name,)
-    elif isinstance(e, Id):
-        names = e.word
-    elif isinstance(e, SwapE):
-        names = e.left + e.right
-    else:
-        raise TypeError(f"not a MorExpr: {e!r}")
-    names = tuple(dict.fromkeys(names))
-    if len(_NAMES) >= _PLANS_MAX:
-        _NAMES.clear()
-    _NAMES[id(e)] = (e, names)
-    return names
+_PLANS_MAX = 64  # the plans one node keeps; emptied when full, not grown
 
 
 def _shape(env: Env, name: str) -> int:
-    """The shape of one name in env (see ``_PLANS``), kept in the Env."""
+    """The shape of one name in env, kept in the Env: an object's dim, or a
+    generator's id in ``_GENS``: the id of its type with dims, whether its
+    integer columns are monomial, its scale and the field's modulus."""
     sig = env.sig
     if name in sig.generators:
         m = env.bindings[name]
@@ -470,7 +439,7 @@ def _shape(env: Env, name: str) -> int:
         key = (m.dom, m.cod, all(len(c) < 2 for c in cols), scale, env.field.modulus)
         shape = _GENS.get(key)
         if shape is None:
-            if len(_GENS) >= _PLANS_MAX:
+            if len(_GENS) >= _GENS_MAX:
                 _GENS.clear()
             shape = _GENS.setdefault(key, next(_GEN_IDS))
     elif name in sig.objects:
@@ -481,46 +450,41 @@ def _shape(env: Env, name: str) -> int:
     return shape
 
 
-def _plan(e: MorExpr, env: Env, width: int = 0) -> tuple:
-    """(plan, dom, cod, e): e typed and compiled once per shape and kept in
-    ``_PLANS``, keyed by e and the shape in env of each name e uses, so
-    every Env that gives those names the same shapes reads one plan.
-    ``width`` is the domain width of the Seq whose second operand is e or
-    has e among its factors (0: none); a Seq or Par wider than that keeps
-    its columns in a ``_Sparse`` dict.  A type error is raised with the
-    path "." and an unknown name without one (see ``_compiled``)."""
-    names = _names(e)
+def _plan(e: MorExpr, env: Env) -> tuple:
+    """(plan, dom, cod): e typed and compiled once per shape and kept in
+    ``e.plans``, keyed by the shape in env of each name e uses (see
+    ``_shape``), so every Env that gives those names the same shapes reads
+    one plan.  The plan is decided by e and those shapes alone, whichever
+    expression compiled e first.  A type error is raised with the path "."
+    and an unknown name without one (see ``_compiled``)."""
     shapes = env._shapes
     try:
-        key = (id(e), *map(shapes.__getitem__, names))
+        key = tuple(map(shapes.__getitem__, e.names))
     except KeyError:
-        key = (id(e), *[shapes[n] if n in shapes else _shape(env, n) for n in names])
-    hit = _PLANS.get(key)
-    if hit is None or hit[3] is not e:
-        hit = _compile(e, env, width, key)
+        key = tuple(shapes[n] if n in shapes else _shape(env, n) for n in e.names)
+    hit = e.plans.get(key)
+    if hit is None:
+        hit = _compile(e, env, key)
     return hit
 
 
-def _compile(e: MorExpr, env: Env, width: int, key: tuple) -> tuple:
+def _compile(e: MorExpr, env: Env, key: tuple) -> tuple:
     """Compile e as ``_plan`` describes and keep it under ``key``.  It reads
     of the bindings only what the shape holds: their types, dims and
     scales, and whether their columns are monomial."""
     sig = env.sig
     p = env.field.modulus
     if isinstance(e, Seq):
-        first, dom, mid, _ = _plan(e.first, env)
-        ncols = first.ncols
-        then, found, cod, _ = _plan(e.then, env, ncols)
+        first, dom, mid = _plan(e.first, env)
+        then, found, cod = _plan(e.then, env)
         if mid != found:
             raise WordTypeError(expected=mid, found=found, path=".")
-        plan = _seq(first, then, p, ncols if ncols <= (width or ncols) else 0)
+        plan = _seq(first, then, p)
     elif isinstance(e, Par):
-        left, ldom, lcod, _ = _plan(e.left, env, width)
-        right, rdom, rcod, _ = _plan(e.right, env, width)
+        left, ldom, lcod = _plan(e.left, env)
+        right, rdom, rcod = _plan(e.right, env)
         dom, cod = ldom + rdom, lcod + rcod
-        ncols = left.ncols * right.ncols
-        size = ncols if ncols <= (width or ncols) else 0
-        plan = _par(left, right, math.prod(_dims(rcod, sig)), p, size)
+        plan = _par(left, right, math.prod(_dims(rcod, sig)), p)
     elif isinstance(e, Gen):
         if e.name not in sig.generators:
             raise UnknownNameError(f"unknown generator {e.name!r}")
@@ -536,20 +500,20 @@ def _compile(e: MorExpr, env: Env, width: int, key: tuple) -> tuple:
         nl, nr = len(e.left), len(e.right)
         order = tuple(range(nl, nl + nr)) + tuple(range(nl))
         plan = _permutation((_dims(dom, sig), order))
-    hit = (plan, dom, cod, e)
-    if len(_PLANS) >= _PLANS_MAX:
-        _PLANS.clear()
-    _PLANS[key] = hit
+    plans = e.plans
+    if len(plans) >= _PLANS_MAX:
+        plans.clear()
+    hit = plans[key] = (plan, dom, cod)
     return hit
 
 
 def _compiled(e: MorExpr, env: Env) -> tuple:
     """``_plan(e, env)``, with a type error or unknown name raised again by
     ``infer_type`` from e, so that the first one in e is raised, with its
-    path."""
+    path; a value that is not a node raises TypeError there too."""
     try:
         return _plan(e, env)
-    except (WordTypeError, UnknownNameError):
+    except (WordTypeError, UnknownNameError, AttributeError):
         infer_type(e, env.sig)
         raise
 
@@ -578,8 +542,8 @@ def _rekey_col(plan: _Plan, env: Env, cols, j: int) -> dict:
     return c
 
 
-def _seq(first: _Plan, then: _Plan, p: int, size: int) -> _Plan:
-    """first, then then, keeping columns in stores of ``size``."""
+def _seq(first: _Plan, then: _Plan, p: int) -> _Plan:
+    """first, then then."""
     ncols = first.ncols
     if then.fn is _perm_col:  # re-key the rows of first
         if then.index is None:
@@ -595,13 +559,12 @@ def _seq(first: _Plan, then: _Plan, p: int, size: int) -> _Plan:
         if index is None:
             return base
         mono = base.mono and _rekeyed
-        return _Plan(_rekey_col, base.scale, ncols, size, mono=mono, index=index, perm=perm,
-                     base=base)
+        return _Plan(_rekey_col, base.scale, ncols, mono=mono, index=index, perm=perm, base=base)
     scale = first.scale * then.scale
     mono = _composite_lists(first, then)
     # A permuted first reads then's kept columns.
     fn = _fused if then.kron and first.fn is not _perm_col else _seq_col
-    return _Plan(fn, scale, ncols, size, p, mono, first=first, then=then)
+    return _Plan(fn, scale, ncols, p, mono, first=first, then=then)
 
 
 def _seq_col(plan: _Plan, env: Env, cols, j: int) -> dict:
@@ -658,10 +621,8 @@ def _nonzero(cols: list, plan: _Plan, env: Env) -> list:
 
 def _product_support(lcols, left: _Plan, rcols, right: _Plan, env: Env, dr: int, walk: int):
     """The keys k1 * dr + k2 at which column k1 of left and column k2 of
-    right are both nonzero, as a set; False when a factor keeps a
-    ``_Sparse`` dict, or when the set would hold at least ``walk`` keys."""
-    if type(lcols) is not list or type(rcols) is not list:
-        return False
+    right are both nonzero, as a set; False when the set would hold at
+    least ``walk`` keys."""
     nonzero_left, nonzero_right = _nonzero(lcols, left, env), _nonzero(rcols, right, env)
     if len(nonzero_left) * len(nonzero_right) >= walk:
         return False
@@ -680,8 +641,9 @@ def _fused(plan: _Plan, env: Env, cols, j: int) -> dict:
     keeps the set S of keys where both are nonzero when |S| is smaller than
     the terms the plain loop would walk (that column's length times the
     width of first).  With S kept (in ``env._support``), each column walks
-    only its keys in S; otherwise every key.  A factor kept in a
-    ``_Sparse`` dict is never scanned: the plain loop."""
+    only its keys in S; otherwise every key.  The decision reads the
+    factors and that column alone, so it is the same whichever expression
+    compiled the plan first."""
     first, then, p = plan.first, plan.then, plan.p
     kept = env._kept
     fcols = kept.get(first)
@@ -731,9 +693,8 @@ def _fused(plan: _Plan, env: Env, cols, j: int) -> dict:
     return c
 
 
-def _par(left: _Plan, right: _Plan, cr: int, p: int, size: int) -> _Plan:
-    """left * right, keeping columns in stores of ``size``; ``cr`` is the
-    cod dim of the right factor."""
+def _par(left: _Plan, right: _Plan, cr: int, p: int) -> _Plan:
+    """left * right; ``cr`` is the cod dim of the right factor."""
     if left.fn is _perm_col and right.fn is _perm_col:  # a permutation beside a permutation
         (d1, o1), (d2, o2) = left.perm, right.perm
         return _permutation((d1 + d2, o1 + tuple(len(d1) + i for i in o2)))
@@ -742,10 +703,10 @@ def _par(left: _Plan, right: _Plan, cr: int, p: int, size: int) -> _Plan:
     factors = (left, right, right.ncols, cr)
     mono = _outer_lists if left.mono and right.mono else None
     if left.fn is _perm_col:
-        return _Plan(_unit_beside_col, scale, ncols, size, p, mono, factors=factors)
+        return _Plan(_unit_beside_col, scale, ncols, p, mono, factors=factors)
     if right.fn is _perm_col:
-        return _Plan(_col_beside_unit, scale, ncols, size, p, mono, factors=factors)
-    return _Plan(_par_col, scale, ncols, size, p, mono, factors=factors, kron=_outer)
+        return _Plan(_col_beside_unit, scale, ncols, p, mono, factors=factors)
+    return _Plan(_par_col, scale, ncols, p, mono, factors=factors, kron=_outer)
 
 
 def _unit_beside_col(plan: _Plan, env: Env, cols, j: int) -> dict:
@@ -833,7 +794,7 @@ def evaluate(e: MorExpr, env: Env) -> LinMap:
     Large intermediate Kronecker products are never materialized; the
     result is built by ``LinMap.from_int_columns`` and keeps its columns.
     """
-    plan, dom_names, cod_names, _ = _compiled(e, env)
+    plan, dom_names, cod_names = _compiled(e, env)
     ncols = plan.ncols
     if plan.mono:
         rows, coefs = _lists(plan, env)
@@ -854,8 +815,8 @@ def check_identity(lhs: MorExpr, rhs: MorExpr, env: Env, check_id: str = "identi
     agree, cross-multiplied ones when they differ.  Only on a mismatch are
     both sides evaluated; the witness is the first differing (row, col) of
     the two matrices, with both scalars."""
-    lplan, ldom, lcod, _ = _compiled(lhs, env)
-    rplan, rdom, rcod, _ = _compiled(rhs, env)
+    lplan, ldom, lcod = _compiled(lhs, env)
+    rplan, rdom, rcod = _compiled(rhs, env)
     if (ldom, lcod) != (rdom, rcod):
         raise SideMismatchError(f"sides have different types: {(ldom, lcod)} vs {(rdom, rcod)}")
     lscale, rscale = lplan.scale, rplan.scale

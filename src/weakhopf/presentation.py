@@ -27,7 +27,7 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PresentationFile:
     field: Field
     objects: dict  # name -> Obj

@@ -15,7 +15,7 @@ first comma; larger left blocks are written as composites of such swaps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from .linalg import Obj, Word
@@ -69,32 +69,62 @@ class Signature:
         return cls(objects=objects, generators=gens)
 
 
+class _Node:
+    """What a node keeps besides its fields, set once it is built: ``gens``
+    and ``objs``, the frozen sets of the generator and object names it
+    uses, ``names``, both in one tuple, and ``plans``, its compiled plans
+    by the shapes of those names (see ``weakhopf.ir._plan``).  They are
+    plain attributes, so ``==``, hash and repr read the fields alone, and a
+    copy or a pickle is built again from the fields, with no plan."""
+
+    def _uses(self, gens: frozenset, objs: frozenset) -> None:
+        vars(self).update(gens=gens, objs=objs, names=(*gens, *objs), plans={})
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class Gen:
+class Gen(_Node):
     name: str
 
+    def __post_init__(self):
+        self._uses(frozenset((self.name,)), frozenset())
+
 
 @dataclass(frozen=True)
-class Id:
+class Id(_Node):
     word: tuple  # tuple[str, ...]
 
+    def __post_init__(self):
+        self._uses(frozenset(), frozenset(self.word))
+
 
 @dataclass(frozen=True)
-class SwapE:
+class SwapE(_Node):
     left: tuple
     right: tuple
 
+    def __post_init__(self):
+        self._uses(frozenset(), frozenset(self.left + self.right))
+
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Node):
     first: "MorExpr"
     then: "MorExpr"
 
+    def __post_init__(self):
+        self._uses(self.first.gens | self.then.gens, self.first.objs | self.then.objs)
+
 
 @dataclass(frozen=True)
-class Par:
+class Par(_Node):
     left: "MorExpr"
     right: "MorExpr"
+
+    def __post_init__(self):
+        self._uses(self.left.gens | self.right.gens, self.left.objs | self.right.objs)
 
 
 MorExpr = Union[Gen, Id, SwapE, Seq, Par]
@@ -162,10 +192,10 @@ class _Tokenizer:
         return self.next()
 
 
-# text -> (AST, generator names, object names) of every text parsed so far,
-# and structure -> its one node in those ASTs: a leaf by its value, a Seq or
-# Par by its operands' identities (which the node keeps alive).  A full memo
-# is emptied, not grown, and the node table with it.
+# text -> AST of every text parsed so far, and structure -> its one node in
+# those ASTs: a leaf by its value, a Seq or Par by its operands' identities
+# (which the node keeps alive).  A full memo is emptied, not grown, and the
+# node table with it.
 _PARSED: dict = {}
 _PARSED_MAX = 4096
 _NODES: dict = {}
@@ -178,24 +208,21 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
     names it uses are checked against ``sig``.  A text that fails to parse,
     or names one that ``sig`` lacks, goes through the parser again, so the
     error and its position are always the parser's own.  Equal
-    subexpressions of the texts parsed are one node, so that a node is the
-    key of its structure.
+    subexpressions of the texts parsed are one node, so that a node keeps
+    the plans of its structure.
     """
     hit = _PARSED.get(text)
-    if hit is not None and sig.generators.keys() >= hit[1] and sig.objects.keys() >= hit[2]:
-        return hit[0]
+    if hit is not None and sig.generators.keys() >= hit.gens and sig.objects.keys() >= hit.objs:
+        return hit
     tz = _Tokenizer(text)
     expr = _parse_seq(tz, sig)
     tok = tz.peek()
     if tok[0] != "eof":
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-    gens, objs = set(), set()
-    _collect_names(expr, gens, objs)
     if len(_PARSED) >= _PARSED_MAX:
         _PARSED.clear()
         _NODES.clear()
-    expr = _interned(expr)
-    _PARSED[text] = (expr, frozenset(gens), frozenset(objs))
+    expr = _PARSED[text] = _interned(expr)
     return expr
 
 
@@ -210,21 +237,6 @@ def _interned(e: MorExpr) -> MorExpr:
     else:
         key = e
     return _NODES.setdefault(key, e)
-
-
-def _collect_names(e: MorExpr, gens: set, objs: set) -> None:
-    if isinstance(e, Seq):
-        _collect_names(e.first, gens, objs)
-        _collect_names(e.then, gens, objs)
-    elif isinstance(e, Par):
-        _collect_names(e.left, gens, objs)
-        _collect_names(e.right, gens, objs)
-    elif isinstance(e, Gen):
-        gens.add(e.name)
-    elif isinstance(e, Id):
-        objs.update(e.word)
-    else:
-        objs.update(e.left + e.right)
 
 
 def _parse_seq(tz: _Tokenizer, sig: Signature) -> MorExpr:

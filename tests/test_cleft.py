@@ -1,7 +1,10 @@
+import dataclasses
+import os
 import tracemalloc
 
 import pytest
 
+import weakhopf
 from weakhopf.algebra import AlgebraData, StructureError
 from weakhopf.bialgebra import base_subalgebra
 from weakhopf.cleft import (
@@ -18,13 +21,16 @@ from weakhopf.cleft import (
     reconstruct,
 )
 from weakhopf.crossed import (
+    CocycleData,
     base_action_measure,
     build_crossed_product,
+    cocycle_report,
     gamma_inverse,
     invert_cocycle,
     smash_cocycle,
     trivial_measure,
 )
+from weakhopf.equivalence import ProductPair
 from weakhopf.fields import GF, QQ
 from weakhopf.linalg import (
     LinMap,
@@ -38,8 +44,11 @@ from weakhopf.linalg import (
     tensor_product,
     zero_map,
 )
+from weakhopf.presentation import load_presentation
 
 from instances import pair_groupoid_hopf, z2_hopf
+
+CORPUS = os.path.join(os.path.dirname(weakhopf.__file__), "corpus")
 
 
 def pair_cleft(n=2, field=QQ):
@@ -309,3 +318,24 @@ def test_round_trip_extension_equivalent():
     Phi, report = equivalence_from_phi(E, E2, recon.measure.u(1))
     assert report.all_pass
     assert Phi == identity(QQ, E.obj)
+
+
+def test_structures_that_keep_derived_state_cannot_be_rebound():
+    # Each keeps contexts or reports read off its fields, so a rebound field
+    # would leave them stale: with c.f rebound to the zero map, the kept
+    # cocycle context still passed every law a fresh zero cocycle fails.
+    H, m, c, E, finv, X, cl = pair_cleft()
+    recon, _ = reconstruct(X, cl)
+    pres = load_presentation(os.path.join(CORPUS, "pair_groupoid_smash.json"))
+    structures = [m.A, H.coalgebra, m, c, E, X.comodule, X, cl, cl.decomposition, recon,
+                  ProductPair(E, E), pres]
+    assert len({type(s) for s in structures}) == len(structures)
+    assert cocycle_report(m, c).all_pass
+    for s in structures:
+        for f in dataclasses.fields(s):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, f.name, getattr(s, f.name))
+    zero = c.f - c.f
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.f = zero
+    assert cocycle_report(m, c).all_pass and not cocycle_report(m, CocycleData(m, zero)).all_pass

@@ -237,7 +237,7 @@ def test_build_rejects_broken_preunit():
     nu = LinMap(QQ, data.nu.dom, data.nu.cod, [list(r) for r in data.nu.rows])
     nu.rows[0][0] = QQ.normalize(nu.rows[0][0] + 1)
     nu.rows[1][0] = QQ.normalize(nu.rows[1][0] - 1)
-    data.nu = nu
+    vars(data)["nu"] = nu  # the fields are frozen: replace the kept preunit
     with pytest.raises(HypothesisFailed) as exc:
         build_crossed_product(m, data)
     assert exc.value.check_id == "preunit2"

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import itertools
 import math
 import sys
@@ -537,11 +538,9 @@ def test_monomial_kernel_matches_dense_route(field, multi, unit, parts, data):
     for e in exprs:
         dense = _dense(e, env)
         assert evaluate(e, env) == dense
-        names = set()
-        syntax._collect_names(e, names, set())
         mono = _plan_of(e, env).mono
-        assert (mono is not None) == (not names & multi)
-        assert mono is None or (_lists_of(e, env)[1] is None) == (names <= unit)
+        assert (mono is not None) == (not e.gens & multi)
+        assert mono is None or (_lists_of(e, env)[1] is None) == (e.gens <= unit)
     for a in exprs:
         for b in exprs:
             if infer_type(a, sig) == infer_type(b, sig):
@@ -591,10 +590,8 @@ def test_groupoid_structure_maps_are_compared_by_their_rows(field):
     env = G.core_env().child()
     sides = [parse_expr(text, env.sig) for _, lhs, rhs in BIALGEBRA_AXIOMS for text in (lhs, rhs)]
     for e in sides:
-        names = set()
-        syntax._collect_names(e, names, set())
         mono = _plan_of(e, env).mono
-        assert (mono is None) == ("eta" in names)
+        assert (mono is None) == ("eta" in e.gens)
         assert mono is None or _lists_of(e, env)[1] is None
     assert run_identity_table(BIALGEBRA_AXIOMS, env).all_pass
     # mu with one entry 1 -> 2, at the identity e times a basis vector h, so
@@ -885,8 +882,8 @@ class _WeakMap(LinMap):
 def test_env_is_freed_by_reference_counting():
     # Compiled plans must not refer back to their Env: a cycle would keep
     # every Env of a long run alive until the next full collection.  The
-    # plan registry holds no Env, bound matrix or kept column either, so
-    # all of them go with the last Env that holds them.
+    # plans a node keeps hold no Env, bound matrix or kept column either,
+    # so all of them go with the last Env that holds them.
     import gc
     import weakref
 
@@ -936,6 +933,26 @@ def test_child_names_stay_out_of_the_parent():
     assert _plan_of(node, child) in child._kept and not parent._kept  # P's values are the child's
 
 
+def test_a_child_fills_the_stores_its_parent_opened():
+    # A structure the child opens is its own, but a store the parent
+    # opened is shared: the child fills it, up to its full width, for the
+    # parent too, and the parent keeps those columns after the child goes.
+    H = dual_group_hopf(dihedral(3), QQ)
+    parent = H.base_env().child()
+    e = parse_expr("Delta ; piL * piR", parent.sig)
+    plan = _plan_of(e, parent)
+    plan.fn(plan, parent, ir._cols(plan, parent), 0)
+    assert sum(c is not None for c in parent._kept[plan]) == 1
+    child = parent.child()
+    own = parse_expr("S ; Delta ; piL * piR", child.sig)
+    assert evaluate(e, child) == _dense(e, parent)
+    assert evaluate(own, child) == _dense(own, parent)
+    assert _plan_of(own, child) in child._kept
+    del child
+    assert sum(c is not None for c in parent._kept[plan]) == 6
+    assert _plan_of(own, parent) not in parent._kept
+
+
 def test_rebinding_a_name():
     parent = _frac_env(QQ)
     assert parent.child({"mu": parent.bindings["mu"]}).sig is parent.sig
@@ -952,10 +969,17 @@ def test_rebinding_a_name():
 
 @pytest.fixture
 def cold_plans(monkeypatch):
-    """An empty plan registry for this test alone."""
-    monkeypatch.setattr(ir, "_PLANS", {})
-    monkeypatch.setattr(ir, "_NAMES", {})
+    """An empty parse memo and node table, so that every node parsed is new
+    and keeps no plan, and no generator shape, for this test alone."""
+    monkeypatch.setattr(syntax, "_PARSED", {})
+    monkeypatch.setattr(syntax, "_NODES", {})
     monkeypatch.setattr(ir, "_GENS", {})
+
+
+def _clear_plans():
+    """Empty the plans of every node the parser holds."""
+    for node in syntax._NODES.values():
+        node.plans.clear()
 
 
 def _counting_compile(monkeypatch) -> list:
@@ -974,7 +998,7 @@ def _counting_compile(monkeypatch) -> list:
 def _kept_nodes(env) -> set:
     """The ids of the nodes whose plans keep a value in env."""
     held = set(env._kept) | set(env._lists)
-    return {id(e) for plan, _, _, e in ir._PLANS.values() if plan in held}
+    return {id(e) for e in syntax._NODES.values() for plan, _, _ in e.plans.values() if plan in held}
 
 
 def test_second_axiom_table_compiles_no_plan(cold_plans, monkeypatch):
@@ -1065,8 +1089,8 @@ def test_a_child_compiles_no_plan_its_parent_compiled(cold_plans, monkeypatch):
     assert [evaluate(e, child) for e in exprs] == expected
     assert compiled == []
     assert check_identity(parse_expr("P ; id(A)", child.sig), parse_expr("P", child.sig), child).passed
-    nodes = {id(e): e for _, _, _, e in ir._PLANS.values()}
-    assert compiled and all("P" in ir._names(nodes[k]) for k in compiled)
+    nodes = {id(e): e for e in syntax._NODES.values()}
+    assert compiled and all("P" in nodes[k].gens for k in compiled)
     assert not set(compiled) & _kept_nodes(parent)
     assert set(compiled) & _kept_nodes(child)
 
@@ -1177,7 +1201,7 @@ def test_a_parse_memo_capped_small_keeps_the_node_table_to_its_texts(cold_parse,
         e = parse_expr(text, SIG)
         assert e == reference[text] and evaluate(e, env) == _dense(e, env)
         assert len(syntax._PARSED) <= 2
-        held = {id(n) for ast, _, _ in syntax._PARSED.values() for n in _nodes(ast)}
+        held = {id(n) for ast in syntax._PARSED.values() for n in _nodes(ast)}
         assert {id(n) for n in syntax._NODES.values()} == held
     assert len(syntax._PARSED) == 2
 
@@ -1305,7 +1329,7 @@ def test_the_table_registry_stays_within_its_cap(cold_tables, monkeypatch):
     expected = _suites(groupoid_algebra(pair_groupoid(3), QQ))
     monkeypatch.setattr(ir, "_PERMS_MAX", 3)
     ir._PERMS.clear()
-    ir._PLANS.clear()  # so that the plans are compiled, and their tables built, again
+    _clear_plans()  # so that the plans are compiled, and their tables built, again
     sizes = []
     tables = ir._tables
 
@@ -1331,7 +1355,7 @@ def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
     def context():
         envs = [Env(env.sig, env.field, env.bindings) for env in bases]
         ir._PERMS.clear()
-        ir._PLANS.clear()  # the threads compile the plans that hold the tables, too
+        _clear_plans()  # the threads compile the plans that hold the tables, too
         return envs, itertools.count()
 
     def run_one(env):
@@ -1351,18 +1375,6 @@ def test_threads_sharing_index_tables_match_a_serial_run(cold_tables):
 
 
 # -- plans shared across contexts ----------------------------------------------
-
-@contextlib.contextmanager
-def _cold_registry():
-    """An empty plan registry inside the block (also under hypothesis, which
-    runs no function-scoped fixture per example)."""
-    saved = ir._PLANS, ir._NAMES
-    ir._PLANS, ir._NAMES = {}, {}
-    try:
-        yield
-    finally:
-        ir._PLANS, ir._NAMES = saved
-
 
 def _odd_monomial(data, field, dom, cod) -> LinMap:
     """A monomial map with integer entries 1, -1 or 3, so of scale 1 over Q,
@@ -1401,11 +1413,11 @@ def test_two_shapes_of_one_node_get_two_plans(kind, text, data):
     # that generator's scale (the map times 1/2, over Q).  Every other
     # generator stays monomial of scale 1.  The two Envs get two plans;
     # evaluated in alternation, in new Envs of both shapes, each gives the
-    # dense route's matrix and a cold registry's, and checks against it.
+    # dense route's matrix and that of a copy of the node, which keeps no
+    # plan, and checks against it.
     field = QQ if kind == "scale" else data.draw(st.sampled_from([QQ, GF(7)]))
     sig, other_sig, other_field = _MONO_SIG, _MONO_SIG, field
     e = parse_expr(text, sig)
-    names = ir._names(e)
     bindings = _odd_bindings(data, field, sig)
     other = dict(bindings)
     if kind == "field":
@@ -1413,14 +1425,12 @@ def test_two_shapes_of_one_node_get_two_plans(kind, text, data):
         other = {name: from_rows(other_field, m.dom, m.cod, [list(map(int, row)) for row in m.rows])
                  for name, m in bindings.items()}
     elif kind == "dim":
-        read = sorted({ob for n in names
-                       for ob in (sum(sig.generators[n], ()) if n in sig.generators else (n,))})
+        read = sorted({ob for n in e.gens for ob in sum(sig.generators[n], ())} | e.objs)
         ob = data.draw(st.sampled_from(read))
         other_sig = Signature({**sig.objects, ob: sig.objects[ob] + 1}, sig.generators)
         other = _odd_bindings(data, field, other_sig)
     else:
-        gens = [n for n in names if n in sig.generators
-                and (kind == "scale" or bindings[n].nrows > 1)]
+        gens = [n for n in sorted(e.gens) if kind == "scale" or bindings[n].nrows > 1]
         assume(gens)
         g = data.draw(st.sampled_from(gens))
         m = bindings[g]
@@ -1440,8 +1450,38 @@ def test_two_shapes_of_one_node_get_two_plans(kind, text, data):
             child = env.child({"P": want, "R": _moved(want, want.ncols - 1)})
             assert check_identity(e, Gen("P"), child).status == "pass"
             _assert_verdict_matches_dense(e, Gen("R"), child)
-            with _cold_registry():
-                assert evaluate(e, Env(*shape)) == want
+            cold = copy.deepcopy(e)
+            assert cold == e and not cold.plans
+            assert evaluate(cold, Env(*shape)) == want
+
+
+def test_a_plan_does_not_depend_on_compile_order():
+    # A plan is decided by its node and the shapes of the names it uses.
+    # S ; Delta ; S * piL keeps the same store whether it is compiled alone
+    # first or first inside eta ; (...), and a first ; (L * R) plan makes
+    # the same support decision whether L and R are compiled alone first or
+    # first inside it.  Each order starts from new nodes, which keep no plan.
+    H = groupoid_algebra(pair_groupoid(3), QQ)
+    stores = []
+    for alone_first in (True, False):
+        env = H.base_env().child()
+        outer = copy.deepcopy(parse_expr("eta ; (S ; Delta ; S * piL)", env.sig))
+        for e in (outer.then, outer) if alone_first else (outer, outer.then):
+            evaluate(e, env)
+        store = env._kept[_plan_of(outer.then, env)]
+        stores.append((type(store), len(store)))
+    assert stores == [(list, 9)] * 2
+    D = dual_group_hopf(dihedral(3), QQ)
+    decisions = []
+    for alone_first in (True, False):
+        env = D.base_env().child()
+        e = copy.deepcopy(parse_expr("eta ; Delta ; (S ; piL) * (S ; piR)", env.sig))
+        if alone_first:
+            evaluate(e.then.left, env)
+            evaluate(e.then.right, env)
+        assert evaluate(e, env) == _dense(e, env)
+        decisions.append(env._support[_plan_of(e, env)])
+    assert decisions[0] == decisions[1] == {0}  # only S ; piL and S ; piR at column 0 are nonzero
 
 
 def _bumped_mu(H, e: int, h: int, k: int) -> LinMap:
@@ -1471,7 +1511,7 @@ def test_a_bumped_entry_of_the_same_form_shares_the_plans_and_fails_where_predic
     (e1, h1), (e2, h2) = defined[0], zero[-1]
     _, lhs, rhs = next(row for row in BIALGEBRA_AXIOMS if row[0] == "unit_left")
     sides = [parse_expr(text, env.sig) for text in (lhs, rhs)]
-    sides = [s for s in sides if "mu" in ir._names(s)]
+    sides = [s for s in sides if "mu" in s.gens]
     assert sides
     n = H.dim
     cases = [(e1, h1, h1, True), (e2, h2, (h2 + 1) % n, True), (e1, h1, (h1 + 1) % n, False)]
@@ -1484,23 +1524,32 @@ def test_a_bumped_entry_of_the_same_form_shares_the_plans_and_fails_where_predic
         assert (w.lhs, w.rhs) == (field.normalize(delta + 1), field.normalize(delta))
 
 
-def test_the_plan_registry_stays_within_its_cap(cold_plans, monkeypatch):
-    G = groupoid_algebra(pair_groupoid(3), QQ)
-    expected = _suites(G)
-    monkeypatch.setattr(ir, "_PLANS_MAX", 8)
-    for registry in (ir._PLANS, ir._NAMES, ir._GENS):
-        registry.clear()
-    sizes = []
+def test_each_node_keeps_its_plans_within_its_cap(cold_plans, monkeypatch):
+    # Six algebras of three dims over two fields: a node over their maps is
+    # compiled for six shapes, more than the two a node keeps here, and
+    # their generator shapes outnumber the eight kept in _GENS.
+    cats = [pair_groupoid(2), pair_groupoid(3), group_groupoid(cyclic(3))]
+    algebras = [groupoid_algebra(C, field) for field in (QQ, GF(7)) for C in cats]
+    expected = [_suites(H) for H in algebras]
+    monkeypatch.setattr(ir, "_PLANS_MAX", 2)
+    monkeypatch.setattr(ir, "_GENS_MAX", 8)
+    _clear_plans()
+    ir._GENS.clear()
+    sizes, compiled = [], []
     compile_ = ir._compile
 
-    def watched(*args):
-        out = compile_(*args)
-        sizes.append(max(len(ir._PLANS), len(ir._NAMES), len(ir._GENS)))
+    def watched(e, *rest):
+        out = compile_(e, *rest)
+        sizes.append((len(e.plans), len(ir._GENS)))
+        compiled.append(id(e))
         return out
     monkeypatch.setattr(ir, "_compile", watched)
-    again = WeakHopfAlgebra.unchecked(G.field, G.obj, G.mu, G.eta, G.delta, G.eps, G.antipode)
-    assert _suites(again) == expected
-    assert len(sizes) > 8 and max(sizes) <= 8
+    minted = next(ir._GEN_IDS)
+    again = [WeakHopfAlgebra.unchecked(H.field, H.obj, H.mu, H.eta, H.delta, H.eps, H.antipode)
+             for H in algebras]
+    assert [_suites(H) for H in again] == expected
+    assert max(compiled.count(k) for k in compiled) > 2 and max(p for p, _ in sizes) <= 2
+    assert minted - next(ir._GEN_IDS) > 8 and max(g for _, g in sizes) <= 8
 
 
 def test_threads_compiling_shared_plans_match_a_serial_run(cold_plans):
@@ -1514,8 +1563,7 @@ def test_threads_compiling_shared_plans_match_a_serial_run(cold_plans):
     table = BIALGEBRA_AXIOMS + PROJECTION_BASICS + [("squares", "Delta ; mu", "eps ; eta")]
 
     def context():
-        ir._PLANS.clear()
-        ir._NAMES.clear()
+        _clear_plans()
         fresh = [WeakHopfAlgebra.unchecked(H.field, H.obj, H.mu, H.eta, H.delta, H.eps, H.antipode)
                  for H in algebras]
         return fresh, itertools.count()
@@ -1544,17 +1592,16 @@ def test_a_second_pass_over_a_small_universe_compiles_no_plan(cold_plans, monkey
     keys = []
     compile_ = ir._compile
 
-    def counting(e, env, width, key):
-        keys.append(key)
-        return compile_(e, env, width, key)
+    def counting(e, env, key):
+        keys.append((id(e), key))
+        return compile_(e, env, key)
     monkeypatch.setattr(ir, "_compile", counting)
     cats = [pair_groupoid(2), pair_groupoid(3)] + [group_groupoid(cyclic(n)) for n in (2, 3)]
     algebras = [groupoid_algebra(C, field) for field in (QQ, GF(7)) for C in cats]
     first = [_suites(H) for H in algebras]
     assert keys and len(set(keys)) == len(keys)
-    nodes = {id(e): e for _, _, _, e in ir._PLANS.values()}
-    sig = algebras[0].base_env().sig
-    permutations = [k for k, *_ in keys if all(n in sig.objects for n in ir._names(nodes[k]))]
+    nodes = {id(e): e for e in syntax._NODES.values()}
+    permutations = [k for k, _ in keys if not nodes[k].gens]
     assert permutations and max(permutations.count(k) for k in permutations) <= 4  # dims 2, 3, 4, 9
     keys.clear()
     again = [WeakHopfAlgebra.unchecked(H.field, H.obj, H.mu, H.eta, H.delta, H.eps, H.antipode)
