@@ -1,7 +1,7 @@
 """Unital algebras, counital coalgebras, convolution and regular inverses."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
 from . import identities as ids
@@ -16,6 +16,23 @@ class StructureError(ValueError):
 
 class RegularityPreconditionFailed(ValueError):
     pass
+
+
+class _Record:
+    """A structure record: a plain ``@dataclass`` subclass whose generated
+    ``__init__`` assigns each field once.  A later assignment, a name that
+    is not a field and any deletion raise ``FrozenInstanceError``, as on a
+    frozen dataclass, from one shared check rather than methods made per
+    class by ``exec``.  ``cached_property`` still keeps its values: it
+    writes the instance dict itself."""
+
+    def __setattr__(self, name, value):
+        if name in vars(self) or name not in self.__dataclass_fields__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 _AXIOM_ERRORS = {
@@ -38,8 +55,8 @@ def _require_axioms(table, field: Field, obj: Obj, bindings: dict) -> None:
         raise StructureError(_AXIOM_ERRORS[fail.check_id].format(obj.name))
 
 
-@dataclass(frozen=True)
-class AlgebraData:
+@dataclass
+class AlgebraData(_Record):
     """Associative unital algebra presented by structure constants."""
 
     field: Field
@@ -69,8 +86,8 @@ class AlgebraData:
         return cls(field, obj, mu, eta).validate()
 
 
-@dataclass(frozen=True)
-class CoalgebraData:
+@dataclass
+class CoalgebraData(_Record):
     """Coassociative counital coalgebra presented by structure constants."""
 
     field: Field

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from . import identities as ids
-from .algebra import AlgebraData, RegularityPreconditionFailed, StructureError
+from .algebra import _Record, AlgebraData, RegularityPreconditionFailed, StructureError
 from .bialgebra import WeakBialgebra
 from .crossed import (
     CocycleData,
@@ -32,8 +32,8 @@ class FactorizationFailed(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComoduleAlgebra:
+@dataclass
+class ComoduleAlgebra(_Record):
     """A unital algebra with a counitary coaction of H; ``context``, kept
     and built once, is H's base context plus muB, etaB and dB."""
 
@@ -65,8 +65,8 @@ def comodule_algebra_report(C: ComoduleAlgebra) -> VerdictReport:
     return report
 
 
-@dataclass(frozen=True)
-class Extension:
+@dataclass
+class Extension(_Record):
     """An algebra map j: A -> B into a comodule algebra; ``context``, kept
     and built once, is the comodule's plus muA, etaA and j."""
 
@@ -97,8 +97,8 @@ def extension_check(X: Extension) -> VerdictReport:
     return report
 
 
-@dataclass(frozen=True)
-class Decomposition:
+@dataclass
+class Decomposition(_Record):
     """The maps splitting B against A (x) H; ``context`` is the cleaving's
     plus the maps bound as p, q, w, wt and Ups, kept from the context they
     were evaluated in.  ``sigma_context``, kept and built once, is
@@ -120,8 +120,8 @@ class Decomposition:
                           "siginv": eval_text(ids.SIGMA_INV_EXPR, env)})
 
 
-@dataclass(frozen=True)
-class CleavingData:
+@dataclass
+class CleavingData(_Record):
     """Gamma and its convolution inverse, maps H -> B of the extension;
     ``context`` (the extension's plus gamB, gamBinv) and ``decomposition``
     are kept, each built once."""
@@ -194,8 +194,8 @@ def decomposition(X: Extension, c: CleavingData) -> tuple[Decomposition, Verdict
     return decomp, report
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+@dataclass
+class Reconstruction(_Record):
     mu_tilde: LinMap
     nu_tilde: LinMap
     rho: LinMap

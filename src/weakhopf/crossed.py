@@ -8,12 +8,12 @@ the integral inverse that exhibits the product as a cleft extension.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from . import identities as ids
-from .algebra import AlgebraData, StructureError, conv_inverse
+from .algebra import _Record, AlgebraData, conv_inverse, StructureError
 from .bialgebra import WeakBialgebra, base_subalgebra
 from .ir import Env, check_identity_text, eval_text, run_identity_table
 from .linalg import (
@@ -42,20 +42,20 @@ class PreconditionFailed(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeakMeasure:
+@dataclass
+class WeakMeasure(_Record):
     """A map rho: H (x) A -> A multiplicative in A in the coproduct-twisted
     sense, with its derived twisting map, idempotent and unit powers.
 
     ``context`` is kept, built once: H's base context plus muA, etaA and
     rho, then chi and nab, evaluated in the part before them.  The unit
-    powers are evaluated in it and memoized in ``_cache``; every check runs
-    in a new child of it.  The weak-module-algebra verdicts are kept too."""
+    powers are evaluated in it, whose stores keep their columns; every check
+    runs in a new child of it.  The weak-module-algebra verdicts are kept
+    too."""
 
     H: WeakBialgebra
     A: AlgebraData
     rho: LinMap
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rho.dom != (self.H.obj, self.A.obj) or self.rho.cod != (self.A.obj,):
@@ -91,21 +91,13 @@ class WeakMeasure:
     def nabla(self) -> LinMap:
         return self.context.bindings["nab"]
 
-    def _formula(self, key, src: str) -> LinMap:
-        """The map of a unit-power formula, evaluated once, in the context."""
-        if key not in self._cache:
-            self._cache[key] = eval_text(src, self.context)
-        return self._cache[key]
-
     def u(self, n: int) -> LinMap:
         """rho-image of the unit after multiplying n tensor factors."""
-        return self._formula(("u", n), ids.u_formula(n))
+        return eval_text(ids.u_formula(n), self.context)
 
     def v(self, n: int) -> LinMap:
         """Iterated action on the unit: v_{n+1} = rho . (H (x) v_n)."""
-        if n == 1:
-            return self.u(1)
-        return self._formula(("v", n), ids.v_formula(n))
+        return eval_text(ids.v_formula(n), self.context)
 
     @cached_property
     def _module_algebra_report(self) -> VerdictReport:
@@ -145,8 +137,8 @@ def twisting(m: WeakMeasure) -> tuple[LinMap, VerdictReport]:
     return m.chi, report
 
 
-@dataclass(frozen=True)
-class CocycleData:
+@dataclass
+class CocycleData(_Record):
     """A candidate cocycle f: H (x) H -> A over a weak measure, with its lift
     to A (x) H, the preunit of the twisted product and its convolution
     inverse.
@@ -231,8 +223,8 @@ def cocycle_report(m: WeakMeasure, data: CocycleData) -> VerdictReport:
     return report
 
 
-@dataclass(frozen=True)
-class CrossedProduct:
+@dataclass
+class CrossedProduct(_Record):
     """The unitary crossed product in split-image coordinates, over its
     cocycle's measure and with its cocycle's preunit; ``context``, kept and
     built once, is the cocycle's plus the product's maps.

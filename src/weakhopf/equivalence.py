@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import identities as ids
-from .algebra import StructureError, _conv_solve
+from .algebra import _conv_solve, _Record, StructureError
 from .crossed import CrossedProduct
 from .ir import Env, check_identity_text, eval_text, run_identity_table
 from .linalg import LinMap, Obj, invert, rename_factor
@@ -28,8 +28,8 @@ class NotAnEquivalence(ValueError):
         self.check_id = check_id
 
 
-@dataclass(frozen=True)
-class ProductPair:
+@dataclass
+class ProductPair(_Record):
     """Two crossed products of one A by one H.  ``context``, kept and built
     once, is E's plus Ep's measure and cocycle data and Ep's product, unit,
     split maps and coaction, primed and on a carrier named Ep, so that the

@@ -11,8 +11,23 @@ integers over one common denominator) and ``from_int`` (back to a scalar).
 """
 from __future__ import annotations
 
+import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+
+# The largest decimal exponent a rational scalar may have: Python's default
+# limit on the digits it reads from an integer string.  Past it the number
+# is refused before it is built (10**999999999 alone takes hours).
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
+# ``_is_prime`` is exact below _MAX_PRIME: the least strong pseudoprime to
+# all of the thirteen prime bases 2..41.  (The twelve bases 2..37 have one
+# at 318665857834031151167461.)
+_MAX_PRIME = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class FieldError(ValueError):
@@ -29,14 +44,32 @@ class NonCanonicalScalar(FieldError):
 
 
 def _is_prime(n: int) -> bool:
+    """Whether n < _MAX_PRIME is prime (deterministic Miller-Rabin)."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` for an int of any size: ``str`` refuses one of more than
+    ``sys.get_int_max_str_digits()`` digits, ``Decimal`` does not."""
+    return f"{Decimal(n):f}"
 
 
 class Field:
@@ -106,12 +139,21 @@ class RationalField(Field):
             if "/" in text:
                 num, _, den = text.partition("/")
                 return Fraction(int(num), int(den))
+            exponent = _EXPONENT.search(text)
+            if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+                raise ValueError(f"its exponent is beyond {_MAX_EXPONENT} in magnitude")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational scalar {text!r}: {exc}") from None
 
     def format(self, x) -> str:
-        return str(Fraction(x))
+        x = Fraction(x)
+        try:
+            return str(x)
+        except ValueError:  # more digits than str() of an int allows
+            if x.denominator == 1:
+                return _digits(x.numerator)
+            return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
     def inv(self, x):
         if x == 0:
@@ -133,6 +175,8 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= _MAX_PRIME:
+            raise FieldError(f"modulus {p} is too large: a prime field needs p < {_MAX_PRIME}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = self.modulus = p

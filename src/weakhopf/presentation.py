@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgebraData
+from .algebra import _Record, AlgebraData
 from .bialgebra import WeakBialgebra
 from .cleft import CleavingData, ComoduleAlgebra, Extension
 from .crossed import CocycleData, WeakMeasure
@@ -27,8 +27,8 @@ class PresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+@dataclass
+class PresentationFile(_Record):
     field: Field
     objects: dict  # name -> Obj
     generators: dict  # name -> LinMap
@@ -185,7 +185,7 @@ def decode_presentation(
     UTF-8 with universal newlines."""
     try:
         data = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int of too many digits
         raise PresentationError(f"cannot read presentation {path}: {exc}") from None
     return parse_presentation(data, field_override)
 

@@ -1,20 +1,25 @@
 """The syntax of a term language for morphisms in a strict symmetric
 monoidal category: signatures, the AST, the parser and the printer.
 
-Grammar (ASCII, whitespace insignificant)::
+Grammar (whitespace insignificant)::
 
     expr   := term (";" term)*
     term   := factor ("*" factor)*
-    factor := IDENT | "id(" word ")" | "swap(" word "," word ")" | "(" expr ")"
+    factor := IDENT | "id(" word ")" | "swap(" IDENT "," word ")" | "(" expr ")"
     word   := IDENT ("," IDENT)*
-    IDENT  := [A-Za-z_][A-Za-z0-9_]*
+    IDENT  := (letter | "_") (letter | digit | "_")*
+
+A letter is any Unicode character for which ``str.isalpha`` holds and a
+digit any other for which ``str.isalnum`` does, so ``ñu``, ``é`` and
+``x²`` are names and ``2mu`` is not.  ``id`` and ``swap`` are keywords.
 
 ``f ; g`` means f first (diagrams read top to bottom), i.e. the composite
-g . f.  In ``swap(...)`` the first word is the single identifier before the
-first comma; larger left blocks are written as composites of such swaps.
+g . f.  ``swap(X, w)`` swaps the single object X past the word w; larger
+left blocks are written as composites of such swaps.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -134,68 +139,16 @@ MorExpr = Union[Gen, Id, SwapE, Seq, Par]
 # Parser
 # --------------------------------------------------------------------------
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[tuple[str, str, int, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        line, col = 1, 1
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch.isalpha() or ch == "_":
-                start = i
-                scol = col
-                while i < n and (text[i].isalnum() or text[i] == "_"):
-                    i += 1
-                    col += 1
-                self.tokens.append(("ident", text[start:i], line, scol))
-                continue
-            if ch in ";*(),":
-                self.tokens.append((ch, ch, line, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("eof", "", line, col))
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "eof":
-            self.index += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
-        return self.next()
-
+# An identifier or any other one non-space character: ``\w`` is exactly
+# ``str.isalnum`` or "_" and ``\s`` is ``str.isspace``.  A token that starts
+# with neither a letter, "_" nor one of ";*()," is an unexpected character.
+_TOKEN = re.compile(r"\w+|\S")
 
 # text -> AST of every text parsed so far, and structure -> its one node in
 # those ASTs: a leaf by its value, a Seq or Par by its operands' identities
 # (which the node keeps alive).  A full memo is emptied, not grown, and the
-# node table with it.
+# node table with it; so is a node table grown far past the memo's cap by
+# the nodes that texts which failed to parse left behind.
 _PARSED: dict = {}
 _PARSED_MAX = 4096
 _NODES: dict = {}
@@ -214,90 +167,115 @@ def parse_expr(text: str, sig: Signature) -> MorExpr:
     hit = _PARSED.get(text)
     if hit is not None and sig.generators.keys() >= hit.gens and sig.objects.keys() >= hit.objs:
         return hit
-    tz = _Tokenizer(text)
-    expr = _parse_seq(tz, sig)
-    tok = tz.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
-    if len(_PARSED) >= _PARSED_MAX:
+    if len(_PARSED) >= _PARSED_MAX or len(_NODES) >= 16 * _PARSED_MAX:
         _PARSED.clear()
         _NODES.clear()
-    expr = _PARSED[text] = _interned(expr)
+    expr = _PARSED[text] = _Parser(text, sig).parse()
     return expr
 
 
-def _interned(e: MorExpr) -> MorExpr:
-    """The one node of e's structure in ``_NODES``."""
-    if isinstance(e, Seq):
-        e = Seq(_interned(e.first), _interned(e.then))
-        key = (Seq, id(e.first), id(e.then))
-    elif isinstance(e, Par):
-        e = Par(_interned(e.left), _interned(e.right))
-        key = (Par, id(e.left), id(e.right))
-    else:
-        key = e
-    return _NODES.setdefault(key, e)
+def _node(cls, *values) -> MorExpr:
+    """The one node ``cls(*values)`` in ``_NODES``, built if it is not there."""
+    key = (cls, *map(id, values)) if cls is Seq or cls is Par else (cls, *values)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES.setdefault(key, cls(*values))
+    return node
 
 
-def _parse_seq(tz: _Tokenizer, sig: Signature) -> MorExpr:
-    e = _parse_term(tz, sig)
-    while tz.peek()[0] == ";":
-        tz.next()
-        e = Seq(e, _parse_term(tz, sig))
-    return e
+class _Parser:
+    """One parse of ``text`` against ``sig``, one method per grammar rule.
 
+    Its tokens are (kind, text, offset), kind being "ident", the punctuation
+    character itself, or "eof" after the last one; an offset becomes a line
+    and a column only for an error.  Every node is built by ``_node``."""
 
-def _parse_term(tz: _Tokenizer, sig: Signature) -> MorExpr:
-    e = _parse_factor(tz, sig)
-    while tz.peek()[0] == "*":
-        tz.next()
-        e = Par(e, _parse_factor(tz, sig))
-    return e
+    def __init__(self, text: str, sig: Signature):
+        self.text, self.sig, self.next = text, sig, 0
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            tok, at = m.group(), m.start()
+            if tok[0].isalpha() or tok[0] == "_":
+                self.tokens.append(("ident", tok, at))
+            elif tok in ";*(),":
+                self.tokens.append((tok, tok, at))
+            else:
+                raise ParseError(f"unexpected character {tok[0]!r}", *self.where(at))
+        self.tokens.append(("eof", "", len(text)))
 
+    def where(self, at: int) -> tuple:
+        """(line, col) of offset ``at``: a line ends at a newline, a column
+        is one character."""
+        return self.text.count("\n", 0, at) + 1, at - self.text.rfind("\n", 0, at)
 
-def _parse_word(tz: _Tokenizer, sig: Signature) -> tuple:
-    names = []
-    while True:
-        tok = tz.expect("ident")
-        if tok[1] not in sig.objects:
-            raise UnknownNameError(f"unknown object {tok[1]!r} (line {tok[2]}, col {tok[3]})")
-        names.append(tok[1])
-        if tz.peek()[0] == ",":
-            tz.next()
-            continue
+    def take(self, kind: str):
+        """The next token, consumed, if it is of ``kind``; else None."""
+        tok = self.tokens[self.next]
+        if tok[0] != kind:
+            return None
+        self.next += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.take(kind)
+        if tok is None:
+            _, found, at = self.tokens[self.next]
+            raise ParseError(f"expected {kind!r}, found {found or 'end of input'!r}", *self.where(at))
+        return tok
+
+    def name(self, declared: dict, what: str) -> str:
+        """The next identifier, which ``declared`` must hold."""
+        _, name, at = self.expect("ident")
+        if name not in declared:
+            line, col = self.where(at)
+            raise UnknownNameError(f"unknown {what} {name!r} (line {line}, col {col})")
+        return name
+
+    def parse(self) -> MorExpr:
+        e = self.expr()
+        kind, found, at = self.tokens[self.next]
+        if kind != "eof":
+            raise ParseError(f"unexpected token {found!r}", *self.where(at))
+        return e
+
+    def expr(self) -> MorExpr:
+        e = self.term()
+        while self.take(";"):
+            e = _node(Seq, e, self.term())
+        return e
+
+    def term(self) -> MorExpr:
+        e = self.factor()
+        while self.take("*"):
+            e = _node(Par, e, self.factor())
+        return e
+
+    def word(self) -> tuple:
+        names = [self.name(self.sig.objects, "object")]
+        while self.take(","):
+            names.append(self.name(self.sig.objects, "object"))
         return tuple(names)
 
-
-def _parse_factor(tz: _Tokenizer, sig: Signature) -> MorExpr:
-    tok = tz.peek()
-    if tok[0] == "(":
-        tz.next()
-        inner = _parse_seq(tz, sig)
-        tz.expect(")")
-        return inner
-    if tok[0] != "ident":
-        raise ParseError(f"expected a name, found {tok[1] or 'end of input'!r}", tok[2], tok[3])
-    name = tok[1]
-    if name == "id":
-        tz.next()
-        tz.expect("(")
-        w = _parse_word(tz, sig)
-        tz.expect(")")
-        return Id(w)
-    if name == "swap":
-        tz.next()
-        tz.expect("(")
-        first = tz.expect("ident")
-        if first[1] not in sig.objects:
-            raise UnknownNameError(f"unknown object {first[1]!r} (line {first[2]}, col {first[3]})")
-        tz.expect(",")
-        right = _parse_word(tz, sig)
-        tz.expect(")")
-        return SwapE((first[1],), right)
-    tz.next()
-    if name not in sig.generators:
-        raise UnknownNameError(f"unknown generator {name!r} (line {tok[2]}, col {tok[3]})")
-    return Gen(name)
+    def factor(self) -> MorExpr:
+        if self.take("("):
+            e = self.expr()
+            self.expect(")")
+            return e
+        kind, name, at = self.tokens[self.next]
+        if kind != "ident":
+            raise ParseError(f"expected a name, found {name or 'end of input'!r}", *self.where(at))
+        if name != "id" and name != "swap":
+            return _node(Gen, self.name(self.sig.generators, "generator"))
+        self.next += 1
+        self.expect("(")
+        if name == "id":
+            e = _node(Id, self.word())
+        else:
+            first = self.name(self.sig.objects, "object")
+            self.expect(",")
+            e = _node(SwapE, (first,), self.word())
+        self.expect(")")
+        return e
 
 
 def pretty(e: MorExpr) -> str:

@@ -573,6 +573,43 @@ def test_a_float_entry_is_refused_where_it_stands(entry):
     assert eps01("1") == 1
 
 
+@pytest.mark.parametrize("generator, entry", [("eps", "1e5000"), ("mu", "1e3000"), ("eps", "1e999999999")])
+def test_a_short_scalar_of_a_huge_number_exits_cleanly(tmp_path, generator, entry):
+    # 1e999999999 would take hours to build and 1e5000 could not be printed:
+    # an exponent beyond 4300 exits 2.  1e3000 is read, and the witnesses
+    # its products give (up to 1e9000) are printed in full.
+    data = _load(PAIR)
+    data["generators"][generator]["matrix"][0][int(generator == "eps")] = entry
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    runs = {"validate": ["validate", str(target), "--report", str(report)],
+            "build": ["build", str(target), "--report", str(report)],
+            "eval": ["eval", "--sig", str(target), "--expr", "eps"]}
+    for command, argv in runs.items():
+        assert _call(argv + ["--field", "prime:7"]) == (
+            2, "", f"error: generator '{generator}': bad scalar '{entry}'\n"), command
+        code, out, err = _call(argv)
+        if entry != "1e3000":
+            assert (code, out, err) == (2, "", f"error: generator '{generator}': bad rational scalar"
+                                        f" '{entry}': its exponent is beyond 4300 in magnitude\n"), command
+        elif command == "eval":
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, ""), command
+            sides = [w[side] for e in _load(str(report))["entries"] if (w := e.get("witness"))
+                     for side in ("lhs", "rhs")]
+            big = [s for s in sides if len(s) > 4300]
+            assert big and all(s == "1" + "0" * (len(s) - 1) for s in big), command
+
+
+def test_a_json_integer_of_too_many_digits_exits_2(tmp_path):
+    target = tmp_path / "bigint.json"
+    target.write_text(json.dumps(_load(PAIR)).replace('"1"', "1" * 5000, 1))
+    code, out, err = _call(["validate", str(target), "--report", str(tmp_path / "r.json")])
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read presentation {target}: ")
+
+
 def test_a_boolean_dimension_exits_2_on_every_command(tmp_path):
     # The z2 file's A has dimension 1, which ``true`` would pass for.
     data = _load(Z2)

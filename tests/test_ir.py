@@ -116,6 +116,38 @@ def test_parse_errors_are_positioned():
         parse_expr("id(Z)", SIG)
 
 
+@pytest.mark.parametrize("text, error, message, line, col", [
+    ("mu ;", ParseError, "expected a name, found 'end of input'", 1, 5),
+    ("(mu", ParseError, "expected ')', found 'end of input'", 1, 4),
+    ("mu)", ParseError, "unexpected token ')'", 1, 3),
+    ("mu mu", ParseError, "unexpected token 'mu'", 1, 4),
+    ("2mu", ParseError, "unexpected character '2'", 1, 1),
+    ("mu ; ²", ParseError, "unexpected character '²'", 1, 6),
+    ("mu\n ;\n\t;", ParseError, "expected a name, found ';'", 3, 2),
+    ("mu \r\n; *", ParseError, "expected a name, found '*'", 2, 3),
+    ("swap(H,A,)", ParseError, "expected 'ident', found ')'", 1, 10),
+    ("mu ; id", ParseError, "expected '(', found 'end of input'", 1, 8),
+    ("id(Z)", UnknownNameError, "unknown object 'Z'", 1, 4),
+    ("swap(Z,H)", UnknownNameError, "unknown object 'Z'", 1, 6),
+    ("swap(H,Z)", UnknownNameError, "unknown object 'Z'", 1, 8),
+    ("mu;\n id(\n Q)", UnknownNameError, "unknown object 'Q'", 3, 2),
+    ("mu ; nosuch", UnknownNameError, "unknown generator 'nosuch'", 1, 6),
+])
+def test_every_parse_error_names_its_line_and_column(text, error, message, line, col):
+    with pytest.raises(error) as exc:
+        parse_expr(text, SIG)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (line {line}, col {col})"
+    if error is ParseError:
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_names_are_unicode_letters_or_underscores_then_word_characters():
+    sig = Signature(objects={"é": 1}, generators={"_x1": (("é",), ("é",)), "ñu": (("é",), ("é",))})
+    assert parse_expr("_x1 ; ñu", sig) == Seq(Gen("_x1"), Gen("ñu"))
+    assert parse_expr("id(é)", sig) == Id(("é",))
+
+
 def test_parse_swap_multi_factor_second_word():
     e = parse_expr("swap(H,A,H)", SIG)
     assert e == SwapE(("H",), ("A", "H"))
@@ -1054,6 +1086,17 @@ def _nodes(e) -> list:
     return [n for c in children for n in _nodes(c)] + [e]
 
 
+def test_a_parse_builds_each_new_node_once(cold_parse, monkeypatch):
+    built = []
+    uses = syntax._Node._uses
+    monkeypatch.setattr(syntax._Node, "_uses", lambda node, *names: built.append(type(node)) or uses(node, *names))
+    square = parse_expr("(Delta ; mu) * (Delta ; mu)", SIG)
+    assert built == [Gen, Gen, Seq, Par] and square.left is square.right
+    built.clear()
+    assert parse_expr("mu ; (Delta ; mu) * (Delta ; mu)", SIG).then is square
+    assert built == [Seq]
+
+
 def test_two_texts_share_their_common_subexpression(cold_parse, monkeypatch):
     a = parse_expr("Delta * id(A) ; id(H) * rho ; swap(H,A)", SIG)
     b = parse_expr("eta * id(A) ; Delta * id(A) ; id(H) * rho", SIG)
@@ -1204,6 +1247,19 @@ def test_a_parse_memo_capped_small_keeps_the_node_table_to_its_texts(cold_parse,
         held = {id(n) for ast in syntax._PARSED.values() for n in _nodes(ast)}
         assert {id(n) for n in syntax._NODES.values()} == held
     assert len(syntax._PARSED) == 2
+
+
+def test_texts_that_fail_to_parse_do_not_grow_the_node_table_without_bound(cold_parse, monkeypatch):
+    # Each text builds up to seven nodes (two leaves, five Seq) before its
+    # unknown name, and fails: the table keeps fewer than 16 * 2 nodes of
+    # earlier texts, plus these.
+    monkeypatch.setattr(syntax, "_PARSED_MAX", 2)
+    for n in range(64):
+        words = ["id(H)" if n >> k & 1 else "id(A)" for k in range(6)]
+        with pytest.raises(UnknownNameError):
+            parse_expr(" ; ".join(words + ["nosuch"]), SIG)
+        assert len(syntax._NODES) <= 32 + 6 and not syntax._PARSED
+    assert parse_expr("mu ; mu", SIG) == Seq(Gen("mu"), Gen("mu"))
 
 
 def test_threads_sharing_a_cold_env_match_a_serial_run(cold_parse):
